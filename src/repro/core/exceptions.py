@@ -52,8 +52,9 @@ class SupportLimitError(AnalysisError):
     """An exact distribution DP outgrew its support guard.
 
     Raised by :func:`repro.core.magnitude.error_pmf` (and friends) when
-    the intermediate ``(state, delta)`` support exceeds ``max_entries``,
-    and by :func:`repro.core.value_distribution.output_value_pmf` when
+    the intermediate ``(state, delta)`` support -- for ``error_pmf``,
+    the dense delta windows it is about to allocate -- exceeds
+    ``max_entries``, and by :func:`repro.core.value_distribution.output_value_pmf` when
     the width exceeds its ``max_width`` guard.  Carries the structured
     context -- *width* of the chain, the offending support size
     (*entries*), the guard that tripped (*limit*) and the DP *stage* --

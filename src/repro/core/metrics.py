@@ -2,9 +2,10 @@
 
 Computes the metrics commonly reported alongside error probability in
 the approximate-adder literature, either from an exact error PMF
-(:func:`metrics_from_pmf`, fed by :func:`repro.core.magnitude.error_pmf`)
-or from paired sample arrays (:func:`metrics_from_samples`, fed by the
-simulators):
+(:func:`metrics_from_pmf`, fed by :func:`repro.core.magnitude.error_pmf`;
+:func:`metrics_from_law`, its array form over the dense
+:class:`~repro.core.magnitude.ErrorLaw`) or from paired sample arrays
+(:func:`metrics_from_samples`, fed by the simulators):
 
 * **ER** -- error rate, ``P(D != 0)`` (the paper's ``P(Error)``);
 * **MED** -- mean error distance, ``E[|D|]``;
@@ -18,11 +19,14 @@ simulators):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, Mapping, Optional
 
 import numpy as np
 
 from .exceptions import AnalysisError
+
+if TYPE_CHECKING:
+    from .magnitude import ErrorLaw
 
 
 @dataclass(frozen=True)
@@ -65,6 +69,11 @@ def max_exact_output(width: int) -> int:
     return (1 << (width + 1)) - 1
 
 
+def _check_total(total: float) -> None:
+    if abs(total - 1.0) > 1e-6:
+        raise AnalysisError(f"PMF sums to {total!r}, expected 1.0")
+
+
 def metrics_from_pmf(pmf: Mapping[int, float], width: int) -> QualityMetrics:
     """Compute metrics from an exact ``{delta: probability}`` PMF.
 
@@ -73,9 +82,7 @@ def metrics_from_pmf(pmf: Mapping[int, float], width: int) -> QualityMetrics:
     """
     if not pmf:
         raise AnalysisError("empty PMF")
-    total = float(sum(pmf.values()))
-    if abs(total - 1.0) > 1e-6:
-        raise AnalysisError(f"PMF sums to {total!r}, expected 1.0")
+    _check_total(float(sum(pmf.values())))
     error_rate = float(sum(p for d, p in pmf.items() if d != 0))
     med = float(sum(abs(d) * p for d, p in pmf.items()))
     mse = float(sum(d * d * p for d, p in pmf.items()))
@@ -86,6 +93,26 @@ def metrics_from_pmf(pmf: Mapping[int, float], width: int) -> QualityMetrics:
         nmed=med / max_exact_output(width),
         mse=mse,
         wce=int(wce),
+        mred=None,
+    )
+
+
+def metrics_from_law(law: "ErrorLaw", width: int) -> QualityMetrics:
+    """:func:`metrics_from_pmf` over a dense
+    :class:`~repro.core.magnitude.ErrorLaw`: the same checks and
+    metrics, as array reductions (WCE stays an exact int)."""
+    probs = law.probs
+    if not np.any(probs > 0.0):
+        raise AnalysisError("empty PMF")
+    _check_total(float(probs.sum()))
+    deltas = law.deltas()
+    med = float(np.abs(deltas) @ probs)
+    return QualityMetrics(
+        error_rate=law.error_rate,
+        med=med,
+        nmed=med / max_exact_output(width),
+        mse=float((deltas * deltas) @ probs),
+        wce=law.wce,
         mred=None,
     )
 

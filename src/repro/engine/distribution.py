@@ -6,14 +6,17 @@ for the :data:`~repro.engine.request.DISTRIBUTION_KINDS` request kinds
 (``error_distribution`` / ``med`` / ``mred`` / ``wce``), following Wu
 et al.'s block-based error statistics and Roy & Dhar's fast
 mean-error-distance analysis (PAPERS.md): propagate the error-value law
-``D = approx - exact`` stage by stage over the carry-pair Markov state.
+``D = approx - exact = sum_i e_i 2^i`` stage by stage over the
+approximate carry, ``e_i`` being each cell's local error
+(:mod:`repro.core.magnitude`).
 
 Four engines, one degradation ladder
 (:func:`repro.runtime.router.plan_distribution_engine`):
 
-* ``distribution-dp`` -- exact: the full-PMF DP of
-  :func:`repro.core.magnitude.error_pmf` (practical to
-  :data:`DIST_EXACT_MAX_WIDTH` bits), the joint ``(D, exact)`` DP for
+* ``distribution-dp`` -- exact: the dense two-state PMF kernel of
+  :func:`repro.core.magnitude.error_law` (practical to
+  :data:`DIST_EXACT_MAX_WIDTH` bits; MED/MSE/WCE/bias/ER come from
+  array reductions over it), the joint ``(D, exact)`` DP for
   MRED (to :data:`MRED_EXACT_MAX_WIDTH` bits), and for the ``wce`` kind
   the linear-time interval DP
   (:func:`repro.core.magnitude.worst_case_error`) exact at *any* width.
@@ -43,12 +46,12 @@ serve, the CLI and the result cache carry them without special cases.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
 from ..core.exceptions import AnalysisError
-from ..core.metrics import metrics_from_pmf
+from ..core.metrics import metrics_from_law, metrics_from_pmf
 from .cache import stage_transition
 from .registry import (
     FAMILY_ANALYTICAL,
@@ -65,6 +68,9 @@ from .request import (
     AnalysisRequest,
     AnalysisResult,
 )
+
+if TYPE_CHECKING:
+    from ..core.magnitude import ErrorLaw
 
 #: Exact full-PMF DP guard: beyond this width the delta support can
 #: outgrow ``error_pmf``'s ``max_entries`` and the router degrades to
@@ -215,6 +221,24 @@ def _pmf_fields(
     return fields, quality.error_rate
 
 
+def _law_fields(
+    law: "ErrorLaw", request: AnalysisRequest
+) -> Tuple[Dict[str, object], float]:
+    """:func:`_pmf_fields` off a dense law's arrays; the
+    ``distribution`` tuple is built only when the kind carries it."""
+    quality = metrics_from_law(law, request.width)
+    fields: Dict[str, object] = {
+        "med": quality.med,
+        "nmed": quality.nmed,
+        "mse": quality.mse,
+        "wce": quality.wce,
+        "bias": float(law.deltas() @ law.probs),
+    }
+    if request.kind == KIND_ERROR_DISTRIBUTION:
+        fields["distribution"] = tuple(zip(*law.support()))
+    return fields, quality.error_rate
+
+
 def run_distribution_dp(
     request: AnalysisRequest, **options: object
 ) -> AnalysisResult:
@@ -226,8 +250,8 @@ def run_distribution_dp(
     un-forced callers never see that.
     """
     from ..core.magnitude import (
+        error_law,
         error_moments,
-        error_pmf,
         joint_error_pmf,
         relative_error_from_joint,
         worst_case_error,
@@ -255,8 +279,8 @@ def run_distribution_dp(
         fields["mred"] = relative_error_from_joint(joint)
         return _result(request, "distribution-dp", True, error_rate,
                        **fields)
-    pmf = error_pmf(cells, None, pa, pb, pc)
-    fields, error_rate = _pmf_fields(pmf, request)
+    fields, error_rate = _law_fields(
+        error_law(cells, None, pa, pb, pc), request)
     return _result(request, "distribution-dp", True, error_rate, **fields)
 
 
@@ -383,6 +407,20 @@ def run_distribution_mc(
                    **fields)
 
 
+def _dp_cost(width: int, samples: Optional[int] = None) -> float:
+    """``distribution-dp`` work in ops at the registry's 2M ops/s.
+
+    The dense kernel's delta windows span about ``2^(w+2)`` entries,
+    capped by ``max_entries``; an ``error_distribution`` answer then
+    turns up to ``2^(w+1)`` of them into Python pairs.  Fitted to the
+    worst LPAA 1-7 timings on a 2-vCPU Xeon: 0.6 ms at width 8, 3 ms at
+    12, and at 16 12 ms for ``med`` and 66 ms for
+    ``error_distribution`` (estimate: 2.2, 7 and 70 ms).  The joint
+    MRED DP is far costlier per width and is not modelled here.
+    """
+    return 500.0 * width + 2.0 * min(2.0 ** width, 2.0e6)
+
+
 def register_distribution_engines() -> None:
     """Register the four distribution engines (idempotent)."""
     if "distribution-dp" in REGISTRY:
@@ -393,9 +431,8 @@ def register_distribution_engines() -> None:
         name="distribution-dp", family=FAMILY_ANALYTICAL,
         request_kinds=DISTRIBUTION_KINDS, exact=True, deterministic=True,
         run=run_distribution_dp, parallel_safe=True,
-        cost_estimate=lambda width, samples=None: (
-            8.0 * width * min(2.0 ** width, 4.0e6)),
-        description="exact carry-pair DP: full error PMF, joint MRED, "
+        cost_estimate=_dp_cost,
+        description="exact carry DP: dense error PMF, joint MRED, "
                     "interval WCE",
     ))
     REGISTRY.register(EngineInfo(

@@ -10,7 +10,10 @@ A deliberately small HTTP/1.1 implementation -- request line, headers,
 ``GET /metrics``          obs metrics snapshot + service/cache statistics
 ========================  =====================================================
 
-Error mapping: parse failures are 400, per-client admission refusals
+Error mapping: parse failures are 400, a question whose exact DP
+outgrows its support guard (:class:`~repro.core.exceptions.SupportLimitError`)
+is 422 with the guard's ``width``/``entries``/``limit``/``stage`` in the
+error document, per-client admission refusals
 and queue overload are 429 with a ``Retry-After`` header, expired
 deadlines are 504, and a draining server or an open circuit breaker
 answers 503 (breaker refusals also carry ``Retry-After``).  Every
@@ -35,6 +38,7 @@ import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import engine
+from ..core.exceptions import SupportLimitError
 from ..obs import metrics as _metrics
 from ..obs.accesslog import AccessLog
 from ..obs.correlate import new_request_id, use_request_id
@@ -93,8 +97,9 @@ def format_retry_after(seconds: object) -> str:
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 413: "Payload Too Large",
-    429: "Too Many Requests", 500: "Internal Server Error",
-    503: "Service Unavailable", 504: "Gateway Timeout",
+    422: "Unprocessable Content", 429: "Too Many Requests",
+    500: "Internal Server Error", 503: "Service Unavailable",
+    504: "Gateway Timeout",
 }
 
 
@@ -110,11 +115,13 @@ class _HttpError(Exception):
 
     def __init__(self, status: int, message: str,
                  headers: Sequence[Tuple[str, str]] = (),
-                 recoverable: bool = False):
+                 recoverable: bool = False,
+                 details: Optional[Dict[str, object]] = None):
         super().__init__(message)
         self.status = status
         self.headers = tuple(headers)
         self.recoverable = recoverable
+        self.details = details or {}
 
 
 class _HttpRequest:
@@ -219,8 +226,15 @@ def _encode_response(
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + payload
 
 
-def _error_doc(status: int, message: str) -> Dict[str, object]:
-    return {"error": {"code": status, "message": message}}
+def _error_doc(status: int, message: str,
+               **details: object) -> Dict[str, object]:
+    return {"error": {"code": status, "message": message, **details}}
+
+
+def _support_limit_details(exc: SupportLimitError) -> Dict[str, object]:
+    """The guard context a client needs to re-ask (narrower, sampled)."""
+    return {"width": exc.width, "entries": exc.entries,
+            "limit": exc.limit, "stage": exc.stage}
 
 
 class AnalysisServer:
@@ -464,8 +478,8 @@ class AnalysisServer:
                     _metrics.timed(f"serve.http.{name}.seconds"):
                 status, doc, headers = await handler(request)
         except _HttpError as exc:
-            status, doc, headers = exc.status, _error_doc(exc.status,
-                                                          str(exc)), exc.headers
+            status, headers = exc.status, exc.headers
+            doc = _error_doc(exc.status, str(exc), **exc.details)
         except Exception as exc:  # never kill the connection loop
             log_event(_logger, "serve.http.error", endpoint=name,
                       error=repr(exc))
@@ -547,6 +561,9 @@ class AnalysisServer:
             raise _HttpError(504, str(exc)) from exc
         except ClosingError as exc:
             raise _HttpError(503, str(exc)) from exc
+        except SupportLimitError as exc:
+            raise _HttpError(
+                422, str(exc), details=_support_limit_details(exc)) from exc
 
     async def _handle_analyze_batch(self, request: _HttpRequest):
         doc = self._parse_body(request)
@@ -587,6 +604,9 @@ class AnalysisServer:
                 results.append(_error_doc(504, str(outcome)))
             elif isinstance(outcome, ClosingError):
                 results.append(_error_doc(503, str(outcome)))
+            elif isinstance(outcome, SupportLimitError):
+                results.append(_error_doc(
+                    422, str(outcome), **_support_limit_details(outcome)))
             elif isinstance(outcome, BaseException):
                 raise outcome
         if refused == len(items):

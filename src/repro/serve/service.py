@@ -24,8 +24,9 @@
 Engine dispatch is additionally wrapped in a
 :class:`~repro.runtime.breaker.CircuitBreaker` (``breaker_failures``
 consecutive dispatch failures open it; 503 + ``Retry-After`` upstream
-while open) and a failed *multi-request* batch is isolated: each member
-re-runs alone, so one poisoned request costs only its own client a 500
+while open; a ``SupportLimitError`` is a typed refusal, not a failure)
+and a failed *multi-request* batch is isolated: each member re-runs
+alone, so one poisoned request costs only its own client its answer
 instead of failing every batch-mate.
 
 Obs metrics: ``serve.enqueued`` / ``serve.shed`` / ``serve.expired`` /
@@ -43,7 +44,7 @@ import functools
 from typing import Dict, List, Optional
 
 from .. import engine
-from ..core.exceptions import AnalysisError, ReproError
+from ..core.exceptions import AnalysisError, ReproError, SupportLimitError
 from ..engine.request import AnalysisRequest, AnalysisResult
 from ..obs import metrics as _metrics
 from ..obs.correlate import current_request_id, use_request_id
@@ -478,7 +479,7 @@ class AnalysisService:
             with _metrics.timed("serve.batch_seconds"):
                 results = await loop.run_in_executor(None, runner)
         except Exception as exc:  # engine bug: fail the batch, not the server
-            self.breaker.record_failure()
+            self._record_error(exc)
             log_event(_logger, "serve.batch.failed",
                       size=len(live), error=repr(exc))
             if len(live) > 1:
@@ -513,6 +514,19 @@ class AnalysisService:
             else:
                 self._served += 1
                 pending.future.set_result(result)
+
+    def _record_error(self, exc: Exception) -> None:
+        """Breaker outcome of a dispatch that raised *exc*.
+
+        A :class:`~repro.core.exceptions.SupportLimitError` is the
+        engine's typed refusal of one question too large for its exact
+        DP (HTTP 422), not a sick engine, so it does not extend the
+        failure streak.
+        """
+        if isinstance(exc, SupportLimitError):
+            self.breaker.record_success()
+        else:
+            self.breaker.record_failure()
 
     async def _isolate_batch(self, live: List[_Pending]) -> None:
         """Re-run each member of a failed multi-request batch alone.
@@ -552,7 +566,7 @@ class AnalysisService:
             try:
                 results = await loop.run_in_executor(None, runner)
             except Exception as exc:
-                self.breaker.record_failure()
+                self._record_error(exc)
                 if not pending.future.done():
                     pending.future.set_exception(exc)
                 continue

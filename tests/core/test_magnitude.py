@@ -2,10 +2,15 @@
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.adders import PAPER_LPAAS
 from repro.core.exceptions import AnalysisError, SupportLimitError
 from repro.core.magnitude import (
+    error_law,
     error_moments,
     error_pmf,
     joint_error_pmf,
@@ -13,11 +18,14 @@ from repro.core.magnitude import (
     worst_case_error,
 )
 from repro.core.recursive import error_probability
-from repro.core.truth_table import ACCURATE
+from repro.core.truth_table import ACCURATE, FullAdderTruthTable
 
 
 def _enumerate_pmf(cell, width, p_a, p_b, p_cin):
-    """Brute-force PMF of approx - exact over all weighted inputs."""
+    """Brute-force PMF of approx - exact over all weighted inputs.
+
+    *cell* is one cell for a uniform chain or a per-stage list."""
+    cells = list(cell) if isinstance(cell, (list, tuple)) else [cell] * width
     pmf = {}
     for bits in itertools.product((0, 1), repeat=2 * width + 1):
         a_bits, b_bits, cin = bits[:width], bits[width:2 * width], bits[-1]
@@ -29,7 +37,7 @@ def _enumerate_pmf(cell, width, p_a, p_b, p_cin):
             continue
         approx, carry = 0, cin
         for i in range(width):
-            s, carry = cell.evaluate(a_bits[i], b_bits[i], carry)
+            s, carry = cells[i].evaluate(a_bits[i], b_bits[i], carry)
             approx |= s << i
         approx |= carry << width
         a_val = sum(bit << i for i, bit in enumerate(a_bits))
@@ -78,6 +86,90 @@ class TestErrorPmf:
         assert set(pruned) <= set(full)
         lost = sum(full.values()) - sum(pruned.values())
         assert 0 <= lost < 1e-2
+
+
+# Edge probabilities the dense kernel must survive: deterministic bits
+# and subnormal-scale masses whose products underflow.
+_EDGE_PROBABILITIES = (0.0, 1.0, 5e-324, 1e-310, 2.5e-308, 1.0 - 2.0 ** -53)
+_stage_cells = st.one_of(
+    st.sampled_from([ACCURATE, *PAPER_LPAAS]),
+    st.builds(FullAdderTruthTable, st.lists(
+        st.tuples(st.integers(0, 1), st.integers(0, 1)),
+        min_size=8, max_size=8)),
+)
+_edge_probability = st.one_of(
+    st.sampled_from(_EDGE_PROBABILITIES),
+    st.floats(0.0, 1.0, allow_nan=False),
+)
+
+
+class TestDenseKernelAgainstEnumeration:
+    """The dense two-state kernel == brute force on hybrid chains."""
+
+    # Below this, masses built from subnormal factors may vanish in one
+    # multiplication order and survive in the other.
+    FLOOR = 1e-30
+
+    @given(data=st.data(), width=st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_hybrid_chains_with_edge_probabilities(self, data, width):
+        cells = data.draw(st.lists(_stage_cells, min_size=width,
+                                   max_size=width))
+        p_a = data.draw(st.lists(_edge_probability, min_size=width,
+                                 max_size=width))
+        p_b = data.draw(st.lists(_edge_probability, min_size=width,
+                                 max_size=width))
+        p_cin = data.draw(_edge_probability)
+        ref = _enumerate_pmf(cells, width, p_a, p_b, p_cin)
+        got = error_pmf(cells, None, p_a, p_b, p_cin)
+        assert all(isinstance(d, int) and p > 0.0 for d, p in got.items())
+        assert {d for d, p in got.items() if p > self.FLOOR} == \
+            {d for d, p in ref.items() if p > self.FLOOR}
+        for delta in set(ref) | set(got):
+            assert got.get(delta, 0.0) == pytest.approx(
+                ref.get(delta, 0.0), abs=1e-12)
+        # The interval DP bounds every delta with positive mass.
+        worst = worst_case_error(cells, None, p_a, p_b, p_cin)
+        assert all(worst.min_delta <= d <= worst.max_delta for d in got)
+
+    def test_accurate_high_bits_keep_the_window_small_at_width_64(self):
+        chain = ["LPAA 1"] * 8 + ["accurate"] * 56
+        law = error_law(chain, None, 0.5, 0.5, 0.5)
+        pmf = law.as_dict()
+        assert len(pmf) <= law.probs.size <= 500
+        # Accurate stages add no local error: D is the 8-bit chain's.
+        assert pmf == pytest.approx(error_pmf("LPAA 1", 8, 0.5, 0.5, 0.5),
+                                    abs=1e-15)
+        assert law.wce == worst_case_error(chain).wce
+
+    def test_deltas_stay_exact_ints_past_int64(self):
+        # Only the top stage errs: every delta is a multiple of 2^63.
+        chain = ["accurate"] * 63 + ["LPAA 5"]
+        law = error_law(chain, None, 0.5, 0.5, 0.5)
+        assert law.step == 2 ** 63
+        pmf = law.as_dict()
+        assert all(isinstance(d, int) and d % 2 ** 63 == 0 for d in pmf)
+        worst = worst_case_error(chain)
+        assert (min(pmf), max(pmf)) == (worst.min_delta, worst.max_delta)
+        assert law.wce == worst.wce == 2 ** 63
+
+    def test_guard_fires_before_the_oversized_allocation(self, monkeypatch):
+        limit = 2_000_000
+        sizes = []
+        real_zeros = np.zeros
+
+        def spy(shape, *args, **kwargs):
+            sizes.append(int(np.prod(shape)))
+            return real_zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", spy)
+        with pytest.raises(SupportLimitError) as info:
+            error_pmf("LPAA 5", 24)
+        err = info.value
+        assert (err.width, err.limit) == (24, limit)
+        assert err.stage < 24
+        assert err.entries > limit
+        assert sizes and max(sizes) <= limit
 
 
 class TestErrorMoments:

@@ -182,6 +182,20 @@ class TestRouterLadder:
         assert decision.engine == "distribution-mc"
         assert decision.degraded_from == "distribution-dp"
 
+    @pytest.mark.parametrize("kind", [KIND_MED, KIND_ERROR_DISTRIBUTION])
+    def test_half_second_deadline_keeps_the_exact_dp(self, kind):
+        # The dense kernel answers width 16 in milliseconds, so a 0.5 s
+        # deadline must not push it down to the truncated rung.
+        budget = RunBudget(deadline_s=0.5)
+        decision = plan_distribution_engine(
+            self._req(DIST_EXACT_MAX_WIDTH, kind=kind), budget=budget)
+        assert decision.engine == "distribution-dp"
+        assert decision.degraded_from is None
+        result = engine.run("LPAA 1", DIST_EXACT_MAX_WIDTH, kind=kind,
+                            budget=budget)
+        assert result.engine == "distribution-dp"
+        assert result.exact is True
+
     def test_tight_deadline_drops_to_sampling(self):
         decision = plan_distribution_engine(
             self._req(30), budget=RunBudget(deadline_s=1e-9),

@@ -239,3 +239,83 @@ class TestStateScrapeFormat:
             conn.close()
         finally:
             server.stop()
+
+
+class TestSupportLimitOverHttp:
+    """An exact DP outgrowing its support guard is the question's fault,
+    not the engine's: 422 with the guard's context, per item in a
+    batch, and no breaker failure."""
+
+    BAD = {"cell": "LPAA 5", "width": 12, "kind": "mred"}
+
+    @pytest.fixture
+    def guarded_engine(self, monkeypatch):
+        from repro.core.exceptions import SupportLimitError
+
+        real = engine.run_batch
+
+        def run_batch(requests, *args, **kwargs):
+            for request in requests:
+                if request.kind == "mred" and request.width == 12:
+                    raise SupportLimitError(
+                        "joint_error_pmf support exceeded max_entries",
+                        width=12, entries=2_000_123, limit=2_000_000,
+                        stage=10)
+            return real(requests, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "run_batch", run_batch)
+
+    def test_single_request_is_422_with_guard_fields(self, guarded_engine):
+        server = _start(ServeConfig(port=0, batch_window_s=0.002))
+        try:
+            conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                              timeout=30)
+            response, doc = _post(conn, "/v1/analyze", self.BAD)
+            assert response.status == 422
+            error = doc["error"]
+            assert error["code"] == 422
+            assert (error["width"], error["entries"], error["limit"],
+                    error["stage"]) == (12, 2_000_123, 2_000_000, 10)
+            assert "max_entries" in error["message"]
+            conn.close()
+        finally:
+            server.stop()
+
+    def test_batch_item_is_422_and_batch_mates_answer(self, guarded_engine):
+        server = _start(ServeConfig(port=0, batch_window_s=0.05,
+                                    max_batch=8))
+        try:
+            conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                              timeout=30)
+            response, doc = _post(conn, "/v1/analyze_batch", {"requests": [
+                {"cell": "LPAA 1", "width": 4},
+                self.BAD,
+                {"cell": "LPAA 2", "width": 6, "kind": "med"},
+            ]})
+            assert response.status == 200
+            good1, bad, good2 = doc["results"]
+            assert "p_error" in good1 and "med" in good2
+            assert bad["error"]["code"] == 422
+            assert bad["error"]["stage"] == 10
+            conn.close()
+        finally:
+            server.stop()
+
+    def test_does_not_count_toward_the_breaker(self, guarded_engine):
+        server = _start(ServeConfig(port=0, batch_window_s=0.002,
+                                    breaker_failures=2))
+        try:
+            conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                              timeout=30)
+            statuses = [_post(conn, "/v1/analyze", self.BAD)[0].status
+                        for _ in range(4)]
+            assert statuses == [422] * 4
+            assert server.service.breaker.state == "closed"
+            counters = _metrics.GLOBAL_REGISTRY.snapshot()["counters"]
+            assert counters.get("serve.breaker.failures", 0) == 0
+            response, _ = _post(conn, "/v1/analyze",
+                                {"cell": "LPAA 1", "width": 4})
+            assert response.status == 200
+            conn.close()
+        finally:
+            server.stop()
