@@ -5,9 +5,9 @@ backend in the library:
 
 * :mod:`repro.engine.request` -- the :class:`AnalysisRequest` /
   :class:`AnalysisResult` protocol all backends speak;
-* :mod:`repro.engine.registry` -- capability metadata and abstract cost
-  estimates per backend, consumed by both the default selector and the
-  :mod:`repro.runtime.router` degradation ladder;
+* :mod:`repro.engine.registry` -- capability metadata, abstract cost
+  estimates and ``degrades_to`` rungs per backend, the data
+  :func:`select_engine` walks;
 * :mod:`repro.engine.cache` -- the process-wide stage-matrix LRU keyed
   by (cell truth-table fingerprint, quantized operand probabilities);
 * :mod:`repro.engine.diskcache` -- the opt-in persistent result tier:
@@ -33,7 +33,7 @@ Typical use::
 
 Layering rule: ``core/`` never imports this package; the engine sits on
 top of ``core``, ``simulation``, ``baselines``, ``gear`` and
-``multiop`` and is in turn used by ``runtime.router``, ``explore``,
+``multiop`` and is in turn used by ``runtime.validation``, ``explore``,
 ``circuits``, ``apps`` and the CLI.
 """
 
@@ -71,6 +71,7 @@ from .segcache import (
 from .registry import (
     FAMILY_ANALYTICAL,
     FAMILY_SIMULATION,
+    OPS_PER_SECOND,
     REGISTRY,
     EngineInfo,
     EngineRegistry,
@@ -102,7 +103,6 @@ from .distribution import (
     DIST_TRUNCATED_MAX_WIDTH,
     MRED_EXACT_MAX_WIDTH,
     QUANT_BITS,
-    exact_width_limit,
     register_distribution_engines,
 )
 from .executor import error_curves, run, run_batch, select_engine
@@ -112,7 +112,6 @@ from .zoo import (
     ZOO_MRED_EXACT_MAX_WIDTH,
     ZOO_TRUNCATED_MAX_WIDTH,
     register_zoo_engines,
-    zoo_exact_width_limit,
 )
 from .parallel import (
     PARALLEL_EXHAUSTIVE,
@@ -143,6 +142,7 @@ __all__ = [
     "FAMILY_ANALYTICAL",
     "FAMILY_SIMULATION",
     "GLOBAL_CACHE",
+    "OPS_PER_SECOND",
     "DISTRIBUTION_KINDS",
     "DIST_EXACT_MAX_WIDTH",
     "DIST_TRUNCATED_MAX_WIDTH",
@@ -169,10 +169,8 @@ __all__ = [
     "ZOO_MC_MAX_WIDTH",
     "ZOO_MRED_EXACT_MAX_WIDTH",
     "ZOO_TRUNCATED_MAX_WIDTH",
-    "exact_width_limit",
     "register_distribution_engines",
     "register_zoo_engines",
-    "zoo_exact_width_limit",
     "REGISTRY",
     "StageMatrixCache",
     "StageTransition",

@@ -240,6 +240,19 @@ def run_exhaustive(request: AnalysisRequest, **options: object) -> AnalysisResul
     )
 
 
+def run_parallel_exhaustive(
+    request: AnalysisRequest, **options: object
+) -> AnalysisResult:
+    """Exhaustive enumeration sharded across ``options["jobs"]`` workers."""
+    from .parallel import parallel_exhaustive
+
+    return parallel_exhaustive(
+        request, jobs=int(options.get("jobs") or 0),  # type: ignore[arg-type]
+        budget=options.get("budget"),  # type: ignore[arg-type]
+        progress=options.get("progress"),
+    )
+
+
 def run_montecarlo(request: AnalysisRequest, **options: object) -> AnalysisResult:
     """Seeded Monte-Carlo estimation (budgetable, checkpointable)."""
     from ..simulation.montecarlo import (
@@ -319,11 +332,11 @@ def run_multiop_exact(request: AnalysisRequest, **options: object) -> AnalysisRe
         compress_cell=request.compress_cell,
         final_adder=list(request.final_adder) or None,
     )
-    cases = 1 << (len(request.operands) * request.width)
     return AnalysisResult(
         p_error=p_error, p_success=1.0 - p_error,
         engine="multiop-exact", exact=True,
-        width=request.width, kind=KIND_MULTIOP, cases=cases,
+        width=request.width, kind=KIND_MULTIOP,
+        cases=int(_multiop_cases(request)),
     )
 
 
@@ -345,6 +358,16 @@ def run_multiop_mc(request: AnalysisRequest, **options: object) -> AnalysisResul
     )
 
 
+def _enumeration_cost(request: AnalysisRequest) -> float:
+    """Cases a chain enumeration visits: ``2^(2N+1)``."""
+    return 2.0 ** (2 * request.width + 1)
+
+
+def _multiop_cases(request: AnalysisRequest) -> float:
+    """Operand combinations the multi-operand enumerator visits."""
+    return 2.0 ** (len(request.operands) * request.width)
+
+
 _REGISTERED = False
 
 
@@ -359,6 +382,7 @@ def register_builtin_engines() -> None:
     if _REGISTERED:
         return
     from ..baselines.inclusion_exclusion import MAX_IE_WIDTH
+    from ..multiop.analysis import MULTIOP_EXACT_CASES
     from ..simulation.exhaustive import BLOCK_CASES, MAX_EXHAUSTIVE_WIDTH
     from ..simulation.montecarlo import PAPER_SAMPLE_COUNT
 
@@ -366,30 +390,30 @@ def register_builtin_engines() -> None:
         name="recursive", family=FAMILY_ANALYTICAL,
         request_kinds=(KIND_CHAIN,), exact=True, deterministic=True,
         run=run_recursive, supports_trace=True, parallel_safe=True,
-        cost_estimate=lambda width, samples=None: _STAGE_COST * width,
+        cost_estimate=lambda request: _STAGE_COST * request.width,
         description="paper Algorithm 1 over cached stage transitions",
     ))
     REGISTRY.register(EngineInfo(
         name="transfer", family=FAMILY_ANALYTICAL,
         request_kinds=(KIND_CHAIN,), exact=True, deterministic=True,
         run=run_transfer, parallel_safe=True,
-        cost_estimate=lambda width, samples=None: (
-            _TRANSFER_OVERHEAD + _TRANSFER_STAGE_COST * width),
+        cost_estimate=lambda request: (
+            _TRANSFER_OVERHEAD + _TRANSFER_STAGE_COST * request.width),
         description="exact segment-tree composition, prefix-cached",
     ))
     REGISTRY.register(EngineInfo(
         name="vectorized", family=FAMILY_ANALYTICAL,
         request_kinds=(KIND_CHAIN,), exact=True, deterministic=True,
-        run=run_vectorized, supports_batch=True, parallel_safe=True,
-        cost_estimate=lambda width, samples=None: (
-            _VECTOR_OVERHEAD + 12.0 * width),
+        run=run_vectorized, parallel_safe=True,
+        cost_estimate=lambda request: (
+            _VECTOR_OVERHEAD + 12.0 * request.width),
         description="NumPy batch recursion (cache-fed mask arrays)",
     ))
     REGISTRY.register(EngineInfo(
         name="correlated", family=FAMILY_ANALYTICAL,
         request_kinds=(KIND_CHAIN,), exact=True, deterministic=True,
         run=run_correlated, supports_correlated=True,
-        cost_estimate=lambda width, samples=None: 60.0 * width,
+        cost_estimate=lambda request: 60.0 * request.width,
         description="recursion under per-stage joint operand laws",
     ))
     REGISTRY.register(EngineInfo(
@@ -397,61 +421,79 @@ def register_builtin_engines() -> None:
         request_kinds=(KIND_CHAIN,), exact=True, deterministic=True,
         run=run_inclusion_exclusion, max_width=MAX_IE_WIDTH,
         parallel_safe=True,
-        cost_estimate=lambda width, samples=None: width * (2.0 ** width),
+        cost_estimate=lambda request: (
+            request.width * 2.0 ** request.width),
         description="the exponential baseline the paper beats (Table 3)",
     ))
+    # The chain simulation ladder: one enumeration block, then chunked
+    # (bounded memory), then sharded across a pool, then sampling.
     REGISTRY.register(EngineInfo(
         name="exhaustive", family=FAMILY_SIMULATION,
         request_kinds=(KIND_CHAIN,), exact=True, deterministic=True,
         run=run_exhaustive, max_width=MAX_EXHAUSTIVE_WIDTH,
         block_cases=BLOCK_CASES, parallel_safe=True,
-        cost_estimate=lambda width, samples=None: 2.0 ** (2 * width + 1),
+        cost_estimate=_enumeration_cost,
+        degrades_to={KIND_CHAIN: "chunked-exhaustive"},
         description="weighted enumeration of all 2^(2N+1) cases",
+    ))
+    REGISTRY.register(EngineInfo(
+        name="chunked-exhaustive", family=FAMILY_SIMULATION,
+        request_kinds=(KIND_CHAIN,), exact=True, deterministic=True,
+        run=run_exhaustive, max_width=MAX_EXHAUSTIVE_WIDTH,
+        parallel_safe=True, cost_estimate=_enumeration_cost,
+        degrades_to={KIND_CHAIN: "parallel-exhaustive"},
+        description="the exhaustive enumerator, block by block",
+    ))
+    REGISTRY.register(EngineInfo(
+        name="parallel-exhaustive", family=FAMILY_SIMULATION,
+        request_kinds=(KIND_CHAIN,), exact=True, deterministic=True,
+        run=run_parallel_exhaustive, max_width=MAX_EXHAUSTIVE_WIDTH,
+        cost_estimate=_enumeration_cost,
+        degrades_to={KIND_CHAIN: "montecarlo"},
+        description="exhaustive enumeration sharded across a process pool",
     ))
     REGISTRY.register(EngineInfo(
         name="montecarlo", family=FAMILY_SIMULATION,
         request_kinds=(KIND_CHAIN,), exact=False,
         run=run_montecarlo, default_samples=PAPER_SAMPLE_COUNT,
         parallel_safe=True,
-        cost_estimate=lambda width, samples=None: float(
-            samples if samples else PAPER_SAMPLE_COUNT),
+        cost_estimate=lambda request: float(PAPER_SAMPLE_COUNT),
         description="seeded sampling estimate with Wilson intervals",
     ))
     REGISTRY.register(EngineInfo(
         name="gear-dp", family=FAMILY_ANALYTICAL,
         request_kinds=(KIND_GEAR,), exact=True, deterministic=True,
         run=run_gear_dp, parallel_safe=True,
-        cost_estimate=lambda width, samples=None: 10.0 * width,
+        cost_estimate=lambda request: 10.0 * request.width,
         description="GeAr linear DP over (carry, run) states",
     ))
     REGISTRY.register(EngineInfo(
         name="gear-ie", family=FAMILY_ANALYTICAL,
         request_kinds=(KIND_GEAR,), exact=True, deterministic=True,
         run=run_gear_ie, parallel_safe=True,
-        cost_estimate=lambda width, samples=None: 100.0 + 2.0 ** width,
+        cost_estimate=lambda request: 100.0 + 2.0 ** request.width,
         description="GeAr inclusion-exclusion over sub-adder events",
     ))
     REGISTRY.register(EngineInfo(
         name="gear-mc", family=FAMILY_SIMULATION,
         request_kinds=(KIND_GEAR,), exact=False,
         run=run_gear_mc, default_samples=1_000_000, parallel_safe=True,
-        cost_estimate=lambda width, samples=None: float(
-            samples if samples else 1_000_000),
+        cost_estimate=lambda request: 1_000_000.0,
         description="seeded GeAr Monte-Carlo estimate",
     ))
     REGISTRY.register(EngineInfo(
         name="multiop-exact", family=FAMILY_SIMULATION,
         request_kinds=(KIND_MULTIOP,), exact=True, deterministic=True,
         run=run_multiop_exact, parallel_safe=True,
-        cost_estimate=lambda width, samples=None: 4.0 ** width,
+        block_cases=MULTIOP_EXACT_CASES, cost_estimate=_multiop_cases,
+        degrades_to={KIND_MULTIOP: "multiop-mc"},
         description="weighted enumeration of the CSA tree + final adder",
     ))
     REGISTRY.register(EngineInfo(
         name="multiop-mc", family=FAMILY_SIMULATION,
         request_kinds=(KIND_MULTIOP,), exact=False,
         run=run_multiop_mc, default_samples=200_000, parallel_safe=True,
-        cost_estimate=lambda width, samples=None: float(
-            samples if samples else 200_000),
+        cost_estimate=lambda request: 200_000.0,
         description="Monte-Carlo over the functional CSA-tree model",
     ))
     # The error-magnitude and zoo families live in their own modules;

@@ -10,8 +10,9 @@ mean-error-distance analysis (PAPERS.md): propagate the error-value law
 approximate carry, ``e_i`` being each cell's local error
 (:mod:`repro.core.magnitude`).
 
-Four engines, one degradation ladder
-(:func:`repro.runtime.router.plan_distribution_engine`):
+Four engines; the first, second and fourth are rungs of the engine
+ladder (:func:`repro.engine.executor.select_engine`), their per-kind
+``width_limits`` and ``degrades_to`` registered below:
 
 * ``distribution-dp`` -- exact: the dense two-state PMF kernel of
   :func:`repro.core.magnitude.error_law` (practical to
@@ -99,16 +100,6 @@ MC_DEFAULT_SAMPLES = 200_000
 
 #: Largest empirical support ``distribution-mc`` reports as a PMF.
 MC_MAX_SUPPORT = 4096
-
-
-def exact_width_limit(kind: str) -> Optional[int]:
-    """Widest request the exact ``distribution-dp`` serves for *kind*
-    (``None`` = any width: the WCE interval DP is linear-time)."""
-    if kind == KIND_WCE:
-        return None
-    if kind == KIND_MRED:
-        return MRED_EXACT_MAX_WIDTH
-    return DIST_EXACT_MAX_WIDTH
 
 
 def _quantize(delta: int, bits: int = QUANT_BITS) -> int:
@@ -245,9 +236,9 @@ def run_distribution_dp(
     """Exact error-magnitude DP (full PMF / joint MRED / interval WCE).
 
     Raises :class:`~repro.core.exceptions.SupportLimitError` when the
-    requested kind's DP support outgrows its guard -- the router rungs
-    (:func:`repro.runtime.router.plan_distribution_engine`) exist so
-    un-forced callers never see that.
+    requested kind's DP support outgrows its guard -- the ladder's
+    ``width_limits`` (:func:`repro.engine.executor.select_engine`) exist
+    so un-forced callers never see that.
     """
     from ..core.magnitude import (
         error_law,
@@ -407,7 +398,7 @@ def run_distribution_mc(
                    **fields)
 
 
-def _dp_cost(width: int, samples: Optional[int] = None) -> float:
+def _dp_cost(request: AnalysisRequest) -> float:
     """``distribution-dp`` work in ops at the registry's 2M ops/s.
 
     The dense kernel's delta windows span about ``2^(w+2)`` entries,
@@ -418,6 +409,7 @@ def _dp_cost(width: int, samples: Optional[int] = None) -> float:
     ``error_distribution`` (estimate: 2.2, 7 and 70 ms).  The joint
     MRED DP is far costlier per width and is not modelled here.
     """
+    width = request.width
     return 500.0 * width + 2.0 * min(2.0 ** width, 2.0e6)
 
 
@@ -432,6 +424,15 @@ def register_distribution_engines() -> None:
         request_kinds=DISTRIBUTION_KINDS, exact=True, deterministic=True,
         run=run_distribution_dp, parallel_safe=True,
         cost_estimate=_dp_cost,
+        # ``wce`` has no entry: the interval DP is exact at any width.
+        width_limits={KIND_ERROR_DISTRIBUTION: DIST_EXACT_MAX_WIDTH,
+                      KIND_MED: DIST_EXACT_MAX_WIDTH,
+                      KIND_MRED: MRED_EXACT_MAX_WIDTH},
+        # ``mred`` skips the truncated rung: the joint DP has no
+        # mass-preserving truncation.
+        degrades_to={KIND_ERROR_DISTRIBUTION: "distribution-dp-truncated",
+                     KIND_MED: "distribution-dp-truncated",
+                     KIND_MRED: "distribution-mc"},
         description="exact carry DP: dense error PMF, joint MRED, "
                     "interval WCE",
     ))
@@ -439,7 +440,11 @@ def register_distribution_engines() -> None:
         name="distribution-dp-truncated", family=FAMILY_ANALYTICAL,
         request_kinds=DISTRIBUTION_KINDS, exact=False, deterministic=True,
         run=run_distribution_dp_truncated, parallel_safe=True,
-        cost_estimate=lambda width, samples=None: 3000.0 * width * width,
+        cost_estimate=lambda request: 3000.0 * request.width ** 2,
+        width_limits={KIND_ERROR_DISTRIBUTION: DIST_TRUNCATED_MAX_WIDTH,
+                      KIND_MED: DIST_TRUNCATED_MAX_WIDTH},
+        degrades_to={KIND_ERROR_DISTRIBUTION: "distribution-mc",
+                     KIND_MED: "distribution-mc"},
         description=f"error-PMF DP at {QUANT_BITS} significant delta "
                     "bits (mass-preserving, bounded support)",
     ))
@@ -448,7 +453,7 @@ def register_distribution_engines() -> None:
         request_kinds=DISTRIBUTION_KINDS, exact=True, deterministic=True,
         run=run_distribution_exhaustive, parallel_safe=True,
         max_width=MAX_EXHAUSTIVE_WIDTH,
-        cost_estimate=lambda width, samples=None: 2.0 ** (2 * width + 1),
+        cost_estimate=lambda request: 2.0 ** (2 * request.width + 1),
         description="weighted enumeration oracle: PMF, MRED and bias in "
                     "one pass",
     ))
@@ -457,8 +462,7 @@ def register_distribution_engines() -> None:
         request_kinds=DISTRIBUTION_KINDS, exact=False,
         run=run_distribution_mc, parallel_safe=True,
         default_samples=MC_DEFAULT_SAMPLES,
-        cost_estimate=lambda width, samples=None: float(
-            samples if samples else MC_DEFAULT_SAMPLES),
+        cost_estimate=lambda request: float(MC_DEFAULT_SAMPLES),
         description="seeded sampling: Wilson-bounded ER, "
                     "normal-approximation MED/MRED intervals",
     ))

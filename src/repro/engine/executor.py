@@ -1,12 +1,11 @@
 """Batch-first execution core: ``run`` / ``run_batch`` / ``error_curves``.
 
 ``run`` is the single analysis entry point the CLI, ``explore/``,
-``gear/``, ``multiop/`` and ``apps/`` call.  Engine selection is
-registry-driven: analytical questions default to the cheapest capable
-exact engine; ``simulate=True`` walks the
-:mod:`repro.runtime.router` degradation ladder (exhaustive -> chunked ->
-Monte-Carlo), which itself reads cost estimates and width limits from
-the registry and stamps ``degraded_from`` provenance.
+``gear/``, ``multiop/`` and ``apps/`` call.  :func:`select_engine` is the
+one place an engine is chosen: it starts at the cheapest capable exact
+engine (or, with ``simulate=True``, at the shape's simulation engine)
+and walks the registry's ``degrades_to`` rungs until one fits the width
+and budget, stamping ``degraded_from`` provenance.
 
 ``run_batch`` turns N requests into as few vectorised
 ``analyze_batch`` calls as possible: chain requests sharing a cell
@@ -30,21 +29,25 @@ from ..obs.log import get_logger, log_event
 from ..obs.tracing import trace_span
 from ..runtime.budget import RunBudget, make_meter
 from ..runtime.router import (
+    ENGINE_EXHAUSTIVE,
+    ENGINE_PARALLEL_EXHAUSTIVE,
     EngineDecision,
-    plan_distribution_engine,
-    plan_engine,
-    plan_zoo_engine,
+    record_decision,
 )
 from . import backends
 from . import diskcache as _diskcache
 from . import segcache as _segcache
 from .cache import mask_arrays
-from .registry import FAMILY_ANALYTICAL, REGISTRY
+from .registry import (
+    FAMILY_ANALYTICAL,
+    FAMILY_SIMULATION,
+    OPS_PER_SECOND,
+    REGISTRY,
+    EngineInfo,
+)
 from .request import (
     DISTRIBUTION_KINDS,
     KIND_CHAIN,
-    KIND_GEAR,
-    KIND_MULTIOP,
     AnalysisRequest,
     AnalysisResult,
 )
@@ -52,10 +55,6 @@ from .request import (
 #: Rows per vectorised chunk in ``run_batch``; budget checks happen at
 #: chunk boundaries (the library-wide cooperative-cancellation idiom).
 BATCH_CHUNK = 1024
-
-#: Case guard for the exact multi-operand enumerator (mirrors
-#: ``multi_operand_error_exact``'s default ``max_cases``).
-_MULTIOP_EXACT_CASES = 1 << 22
 
 _logger = get_logger("engine.executor")
 
@@ -80,73 +79,127 @@ def _segment_eligible(request: AnalysisRequest) -> bool:
     )
 
 
-def select_engine(
-    request: AnalysisRequest,
-    budget: Optional[RunBudget] = None,
-    samples: Optional[int] = None,
-) -> EngineDecision:
-    """Pick an engine for *request* from the registry.
-
-    Analytical chain/GeAr questions take the cheapest capable exact
-    analytical engine.  Multi-operand questions degrade from exact
-    enumeration to Monte-Carlo when the case count exceeds the
-    enumerator's guard, recording ``degraded_from``.  Error-magnitude
-    questions (:data:`~repro.engine.request.DISTRIBUTION_KINDS`) walk
-    their own ladder,
-    :func:`repro.runtime.router.plan_distribution_engine`.
-    """
-    if request.block is not None:
-        # Windowed-block (zoo) questions have their own ladder over the
-        # zoo-* engines, whatever the kind.
-        return plan_zoo_engine(request, budget, samples)
-    if request.kind in DISTRIBUTION_KINDS:
-        return plan_distribution_engine(request, budget, samples)
-    if request.kind == KIND_MULTIOP:
-        cases = 1 << (len(request.operands) * request.width)
-        if cases <= _MULTIOP_EXACT_CASES:
-            return EngineDecision(
-                engine="multiop-exact",
-                reason=f"{cases} operand combinations are enumerable",
-                estimated_cases=cases,
+def _head(request: AnalysisRequest, simulate: bool) -> Tuple[EngineInfo, str]:
+    """The rung the engine walk starts from, and why."""
+    if simulate:
+        if request.block is not None:
+            name = "zoo-mc"
+        elif request.kind in DISTRIBUTION_KINDS:
+            name = "distribution-mc"
+        elif request.kind == KIND_CHAIN:
+            name = ENGINE_EXHAUSTIVE
+        else:
+            raise AnalysisError(
+                "simulate=True routing applies to chain requests only"
             )
-        info = REGISTRY.get("multiop-mc")
-        return EngineDecision(
-            engine="multiop-mc",
-            reason=f"{cases} operand combinations exceed the exact "
-                   f"enumerator's guard ({_MULTIOP_EXACT_CASES})",
-            degraded_from="multiop-exact",
-            estimated_cases=cases,
-            samples=samples or info.default_samples,
-        )
-    if request.joints is not None:
-        return EngineDecision(
-            engine="correlated",
-            reason="per-stage joint operand laws require the "
-                   "correlated engine",
-        )
+        return REGISTRY.get(name), "simulate=True asks for a simulation"
     # Installed segment tier: eligible chain questions take the exact
     # O(log N) prefix-cached path.  Eligibility depends only on request
     # shape and process configuration -- never on cache contents -- so
     # warm and cold runs select identically (and the transfer core's
     # exactness makes the answer cache-independent anyway).
     if _segment_eligible(request):
-        return EngineDecision(
-            engine="transfer",
-            reason="segment cache installed: exact O(log N) "
-                   "prefix-cached path",
-        )
-    candidates = REGISTRY.for_request(
-        request, family=FAMILY_ANALYTICAL, exact=True
+        return (REGISTRY.get("transfer"),
+                "segment cache installed: exact O(log N) prefix-cached path")
+    candidates = (
+        REGISTRY.for_request(request, family=FAMILY_ANALYTICAL, exact=True)
+        or REGISTRY.for_request(request, exact=True)
     )
     if not candidates:
         raise AnalysisError(
-            f"no analytical engine accepts this {request.kind!r} request"
+            f"no exact engine accepts this {request.kind!r} request"
         )
     info = candidates[0]
-    return EngineDecision(
-        engine=info.name,
-        reason=f"cheapest exact analytical engine for width {request.width}",
-    )
+    return info, (f"cheapest exact {info.family} engine for width "
+                  f"{request.width}")
+
+
+def _enumerates(info: EngineInfo) -> bool:
+    return info.exact and info.family == FAMILY_SIMULATION
+
+
+def _misfit(
+    info: EngineInfo,
+    request: AnalysisRequest,
+    budget: Optional[RunBudget],
+    workers: int,
+) -> Optional[str]:
+    """Why the *info* rung cannot answer *request* (``None``: it fits)."""
+    if not info.accepts(request):
+        return "cannot serve this request"
+    limit = info.width_limits.get(request.kind)
+    if limit is not None and request.width > limit:
+        return f"width {request.width} exceeds its support guard ({limit})"
+    cost = info.cost_estimate(request)
+    if info.block_cases is not None and cost > info.block_cases:
+        return f"{cost:.0f} cases exceed one block ({info.block_cases})"
+    if budget is None:
+        return None
+    if budget.max_cases is not None and _enumerates(info) \
+            and cost > budget.max_cases:
+        return (f"{cost:.0f} cases exceed the budget's max_cases "
+                f"({budget.max_cases})")
+    if budget.deadline_s is not None \
+            and cost > budget.deadline_s * OPS_PER_SECOND * workers:
+        return (f"{cost:.0f} ops would overrun the {budget.deadline_s:g}s "
+                f"deadline at ~{OPS_PER_SECOND * workers:.0f} ops/s")
+    return None
+
+
+def select_engine(
+    request: AnalysisRequest,
+    budget: Optional[RunBudget] = None,
+    samples: Optional[int] = None,
+    *,
+    simulate: bool = False,
+    jobs: int = 0,
+) -> EngineDecision:
+    """Choose the engine for *request*: the one engine ladder.
+
+    The walk starts at a head rung: with *simulate*, the request
+    shape's simulation engine (``exhaustive`` for chains,
+    ``distribution-mc`` / ``zoo-mc`` for magnitude and block kinds);
+    with an installed segment cache, ``transfer`` for plain chains;
+    otherwise the cheapest exact analytical engine (or, when there is
+    none, the cheapest exact engine of any family).  From there it
+    follows ``EngineInfo.degrades_to[kind]`` while the rung does not
+    fit: it refuses the request, the width passes its
+    ``width_limits[kind]``, its cost passes ``block_cases``, an exact
+    simulation's cost passes the budget's ``max_cases``, or the cost
+    passes ``deadline_s * OPS_PER_SECOND`` (times *jobs* on the
+    ``parallel-exhaustive`` rung, which is skipped when ``jobs < 2``).
+    A rung without a ``degrades_to`` entry for the kind is final.
+    ``degraded_from`` names the rung directly above the chosen one, and
+    a sampling rung's *samples* are clamped to ``max_samples``.
+    """
+    rung, reason = _head(request, simulate)
+    degraded_from: Optional[str] = None
+    estimated_cases: Optional[int] = None
+    while True:
+        fallback = rung.degrades_to.get(request.kind)
+        if fallback is None:
+            break
+        pooled = rung.name == ENGINE_PARALLEL_EXHAUSTIVE
+        if pooled and jobs < 2:
+            rung = REGISTRY.get(fallback)
+            continue
+        if _enumerates(rung) and rung.accepts(request):
+            estimated_cases = int(rung.cost_estimate(request))
+        why = _misfit(rung, request, budget, jobs if pooled else 1)
+        if why is None:
+            break
+        degraded_from, reason = rung.name, f"{rung.name}: {why}"
+        rung = REGISTRY.get(fallback)
+    if rung.default_samples is not None:
+        samples = rung.default_samples if samples is None else samples
+        if budget is not None and budget.max_samples is not None:
+            samples = min(samples, budget.max_samples)
+    else:
+        samples = None
+    return record_decision(EngineDecision(
+        engine=rung.name, reason=reason, degraded_from=degraded_from,
+        estimated_cases=estimated_cases, samples=samples,
+    ))
 
 
 def run(
@@ -240,62 +293,15 @@ def run(
     jobs_n = _parallel.resolve_jobs(jobs) if jobs is not None else 0
     decision: Optional[EngineDecision] = None
     if engine is None:
-        if simulate:
-            if request.block is not None:
-                decision = EngineDecision(
-                    engine="zoo-mc",
-                    reason="simulate=True forces the sampling backend",
-                )
-            elif request.kind in DISTRIBUTION_KINDS:
-                decision = EngineDecision(
-                    engine="distribution-mc",
-                    reason="simulate=True forces the sampling backend",
-                )
-            elif request.kind != KIND_CHAIN:
-                raise AnalysisError(
-                    "simulate=True routing applies to chain requests only"
-                )
-            else:
-                decision = plan_engine(request.width, budget, samples,
-                                       jobs=jobs_n or None)
-        else:
-            decision = select_engine(request, budget, samples)
+        decision = select_engine(request, budget, samples,
+                                 simulate=simulate, jobs=jobs_n)
         engine_name = decision.engine
-        if decision.samples is not None and samples is None:
+        if decision.samples is not None:
             samples = decision.samples
     else:
         engine_name = engine
 
-    if engine_name == _parallel.PARALLEL_EXHAUSTIVE:
-        # Sharded enumeration lives outside the registry: capability is
-        # the exhaustive engine's, execution is the process pool's.
-        if not REGISTRY.get("exhaustive").accepts(request):
-            raise AnalysisError(
-                f"engine {engine_name!r} cannot serve this request "
-                f"(kind={request.kind}, width={request.width})"
-            )
-        with _metrics.timed("engine.run"), \
-                _metrics.timed(f"engine.{engine_name}.seconds"), \
-                trace_span("engine.run", engine=engine_name,
-                           kind=request.kind, width=request.width):
-            result = _parallel.parallel_exhaustive(
-                request, jobs=jobs_n, budget=budget, progress=progress,
-            )
-        if _metrics.is_enabled():
-            _metrics.inc("engine.requests")
-            _metrics.inc(f"engine.selected.{engine_name}")
-        if decision is not None:
-            result = _stamp_decision(result, decision, engine_name)
-            log_event(_logger, "engine.run", engine=engine_name,
-                      kind=request.kind, width=request.width,
-                      degraded_from=decision.degraded_from)
-        return result
-
-    # "chunked-exhaustive" is a routing refinement of the exhaustive
-    # engine (same enumerator, block-wise); the registry runs it there.
-    lookup = ("exhaustive" if engine_name == "chunked-exhaustive"
-              else engine_name)
-    info = REGISTRY.get(lookup)
+    info = REGISTRY.get(engine_name)
     if not info.accepts(request):
         raise AnalysisError(
             f"engine {engine_name!r} cannot serve this request "
@@ -312,7 +318,7 @@ def run(
         result = info.run(
             request, budget=budget, samples=samples, seed=seed,
             checkpoint_path=checkpoint_path, resume=resume,
-            progress=progress, routed=bool(simulate),
+            progress=progress, routed=bool(simulate), jobs=jobs_n,
         )
     if _metrics.is_enabled():
         _metrics.inc("engine.requests")

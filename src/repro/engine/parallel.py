@@ -469,12 +469,9 @@ def _request_eligible(
             or request.keep_trace or request.block is not None):
         return False
     if engine is not None:
-        lookup = ("exhaustive"
-                  if engine in ("chunked-exhaustive", PARALLEL_EXHAUSTIVE)
-                  else engine)
-        if lookup not in REGISTRY:
+        if engine not in REGISTRY:
             return False  # parent-side run() raises the proper error
-        info = REGISTRY.get(lookup)
+        info = REGISTRY.get(engine)
         return info.parallel_safe and info.accepts(request)
     return True
 

@@ -1,18 +1,18 @@
 """Engine registry: capability metadata and cost estimates per backend.
 
 Every analytical and simulation backend registers an
-:class:`EngineInfo` here (see :mod:`repro.engine.backends`).  Selection
--- both the executor's default choice and the
-:mod:`repro.runtime.router` degradation ladder -- reads capabilities
-(``max_width``, ``exact``, ``supports_batch``) and the abstract
-``cost_estimate(width, samples)`` from the registry instead of
-hard-coding per-backend thresholds.
+:class:`EngineInfo` here (see :mod:`repro.engine.backends`).  Engine
+selection (:func:`repro.engine.executor.select_engine`) is a walk over
+this data: capabilities (``accepts``), the abstract
+``cost_estimate(request)``, per-kind ``width_limits`` and the
+``degrades_to`` rung to fall back to -- no backend threshold is
+hard-coded in the selector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..core.exceptions import AnalysisError
 from .request import AnalysisRequest
@@ -22,9 +22,13 @@ FAMILY_ANALYTICAL = "analytical"
 FAMILY_SIMULATION = "simulation"
 
 #: Abstract cost units the estimators speak: one unit ~ one enumerated
-#: case / drawn sample / recursion stage-op.  Used with
-#: ``ops_per_second`` to judge deadline affordability.
-CostEstimator = Callable[[int, Optional[int]], float]
+#: case / drawn sample / recursion stage-op.
+CostEstimator = Callable[[AnalysisRequest], float]
+
+#: Conservative throughput of every engine, in cost units per second,
+#: used to judge deadline affordability.  Real machines do better;
+#: underestimating only degrades earlier, which is the safe direction.
+OPS_PER_SECOND = 2_000_000.0
 
 
 @dataclass(frozen=True)
@@ -37,7 +41,6 @@ class EngineInfo:
     exact: bool
     run: Callable[..., object]     # (request, **options) -> AnalysisResult
     cost_estimate: CostEstimator
-    supports_batch: bool = False
     supports_trace: bool = False
     supports_correlated: bool = False
     #: Safe to execute in a worker process: the runner is a pure function
@@ -51,13 +54,19 @@ class EngineInfo:
     #: to any future identical request.
     deterministic: bool = False
     max_width: Optional[int] = None
-    block_cases: Optional[int] = None   # chunking threshold (exhaustive)
-    ops_per_second: float = 2_000_000.0
+    block_cases: Optional[int] = None   # largest cost one rung takes
     default_samples: Optional[int] = None
     #: Understands windowed-block (``request.block``) zoo adders.  The
     #: check cuts both ways: block engines answer *only* block requests,
     #: and cell-chain engines never see a block request.
     supports_block: bool = False
+    #: Router-only per-kind width guards: past ``width_limits[kind]``
+    #: the selector walks on to ``degrades_to[kind]`` (a forced engine
+    #: still runs).
+    width_limits: Mapping[str, int] = field(default_factory=dict)
+    #: Per-kind fallback rung.  A kind without an entry makes this
+    #: engine final for that kind: once reached, it always answers.
+    degrades_to: Mapping[str, str] = field(default_factory=dict)
     description: str = ""
 
     def accepts(self, request: AnalysisRequest) -> bool:
@@ -116,7 +125,7 @@ class EngineRegistry:
             and (family is None or info.family == family)
             and (exact is None or info.exact == exact)
         ]
-        found.sort(key=lambda info: info.cost_estimate(request.width, None))
+        found.sort(key=lambda info: info.cost_estimate(request))
         return found
 
 

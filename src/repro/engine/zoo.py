@@ -23,9 +23,9 @@ built on the monotone-carry-cut DP of :mod:`repro.core.adder_zoo`:
   :func:`~repro.core.adder_zoo.windowed_add_array`, with the same
   interval conventions as ``distribution-mc``.
 
-Engine selection goes through
-:func:`repro.runtime.router.plan_zoo_engine`, the block twin of the
-distribution ladder.  Registration happens in
+Engine selection walks the same ladder as every other request
+(:func:`repro.engine.executor.select_engine`) over the ``width_limits``
+and ``degrades_to`` registered below.  Registration happens in
 :func:`repro.engine.backends.register_builtin_engines` like every other
 family.
 """
@@ -67,6 +67,7 @@ from .request import (
     DISTRIBUTION_KINDS,
     KIND_CHAIN,
     KIND_ERROR_DISTRIBUTION,
+    KIND_MED,
     KIND_MRED,
     KIND_WCE,
     AnalysisRequest,
@@ -88,16 +89,6 @@ ZOO_MC_MAX_WIDTH = 62
 
 #: Request kinds the zoo family serves.
 ZOO_KINDS = (KIND_CHAIN,) + DISTRIBUTION_KINDS
-
-
-def zoo_exact_width_limit(kind: str) -> Optional[int]:
-    """Widest block request ``zoo-dp`` serves exactly for *kind*
-    (``None`` = any width: ER and WCE run linear-time DPs)."""
-    if kind in (KIND_CHAIN, KIND_WCE):
-        return None
-    if kind == KIND_MRED:
-        return ZOO_MRED_EXACT_MAX_WIDTH
-    return ZOO_EXACT_MAX_WIDTH
 
 
 def _block(request: AnalysisRequest) -> WindowedAdderSpec:
@@ -303,8 +294,16 @@ def register_zoo_engines() -> None:
         name="zoo-dp", family=FAMILY_ANALYTICAL,
         request_kinds=ZOO_KINDS, exact=True, deterministic=True,
         run=run_zoo_dp, parallel_safe=True, supports_block=True,
-        cost_estimate=lambda width, samples=None: (
-            8.0 * width * min(2.0 ** width, 4.0e6)),
+        cost_estimate=lambda request: (
+            8.0 * request.width * min(2.0 ** request.width, 4.0e6)),
+        # ``chain`` and ``wce`` have no entry: their DPs are linear-time
+        # exact at any width.  ``mred`` skips the truncated rung.
+        width_limits={KIND_ERROR_DISTRIBUTION: ZOO_EXACT_MAX_WIDTH,
+                      KIND_MED: ZOO_EXACT_MAX_WIDTH,
+                      KIND_MRED: ZOO_MRED_EXACT_MAX_WIDTH},
+        degrades_to={KIND_ERROR_DISTRIBUTION: "zoo-dp-truncated",
+                     KIND_MED: "zoo-dp-truncated",
+                     KIND_MRED: "zoo-mc"},
         description="exact monotone-carry-cut DP over windowed block "
                     "adders: ER, error PMF, joint MRED, interval WCE",
     ))
@@ -312,7 +311,10 @@ def register_zoo_engines() -> None:
         name="zoo-dp-truncated", family=FAMILY_ANALYTICAL,
         request_kinds=ZOO_KINDS, exact=False, deterministic=True,
         run=run_zoo_dp_truncated, parallel_safe=True, supports_block=True,
-        cost_estimate=lambda width, samples=None: 3000.0 * width * width,
+        cost_estimate=lambda request: 3000.0 * request.width ** 2,
+        width_limits={KIND_ERROR_DISTRIBUTION: ZOO_TRUNCATED_MAX_WIDTH,
+                      KIND_MED: ZOO_TRUNCATED_MAX_WIDTH},
+        degrades_to={KIND_ERROR_DISTRIBUTION: "zoo-mc", KIND_MED: "zoo-mc"},
         description="cut DP with mass-preserving delta quantisation "
                     "(bounded support at any width)",
     ))
@@ -321,7 +323,7 @@ def register_zoo_engines() -> None:
         request_kinds=ZOO_KINDS, exact=True, deterministic=True,
         run=run_zoo_exhaustive, parallel_safe=True, supports_block=True,
         max_width=ZOO_EXACT_MAX_WIDTH,
-        cost_estimate=lambda width, samples=None: 2.0 ** (2 * width + 1),
+        cost_estimate=lambda request: 2.0 ** (2 * request.width + 1),
         description="weighted enumeration oracle through the bit-true "
                     "windowed functional model",
     ))
@@ -330,8 +332,7 @@ def register_zoo_engines() -> None:
         request_kinds=ZOO_KINDS, exact=False,
         run=run_zoo_mc, parallel_safe=True, supports_block=True,
         max_width=ZOO_MC_MAX_WIDTH, default_samples=MC_DEFAULT_SAMPLES,
-        cost_estimate=lambda width, samples=None: float(
-            samples if samples else MC_DEFAULT_SAMPLES),
+        cost_estimate=lambda request: float(MC_DEFAULT_SAMPLES),
         description="seeded operand sampling through "
                     "windowed_add_array with Wilson/normal intervals",
     ))

@@ -153,12 +153,17 @@ def multi_operand_error_probability_mc(
     return float((approx != exact).mean())
 
 
+#: Case guard of the exact enumerator (also the registered
+#: ``multiop-exact`` engine's ``block_cases``).
+MULTIOP_EXACT_CASES = 1 << 22
+
+
 def multi_operand_error_exact(
     operand_probabilities: Sequence[Sequence[float]],
     width: int,
     compress_cell: CellSpec = "accurate",
     final_adder: Union[CellSpec, Sequence[CellSpec], None] = None,
-    max_cases: int = 1 << 22,
+    max_cases: int = MULTIOP_EXACT_CASES,
 ) -> float:
     """Exact weighted enumeration over all operand combinations.
 

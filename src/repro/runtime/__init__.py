@@ -9,9 +9,11 @@ Everything a multi-hour run needs to survive the real world:
 * :mod:`~repro.runtime.checkpoint` -- crash-safe, atomically written
   checkpoints with configuration fingerprints; Monte-Carlo resume is
   bit-identical (RNG bit-generator state travels with the counts);
-* :mod:`~repro.runtime.router` -- graceful degradation from exhaustive
-  enumeration to chunked enumeration to Monte-Carlo when the budget
-  cannot afford the exact oracle, recorded in provenance;
+* :mod:`~repro.runtime.router` -- the routing outcome
+  (:class:`EngineDecision`) of the engine ladder's graceful degradation
+  from exhaustive enumeration to chunked, sharded and finally
+  Monte-Carlo simulation when the budget cannot afford the exact
+  oracle, recorded in provenance;
 * :mod:`~repro.runtime.validation` -- opt-in cross-check of the
   analytical recursion against a budgeted simulation (Wilson score
   interval), raising :class:`~repro.core.exceptions.ValidationError`
@@ -26,8 +28,8 @@ Everything a multi-hour run needs to survive the real world:
 
 Import order matters here: the engines import :mod:`budget`,
 :mod:`chaos` and :mod:`checkpoint` at module level, so those three must
-initialise before :mod:`router` / :mod:`validation` (which reach back
-into the engines lazily, inside functions).
+initialise before :mod:`validation` (which reaches back into the
+engines lazily, inside functions).
 """
 
 from .budget import (
@@ -49,14 +51,11 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .router import (
-    CASES_PER_SECOND_ESTIMATE,
     ENGINE_CHUNKED_EXHAUSTIVE,
     ENGINE_EXHAUSTIVE,
     ENGINE_MONTECARLO,
+    ENGINE_PARALLEL_EXHAUSTIVE,
     EngineDecision,
-    RoutedResult,
-    plan_engine,
-    resilient_error_probability,
 )
 from .validation import (
     VALIDATION_SAMPLE_COUNT,
@@ -78,13 +77,10 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "EngineDecision",
-    "RoutedResult",
-    "plan_engine",
-    "resilient_error_probability",
     "ENGINE_EXHAUSTIVE",
     "ENGINE_CHUNKED_EXHAUSTIVE",
+    "ENGINE_PARALLEL_EXHAUSTIVE",
     "ENGINE_MONTECARLO",
-    "CASES_PER_SECOND_ESTIMATE",
     "ValidationReport",
     "validate_against_simulation",
     "VALIDATION_SAMPLE_COUNT",

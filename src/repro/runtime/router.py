@@ -1,27 +1,16 @@
-"""Graceful degradation: route an error-probability query to the best
-engine the budget can afford.
+"""Graceful degradation: the routing outcome and its telemetry.
 
 The paper's Fig. 1 story -- exhaustive simulation explodes as
 ``2^(2N+1)`` while cheaper estimators stay flat -- becomes an
-operational decision here.  :func:`plan_engine` walks the degradation
-ladder
-
-    exhaustive (one block)  ->  chunked exhaustive  ->  Monte-Carlo
-
-using the engines' own registry metadata
-(:data:`repro.engine.registry.REGISTRY`: ``max_width``, ``block_cases``,
-``cost_estimate``, ``ops_per_second``) and the
-:class:`~repro.runtime.budget.RunBudget`: a width beyond the exhaustive
-limit, a case count over the budget's ``max_cases``, or a deadline too
-short for the estimated enumeration throughput each push the query one
-rung down instead of erroring or hanging.  Every downgrade is recorded
-in the result's provenance manifest (``degraded_from``), so a number
-produced by a fallback engine can never masquerade as the exact oracle.
-
-:func:`resilient_error_probability` is now a deprecated shim over
-:func:`repro.engine.run` with ``simulate=True``, which executes the plan
-and threads the budget (and optional checkpointing) into the chosen
-engine.
+operational decision in :func:`repro.engine.executor.select_engine`,
+which walks the engines' registered ``degrades_to`` rungs (for chain
+simulations: exhaustive -> chunked -> parallel -> Monte-Carlo) until one
+fits the width and the :class:`~repro.runtime.budget.RunBudget`.  This
+module holds what that walk produces: the :class:`EngineDecision`, its
+``runtime.router.*`` counters, and the chain ladder's engine names.
+Every downgrade is recorded in the result's provenance manifest
+(``degraded_from``), so a number produced by a fallback engine can never
+masquerade as the exact oracle.
 """
 
 from __future__ import annotations
@@ -29,38 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .._compat import warn_deprecated
-from ..core.exceptions import AnalysisError
 from ..obs import metrics as _metrics
-from ..obs.log import get_logger, log_event
-from .budget import RunBudget
 
 ENGINE_EXHAUSTIVE = "exhaustive"
 ENGINE_CHUNKED_EXHAUSTIVE = "chunked-exhaustive"
 ENGINE_PARALLEL_EXHAUSTIVE = "parallel-exhaustive"
 ENGINE_MONTECARLO = "montecarlo"
-
-#: The error-magnitude ladder's rungs (see
-#: :mod:`repro.engine.distribution`).
-ENGINE_DISTRIBUTION_DP = "distribution-dp"
-ENGINE_DISTRIBUTION_DP_TRUNCATED = "distribution-dp-truncated"
-ENGINE_DISTRIBUTION_MC = "distribution-mc"
-
-#: The windowed-block (adder zoo) ladder's rungs (see
-#: :mod:`repro.engine.zoo`).
-ENGINE_ZOO_DP = "zoo-dp"
-ENGINE_ZOO_DP_TRUNCATED = "zoo-dp-truncated"
-ENGINE_ZOO_MC = "zoo-mc"
-
-#: Conservative enumeration throughput (cases/second) used to judge
-#: whether a deadline can afford exhaustive enumeration at all.  Kept
-#: for backwards compatibility; the ladder itself now reads the
-#: exhaustive engine's registered ``ops_per_second`` (same default).
-#: Real machines do better; underestimating only degrades earlier,
-#: which is the safe direction.
-CASES_PER_SECOND_ESTIMATE = 2_000_000
-
-_logger = get_logger("runtime.router")
 
 
 @dataclass(frozen=True)
@@ -74,7 +37,7 @@ class EngineDecision:
     samples: Optional[int] = None
 
 
-def _record_decision(decision: EngineDecision) -> EngineDecision:
+def record_decision(decision: EngineDecision) -> EngineDecision:
     """Telemetry: count routing outcomes (and degradations) per engine,
     so operators can see *why* latency changed -- e.g. deadline pressure
     pushing exact queries down to Monte-Carlo."""
@@ -83,323 +46,3 @@ def _record_decision(decision: EngineDecision) -> EngineDecision:
         if decision.degraded_from is not None:
             _metrics.inc("runtime.router.degraded")
     return decision
-
-
-def plan_engine(
-    width: int,
-    budget: Optional[RunBudget] = None,
-    samples: Optional[int] = None,
-    jobs: Optional[int] = None,
-) -> EngineDecision:
-    """Choose the strongest engine the width and budget allow.
-
-    Preference order: single-block exhaustive (exact, fits one
-    enumeration block), chunked exhaustive (exact, bounded memory),
-    sharded parallel exhaustive (exact, *jobs* worker processes),
-    Monte-Carlo (estimate, bounded everything).  *samples* is the
-    Monte-Carlo fallback's sample count (clamped to the budget's
-    ``max_samples``).  *jobs* ( >= 2) adds the parallel-exhaustive
-    rung: a deadline one core cannot meet is re-judged against the
-    pool's aggregate throughput before the query degrades to an
-    estimate -- exactness is worth one more rung.
-
-    Thresholds come from the engine registry rather than hard-coded
-    width constants: the exhaustive engine's ``max_width``,
-    ``block_cases``, ``cost_estimate`` (its abstract cost *is* the case
-    count) and ``ops_per_second``, and the Monte-Carlo engine's
-    ``default_samples``.
-    """
-    from ..engine.backends import register_builtin_engines
-    from ..engine.registry import REGISTRY
-
-    register_builtin_engines()
-    exhaustive = REGISTRY.get(ENGINE_EXHAUSTIVE)
-    montecarlo = REGISTRY.get(ENGINE_MONTECARLO)
-
-    if width < 1:
-        raise AnalysisError(f"width must be >= 1, got {width}")
-    mc_samples = (samples if samples is not None
-                  else montecarlo.default_samples or 1)
-    if budget is not None and budget.max_samples is not None:
-        mc_samples = min(mc_samples, budget.max_samples)
-
-    if exhaustive.max_width is not None and width > exhaustive.max_width:
-        return _record_decision(EngineDecision(
-            engine=ENGINE_MONTECARLO,
-            reason=f"width {width} exceeds the exhaustive limit "
-                   f"({exhaustive.max_width})",
-            degraded_from=ENGINE_CHUNKED_EXHAUSTIVE,
-            samples=mc_samples,
-        ))
-    cases = int(exhaustive.cost_estimate(width, None))
-    cases_per_second = int(exhaustive.ops_per_second)
-    if budget is not None:
-        if budget.max_cases is not None and cases > budget.max_cases:
-            return _record_decision(EngineDecision(
-                engine=ENGINE_MONTECARLO,
-                reason=f"{cases} cases exceed the budget's max_cases "
-                       f"({budget.max_cases})",
-                degraded_from=ENGINE_CHUNKED_EXHAUSTIVE,
-                estimated_cases=cases,
-                samples=mc_samples,
-            ))
-        if budget.deadline_s is not None:
-            affordable = int(budget.deadline_s * cases_per_second)
-            if cases > affordable:
-                if jobs is not None and jobs >= 2 \
-                        and cases <= affordable * jobs:
-                    return _record_decision(EngineDecision(
-                        engine=ENGINE_PARALLEL_EXHAUSTIVE,
-                        reason=f"{cases} cases overrun the "
-                               f"{budget.deadline_s:g}s deadline on one "
-                               f"core but fit across {jobs} workers",
-                        degraded_from=ENGINE_EXHAUSTIVE,
-                        estimated_cases=cases,
-                    ))
-                return _record_decision(EngineDecision(
-                    engine=ENGINE_MONTECARLO,
-                    reason=f"{cases} cases would overrun the "
-                           f"{budget.deadline_s:g}s deadline at "
-                           f"~{cases_per_second} cases/s",
-                    degraded_from=ENGINE_CHUNKED_EXHAUSTIVE,
-                    estimated_cases=cases,
-                    samples=mc_samples,
-                ))
-    if exhaustive.block_cases is None or cases <= exhaustive.block_cases:
-        return _record_decision(EngineDecision(
-            engine=ENGINE_EXHAUSTIVE,
-            reason=f"{cases} cases fit a single enumeration block",
-            estimated_cases=cases,
-        ))
-    return _record_decision(EngineDecision(
-        engine=ENGINE_CHUNKED_EXHAUSTIVE,
-        reason=f"{cases} cases require chunked enumeration",
-        degraded_from=ENGINE_EXHAUSTIVE,
-        estimated_cases=cases,
-    ))
-
-
-def plan_distribution_engine(
-    request: object,
-    budget: Optional[RunBudget] = None,
-    samples: Optional[int] = None,
-) -> EngineDecision:
-    """Route an error-*magnitude* question down its own ladder.
-
-    Preference order: exact full-support DP (``distribution-dp``),
-    truncated-support DP (``distribution-dp-truncated``: deltas kept at
-    :data:`~repro.engine.distribution.QUANT_BITS` significant bits --
-    mass-preserving, so ER stays exact and MED/MSE drift is bounded),
-    Monte-Carlo (``distribution-mc``: seeded sampling with
-    Wilson/normal intervals).  Three kinds bend the ladder:
-
-    * ``wce`` never degrades -- the interval DP is linear-time exact at
-      any width, so the first rung always answers;
-    * ``mred`` skips the truncated rung -- the joint ``(delta, exact)``
-      DP has no mass-preserving truncation, so past the exact guard the
-      answer comes from sampling;
-    * a deadline too short even for the truncated DP's estimated cost
-      drops straight to Monte-Carlo.
-
-    Width limits and cost estimates come from the engines' registry
-    metadata, exactly like :func:`plan_engine`.
-    """
-    from ..engine.backends import register_builtin_engines
-    from ..engine.distribution import exact_width_limit
-    from ..engine.registry import REGISTRY
-    from ..engine.request import KIND_MRED, KIND_WCE
-
-    register_builtin_engines()
-    width = request.width  # type: ignore[attr-defined]
-    kind = request.kind  # type: ignore[attr-defined]
-    if width < 1:
-        raise AnalysisError(f"width must be >= 1, got {width}")
-
-    mc = REGISTRY.get(ENGINE_DISTRIBUTION_MC)
-    mc_samples = (samples if samples is not None
-                  else mc.default_samples or 1)
-    if budget is not None and budget.max_samples is not None:
-        mc_samples = min(mc_samples, budget.max_samples)
-
-    def affordable(engine_name: str) -> bool:
-        if budget is None or budget.deadline_s is None:
-            return True
-        info = REGISTRY.get(engine_name)
-        cost = info.cost_estimate(width, None)
-        return cost <= budget.deadline_s * info.ops_per_second
-
-    limit = exact_width_limit(kind)
-    if kind == KIND_WCE:
-        # Exact at any width in O(width): nothing to degrade to.
-        return _record_decision(EngineDecision(
-            engine=ENGINE_DISTRIBUTION_DP,
-            reason="the interval DP answers WCE exactly at any width",
-        ))
-    if (limit is None or width <= limit) \
-            and affordable(ENGINE_DISTRIBUTION_DP):
-        return _record_decision(EngineDecision(
-            engine=ENGINE_DISTRIBUTION_DP,
-            reason=f"width {width} fits the exact DP's support guard "
-                   f"(limit {limit})",
-        ))
-    from ..engine.distribution import DIST_TRUNCATED_MAX_WIDTH
-
-    if kind != KIND_MRED and width <= DIST_TRUNCATED_MAX_WIDTH \
-            and affordable(ENGINE_DISTRIBUTION_DP_TRUNCATED):
-        return _record_decision(EngineDecision(
-            engine=ENGINE_DISTRIBUTION_DP_TRUNCATED,
-            reason=f"width {width} exceeds the exact DP's support guard "
-                   f"({limit}); truncated-support DP keeps ER exact "
-                   "with bounded MED/MSE drift",
-            degraded_from=ENGINE_DISTRIBUTION_DP,
-        ))
-    why = ("the joint (delta, exact) DP has no mass-preserving "
-           "truncation" if kind == KIND_MRED
-           else "the DP rungs are unaffordable past the truncated "
-                f"guard ({DIST_TRUNCATED_MAX_WIDTH}) or deadline")
-    return _record_decision(EngineDecision(
-        engine=ENGINE_DISTRIBUTION_MC,
-        reason=f"width {width} exceeds the exact limit ({limit}) and "
-               f"{why}; sampling with interval bounds",
-        degraded_from=(ENGINE_DISTRIBUTION_DP if kind == KIND_MRED
-                       else ENGINE_DISTRIBUTION_DP_TRUNCATED),
-        samples=mc_samples,
-    ))
-
-
-def plan_zoo_engine(
-    request: object,
-    budget: Optional[RunBudget] = None,
-    samples: Optional[int] = None,
-) -> EngineDecision:
-    """Route a windowed-block (adder zoo) question down its ladder.
-
-    The block twin of :func:`plan_distribution_engine`, over the
-    ``zoo-*`` engines of :mod:`repro.engine.zoo`:
-
-    * ``chain`` (P(error)) and ``wce`` never degrade -- the
-      monotone-carry-cut ER DP and the interval DP are linear-time
-      exact at any width;
-    * ``mred`` degrades straight from the exact joint DP to sampling
-      (no mass-preserving joint truncation);
-    * ``med``/``error_distribution`` walk exact DP -> truncated DP ->
-      Monte-Carlo exactly like the distribution ladder.
-    """
-    from ..engine.backends import register_builtin_engines
-    from ..engine.registry import REGISTRY
-    from ..engine.request import KIND_CHAIN, KIND_MRED, KIND_WCE
-    from ..engine.zoo import ZOO_TRUNCATED_MAX_WIDTH, zoo_exact_width_limit
-
-    register_builtin_engines()
-    width = request.width  # type: ignore[attr-defined]
-    kind = request.kind  # type: ignore[attr-defined]
-    if width < 1:
-        raise AnalysisError(f"width must be >= 1, got {width}")
-
-    mc = REGISTRY.get(ENGINE_ZOO_MC)
-    mc_samples = (samples if samples is not None
-                  else mc.default_samples or 1)
-    if budget is not None and budget.max_samples is not None:
-        mc_samples = min(mc_samples, budget.max_samples)
-
-    def affordable(engine_name: str) -> bool:
-        if budget is None or budget.deadline_s is None:
-            return True
-        info = REGISTRY.get(engine_name)
-        cost = info.cost_estimate(width, None)
-        return cost <= budget.deadline_s * info.ops_per_second
-
-    limit = zoo_exact_width_limit(kind)
-    if kind in (KIND_CHAIN, KIND_WCE):
-        # Linear-time exact DPs at any width: nothing to degrade to.
-        return _record_decision(EngineDecision(
-            engine=ENGINE_ZOO_DP,
-            reason="the cut DP answers ER/WCE exactly at any width",
-        ))
-    if (limit is None or width <= limit) and affordable(ENGINE_ZOO_DP):
-        return _record_decision(EngineDecision(
-            engine=ENGINE_ZOO_DP,
-            reason=f"width {width} fits the exact cut DP's support "
-                   f"guard (limit {limit})",
-        ))
-    if kind != KIND_MRED and width <= ZOO_TRUNCATED_MAX_WIDTH \
-            and affordable(ENGINE_ZOO_DP_TRUNCATED):
-        return _record_decision(EngineDecision(
-            engine=ENGINE_ZOO_DP_TRUNCATED,
-            reason=f"width {width} exceeds the exact cut DP's support "
-                   f"guard ({limit}); truncated-support DP keeps ER "
-                   "exact with bounded MED/MSE drift",
-            degraded_from=ENGINE_ZOO_DP,
-        ))
-    why = ("the joint (delta, exact) DP has no mass-preserving "
-           "truncation" if kind == KIND_MRED
-           else "the DP rungs are unaffordable past the truncated "
-                f"guard ({ZOO_TRUNCATED_MAX_WIDTH}) or deadline")
-    return _record_decision(EngineDecision(
-        engine=ENGINE_ZOO_MC,
-        reason=f"width {width} exceeds the exact limit ({limit}) and "
-               f"{why}; sampling with interval bounds",
-        degraded_from=(ENGINE_ZOO_DP if kind == KIND_MRED
-                       else ENGINE_ZOO_DP_TRUNCATED),
-        samples=mc_samples,
-    ))
-
-
-@dataclass(frozen=True)
-class RoutedResult:
-    """An engine result plus the routing decision that produced it."""
-
-    decision: EngineDecision
-    result: object
-
-    @property
-    def p_error(self) -> float:
-        return self.result.p_error  # type: ignore[attr-defined]
-
-    @property
-    def truncated(self) -> bool:
-        return bool(getattr(self.result, "truncated", False))
-
-
-def resilient_error_probability(
-    cell: object,
-    width: Optional[int] = None,
-    p_a: object = 0.5,
-    p_b: object = 0.5,
-    p_cin: float = 0.5,
-    budget: Optional[RunBudget] = None,
-    samples: Optional[int] = None,
-    seed: Optional[int] = 0,
-    checkpoint_path: Optional[str] = None,
-    resume: bool = False,
-    progress: Optional[object] = None,
-) -> RoutedResult:
-    """Compute ``P(Error)`` with the strongest engine the budget affords.
-
-    .. deprecated::
-        Call ``repro.engine.run(cell, width, ..., simulate=True)``
-        instead; the routed decision lands on the result as
-        ``engine`` / ``reason`` / ``degraded_from`` and the
-        backend-native report as ``raw``.
-
-    Routes per :func:`plan_engine`, threads the budget and optional
-    checkpointing into the chosen engine, and stamps the downgrade (if
-    any) into the result's provenance manifest.  Never hangs on an
-    absurd width and never errors merely because the exact oracle is
-    unaffordable -- the answer degrades to an estimate instead.
-    """
-    warn_deprecated("runtime.router.resilient_error_probability",
-                    "repro.engine.run(..., simulate=True)")
-    from .. import engine as _engine
-
-    request = _engine.AnalysisRequest.chain(cell, width, p_a, p_b, p_cin)
-    decision = plan_engine(request.width, budget, samples)
-    log_event(_logger, "router.decision", engine=decision.engine,
-              degraded_from=decision.degraded_from, width=request.width,
-              reason=decision.reason)
-    answer = _engine.run(
-        request=request, simulate=True, budget=budget, samples=samples,
-        seed=seed, checkpoint_path=checkpoint_path, resume=resume,
-        progress=progress,
-    )
-    return RoutedResult(decision=decision, result=answer.raw)

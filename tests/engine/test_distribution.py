@@ -1,8 +1,8 @@
 """The error-magnitude request kinds, end to end.
 
 Cross-validates every distribution engine against the exhaustive
-oracle over the full cell zoo, pins the router's degradation ladder
-(exact DP -> truncated DP -> Monte-Carlo, with the WCE and MRED
+oracle over the full cell zoo, pins the engine ladder's distribution
+rungs (exact DP -> truncated DP -> Monte-Carlo, with the WCE and MRED
 exceptions), and exercises the kinds through run()/run_batch(), the
 result cache and the serving layer.
 """
@@ -24,8 +24,8 @@ from repro.engine.diskcache import (
 from repro.engine.distribution import (
     DIST_EXACT_MAX_WIDTH,
     MRED_EXACT_MAX_WIDTH,
-    exact_width_limit,
 )
+from repro.engine.registry import REGISTRY
 from repro.engine.request import (
     DISTRIBUTION_KINDS,
     KIND_ERROR_DISTRIBUTION,
@@ -35,7 +35,7 @@ from repro.engine.request import (
     AnalysisRequest,
 )
 from repro.runtime.budget import RunBudget
-from repro.runtime.router import plan_distribution_engine
+from repro.engine.executor import select_engine
 from repro.simulation.exhaustive import exhaustive_quality
 
 
@@ -153,31 +153,32 @@ class TestRouterLadder:
         return AnalysisRequest.distribution("LPAA 1", width, kind=kind)
 
     def test_exact_dp_inside_the_guard(self):
-        decision = plan_distribution_engine(self._req(DIST_EXACT_MAX_WIDTH))
+        decision = select_engine(self._req(DIST_EXACT_MAX_WIDTH))
         assert decision.engine == "distribution-dp"
         assert decision.degraded_from is None
 
     def test_truncated_rung_past_the_guard(self):
-        decision = plan_distribution_engine(
+        decision = select_engine(
             self._req(DIST_EXACT_MAX_WIDTH + 1))
         assert decision.engine == "distribution-dp-truncated"
         assert decision.degraded_from == "distribution-dp"
 
     def test_mc_past_the_truncated_guard(self):
-        decision = plan_distribution_engine(self._req(48))
+        decision = select_engine(self._req(48))
         assert decision.engine == "distribution-mc"
         assert decision.degraded_from == "distribution-dp-truncated"
         assert decision.samples is not None
 
     def test_wce_never_degrades(self):
         for width in (8, 32, 64, 128):
-            decision = plan_distribution_engine(
+            decision = select_engine(
                 self._req(width, kind=KIND_WCE))
             assert decision.engine == "distribution-dp"
 
     def test_mred_skips_the_truncated_rung(self):
-        assert exact_width_limit(KIND_MRED) == MRED_EXACT_MAX_WIDTH
-        decision = plan_distribution_engine(
+        dp = REGISTRY.get("distribution-dp")
+        assert dp.width_limits[KIND_MRED] == MRED_EXACT_MAX_WIDTH
+        decision = select_engine(
             self._req(MRED_EXACT_MAX_WIDTH + 1, kind=KIND_MRED))
         assert decision.engine == "distribution-mc"
         assert decision.degraded_from == "distribution-dp"
@@ -187,7 +188,7 @@ class TestRouterLadder:
         # The dense kernel answers width 16 in milliseconds, so a 0.5 s
         # deadline must not push it down to the truncated rung.
         budget = RunBudget(deadline_s=0.5)
-        decision = plan_distribution_engine(
+        decision = select_engine(
             self._req(DIST_EXACT_MAX_WIDTH, kind=kind), budget=budget)
         assert decision.engine == "distribution-dp"
         assert decision.degraded_from is None
@@ -197,13 +198,13 @@ class TestRouterLadder:
         assert result.exact is True
 
     def test_tight_deadline_drops_to_sampling(self):
-        decision = plan_distribution_engine(
+        decision = select_engine(
             self._req(30), budget=RunBudget(deadline_s=1e-9),
         )
         assert decision.engine == "distribution-mc"
 
     def test_budget_clamps_samples(self):
-        decision = plan_distribution_engine(
+        decision = select_engine(
             self._req(48), budget=RunBudget(max_samples=1234))
         assert decision.samples == 1234
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro import engine
 from repro.core.exceptions import AnalysisError
-from repro.engine import AnalysisRequest
+from repro.engine import AnalysisRequest, select_engine
 from repro.engine.cache import GLOBAL_CACHE, clear_cache
 from repro.engine.parallel import (
     PARALLEL_EXHAUSTIVE,
@@ -18,7 +18,6 @@ from repro.engine.parallel import (
 )
 from repro.engine.registry import REGISTRY
 from repro.runtime import RunBudget
-from repro.runtime.router import plan_engine
 
 JOBS = 2  # modest: CI machines may expose few cores
 
@@ -223,14 +222,17 @@ class TestEligibility:
 class TestRouterRung:
     def test_parallel_rung_between_exhaustive_and_montecarlo(self):
         budget = RunBudget(deadline_s=0.15)
-        serial_plan = plan_engine(10, budget)
-        pooled_plan = plan_engine(10, budget, jobs=8)
+        request = AnalysisRequest.chain("LPAA 1", 10)
+        serial_plan = select_engine(request, budget, simulate=True)
+        pooled_plan = select_engine(request, budget, simulate=True, jobs=8)
         assert serial_plan.engine == "montecarlo"
         assert pooled_plan.engine == PARALLEL_EXHAUSTIVE
-        assert pooled_plan.degraded_from == "exhaustive"
+        assert pooled_plan.degraded_from == "chunked-exhaustive"
 
     def test_pool_cannot_rescue_arbitrarily_large_widths(self):
-        decision = plan_engine(16, RunBudget(deadline_s=0.01), jobs=8)
+        decision = select_engine(AnalysisRequest.chain("LPAA 1", 16),
+                                 RunBudget(deadline_s=0.01),
+                                 simulate=True, jobs=8)
         assert decision.engine == "montecarlo"
 
 

@@ -26,7 +26,7 @@ def _dummy(name, **overrides):
         request_kinds=(KIND_CHAIN,),
         exact=True,
         run=lambda request, **options: None,
-        cost_estimate=lambda width, samples: float(width),
+        cost_estimate=lambda request: float(request.width),
     )
     base.update(overrides)
     return EngineInfo(**base)
@@ -86,7 +86,7 @@ class TestSelection:
         request = AnalysisRequest.chain("LPAA 1", 8)
         ranked = REGISTRY.for_request(request, family=FAMILY_ANALYTICAL,
                                       exact=True)
-        costs = [info.cost_estimate(request.width, None) for info in ranked]
+        costs = [info.cost_estimate(request) for info in ranked]
         assert costs == sorted(costs)
         assert ranked[0].name == "recursive"
 
@@ -97,8 +97,10 @@ class TestSelection:
 
     def test_exhaustive_cost_matches_case_count(self):
         info = REGISTRY.get("exhaustive")
-        assert info.cost_estimate(4, None) == pytest.approx(float(1 << 9))
-        assert info.cost_estimate(12, None) == pytest.approx(float(1 << 25))
+        assert info.cost_estimate(AnalysisRequest.chain("LPAA 1", 4)) \
+            == pytest.approx(float(1 << 9))
+        assert info.cost_estimate(AnalysisRequest.chain("LPAA 1", 12)) \
+            == pytest.approx(float(1 << 25))
 
 
 class TestRegistration:

@@ -239,9 +239,10 @@ class TestExecutorRouting:
         info = REGISTRY.get("transfer")
         recursive = REGISTRY.get("recursive")
         # Short chains stay on the recursion; long ones cross over.
-        assert info.cost_estimate(8, None) > recursive.cost_estimate(8, None)
-        assert info.cost_estimate(256, None) < recursive.cost_estimate(
-            256, None)
+        short = AnalysisRequest.chain("LPAA 1", 8)
+        long = AnalysisRequest.chain("LPAA 1", 256)
+        assert info.cost_estimate(short) > recursive.cost_estimate(short)
+        assert info.cost_estimate(long) < recursive.cost_estimate(long)
         assert info.deterministic and info.parallel_safe
         assert not info.supports_trace
 

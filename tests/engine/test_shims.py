@@ -87,17 +87,6 @@ class TestBaselineAndGearShims:
         )
 
 
-class TestRouterShim:
-    def test_resilient_error_probability(self):
-        from repro.runtime.router import resilient_error_probability
-
-        routed = _deprecated_call(resilient_error_probability, "LPAA 1", 4)
-        assert routed.decision.engine == "exhaustive"
-        assert routed.result.p_error == pytest.approx(
-            run("LPAA 1", 4, simulate=True).p_error, abs=1e-15
-        )
-
-
 class TestInternalCallersAreClean:
     """The library itself must not trip its own deprecation shims.
 

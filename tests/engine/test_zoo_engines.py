@@ -2,7 +2,7 @@
 
 Cross-validates every windowed zoo member against weighted enumeration
 for every request kind (bit-identical at dyadic probabilities), pins
-the ``plan_zoo_engine`` degradation ladder, and exercises block
+the zoo rungs of the engine ladder, and exercises block
 requests through ``run()``/``run_batch()``, the two-way
 ``supports_block`` capability gate, the persistent result cache and
 the Monte-Carlo fallback.
@@ -26,10 +26,10 @@ from repro.engine.zoo import (
     ZOO_EXACT_MAX_WIDTH,
     ZOO_MRED_EXACT_MAX_WIDTH,
     ZOO_TRUNCATED_MAX_WIDTH,
-    zoo_exact_width_limit,
 )
+from repro.engine.executor import select_engine
+from repro.engine.registry import REGISTRY
 from repro.runtime.budget import RunBudget
-from repro.runtime.router import plan_zoo_engine
 
 WIDTH = 8
 ALL_KINDS = ("chain",) + DISTRIBUTION_KINDS
@@ -83,43 +83,44 @@ class TestRouterLadder:
     def test_chain_and_wce_always_get_the_exact_dp(self):
         wide = f"aca1:{ZOO_TRUNCATED_MAX_WIDTH + 8}:4"
         for kind in ("chain", "wce"):
-            decision = plan_zoo_engine(AnalysisRequest.zoo(wide, kind=kind))
+            decision = select_engine(AnalysisRequest.zoo(wide, kind=kind))
             assert decision.engine == "zoo-dp"
             assert decision.degraded_from is None
 
     def test_pmf_kinds_inside_the_guard_get_the_exact_dp(self):
-        decision = plan_zoo_engine(
+        decision = select_engine(
             AnalysisRequest.zoo("aca1:8:4", kind="med"))
         assert decision.engine == "zoo-dp"
 
     def test_pmf_kinds_past_the_guard_degrade_to_truncated(self):
         wide = f"aca1:{ZOO_EXACT_MAX_WIDTH + 4}:4"
-        decision = plan_zoo_engine(AnalysisRequest.zoo(wide, kind="med"))
+        decision = select_engine(AnalysisRequest.zoo(wide, kind="med"))
         assert decision.engine == "zoo-dp-truncated"
         assert decision.degraded_from == "zoo-dp"
 
     def test_mred_skips_the_truncated_rung(self):
         wide = f"aca1:{ZOO_MRED_EXACT_MAX_WIDTH + 4}:4"
-        decision = plan_zoo_engine(AnalysisRequest.zoo(wide, kind="mred"))
+        decision = select_engine(AnalysisRequest.zoo(wide, kind="mred"))
         assert decision.engine == "zoo-mc"
 
     def test_past_the_truncated_guard_samples(self):
         wide = f"aca1:{ZOO_TRUNCATED_MAX_WIDTH + 8}:4"
-        decision = plan_zoo_engine(AnalysisRequest.zoo(wide, kind="med"))
+        decision = select_engine(AnalysisRequest.zoo(wide, kind="med"))
         assert decision.engine == "zoo-mc"
 
     def test_tight_deadline_drops_to_sampling(self):
-        decision = plan_zoo_engine(
+        decision = select_engine(
             AnalysisRequest.zoo("aca1:16:4", kind="med"),
             budget=RunBudget(deadline_s=1e-9),
         )
         assert decision.engine == "zoo-mc"
 
     def test_exact_width_limits(self):
-        assert zoo_exact_width_limit("chain") is None
-        assert zoo_exact_width_limit("wce") is None
-        assert zoo_exact_width_limit("mred") == ZOO_MRED_EXACT_MAX_WIDTH
-        assert zoo_exact_width_limit("med") == ZOO_EXACT_MAX_WIDTH
+        dp = REGISTRY.get("zoo-dp")
+        assert "chain" not in dp.width_limits
+        assert "wce" not in dp.width_limits
+        assert dp.width_limits["mred"] == ZOO_MRED_EXACT_MAX_WIDTH
+        assert dp.width_limits["med"] == ZOO_EXACT_MAX_WIDTH
 
 
 class TestCapabilityGate:
