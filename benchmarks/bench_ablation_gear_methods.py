@@ -4,9 +4,10 @@ The paper claims (§1.1) its recursion philosophy extends to low-latency
 adders "with less computational overhead" than inclusion-exclusion.
 This bench compares, on GeAr configurations of growing sub-adder count:
 
-* the exact linear DP (this repo's LLAA analogue of the recursion),
+* the exact linear DP (this repo's LLAA analogue of the recursion: the
+  zoo's carry-cut DP, engine ``zoo-dp``),
 * the traditional IE expansion (2^(k-1) - 1 terms),
-* Monte-Carlo simulation,
+* Monte-Carlo simulation (engine ``zoo-mc``),
 
 asserting numerical agreement and the cost separation.
 """
@@ -17,15 +18,20 @@ import time
 
 import pytest
 
-from repro.gear.analysis import (
-    gear_error_probability,
-    gear_inclusion_exclusion,
-    gear_monte_carlo,
-)
+from repro import engine
+from repro.core.adder_zoo import from_gear
+from repro.engine import AnalysisRequest
+from repro.gear.analysis import gear_inclusion_exclusion
 from repro.gear.config import GeArConfig
 from repro.reporting import ascii_table
 
 from conftest import emit
+
+
+def gear_p_error(config, **options):
+    """GeAr error rate through the engine (``zoo-dp`` unless forced)."""
+    return engine.run(AnalysisRequest.zoo(from_gear(config)),
+                      **options).p_error
 
 #: GeAr(N, R, P) configurations with k = 3 .. 13 sub-adders.
 CONFIGS = [
@@ -40,7 +46,7 @@ def test_ablation_gear_methods_agree(benchmark):
     rows = []
     for config in CONFIGS:
         start = time.perf_counter()
-        dp = gear_error_probability(config)
+        dp = gear_p_error(config)
         dp_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
@@ -61,17 +67,18 @@ def test_ablation_gear_methods_agree(benchmark):
     assert rows[-1][2] == 2 ** 12 - 1
     assert rows[-1][4] > 10 * max(rows[-1][3], 1e-4)
 
-    benchmark(lambda: gear_error_probability(CONFIGS[-1]))
+    benchmark(lambda: gear_p_error(CONFIGS[-1]))
 
 
 def test_ablation_gear_monte_carlo_validates_dp(benchmark):
     config = GeArConfig(16, 2, 2)
-    dp = gear_error_probability(config)
-    mc = gear_monte_carlo(config, samples=400_000, seed=3)
+    dp = gear_p_error(config)
+    mc = gear_p_error(config, engine="zoo-mc", samples=400_000, seed=3)
     emit(f"GeAr(16,2,2): DP P(E) = {dp:.6f}, MC(400k) = {mc:.6f}")
     assert abs(dp - mc) < 3e-3
     benchmark.pedantic(
-        lambda: gear_monte_carlo(config, samples=100_000, seed=1),
+        lambda: gear_p_error(config, engine="zoo-mc", samples=100_000,
+                             seed=1),
         rounds=3, iterations=1,
     )
 
@@ -79,5 +86,5 @@ def test_ablation_gear_monte_carlo_validates_dp(benchmark):
 def test_ablation_gear_dp_scales_to_wide_words(benchmark):
     """The DP at GeAr(128, 4, 4): far beyond any enumerative method."""
     config = GeArConfig(128, 4, 4)
-    p = benchmark(lambda: gear_error_probability(config))
+    p = benchmark(lambda: gear_p_error(config))
     assert 0.0 < p < 1.0

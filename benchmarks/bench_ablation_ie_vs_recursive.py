@@ -13,10 +13,8 @@ import time
 
 import pytest
 
-from repro.baselines.inclusion_exclusion import (
-    inclusion_exclusion_error_probability,
-)
-from repro.core.recursive import error_probability
+from repro import engine
+from repro.core.recursive import analyze_chain
 from repro.reporting import ascii_table
 
 from conftest import emit
@@ -29,15 +27,16 @@ def test_ablation_ie_equals_recursion_at_exponential_cost(benchmark):
     rows = []
     for width in WIDTHS:
         start = time.perf_counter()
-        report = inclusion_exclusion_error_probability(
-            "LPAA 1", width, POINT["p_a"], POINT["p_b"], POINT["p_cin"]
-        )
+        report = engine.run(
+            "LPAA 1", width, POINT["p_a"], POINT["p_b"], POINT["p_cin"],
+            engine="inclusion-exclusion",
+        ).raw
         ie_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
         recursive = float(
-            error_probability("LPAA 1", width, POINT["p_a"], POINT["p_b"],
-                              POINT["p_cin"])
+            analyze_chain("LPAA 1", width, POINT["p_a"], POINT["p_b"],
+                          POINT["p_cin"]).p_error
         )
         rec_seconds = time.perf_counter() - start
 
@@ -57,8 +56,9 @@ def test_ablation_ie_equals_recursion_at_exponential_cost(benchmark):
     assert rows[-1][2] > 50 * max(rows[-1][3], 1e-4)
 
     benchmark.pedantic(
-        lambda: inclusion_exclusion_error_probability(
-            "LPAA 1", 10, POINT["p_a"], POINT["p_b"], POINT["p_cin"]
+        lambda: engine.run(
+            "LPAA 1", 10, POINT["p_a"], POINT["p_b"], POINT["p_cin"],
+            engine="inclusion-exclusion",
         ),
         rounds=3, iterations=1,
     )
@@ -67,7 +67,7 @@ def test_ablation_ie_equals_recursion_at_exponential_cost(benchmark):
 def test_ablation_recursive_kernel_at_ie_limit(benchmark):
     """The recursion at a width (20) where IE already needs ~1M terms."""
     result = benchmark(
-        lambda: error_probability("LPAA 1", 20, POINT["p_a"], POINT["p_b"],
-                                  POINT["p_cin"])
+        lambda: analyze_chain("LPAA 1", 20, POINT["p_a"], POINT["p_b"],
+                              POINT["p_cin"]).p_error
     )
     assert 0.0 <= float(result) <= 1.0

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.recursive import error_probability
+from repro.core.recursive import analyze_chain
 from repro.reporting import ascii_table
 from repro.simulation.montecarlo import simulate_error_probability
 
@@ -25,7 +25,7 @@ SEEDS = range(5)
 
 
 def test_ablation_mc_convergence(benchmark):
-    analytical = float(error_probability(CELL, WIDTH, P, P, P))
+    analytical = float(analyze_chain(CELL, WIDTH, P, P, P).p_error)
     rows = []
     mean_errors = []
     for samples in SAMPLE_COUNTS:

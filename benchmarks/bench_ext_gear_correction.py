@@ -11,7 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.gear.analysis import gear_error_probability
+from repro import engine
+from repro.core.adder_zoo import from_gear
+from repro.engine import AnalysisRequest
 from repro.gear.config import GeArConfig
 from repro.gear.correction import (
     corrected_error_probability,
@@ -42,7 +44,8 @@ def test_ext_correction_budget_curve(benchmark):
 
     # budget 0 == plain GeAr; full budget == exact; monotone in between.
     assert residuals[0] == pytest.approx(
-        gear_error_probability(CONFIG, 0.5, 0.5), abs=1e-12
+        engine.run(AnalysisRequest.zoo(from_gear(CONFIG))).p_error,
+        abs=1e-12
     )
     assert residuals[-1] == pytest.approx(0.0, abs=1e-12)
     assert residuals == sorted(residuals, reverse=True)

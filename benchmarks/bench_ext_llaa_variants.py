@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro import engine
+from repro.core.adder_zoo import from_gear
+from repro.engine import AnalysisRequest
 from repro.gear.variants import aca_i, etaii, variant_comparison
-from repro.gear.analysis import gear_error_probability, gear_exhaustive
 from repro.reporting import ascii_table
 
 from conftest import emit
@@ -45,11 +47,12 @@ def test_ext_variants_cross_checked_exhaustively(benchmark):
     # exact DP == exhaustive count for representative named instances
     # (8-bit words keep the 4^N enumeration cheap)
     for config in (aca_i(8, 4), aca_i(8, 2), etaii(8, 2), etaii(8, 4)):
-        errors, total = gear_exhaustive(config)
-        analytical = gear_error_probability(config)
-        assert errors / total == pytest.approx(analytical, abs=1e-12)
+        request = AnalysisRequest.zoo(from_gear(config))
+        oracle = engine.run(request, engine="zoo-exhaustive")
+        analytical = engine.run(request)
+        assert analytical.engine == "zoo-dp"
+        assert oracle.p_error == pytest.approx(analytical.p_error, abs=1e-12)
     emit("Ext: ACA-I/ETAII exact DP == exhaustive enumeration.")
 
-    benchmark.pedantic(
-        lambda: gear_error_probability(aca_i(32, 8)), rounds=5, iterations=1
-    )
+    wide = AnalysisRequest.zoo(from_gear(aca_i(32, 8)))
+    benchmark.pedantic(lambda: engine.run(wide), rounds=5, iterations=1)

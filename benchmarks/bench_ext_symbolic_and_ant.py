@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.ant import AntAdder, ant_quality_experiment
-from repro.core.recursive import error_probability
+from repro.core.recursive import analyze_chain
 from repro.core.symbolic import symbolic_error_probability
 from repro.reporting import ascii_table
 
@@ -42,12 +42,12 @@ def test_ext_symbolic_equations(benchmark):
     poly = symbolic_error_probability("LPAA 6", 8)
     for p in np.linspace(0, 1, 21):
         sym = float(poly.evaluate(p=Fraction(p).limit_denominator(1000)))
-        num = float(error_probability(
+        num = float(analyze_chain(
             "LPAA 6", 8,
             float(Fraction(p).limit_denominator(1000)),
             float(Fraction(p).limit_denominator(1000)),
             float(Fraction(p).limit_denominator(1000)),
-        ))
+        ).p_error)
         assert sym == pytest.approx(num, abs=1e-9)
     emit(f"Ext: LPAA 6 N=8 equation has degree {poly.degree()} and "
          f"{len(poly.terms)} terms; matches numeric engine on a 21-point "

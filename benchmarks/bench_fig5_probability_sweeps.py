@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import engine
 from repro.core.adders import PAPER_LPAAS
-from repro.core.vectorized import error_by_width
 from repro.reporting import ascii_table
 
 from conftest import emit
@@ -30,7 +30,7 @@ LOW, EQUAL, HIGH = 0.1, 0.5, 0.9
 
 def _curves(p: float) -> dict:
     return {
-        cell.name: error_by_width(cell, MAX_WIDTH, p, p_cin=p)
+        cell.name: engine.error_curves(cell, MAX_WIDTH, p, p_cin=p)
         for cell in PAPER_LPAAS
     }
 

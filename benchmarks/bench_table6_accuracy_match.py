@@ -16,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.adders import PAPER_LPAAS
-from repro.core.recursive import error_probability
+from repro.core.recursive import analyze_chain
 from repro.reporting import ascii_table
 from repro.simulation.exhaustive import exhaustive_error_count
 from repro.simulation.montecarlo import simulate_error_probability
@@ -32,7 +32,7 @@ def test_table6_equiprobable_exact_match(benchmark):
     rows = []
     for cell in PAPER_LPAAS:
         errors, total = exhaustive_error_count(cell, WIDTH)
-        analytical = float(error_probability(cell, WIDTH, 0.5, 0.5, 0.5))
+        analytical = float(analyze_chain(cell, WIDTH, 0.5, 0.5, 0.5).p_error)
         rows.append([cell.name, total, errors / total, analytical])
         assert errors / total == pytest.approx(analytical, abs=1e-14)
     emit(ascii_table(
@@ -51,7 +51,7 @@ def test_table6_inequiprobable_mc_match(benchmark):
     rows = []
     for cell in PAPER_LPAAS:
         analytical = float(
-            error_probability(cell, WIDTH, MC_POINT, MC_POINT, MC_POINT)
+            analyze_chain(cell, WIDTH, MC_POINT, MC_POINT, MC_POINT).p_error
         )
         mc = simulate_error_probability(
             cell, WIDTH, MC_POINT, MC_POINT, MC_POINT,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.adders import PAPER_LPAAS
-from repro.core.recursive import error_probability
+from repro.core.recursive import analyze_chain
 from repro.reporting import ascii_table
 from repro.simulation.exhaustive import exhaustive_error_probability
 from repro.simulation.montecarlo import simulate_error_probability
@@ -37,7 +37,7 @@ PAPER_ANALYTICAL = {
 
 def _analytical_row(width: int):
     return [
-        float(error_probability(cell, width, P, P, P))
+        float(analyze_chain(cell, width, P, P, P).p_error)
         for cell in PAPER_LPAAS
     ]
 
@@ -62,7 +62,7 @@ def test_table7_simulation_column(benchmark):
     rows = []
     for width in (2, 8, 12):  # representative subset for runtime
         for idx, cell in enumerate(PAPER_LPAAS):
-            analytical = float(error_probability(cell, width, P, P, P))
+            analytical = float(analyze_chain(cell, width, P, P, P).p_error)
             mc = simulate_error_probability(
                 cell, width, P, P, P, samples=MC_SAMPLES, seed=width * 10 + idx
             )
@@ -84,7 +84,7 @@ def test_table7_exhaustive_oracle(benchmark):
     for width in (2, 4, 6, 8):
         for cell in PAPER_LPAAS:
             exact = exhaustive_error_probability(cell, width, P, P, P)
-            analytical = float(error_probability(cell, width, P, P, P))
+            analytical = float(analyze_chain(cell, width, P, P, P).p_error)
             assert exact == pytest.approx(analytical, abs=1e-12)
     emit("Table 7 oracle: weighted exhaustive == analytical to 1e-12 "
          "for N <= 8, all 7 cells.")

@@ -23,7 +23,6 @@ from repro import (
     analyze_chain,
     chain_is_exact,
     derive_matrices,
-    error_probability,
     masking_analysis,
     registry,
     symbolic_error_probability,
@@ -92,7 +91,7 @@ def main() -> None:
           f"at p=0.3:")
     print(f"  {best.chain.describe()}  (P(Error) = {best.p_error:.6f})")
     for name in ("LPAA 7", "LPAA 1"):
-        uniform = float(error_probability(name, 8, 0.3, 0.3, 0.3))
+        uniform = float(analyze_chain(name, 8, 0.3, 0.3, 0.3).p_error)
         print(f"  uniform {name}: {uniform:.6f}")
     print()
 

@@ -22,8 +22,10 @@ from repro.apps.dsp import (
     quantize,
     snr_db,
 )
+from repro import engine
 from repro.apps.imaging import lsb_approximate_chain
-from repro.gear.analysis import gear_error_probability
+from repro.core.adder_zoo import from_gear
+from repro.engine import AnalysisRequest
 from repro.gear.config import GeArConfig
 from repro.gear.correction import corrected_error_probability
 from repro.multiop.compressor import reduction_final_width
@@ -105,7 +107,8 @@ def main() -> None:
     print(ascii_table(
         ["smoothing adder", "P(Error) analytical", "SNR dB"],
         [
-            [config.describe(), gear_error_probability(config),
+            [config.describe(),
+             engine.run(AnalysisRequest.zoo(from_gear(config))).p_error,
              snr_db(exact_smooth, gear_plain)],
             [config.describe() + " + 1 correction",
              corrected_error_probability(config, 1),

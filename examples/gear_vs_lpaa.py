@@ -6,7 +6,8 @@ The paper's §1.1 claims the proposed analysis philosophy covers both
 adder families.  This example puts that side by side:
 
 * sweep GeAr(16, R, P) configurations and compute their exact error
-  probability with the linear DP (no inclusion-exclusion);
+  probability with the linear DP (no inclusion-exclusion): a GeAr
+  adder is the zoo adder ``gear:N:R:P``, answered by ``zoo-dp``;
 * compare against 16-bit LPAA chains at the same input statistics;
 * show where each family's error comes from (per-sub-adder marginals vs
   per-stage survival), and validate one GeAr point three ways.
@@ -14,11 +15,12 @@ adder families.  This example puts that side by side:
 Run:  python examples/gear_vs_lpaa.py
 """
 
+from repro import engine
+from repro.core.adder_zoo import from_gear
 from repro.core.recursive import analyze_chain
+from repro.engine import AnalysisRequest
 from repro.gear.analysis import (
-    gear_error_probability,
     gear_inclusion_exclusion,
-    gear_monte_carlo,
     gear_subadder_error_probabilities,
 )
 from repro.gear.config import GeArConfig
@@ -35,7 +37,8 @@ def main() -> None:
     for config in GeArConfig.valid_configs(N):
         if config.is_exact or config.r < 2:
             continue
-        p_error = gear_error_probability(config, P_INPUT, P_INPUT)
+        request = AnalysisRequest.zoo(from_gear(config), P_INPUT, P_INPUT)
+        p_error = engine.run(request).p_error
         rows.append([
             f"R={config.r}, P={config.p}",
             config.num_subadders,
@@ -75,9 +78,11 @@ p = 0.5 are already deep in the paper's '>10 bits is hopeless' regime.
     print()
 
     # One point, three methods (the ablation in miniature).
-    dp = gear_error_probability(config, P_INPUT, P_INPUT)
+    request = AnalysisRequest.zoo(from_gear(config), P_INPUT, P_INPUT)
+    dp = engine.run(request).p_error
     ie = gear_inclusion_exclusion(config, P_INPUT, P_INPUT)
-    mc = gear_monte_carlo(config, P_INPUT, P_INPUT, samples=500_000, seed=1)
+    mc = engine.run(request, engine="zoo-mc", samples=500_000,
+                    seed=1).p_error
     print(ascii_table(
         ["method", "P(Error)"],
         [["linear DP (exact)", dp],

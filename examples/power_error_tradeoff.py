@@ -18,7 +18,7 @@ from repro.circuits.activity import propagate_probabilities, switching_activity
 from repro.circuits.cells import synthesis_report
 from repro.circuits.power import PowerModel
 from repro.circuits.ripple import build_ripple_netlist
-from repro.core.recursive import error_probability
+from repro.core.recursive import analyze_chain
 from repro.reporting import ascii_table
 
 CELLS = ["accurate"] + [f"LPAA {i}" for i in range(1, 8)]
@@ -58,7 +58,7 @@ def main() -> None:
     rows = []
     for name in CELLS:
         power = model.chain_power_nw(name, WIDTH)
-        err = float(error_probability(name, WIDTH, 0.5, 0.5, 0.5))
+        err = float(analyze_chain(name, WIDTH, 0.5, 0.5, 0.5).p_error)
         area = model.chain_area_ge(name, WIDTH)
         rows.append([name, err, power, area])
     rows.sort(key=lambda r: r[2])

@@ -16,7 +16,6 @@ from repro import (
     LPAA1,
     analyze_chain,
     error_pmf,
-    error_probability,
     metrics_from_pmf,
 )
 from repro.core.stages import format_trace_table, trace_chain
@@ -54,7 +53,7 @@ def main() -> None:
     print(f"-> P(Succ) = {traced.p_success:.6f}  (paper prints 0.738476)\n")
 
     # 4. Validation: the analytical number is exact.
-    analytical = float(error_probability("LPAA 6", 8, 0.1, 0.1, 0.1))
+    analytical = float(analyze_chain("LPAA 6", 8, 0.1, 0.1, 0.1).p_error)
     exhaustive = exhaustive_error_probability("LPAA 6", 8, 0.1, 0.1, 0.1)
     monte_carlo = simulate_error_probability(
         "LPAA 6", 8, 0.1, 0.1, 0.1, samples=1_000_000, seed=0

@@ -29,8 +29,8 @@ from typing import List, Optional
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "docs" / "api_reference.md"
 
-#: The engine-first surface, in reading order.  Deprecated shims and
-#: internal helpers (leading underscore) are excluded automatically.
+#: The engine-first surface, in reading order.  Internal helpers
+#: (leading underscore) are excluded automatically.
 MODULES = [
     ("repro.engine", "Unified analysis/simulation entry points"),
     ("repro.engine.parallel", "Process-pool sweep executor"),
@@ -69,8 +69,7 @@ PYTHONPATH=src python scripts/make_api_docs.py
 
 CI regenerates this page and fails on any difference, so what you read
 here always matches the code.  The listing covers the engine-first
-surface (see `docs/api_tour.md` for the narrative walkthrough);
-deprecated shims are omitted on purpose.
+surface (see `docs/api_tour.md` for the narrative walkthrough).
 """
 
 
@@ -115,7 +114,6 @@ def _member_entries(module) -> List[str]:
         (name, obj) for name, obj in vars(module).items()
         if (inspect.isfunction(obj) or inspect.isclass(obj))
         and _is_public_member(module, name, obj)
-        and "deprecated" not in (inspect.getdoc(obj) or "").lower()
     ]
     for name, obj in sorted(members, key=lambda item: item[0]):
         kind = "class" if inspect.isclass(obj) else "function"

@@ -14,15 +14,14 @@ from __future__ import annotations
 import sys
 import time
 
-from repro import __version__
+from repro import __version__, engine
 from repro.baselines.operation_counter import table3_row
 from repro.core.adders import CELL_CHARACTERISTICS, PAPER_LPAAS
 from repro.core.matrices import derive_matrices
-from repro.core.recursive import error_probability
+from repro.core.recursive import analyze_chain
 from repro.core.stages import format_trace_table, trace_chain
 from repro.core.symbolic import symbolic_error_probability
 from repro.core.truth_table import ACCURATE
-from repro.core.vectorized import error_by_width
 from repro.gear.variants import variant_comparison
 
 
@@ -102,7 +101,7 @@ def main() -> int:
     rows = []
     for width in (2, 4, 6, 8, 10, 12):
         rows.append([width, *[
-            float(error_probability(cell, width, 0.1, 0.1, 0.1))
+            float(analyze_chain(cell, width, 0.1, 0.1, 0.1).p_error)
             for cell in PAPER_LPAAS
         ]])
     sections.append("\n## Table 7 — analytical P(E) at p = 0.1\n\n" +
@@ -114,7 +113,7 @@ def main() -> int:
         widths = [1, 2, 4, 8, 12, 16]
         rows = []
         for cell in PAPER_LPAAS:
-            curve = error_by_width(cell, 16, p, p_cin=p)
+            curve = engine.error_curves(cell, 16, p, p_cin=p)
             rows.append([cell.name, *[float(curve[n - 1]) for n in widths]])
         sections.append(f"\n## Fig. 5{label} — P(Error) vs width\n\n" +
                         _md_table(["Cell", *[f"N={n}" for n in widths]],

@@ -9,7 +9,6 @@
 from .inclusion_exclusion import (
     MAX_IE_WIDTH,
     InclusionExclusionReport,
-    inclusion_exclusion_error_probability,
     single_stage_error_probabilities,
     stage_error_event_probability,
 )
@@ -27,7 +26,6 @@ from .operation_counter import (
 )
 
 __all__ = [
-    "inclusion_exclusion_error_probability",
     "single_stage_error_probabilities",
     "stage_error_event_probability",
     "InclusionExclusionReport",

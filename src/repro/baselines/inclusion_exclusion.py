@@ -15,13 +15,14 @@ couple through the carry), so the whole thing costs ``Theta(N * 2^N)``
 
 * :func:`stage_error_event_probability` -- ``P(AND_{i in S} E_i)`` by a
   carry-distribution DP with forced erroneous transitions on ``S``;
-* :func:`inclusion_exclusion_error_probability` -- the full expansion,
-  guarded by a width limit;
-* :class:`InclusionExclusionReport` -- result plus term accounting, so
-  benches can show the term blow-up next to the numerically identical
-  recursive result.
+* the full expansion, guarded by a width limit, served as the
+  ``inclusion-exclusion`` engine
+  (``engine.run(cell, width, ..., engine="inclusion-exclusion")``);
+* :class:`InclusionExclusionReport` -- result plus term accounting
+  (``result.raw``), so benches can show the term blow-up next to the
+  numerically identical recursive result.
 
-Agreement with :func:`repro.core.recursive.error_probability` is exact
+Agreement with :func:`repro.core.recursive.analyze_chain` is exact
 (both compute ``1 - P(no stage errs)``), which the tests pin.
 """
 
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import FrozenSet, List, Optional, Sequence, Union
 
-from .._compat import warn_deprecated
 from ..core.exceptions import AnalysisError
 from ..core.recursive import CellSpec, resolve_chain
 from ..core.truth_table import ACCURATE, FullAdderTruthTable
@@ -107,27 +107,6 @@ class InclusionExclusionReport:
     def p_success(self) -> float:
         """``1 - p_error``."""
         return 1.0 - self.p_error
-
-
-def inclusion_exclusion_error_probability(
-    cell: Union[CellSpec, Sequence[CellSpec]],
-    width: Optional[int] = None,
-    p_a: Union[Probability, Sequence[Probability]] = 0.5,
-    p_b: Union[Probability, Sequence[Probability]] = 0.5,
-    p_cin: Probability = 0.5,
-    max_width: int = MAX_IE_WIDTH,
-) -> InclusionExclusionReport:
-    """Word-level error probability via the full IE expansion.
-
-    .. deprecated::
-        Call ``repro.engine.run(cell, width, ..., engine="inclusion-exclusion")``
-        instead; the report stays available as ``result.raw``.
-    """
-    warn_deprecated(
-        "baselines.inclusion_exclusion.inclusion_exclusion_error_probability",
-        'repro.engine.run(..., engine="inclusion-exclusion")',
-    )
-    return _inclusion_exclusion_impl(cell, width, p_a, p_b, p_cin, max_width)
 
 
 def _inclusion_exclusion_impl(

@@ -165,10 +165,11 @@ def latency_error_tradeoff(
     path (sub-adder length L) against its exact error probability.
     """
     from .. import engine as _engine
+    from ..core.adder_zoo import from_gear
 
     rows: List[Dict[str, float]] = []
     for config in GeArConfig.valid_configs(n):
-        request = _engine.AnalysisRequest.for_gear(config)
+        request = _engine.AnalysisRequest.zoo(from_gear(config))
         rows.append(
             {
                 "r": config.r,

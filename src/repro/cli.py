@@ -356,22 +356,27 @@ def _cmd_zoo(args) -> int:
 
 
 def _cmd_gear(args) -> int:
-    from .gear.analysis import gear_subadder_error_probabilities
+    from .core.adder_zoo import from_gear
+    from .gear.analysis import (
+        MAX_IE_SUBADDERS,
+        gear_inclusion_exclusion,
+        gear_subadder_error_probabilities,
+    )
     from .gear.config import GeArConfig
 
     config = GeArConfig(args.n, args.r, args.p)
     print(config.describe())
-    request = engine.AnalysisRequest.for_gear(config, args.pa, args.pb)
-    dp = engine.run(request, engine="gear-dp").p_error
+    request = engine.AnalysisRequest.zoo(from_gear(config), args.pa, args.pb)
+    dp = engine.run(request).p_error
     print(f"P(Error) [linear DP]     : {dp:.6f}")
-    if config.num_subadders - 1 <= 20:
-        ie = engine.run(request, engine="gear-ie").raw
+    if config.num_subadders - 1 <= MAX_IE_SUBADDERS:
+        ie = gear_inclusion_exclusion(config, args.pa, args.pb)
         print(
             f"P(Error) [inclusion-exc] : {ie.p_error:.6f} "
             f"({ie.terms_evaluated} terms)"
         )
     if args.samples:
-        mc = engine.run(request, engine="gear-mc",
+        mc = engine.run(request, engine="zoo-mc",
                         samples=args.samples, seed=args.seed).p_error
         print(f"P(Error) [monte-carlo]   : {mc:.6f}")
     marginals = gear_subadder_error_probabilities(config, args.pa, args.pb)

@@ -74,7 +74,6 @@ from .exceptions import (
 from .correlated import (
     JointBitDistribution,
     analyze_chain_correlated,
-    error_probability_correlated,
     self_addition_error,
 )
 from .hybrid import HybridChain
@@ -107,8 +106,6 @@ from .recursive import (
     ChainAnalysisResult,
     StageRecord,
     analyze_chain,
-    error_probability,
-    success_probability,
 )
 from .stages import format_trace_table, trace_chain, trace_rows
 from .symbolic import Polynomial, symbolic_error_probability
@@ -128,8 +125,6 @@ from .value_distribution import (
 )
 from .vectorized import (
     analyze_batch,
-    error_batch,
-    error_by_width,
     success_by_width,
 )
 
@@ -186,8 +181,6 @@ __all__ = [
     "derive_sum_matrix",
     # recursion
     "analyze_chain",
-    "error_probability",
-    "success_probability",
     "ChainAnalysisResult",
     "StageRecord",
     "trace_chain",
@@ -195,9 +188,7 @@ __all__ = [
     "format_trace_table",
     # vectorised
     "analyze_batch",
-    "error_batch",
     "success_by_width",
-    "error_by_width",
     # extensions
     "carry_profile",
     "sum_bit_probabilities",
@@ -221,7 +212,6 @@ __all__ = [
     "symbolic_error_probability",
     "JointBitDistribution",
     "analyze_chain_correlated",
-    "error_probability_correlated",
     "self_addition_error",
     "output_value_pmf",
     "output_mean",

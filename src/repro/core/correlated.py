@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .._compat import warn_deprecated
 from .exceptions import ProbabilityError
 from .matrices import derive_matrices
 from .recursive import CellSpec, resolve_chain
@@ -128,25 +127,6 @@ def analyze_chain_correlated(
             c1 = sum(v for v, bit in zip(ipm, mkl.m) if bit)
             c0 = sum(v for v, bit in zip(ipm, mkl.k) if bit)
     return p_success, trace
-
-
-def error_probability_correlated(
-    cell: Union[CellSpec, Sequence[CellSpec]],
-    joints: Sequence[JointBitDistribution],
-    p_cin: Probability = 0.5,
-    width: Optional[int] = None,
-) -> float:
-    """``1 - P(Succ)`` under per-stage joint operand laws.
-
-    .. deprecated::
-        Call ``repro.engine.run(cell, width, p_cin=..., joints=...)``
-        instead; :func:`analyze_chain_correlated` remains the
-        non-deprecated primitive.
-    """
-    warn_deprecated("core.correlated.error_probability_correlated",
-                    "repro.engine.run(..., joints=...)")
-    p_success, _ = analyze_chain_correlated(cell, joints, p_cin, width)
-    return 1.0 - p_success
 
 
 def self_addition_error(

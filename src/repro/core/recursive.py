@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .._compat import warn_deprecated
 from ..obs import metrics as _metrics
 from ..obs.tracing import trace_span
 from .adders import get_cell
@@ -257,41 +256,3 @@ def analyze_chain(
         p_cin=pc,
         trace=tuple(trace),
     )
-
-
-def error_probability(
-    cell: Union[CellSpec, Sequence[CellSpec]],
-    width: Optional[int] = None,
-    p_a: Union[Probability, Sequence[Probability]] = 0.5,
-    p_b: Union[Probability, Sequence[Probability]] = 0.5,
-    p_cin: Probability = 0.5,
-) -> Probability:
-    """Shortcut returning only ``P(Error)`` of :func:`analyze_chain`.
-
-    .. deprecated::
-        Call ``repro.engine.run(cell, width, p_a, p_b, p_cin).p_error``
-        instead (cached, registry-routed); :func:`analyze_chain` remains
-        the non-deprecated digit-exact primitive.
-    """
-    warn_deprecated("core.recursive.error_probability",
-                    "repro.engine.run(...).p_error")
-    return analyze_chain(cell, width, p_a, p_b, p_cin).p_error
-
-
-def success_probability(
-    cell: Union[CellSpec, Sequence[CellSpec]],
-    width: Optional[int] = None,
-    p_a: Union[Probability, Sequence[Probability]] = 0.5,
-    p_b: Union[Probability, Sequence[Probability]] = 0.5,
-    p_cin: Probability = 0.5,
-) -> Probability:
-    """Shortcut returning only ``P(Succ)`` of :func:`analyze_chain`.
-
-    .. deprecated::
-        Call ``repro.engine.run(cell, width, p_a, p_b, p_cin).p_success``
-        instead (cached, registry-routed); :func:`analyze_chain` remains
-        the non-deprecated digit-exact primitive.
-    """
-    warn_deprecated("core.recursive.success_probability",
-                    "repro.engine.run(...).p_success")
-    return analyze_chain(cell, width, p_a, p_b, p_cin).p_success

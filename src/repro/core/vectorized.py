@@ -21,7 +21,6 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .._compat import warn_deprecated
 from ..obs import metrics as _metrics
 from ..obs.tracing import trace_span
 from .exceptions import ProbabilityError
@@ -155,24 +154,6 @@ def analyze_batch(
     return p_success
 
 
-def error_batch(
-    cell: Union[CellSpec, Sequence[CellSpec]],
-    width: Optional[int] = None,
-    p_a: object = 0.5,
-    p_b: object = 0.5,
-    p_cin: object = 0.5,
-    batch: Optional[int] = None,
-) -> np.ndarray:
-    """``1 - analyze_batch(...)``: batched error probabilities.
-
-    .. deprecated::
-        Use ``repro.engine.run_batch`` (one request per probability
-        point) instead; it reuses cached stage matrices across requests.
-    """
-    warn_deprecated("core.vectorized.error_batch", "repro.engine.run_batch")
-    return 1.0 - analyze_batch(cell, width, p_a, p_b, p_cin, batch)
-
-
 def success_by_width(
     cell: CellSpec,
     max_width: int,
@@ -233,20 +214,3 @@ def success_by_width(
             batch * max_width
         )
     return out[0] if scalar_input else out
-
-
-def error_by_width(
-    cell: CellSpec,
-    max_width: int,
-    p: object = 0.5,
-    p_cin: object = 0.5,
-) -> np.ndarray:
-    """``1 - success_by_width(...)``: Fig. 5's error curves.
-
-    .. deprecated::
-        Use ``repro.engine.error_curves`` instead; same values, shared
-        stage-matrix cache, obs counters under ``engine.*``.
-    """
-    warn_deprecated("core.vectorized.error_by_width",
-                    "repro.engine.error_curves")
-    return 1.0 - success_by_width(cell, max_width, p, p_cin)

@@ -28,13 +28,13 @@ Typical use::
     result = engine.run("axa3", 24, simulate=True)  # routed simulation
     curves = engine.error_curves("axa2", 16)
 
-    request = engine.AnalysisRequest.for_gear(config)
+    request = engine.AnalysisRequest.zoo("gear:16:4:4")  # zoo-dp
     result = engine.run(request)
 
 Layering rule: ``core/`` never imports this package; the engine sits on
-top of ``core``, ``simulation``, ``baselines``, ``gear`` and
-``multiop`` and is in turn used by ``runtime.validation``, ``explore``,
-``circuits``, ``apps`` and the CLI.
+top of ``core``, ``simulation``, ``baselines`` and ``multiop`` and is
+in turn used by ``runtime.validation``, ``explore``, ``circuits``,
+``gear``, ``apps`` and the CLI.
 """
 
 from .cache import (
@@ -80,7 +80,6 @@ from .request import (
     DISTRIBUTION_KINDS,
     KIND_CHAIN,
     KIND_ERROR_DISTRIBUTION,
-    KIND_GEAR,
     KIND_MED,
     KIND_MRED,
     KIND_MULTIOP,
@@ -150,7 +149,6 @@ __all__ = [
     "QUANT_BITS",
     "KIND_CHAIN",
     "KIND_ERROR_DISTRIBUTION",
-    "KIND_GEAR",
     "KIND_MED",
     "KIND_MRED",
     "KIND_MULTIOP",

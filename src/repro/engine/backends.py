@@ -27,7 +27,6 @@ from .registry import (
 )
 from .request import (
     KIND_CHAIN,
-    KIND_GEAR,
     KIND_MULTIOP,
     AnalysisRequest,
     AnalysisResult,
@@ -279,50 +278,6 @@ def run_montecarlo(request: AnalysisRequest, **options: object) -> AnalysisResul
     )
 
 
-def _gear_result(
-    request: AnalysisRequest, p_error: float, engine: str, exact: bool,
-    **extra: object,
-) -> AnalysisResult:
-    return AnalysisResult(
-        p_error=p_error, p_success=1.0 - p_error,
-        engine=engine, exact=exact,
-        width=request.width, kind=KIND_GEAR,
-        **extra,  # type: ignore[arg-type]
-    )
-
-
-def run_gear_dp(request: AnalysisRequest, **options: object) -> AnalysisResult:
-    """GeAr linear DP (exact in O(N*P))."""
-    from ..gear.analysis import gear_success_probability
-
-    p_success = gear_success_probability(
-        request.gear, list(request.p_a), list(request.p_b)
-    )
-    return _gear_result(request, 1.0 - p_success, "gear-dp", True)
-
-
-def run_gear_ie(request: AnalysisRequest, **options: object) -> AnalysisResult:
-    """GeAr inclusion-exclusion over sub-adder error events."""
-    from ..gear.analysis import gear_inclusion_exclusion
-
-    report = gear_inclusion_exclusion(
-        request.gear, list(request.p_a), list(request.p_b)
-    )
-    return _gear_result(request, report.p_error, "gear-ie", True, raw=report)
-
-
-def run_gear_mc(request: AnalysisRequest, **options: object) -> AnalysisResult:
-    """Seeded GeAr Monte-Carlo estimate."""
-    from ..gear.analysis import gear_monte_carlo
-
-    samples = int(options.get("samples") or 1_000_000)  # type: ignore[arg-type]
-    p_error = gear_monte_carlo(
-        request.gear, list(request.p_a), list(request.p_b),
-        samples=samples, seed=options.get("seed"),  # type: ignore[arg-type]
-    )
-    return _gear_result(request, p_error, "gear-mc", False, samples=samples)
-
-
 def run_multiop_exact(request: AnalysisRequest, **options: object) -> AnalysisResult:
     """Weighted enumeration over all multi-operand inputs."""
     from ..multiop.analysis import multi_operand_error_exact
@@ -459,27 +414,6 @@ def register_builtin_engines() -> None:
         parallel_safe=True,
         cost_estimate=lambda request: float(PAPER_SAMPLE_COUNT),
         description="seeded sampling estimate with Wilson intervals",
-    ))
-    REGISTRY.register(EngineInfo(
-        name="gear-dp", family=FAMILY_ANALYTICAL,
-        request_kinds=(KIND_GEAR,), exact=True, deterministic=True,
-        run=run_gear_dp, parallel_safe=True,
-        cost_estimate=lambda request: 10.0 * request.width,
-        description="GeAr linear DP over (carry, run) states",
-    ))
-    REGISTRY.register(EngineInfo(
-        name="gear-ie", family=FAMILY_ANALYTICAL,
-        request_kinds=(KIND_GEAR,), exact=True, deterministic=True,
-        run=run_gear_ie, parallel_safe=True,
-        cost_estimate=lambda request: 100.0 + 2.0 ** request.width,
-        description="GeAr inclusion-exclusion over sub-adder events",
-    ))
-    REGISTRY.register(EngineInfo(
-        name="gear-mc", family=FAMILY_SIMULATION,
-        request_kinds=(KIND_GEAR,), exact=False,
-        run=run_gear_mc, default_samples=1_000_000, parallel_safe=True,
-        cost_estimate=lambda request: 1_000_000.0,
-        description="seeded GeAr Monte-Carlo estimate",
     ))
     REGISTRY.register(EngineInfo(
         name="multiop-exact", family=FAMILY_SIMULATION,

@@ -91,8 +91,8 @@ def request_key(request: AnalysisRequest) -> Optional[str]:
     (:data:`~repro.engine.request.DISTRIBUTION_KINDS`) are addressable:
     both are pure functions of ``(kind, cells, operand probabilities)``.
     Correlated (``joints``) and traced requests depend on state the
-    payload cannot carry, and GeAr/multiop kinds keep their own native
-    result shapes.  ``check_masking`` is part of the identity because
+    payload cannot carry, and the multiop kind keeps its own native
+    result shape.  ``check_masking`` is part of the identity because
     it decides the stored ``is_upper_bound`` flag; ``kind`` is part of
     the hashed document, so a ``med`` answer can never replay to a
     ``wce`` question over the same chain.

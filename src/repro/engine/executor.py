@@ -537,11 +537,11 @@ def error_curves(
 ) -> np.ndarray:
     """``P(Error)`` of a uniform chain for every width ``1..max_width``.
 
-    The engine-layer replacement for the deprecated
-    ``core.vectorized.error_by_width``: one vectorised recursion pass
-    reports every prefix width (optionally over a batch of probability
-    points at once -- scalar *p* gives ``(max_width,)``, a ``(batch,)``
-    *p* gives ``(batch, max_width)``).  With ``parallelism`` enabled a
+    One vectorised recursion pass
+    (:func:`~repro.core.vectorized.success_by_width`) reports every
+    prefix width (optionally over a batch of probability points at once
+    -- scalar *p* gives ``(max_width,)``, a ``(batch,)`` *p* gives
+    ``(batch, max_width)``).  With ``parallelism`` enabled a
     batched *p* is sliced across worker processes and re-concatenated
     (the recursion is elementwise along the batch axis, so the rows are
     bit-identical either way); a scalar *p* always runs serially.

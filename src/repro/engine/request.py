@@ -5,13 +5,12 @@ question -- "with what probability is this approximate adder wrong?" --
 through what used to be eight divergent call conventions.  The engine
 layer normalises the question into one immutable, hashable
 :class:`AnalysisRequest` (built via :meth:`AnalysisRequest.chain`,
-:meth:`AnalysisRequest.for_gear` or :meth:`AnalysisRequest.for_multiop`)
+:meth:`AnalysisRequest.zoo` or :meth:`AnalysisRequest.for_multiop`)
 and the answer into one :class:`AnalysisResult`.
 
 Requests carry *float* probabilities (quantizable, batchable,
 cacheable).  Digit-exact ``fractions.Fraction`` analysis remains the
-scalar primitive's domain (:func:`repro.core.recursive.analyze_chain`),
-which is not deprecated.
+scalar primitive's domain (:func:`repro.core.recursive.analyze_chain`).
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from ..core.truth_table import FullAdderTruthTable
 
 #: Request kinds understood by the registry.
 KIND_CHAIN = "chain"
-KIND_GEAR = "gear"
 KIND_MULTIOP = "multiop"
 
 #: Error-magnitude kinds: same chain operands, but the question is the
@@ -63,8 +61,8 @@ class AnalysisRequest:
     """One normalised analysis question.
 
     ``cells``/``p_a``/``p_b``/``p_cin`` describe a (possibly hybrid)
-    ripple chain; ``gear`` a GeAr configuration; ``operands`` a
-    multi-operand CSA reduction.  ``joints`` (per-stage
+    ripple chain; ``block`` a windowed zoo adder (GeAr among them);
+    ``operands`` a multi-operand CSA reduction.  ``joints`` (per-stage
     :class:`~repro.core.correlated.JointBitDistribution`) switches the
     chain analysis to the correlated-operand engine;
     ``check_masking=True`` stamps ``is_upper_bound`` on analytical
@@ -83,7 +81,6 @@ class AnalysisRequest:
     joints: Optional[Tuple[object, ...]] = None
     check_masking: bool = True
     keep_trace: bool = False
-    gear: Optional[object] = None          # GeArConfig for KIND_GEAR
     operands: Tuple[Tuple[float, ...], ...] = ()   # rows for KIND_MULTIOP
     compress_cell: Optional[FullAdderTruthTable] = None
     final_adder: Tuple[FullAdderTruthTable, ...] = ()
@@ -91,13 +88,11 @@ class AnalysisRequest:
 
     @property
     def width(self) -> int:
-        """Stage count (chain), bit width (GeAr/block) or operand width."""
+        """Stage count (chain), bit width (block) or operand width."""
         if self.block is not None:
             return len(self.block.lows)  # type: ignore[attr-defined]
         if self.kind == KIND_CHAIN or self.kind in DISTRIBUTION_KINDS:
             return len(self.cells)
-        if self.kind == KIND_GEAR:
-            return self.gear.n  # type: ignore[union-attr]
         return len(self.operands[0]) if self.operands else 0
 
     @property
@@ -252,30 +247,6 @@ class AnalysisRequest:
         )
 
     @classmethod
-    def for_gear(
-        cls,
-        config: object,
-        p_a: object = 0.5,
-        p_b: object = 0.5,
-        metrics: Sequence[str] = (METRIC_P_ERROR,),
-    ) -> "AnalysisRequest":
-        """Normalise a GeAr question from a ``GeArConfig``."""
-        from ..core.probability import float_probability_vector
-        from ..gear.config import GeArConfig
-
-        if not isinstance(config, GeArConfig):
-            raise AnalysisError(
-                f"for_gear expects a GeArConfig, got {type(config).__name__}"
-            )
-        return cls(
-            kind=KIND_GEAR,
-            gear=config,
-            p_a=tuple(float_probability_vector(p_a, config.n, "p_a")),
-            p_b=tuple(float_probability_vector(p_b, config.n, "p_b")),
-            metrics=_normalise_metrics(metrics),
-        )
-
-    @classmethod
     def for_multiop(
         cls,
         operand_probabilities: Sequence[Sequence[float]],
@@ -334,8 +305,9 @@ class AnalysisResult:
     registry capability (``False`` for Monte-Carlo estimates);
     ``degraded_from``/``reason`` carry the selection provenance when the
     budget forced a downgrade; ``raw`` keeps the backend-native result
-    (``MonteCarloResult``, ``ExhaustiveResult``, ``GeArIEReport``, ...)
-    for callers that need manifests, checkpoints or term counts.
+    (``MonteCarloResult``, ``ExhaustiveResult``,
+    ``InclusionExclusionReport``, ...) for callers that need manifests,
+    checkpoints or term counts.
 
     The error-magnitude fields (``med``/``nmed``/``mse``/``wce``/
     ``mred``/``bias``) are populated by the distribution engines

@@ -241,6 +241,8 @@ def run_zoo_mc(
     """
     spec = _block(request)
     samples = int(options.get("samples") or MC_DEFAULT_SAMPLES)  # type: ignore[arg-type]
+    if samples < 1:
+        raise AnalysisError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(int(options.get("seed", 0)))  # type: ignore[arg-type]
     a = _sample_operands(request.p_a, samples, rng)
     b = _sample_operands(request.p_b, samples, rng)

@@ -1,19 +1,17 @@
 """GeAr low-latency approximate adder: model and error analysis.
 
-The paper's §2.2 substrate (ref [17]) plus the analysis its §1.1 claims:
-an exact linear-time error probability without inclusion-exclusion,
-alongside the traditional IE baseline and Monte-Carlo validation.
+The paper's §2.2 substrate (ref [17]).  The exact linear-time error
+probability its §1.1 claims is the zoo's carry-cut DP
+(``engine.run(AnalysisRequest.zoo(from_gear(config)))``); this package
+keeps the bit-true model, the traditional IE baseline, per-sub-adder
+marginals, error correction and the named LLAA variants.
 """
 
 from .analysis import (
     MAX_IE_SUBADDERS,
     GeArIEReport,
-    gear_error_probability,
-    gear_exhaustive,
     gear_inclusion_exclusion,
-    gear_monte_carlo,
     gear_subadder_error_probabilities,
-    gear_success_probability,
 )
 from .config import GeArConfig, SubAdder
 from .correction import (
@@ -38,12 +36,8 @@ __all__ = [
     "gear_add",
     "gear_add_array",
     "gear_error_positions",
-    "gear_success_probability",
-    "gear_error_probability",
     "gear_subadder_error_probabilities",
     "gear_inclusion_exclusion",
-    "gear_monte_carlo",
-    "gear_exhaustive",
     "GeArIEReport",
     "MAX_IE_SUBADDERS",
     "detect_errors",

@@ -2,7 +2,12 @@
 
 The paper (§1.1) claims its recursion philosophy -- propagate exactly
 the state you need, never expand inclusion-exclusion -- also covers
-low-latency adders.  This module realises that for GeAr:
+low-latency adders.  GeAr(N, R, P) is a windowed block adder, so the
+engine serves it as a zoo request,
+``AnalysisRequest.zoo(from_gear(config))`` (config string
+``gear:N:R:P``): the linear carry-cut DP of :mod:`repro.core.adder_zoo`
+(engine ``zoo-dp``) answers it, with ``zoo-mc`` and ``zoo-exhaustive``
+as its sampling and enumeration cross-checks.
 
 **Error event.** Sub-adder ``i >= 1`` produces a wrong contribution iff
 the true carry into its window base ``i*R`` is 1 *and* all ``P`` of its
@@ -12,34 +17,26 @@ bit.  Since a propagating position hands its carry through unchanged,
 the condition is equivalent to: *at checkpoint position ``i*R + P`` the
 running propagate-run length is >= P and the current true carry is 1*.
 
-**Linear DP** (:func:`gear_error_probability`).  Track the joint
-distribution of ``(true carry, propagate-run length capped at P)`` one
-bit at a time -- ``2*(P+1)`` states -- and at each checkpoint discard
-the mass where the event fires.  The survivor mass is ``P(no sub-adder
-errs)`` = probability the GeAr output is exact.  O(N*P) time, exact for
-arbitrary per-bit input probabilities.
-
-**Baselines.**  :func:`gear_inclusion_exclusion` evaluates the same
-probability the traditional way (paper ref [12]): all ``2^(k-1) - 1``
-joint error-event terms, each via a constrained DP.
-:func:`gear_monte_carlo` samples the functional model.  All three agree
-(tests pin it); only their costs differ.
+This module keeps the per-event view of that condition: a DP over
+``(true carry, propagate-run length capped at P)`` -- ``2*(P+1)``
+states, one bit at a time -- that filters the mass at checkpoints.  It
+yields the per-sub-adder marginals
+(:func:`gear_subadder_error_probabilities`), the correction DP of
+:mod:`repro.gear.correction`, and the traditional baseline
+:func:`gear_inclusion_exclusion` (paper ref [12]): all
+``2^(k-1) - 1`` joint error-event terms, each via a constrained DP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
-import numpy as np
-
-from .._compat import warn_deprecated
 from ..core.exceptions import AnalysisError
 from ..core.probability import float_probability_vector
 from ..core.types import Probability
 from .config import GeArConfig
-from .functional import gear_add_array
 
 #: IE over more than this many sub-adder events is refused.
 MAX_IE_SUBADDERS = 20
@@ -106,42 +103,6 @@ def _checkpoint_filter(
     return out
 
 
-def gear_success_probability(
-    config: GeArConfig,
-    p_a: Union[Probability, Sequence[Probability]] = 0.5,
-    p_b: Union[Probability, Sequence[Probability]] = 0.5,
-) -> float:
-    """Exact ``P(GeAr output == a + b)`` in O(N * P) time."""
-    pa, pb = _normalise_probs(config, p_a, p_b)
-    checkpoints = set(config.error_checkpoints())
-    run_cap = config.p
-    state: Dict[Tuple[int, int], float] = {(0, 0): 1.0}
-    for j in range(config.n):
-        if j in checkpoints:
-            state = _checkpoint_filter(state, run_cap, require_event=False)
-        state = _advance_bit(state, pa[j], pb[j], run_cap)
-    # A checkpoint can sit at position N exactly when P = L - R spans to
-    # the top of the last window... it cannot: checkpoints are
-    # i*R + P <= (k-1)R + P = N - R < N.  All filtered already.
-    return sum(state.values())
-
-
-def gear_error_probability(
-    config: GeArConfig,
-    p_a: Union[Probability, Sequence[Probability]] = 0.5,
-    p_b: Union[Probability, Sequence[Probability]] = 0.5,
-) -> float:
-    """``1 - gear_success_probability(...)``.
-
-    .. deprecated::
-        Use ``repro.engine.run(AnalysisRequest.for_gear(config, ...))``
-        (engine ``"gear-dp"``) instead.
-    """
-    warn_deprecated("gear.analysis.gear_error_probability",
-                    'repro.engine.run(AnalysisRequest.for_gear(...))')
-    return 1.0 - gear_success_probability(config, p_a, p_b)
-
-
 def gear_subadder_error_probabilities(
     config: GeArConfig,
     p_a: Union[Probability, Sequence[Probability]] = 0.5,
@@ -204,15 +165,15 @@ def gear_inclusion_exclusion(
     """The traditional IE analysis of GeAr (paper ref [12] style).
 
     Expands ``P(U E_i)`` over all non-empty subsets of the ``k - 1``
-    error events.  Exponential in ``k``; numerically identical to
-    :func:`gear_error_probability`.
+    error events.  Exponential in ``k``; numerically identical to the
+    linear ``zoo-dp`` answer for ``AnalysisRequest.zoo(from_gear(config))``.
     """
     events = config.error_checkpoints()
     k = len(events)
     if k > MAX_IE_SUBADDERS:
         raise AnalysisError(
             f"IE over {k} sub-adder events needs 2^{k} - 1 terms; "
-            "use gear_error_probability instead"
+            "use engine.run(AnalysisRequest.zoo(from_gear(config))) instead"
         )
     pa, pb = _normalise_probs(config, p_a, p_b)
     p_union = 0.0
@@ -229,41 +190,3 @@ def gear_inclusion_exclusion(
         terms_evaluated=terms,
         num_subadders=config.num_subadders,
     )
-
-
-def gear_monte_carlo(
-    config: GeArConfig,
-    p_a: Union[Probability, Sequence[Probability]] = 0.5,
-    p_b: Union[Probability, Sequence[Probability]] = 0.5,
-    samples: int = 1_000_000,
-    seed: Optional[int] = None,
-) -> float:
-    """Monte-Carlo estimate of the GeAr error probability."""
-    if samples < 1:
-        raise AnalysisError(f"samples must be >= 1, got {samples}")
-    pa, pb = _normalise_probs(config, p_a, p_b)
-    rng = np.random.default_rng(seed)
-    a = np.zeros(samples, dtype=np.int64)
-    b = np.zeros(samples, dtype=np.int64)
-    for i in range(config.n):
-        a |= (rng.random(samples) < pa[i]).astype(np.int64) << i
-        b |= (rng.random(samples) < pb[i]).astype(np.int64) << i
-    wrong = gear_add_array(config, a, b) != (a + b)
-    return float(wrong.mean())
-
-
-def gear_exhaustive(config: GeArConfig) -> Tuple[int, int]:
-    """Exhaustive equiprobable error count: ``(errors, total)``.
-
-    Total is ``2^(2N)`` (GeAr has no external carry-in).
-    """
-    if config.n > 12:
-        raise AnalysisError(
-            f"exhaustive GeAr check at N={config.n} would visit "
-            f"2^{2 * config.n} cases"
-        )
-    values = np.arange(1 << config.n, dtype=np.int64)
-    a, b = np.meshgrid(values, values, indexing="ij")
-    a, b = a.ravel(), b.ravel()
-    errors = int((gear_add_array(config, a, b) != (a + b)).sum())
-    return errors, a.size

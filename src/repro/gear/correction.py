@@ -108,6 +108,8 @@ def error_count_distribution(
     counter.  Entry ``i`` of the returned list is ``P(#errors = i)``;
     the last entry aggregates ``>= len - 1`` when *max_count* truncates.
     """
+    if max_count is not None and max_count < 0:
+        raise AnalysisError(f"max_count must be >= 0, got {max_count}")
     pa = [float(p) for p in validate_probability_vector(p_a, config.n, "p_a")]
     pb = [float(p) for p in validate_probability_vector(p_b, config.n, "p_b")]
     k_events = config.num_subadders - 1

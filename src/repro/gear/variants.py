@@ -91,12 +91,13 @@ def variant_comparison(n: int) -> List[Dict[str, object]]:
     Delay uses the unit-gate ripple model of a sub-adder chain (length
     L), matching :func:`repro.circuits.timing.gear_delay_model`.
     """
-    from ..circuits.timing import gear_delay_model
     from .. import engine as _engine
+    from ..circuits.timing import gear_delay_model
+    from ..core.adder_zoo import from_gear
 
     rows = []
     for name, config in named_variants(n).items():
-        request = _engine.AnalysisRequest.for_gear(config)
+        request = _engine.AnalysisRequest.zoo(from_gear(config))
         rows.append(
             {
                 "name": name,

@@ -59,9 +59,9 @@ class TestFaultedTruthTable:
 class TestDetectability:
     def test_healthy_baseline_matches_engine(self):
         impacts = fault_detectability("LPAA 1", width=4, p_a=0.3, p_b=0.3)
-        from repro.core.recursive import error_probability
+        from repro.core.recursive import analyze_chain
 
-        healthy = float(error_probability("LPAA 1", 4, 0.3, 0.3, 0.5))
+        healthy = float(analyze_chain("LPAA 1", 4, 0.3, 0.3, 0.5).p_error)
         assert all(
             fi.p_error_healthy == pytest.approx(healthy) for fi in impacts
         )

@@ -7,11 +7,10 @@ import pytest
 from repro.core.correlated import (
     JointBitDistribution,
     analyze_chain_correlated,
-    error_probability_correlated,
     self_addition_error,
 )
 from repro.core.exceptions import ProbabilityError
-from repro.core.recursive import error_probability
+from repro.core.recursive import analyze_chain
 from repro.simulation.functional import ripple_add
 
 
@@ -61,7 +60,7 @@ class TestAgainstOracle:
             JointBitDistribution.identical(0.4),
             JointBitDistribution.complementary(0.6),
         ]
-        got = error_probability_correlated(lpaa_cell, joints, p_cin=0.3)
+        got = 1.0 - analyze_chain_correlated(lpaa_cell, joints, p_cin=0.3)[0]
         ref = _exhaustive_correlated(lpaa_cell, joints, 0.3, 3)
         assert got == pytest.approx(ref, abs=1e-12)
 
@@ -71,8 +70,9 @@ class TestAgainstOracle:
             JointBitDistribution.independent(pa, pb)
             for pa, pb in zip(p_a, p_b)
         ]
-        got = error_probability_correlated(lpaa_cell, joints, p_cin=0.25)
-        ref = float(error_probability(lpaa_cell, 4, p_a, p_b, 0.25))
+        got = 1.0 - analyze_chain_correlated(lpaa_cell, joints,
+                                           p_cin=0.25)[0]
+        ref = float(analyze_chain(lpaa_cell, 4, p_a, p_b, 0.25).p_error)
         assert got == pytest.approx(ref, abs=1e-12)
 
     def test_self_addition_matches_functional(self, lpaa_cell):
@@ -91,7 +91,7 @@ class TestAgainstOracle:
         width = 6
         truth = self_addition_error("LPAA 1", width, p=0.5, p_cin=0.0)
         independent = float(
-            error_probability("LPAA 1", width, 0.5, 0.5, 0.0)
+            analyze_chain("LPAA 1", width, 0.5, 0.5, 0.0).p_error
         )
         assert truth != pytest.approx(independent, abs=1e-3)
 

@@ -17,7 +17,7 @@ from repro.core.magnitude import (
     relative_error_from_joint,
     worst_case_error,
 )
-from repro.core.recursive import error_probability
+from repro.core.recursive import analyze_chain
 from repro.core.truth_table import ACCURATE, FullAdderTruthTable
 
 
@@ -69,7 +69,7 @@ class TestErrorPmf:
         # The paper's P(Succ) must equal P(D = 0) for the paper cells
         # (they cannot mask, see repro.core.masking).
         pmf = error_pmf(lpaa_cell, 5, 0.17, 0.82, 0.5)
-        p_err = error_probability(lpaa_cell, 5, 0.17, 0.82, 0.5)
+        p_err = analyze_chain(lpaa_cell, 5, 0.17, 0.82, 0.5).p_error
         assert 1.0 - pmf.get(0, 0.0) == pytest.approx(float(p_err), abs=1e-12)
 
     def test_accurate_adder_is_a_point_mass(self):

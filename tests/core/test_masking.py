@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.adders import PAPER_LPAAS
 from repro.core.masking import chain_is_exact, masking_analysis, masking_summary
-from repro.core.recursive import error_probability
+from repro.core.recursive import analyze_chain
 from repro.core.truth_table import ACCURATE, FullAdderTruthTable
 from repro.simulation.functional import ripple_add
 
@@ -38,7 +38,7 @@ class TestPaperCellsAreExact:
                 total += 1
                 if ripple_add(lpaa_cell, a, b, cin, width) != a + b + cin:
                     errors += 1
-        analytical = error_probability(lpaa_cell, width, 0.5, 0.5, 0.5)
+        analytical = analyze_chain(lpaa_cell, width, 0.5, 0.5, 0.5).p_error
         assert errors / total == pytest.approx(float(analytical), abs=1e-12)
 
     def test_only_lpaa6_has_silent_divergence_cases(self):
@@ -97,7 +97,7 @@ class TestMaskingIsDetectable:
                 if ripple_add(cell, a, b, cin, width) != a + b + cin:
                     errors += 1
         functional = errors / total
-        analytical = float(error_probability(cell, width, 0.5, 0.5, 0.5))
+        analytical = float(analyze_chain(cell, width, 0.5, 0.5, 0.5).p_error)
         assert analytical > functional
         assert not chain_is_exact(cell, width)
 

@@ -9,10 +9,8 @@ from repro.core.exceptions import ChainLengthError, ProbabilityError
 from repro.core.recursive import (
     analyze_chain,
     build_ipm,
-    error_probability,
     mask_dot,
     resolve_chain,
-    success_probability,
 )
 from repro.core.truth_table import ACCURATE
 
@@ -69,10 +67,10 @@ class TestTable7Golden:
     @pytest.mark.parametrize("width", sorted(TABLE7_ANALYTICAL))
     def test_analytical_column(self, width):
         for idx, expected in enumerate(TABLE7_ANALYTICAL[width]):
-            got = error_probability(
+            got = analyze_chain(
                 PAPER_LPAAS[idx], width=width,
                 p_a=TABLE7_P, p_b=TABLE7_P, p_cin=TABLE7_P,
-            )
+            ).p_error
             # The paper rounds/truncates to 5 decimals (and prints
             # 0.99999 for values that round to 1.0); match to 1e-5.
             assert got == pytest.approx(expected, abs=1.1e-5), (
@@ -83,8 +81,9 @@ class TestTable7Golden:
 class TestEngineBehaviour:
     def test_accurate_adder_never_errs(self):
         for width in (1, 3, 17, 64):
-            assert success_probability(ACCURATE, width=width, p_a=0.37,
-                                       p_b=0.81, p_cin=0.25) == pytest.approx(1.0)
+            result = analyze_chain(ACCURATE, width=width, p_a=0.37,
+                                   p_b=0.81, p_cin=0.25)
+            assert result.p_success == pytest.approx(1.0)
 
     def test_single_stage_matches_direct_row_sum(self, lpaa_cell):
         # For N=1 the success probability is just the success-row mass.
@@ -99,15 +98,16 @@ class TestEngineBehaviour:
                 * (p_b if b else 1 - p_b)
                 * (p_c if c else 1 - p_c)
             )
-        got = success_probability(lpaa_cell, width=1, p_a=p_a, p_b=p_b, p_cin=p_c)
+        got = analyze_chain(lpaa_cell, width=1, p_a=p_a, p_b=p_b,
+                            p_cin=p_c).p_success
         assert got == pytest.approx(expected, abs=1e-15)
 
     def test_deterministic_inputs_give_zero_or_one(self, lpaa_cell):
         # With all probabilities in {0,1} the adder sees one fixed input
         # vector, so P(Succ) must be exactly 0 or 1.
-        p = success_probability(
+        p = analyze_chain(
             lpaa_cell, width=5, p_a=[1, 0, 1, 1, 0], p_b=[0, 0, 1, 0, 1], p_cin=1
-        )
+        ).p_success
         assert p in (0.0, 1.0)
 
     def test_survival_mass_is_non_increasing(self, lpaa_cell):
@@ -136,8 +136,8 @@ class TestEngineBehaviour:
         assert result.cell_names == ("LPAA 7", "LPAA 7", "LPAA 1", "LPAA 1")
         assert not result.is_uniform()
         # Hybrid must differ from both uniform variants at this point.
-        uniform7 = error_probability("LPAA 7", 4, 0.1, 0.1, 0.1)
-        uniform1 = error_probability("LPAA 1", 4, 0.1, 0.1, 0.1)
+        uniform7 = analyze_chain("LPAA 7", 4, 0.1, 0.1, 0.1).p_error
+        uniform1 = analyze_chain("LPAA 1", 4, 0.1, 0.1, 0.1).p_error
         assert result.p_error != pytest.approx(uniform7)
         assert result.p_error != pytest.approx(uniform1)
 

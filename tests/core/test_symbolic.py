@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.exceptions import AnalysisError
-from repro.core.recursive import error_probability
+from repro.core.recursive import analyze_chain
 from repro.core.symbolic import Polynomial, symbolic_error_probability
 from repro.core.truth_table import ACCURATE
 
@@ -107,8 +107,8 @@ class TestSymbolicError:
 
     def test_hybrid_chain_supported(self):
         poly = symbolic_error_probability(["LPAA 7", "LPAA 1"], None)
-        numeric = float(error_probability(["LPAA 7", "LPAA 1"], None,
-                                          0.3, 0.3, 0.3))
+        numeric = float(analyze_chain(["LPAA 7", "LPAA 1"], None,
+                                      0.3, 0.3, 0.3).p_error)
         sym = float(poly.evaluate(p=Fraction(3, 10)))
         assert sym == pytest.approx(numeric, abs=1e-12)
 
@@ -133,6 +133,6 @@ def test_symbolic_matches_numeric_everywhere(cell_index, width, p):
 
     cell = paper_cell(cell_index)
     poly = symbolic_error_probability(cell, width)
-    numeric = float(error_probability(cell, width, float(p), float(p),
-                                      float(p)))
+    numeric = float(analyze_chain(cell, width, float(p), float(p),
+                                  float(p)).p_error)
     assert float(poly.evaluate(p=p)) == pytest.approx(numeric, abs=1e-9)

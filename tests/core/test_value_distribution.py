@@ -101,12 +101,12 @@ class TestTotalVariation:
         # TV between approx and exact output laws can never exceed the
         # error probability (coupling argument: they agree whenever the
         # adder is correct).
-        from repro.core.recursive import error_probability
+        from repro.core.recursive import analyze_chain
 
         approx = output_value_pmf(lpaa_cell, 4, 0.3, 0.3, 0.3)
         exact = output_value_pmf(ACCURATE, 4, 0.3, 0.3, 0.3)
         tv = total_variation_distance(approx, exact)
-        p_err = float(error_probability(lpaa_cell, 4, 0.3, 0.3, 0.3))
+        p_err = float(analyze_chain(lpaa_cell, 4, 0.3, 0.3, 0.3).p_error)
         assert tv <= p_err + 1e-12
 
     def test_disjoint_supports_are_one(self):

@@ -3,14 +3,10 @@
 import numpy as np
 import pytest
 
+from repro import engine
 from repro.core.exceptions import ProbabilityError
-from repro.core.recursive import analyze_chain, error_probability
-from repro.core.vectorized import (
-    analyze_batch,
-    error_batch,
-    error_by_width,
-    success_by_width,
-)
+from repro.core.recursive import analyze_chain
+from repro.core.vectorized import analyze_batch, success_by_width
 
 
 class TestAgreementWithScalarEngine:
@@ -38,9 +34,9 @@ class TestAgreementWithScalarEngine:
     def test_hybrid_chain_matches(self, rng):
         cells = ["LPAA 7", "LPAA 6", "LPAA 1", "LPAA 4"]
         p = rng.random(9)
-        got = error_batch(cells, p_a=p, p_b=p, p_cin=0.5)
+        got = 1.0 - analyze_batch(cells, p_a=p, p_b=p, p_cin=0.5)
         for j, pj in enumerate(p):
-            ref = error_probability(cells, None, float(pj), float(pj), 0.5)
+            ref = analyze_chain(cells, None, float(pj), float(pj), 0.5).p_error
             assert got[j] == pytest.approx(ref, abs=1e-12)
 
 
@@ -54,10 +50,10 @@ class TestBroadcasting:
 
     def test_batch_vector_broadcasts_over_bits(self):
         p = np.array([0.1, 0.5, 0.9])
-        got = error_batch("LPAA 6", width=8, p_a=p, p_b=p, p_cin=0.5)
+        got = 1.0 - analyze_batch("LPAA 6", width=8, p_a=p, p_b=p, p_cin=0.5)
         assert got.shape == (3,)
         for j, pj in enumerate(p):
-            ref = error_probability("LPAA 6", 8, float(pj), float(pj), 0.5)
+            ref = analyze_chain("LPAA 6", 8, float(pj), float(pj), 0.5).p_error
             assert got[j] == pytest.approx(ref, abs=1e-12)
 
     def test_explicit_batch_argument(self):
@@ -88,9 +84,9 @@ class TestSuccessByWidth:
             ref = analyze_chain(lpaa_cell, width=n, p_a=0.1, p_b=0.1, p_cin=0.1)
             assert curve[n - 1] == pytest.approx(ref.p_success, abs=1e-12)
 
-    def test_error_by_width_complements(self):
+    def test_error_curves_complement(self):
         s = success_by_width("LPAA 5", 6, 0.3)
-        e = error_by_width("LPAA 5", 6, 0.3)
+        e = engine.error_curves("LPAA 5", 6, 0.3)
         assert np.allclose(s + e, 1.0)
 
     def test_batched_probability_grid(self):

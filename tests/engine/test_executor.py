@@ -65,9 +65,7 @@ class TestSimulateRouting:
         assert result.samples == 2000
 
     def test_simulate_rejects_non_chain_requests(self):
-        from repro.gear.config import GeArConfig
-
-        request = AnalysisRequest.for_gear(GeArConfig(8, 2, 2))
+        request = AnalysisRequest.for_multiop([[0.5] * 4] * 2, 4)
         with pytest.raises(AnalysisError):
             run(request=request, simulate=True)
 
@@ -78,10 +76,11 @@ class TestSelectEngine:
         assert decision.engine == "recursive"
 
     def test_gear_defaults_to_dp(self):
+        from repro.core.adder_zoo import from_gear
         from repro.gear.config import GeArConfig
 
-        decision = select_engine(AnalysisRequest.for_gear(GeArConfig(16, 4, 4)))
-        assert decision.engine == "gear-dp"
+        request = AnalysisRequest.zoo(from_gear(GeArConfig(16, 4, 4)))
+        assert select_engine(request).engine == "zoo-dp"
 
     def test_large_multiop_degrades_to_sampling(self):
         request = AnalysisRequest.for_multiop([[0.5] * 16] * 4, 16)

@@ -36,7 +36,6 @@ class TestBuiltinPopulation:
     def test_expected_engines_present(self):
         for name in ("recursive", "vectorized", "correlated",
                      "inclusion-exclusion", "exhaustive", "montecarlo",
-                     "gear-dp", "gear-ie", "gear-mc",
                      "multiop-exact", "multiop-mc"):
             assert name in REGISTRY
 

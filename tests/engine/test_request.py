@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.adder_zoo import from_gear
 from repro.core.exceptions import AnalysisError, ProbabilityError
 from repro.core.hybrid import HybridChain
 from repro.engine import (
     KIND_CHAIN,
-    KIND_GEAR,
     KIND_MULTIOP,
     METRIC_P_ERROR,
     METRIC_P_SUCCESS,
     AnalysisRequest,
+    request_key,
 )
 from repro.gear.config import GeArConfig
 
@@ -86,9 +87,15 @@ class TestHashability:
 
 class TestOtherKinds:
     def test_gear_request(self):
-        request = AnalysisRequest.for_gear(GeArConfig(8, 2, 2))
-        assert request.kind == KIND_GEAR
+        # A GeAr question is a zoo block request under the canonical
+        # config string, so it shares one cache entry with "gear:8:2:2".
+        request = AnalysisRequest.zoo(from_gear(GeArConfig(8, 2, 2)))
+        assert request.kind == KIND_CHAIN
         assert request.width == 8
+        assert request.cell_names == ("gear:8:2:2",)
+        assert request == AnalysisRequest.zoo("gear:8:2:2")
+        assert request_key(request) == request_key(
+            AnalysisRequest.zoo("gear:8:2:2"))
 
     def test_multiop_request(self):
         request = AnalysisRequest.for_multiop([[0.5] * 4] * 3, 4)

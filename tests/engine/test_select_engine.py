@@ -3,10 +3,10 @@
 Each row is ``(request, budget, samples, jobs, simulate) -> (engine,
 degraded_from, samples, estimated_cases)``, optionally with a substring
 the decision's reason must contain.  The rows cover every request shape
-(chain, hybrid, trace, joints, the distribution kinds, the zoo kinds,
-GeAr, multi-operand) and every reason a rung can fail to fit: a width
-limit, a support guard, one enumeration block, ``max_cases``, a
-deadline, and the pool rung's worker count.
+(chain, hybrid, trace, joints, the distribution kinds, the zoo kinds
+with GeAr among them, multi-operand) and every reason a rung can fail
+to fit: a width limit, a support guard, one enumeration block,
+``max_cases``, a deadline, and the pool rung's worker count.
 """
 
 import pytest
@@ -19,7 +19,6 @@ from repro.engine.segcache import (
     configure_segment_cache,
     disable_segment_cache,
 )
-from repro.gear.config import GeArConfig
 from repro.runtime import RunBudget
 
 MC = 1_000_000          # montecarlo's default sample count
@@ -59,8 +58,8 @@ ROWS = [
     row("joints-w4",
         chain(4, joints=[JointBitDistribution.identical(0.5)] * 4),
         ("correlated", None, None, None)),
-    row("gear", AnalysisRequest.for_gear(GeArConfig(16, 4, 4)),
-        ("gear-dp", None, None, None)),
+    row("gear", AnalysisRequest.zoo("gear:16:4:4"),
+        ("zoo-dp", None, None, None)),
     row("deadline-never-degrades-a-final-rung", chain(64),
         ("recursive", None, None, None), budget=RunBudget(deadline_s=1e-9)),
 
@@ -192,8 +191,7 @@ class TestHeads:
         finally:
             disable_segment_cache()
 
-    @pytest.mark.parametrize("request_", [
-        AnalysisRequest.for_gear(GeArConfig(8, 2, 2)), multiop(2, 4)])
+    @pytest.mark.parametrize("request_", [multiop(2, 4)])
     def test_simulate_refuses_other_kinds(self, request_):
         with pytest.raises(AnalysisError, match="chain requests only"):
             select_engine(request_, simulate=True)

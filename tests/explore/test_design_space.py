@@ -4,7 +4,7 @@ import pytest
 
 from repro.circuits.power import PowerModel
 from repro.core.exceptions import ExplorationError
-from repro.core.recursive import error_probability
+from repro.core.recursive import analyze_chain
 from repro.explore.design_space import (
     best_cell_per_probability,
     sweep_design_space,
@@ -18,10 +18,10 @@ class TestSweep:
         assert len(points) == 2 * 2 * 2
         for point in points:
             expected = float(
-                error_probability(
+                analyze_chain(
                     point.cell_name, point.width,
                     point.p_input, point.p_input, point.p_input,
-                )
+                ).p_error
             )
             assert point.p_error == pytest.approx(expected, abs=1e-12)
 

@@ -1,16 +1,20 @@
-"""Tests for repro.gear.analysis (exact DP vs IE vs simulation)."""
+"""GeAr error analysis: the zoo DP vs enumeration, IE and simulation.
+
+GeAr questions are zoo requests (``AnalysisRequest.zoo(from_gear(cfg))``)
+answered by ``zoo-dp``; :mod:`repro.gear.analysis` keeps the
+per-sub-adder marginals and the inclusion-exclusion baseline.
+"""
 
 import numpy as np
 import pytest
 
+from repro import engine
+from repro.core.adder_zoo import from_gear
 from repro.core.exceptions import AnalysisError
+from repro.engine import AnalysisRequest
 from repro.gear.analysis import (
-    gear_error_probability,
-    gear_exhaustive,
     gear_inclusion_exclusion,
-    gear_monte_carlo,
     gear_subadder_error_probabilities,
-    gear_success_probability,
 )
 from repro.gear.config import GeArConfig
 from repro.gear.functional import gear_add_array
@@ -32,6 +36,11 @@ def _exhaustive_weighted(config, p_a, p_b):
     return float(weights[wrong].sum())
 
 
+def _run(config, p_a=0.5, p_b=0.5, **options):
+    return engine.run(AnalysisRequest.zoo(from_gear(config), p_a, p_b),
+                      **options)
+
+
 CONFIGS = [
     GeArConfig(4, 2, 0),
     GeArConfig(6, 2, 2),
@@ -41,46 +50,55 @@ CONFIGS = [
     GeArConfig(6, 1, 1),
 ]
 
+#: Every valid GeAr configuration up to eight bits.
+SMALL_CONFIGS = [config for n in range(1, 9)
+                 for config in GeArConfig.valid_configs(n)]
+
 
 class TestExactDP:
-    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.describe())
-    def test_matches_weighted_enumeration_equiprobable(self, config):
-        ref = _exhaustive_weighted(config, 0.5, 0.5)
-        got = gear_error_probability(config, 0.5, 0.5)
-        assert got == pytest.approx(ref, abs=1e-12)
+    """Cross-validation: ``zoo-dp`` == weighted enumeration == IE."""
 
-    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.describe())
+    @staticmethod
+    def _cross_validate(config, p_a, p_b):
+        result = _run(config, p_a, p_b)
+        assert result.engine == "zoo-dp"
+        assert result.exact
+        ref = _exhaustive_weighted(config, p_a, p_b)
+        assert result.p_error == pytest.approx(ref, abs=1e-12)
+        ie = gear_inclusion_exclusion(config, p_a, p_b)
+        assert ie.p_error == pytest.approx(result.p_error, abs=1e-12)
+
+    @pytest.mark.parametrize("config", SMALL_CONFIGS,
+                             ids=lambda c: c.describe())
+    def test_matches_weighted_enumeration_equiprobable(self, config):
+        self._cross_validate(config, 0.5, 0.5)
+
+    @pytest.mark.parametrize("config", SMALL_CONFIGS,
+                             ids=lambda c: c.describe())
     def test_matches_weighted_enumeration_biased(self, config):
         p_a = [0.1 + 0.08 * i for i in range(config.n)]
         p_b = [0.9 - 0.07 * i for i in range(config.n)]
-        ref = _exhaustive_weighted(config, p_a, p_b)
-        got = gear_error_probability(config, p_a, p_b)
-        assert got == pytest.approx(ref, abs=1e-12)
+        self._cross_validate(config, p_a, p_b)
 
     def test_exact_config_has_zero_error(self):
-        assert gear_error_probability(GeArConfig(8, 8, 0)) == pytest.approx(0.0)
+        assert _run(GeArConfig(8, 8, 0)).p_error == pytest.approx(0.0)
 
     def test_matches_exhaustive_count(self):
         cfg = GeArConfig(8, 2, 2)
-        errors, total = gear_exhaustive(cfg)
-        assert errors / total == pytest.approx(
-            gear_error_probability(cfg, 0.5, 0.5), abs=1e-12
-        )
+        oracle = _run(cfg, engine="zoo-exhaustive")
+        assert oracle.cases == 1 << (2 * cfg.n)
+        assert oracle.p_error == pytest.approx(_run(cfg).p_error, abs=1e-12)
 
     def test_more_prediction_bits_reduce_error(self):
         # GeAr(8, 2, P): raising P monotonically lowers the error.
-        errors = [
-            gear_error_probability(GeArConfig(8, 2, p)) for p in (0, 2, 4, 6)
-        ]
+        errors = [_run(GeArConfig(8, 2, p)).p_error for p in (0, 2, 4, 6)]
         assert errors == sorted(errors, reverse=True)
         assert errors[2] > 0.0      # P=4 is still approximate (k=2)
         assert errors[3] == 0.0     # P=6 makes L=N: a single exact window
 
     def test_success_complements_error(self):
-        cfg = GeArConfig(6, 2, 2)
-        assert gear_success_probability(cfg, 0.3, 0.7) == pytest.approx(
-            1 - gear_error_probability(cfg, 0.3, 0.7)
-        )
+        result = _run(GeArConfig(6, 2, 2), 0.3, 0.7)
+        assert result.p_success == pytest.approx(1 - result.p_error)
 
 
 class TestSubAdderMarginals:
@@ -102,7 +120,7 @@ class TestSubAdderMarginals:
 
     def test_union_bound(self):
         cfg = GeArConfig(8, 1, 3)
-        total = gear_error_probability(cfg)
+        total = _run(cfg).p_error
         marginals = gear_subadder_error_probabilities(cfg)
         assert total <= sum(marginals) + 1e-12
         assert total >= max(marginals) - 1e-12
@@ -112,7 +130,7 @@ class TestInclusionExclusionBaseline:
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.describe())
     def test_agrees_with_dp(self, config):
         report = gear_inclusion_exclusion(config, 0.4, 0.6)
-        dp = gear_error_probability(config, 0.4, 0.6)
+        dp = _run(config, 0.4, 0.6).p_error
         assert report.p_error == pytest.approx(dp, abs=1e-10)
 
     def test_term_count(self):
@@ -130,21 +148,21 @@ class TestInclusionExclusionBaseline:
 class TestMonteCarlo:
     def test_converges_to_dp(self):
         cfg = GeArConfig(8, 2, 2)
-        dp = gear_error_probability(cfg, 0.5, 0.5)
-        mc = gear_monte_carlo(cfg, 0.5, 0.5, samples=400_000, seed=2)
-        assert abs(mc - dp) < 3e-3
+        dp = _run(cfg).p_error
+        mc = _run(cfg, engine="zoo-mc", samples=400_000, seed=2)
+        assert not mc.exact
+        assert abs(mc.p_error - dp) < 3e-3
 
     def test_sample_validation(self):
-        with pytest.raises(AnalysisError):
-            gear_monte_carlo(GeArConfig(4, 2, 0), samples=0)
+        with pytest.raises(AnalysisError, match="samples"):
+            _run(GeArConfig(4, 2, 0), engine="zoo-mc", samples=-1)
 
 
 class TestScalability:
     def test_wide_gear_analysis_is_fast_and_sane(self):
         # 64-bit GeAr: hopeless for enumeration, trivial for the DP.
-        cfg = GeArConfig(64, 4, 4)
-        p = gear_error_probability(cfg)
-        assert 0.0 < p < 1.0
+        result = _run(GeArConfig(64, 4, 4))
+        assert result.engine == "zoo-dp"
+        assert 0.0 < result.p_error < 1.0
         # sanity: more sub-adders (same P) err more than fewer.
-        p_fewer = gear_error_probability(GeArConfig(64, 12, 4))
-        assert p > p_fewer
+        assert result.p_error > _run(GeArConfig(64, 12, 4)).p_error

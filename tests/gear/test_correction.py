@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import engine
+from repro.core.adder_zoo import from_gear
 from repro.core.exceptions import AnalysisError
-from repro.gear.analysis import (
-    gear_error_probability,
-    gear_subadder_error_probabilities,
-)
+from repro.engine import AnalysisRequest
+from repro.gear.analysis import gear_subadder_error_probabilities
 from repro.gear.config import GeArConfig
 from repro.gear.correction import (
     corrected_error_probability,
@@ -19,6 +19,11 @@ from repro.gear.correction import (
 from repro.gear.functional import gear_add, gear_error_positions
 
 CFG = GeArConfig(8, 2, 2)
+
+
+def zoo_p_error(config, p_a, p_b):
+    request = AnalysisRequest.zoo(from_gear(config), p_a, p_b)
+    return engine.run(request).p_error
 
 
 class TestDetection:
@@ -101,7 +106,7 @@ class TestCountDistribution:
     def test_zero_count_matches_success_probability(self):
         pmf = error_count_distribution(CFG, 0.3, 0.8)
         assert pmf[0] == pytest.approx(
-            1.0 - gear_error_probability(CFG, 0.3, 0.8), abs=1e-12
+            1.0 - zoo_p_error(CFG, 0.3, 0.8), abs=1e-12
         )
 
     def test_matches_exhaustive_count_histogram(self):
@@ -125,11 +130,15 @@ class TestCountDistribution:
         assert len(pmf) == 3
         assert sum(pmf) == pytest.approx(1.0, abs=1e-12)
 
+    def test_negative_max_count_rejected(self):
+        with pytest.raises(AnalysisError, match="max_count"):
+            error_count_distribution(CFG, max_count=-1)
+
 
 class TestResidualError:
     def test_budget_zero_is_plain_error_probability(self):
         assert corrected_error_probability(CFG, 0, 0.5, 0.5) == pytest.approx(
-            gear_error_probability(CFG, 0.5, 0.5), abs=1e-12
+            zoo_p_error(CFG, 0.5, 0.5), abs=1e-12
         )
 
     def test_full_budget_is_zero_error(self):

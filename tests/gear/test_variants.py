@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro import engine
+from repro.core.adder_zoo import from_gear
 from repro.core.exceptions import GeArConfigError
-from repro.gear.analysis import gear_error_probability
+from repro.engine import AnalysisRequest
 from repro.gear.config import GeArConfig
 from repro.gear.functional import gear_add
 from repro.gear.variants import (
@@ -13,6 +15,10 @@ from repro.gear.variants import (
     named_variants,
     variant_comparison,
 )
+
+
+def zoo_p_error(config):
+    return engine.run(AnalysisRequest.zoo(from_gear(config))).p_error
 
 
 class TestAcaI:
@@ -29,7 +35,7 @@ class TestAcaI:
                 assert gear_add(config, a, b) == a + b
 
     def test_bigger_windows_err_less(self):
-        errors = [gear_error_probability(aca_i(12, w)) for w in (2, 4, 6)]
+        errors = [zoo_p_error(aca_i(12, w)) for w in (2, 4, 6)]
         assert errors == sorted(errors, reverse=True)
 
     def test_validation(self):
@@ -52,13 +58,13 @@ class TestEtaii:
             etaii(8, 8)
 
     def test_larger_blocks_err_less(self):
-        errors = [gear_error_probability(etaii(16, b)) for b in (2, 4, 8)]
+        errors = [zoo_p_error(etaii(16, b)) for b in (2, 4, 8)]
         assert errors == sorted(errors, reverse=True)
 
 
 class TestComparison:
     def test_rca_is_exact(self):
-        assert gear_error_probability(accurate_rca(12)) == pytest.approx(0.0)
+        assert zoo_p_error(accurate_rca(12)) == pytest.approx(0.0)
 
     def test_named_variants_cover_families(self):
         variants = named_variants(16)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.exceptions import AnalysisError
 from repro.core.magnitude import error_pmf
-from repro.core.recursive import error_probability
+from repro.core.recursive import analyze_chain
 from repro.core.truth_table import ACCURATE
 from repro.simulation.exhaustive import (
     exhaustive_error_count,
@@ -18,7 +18,7 @@ class TestErrorProbability:
         # The paper's "100 percent match (up to any decimal precision)".
         for width in (1, 2, 5):
             exact = exhaustive_error_probability(lpaa_cell, width)
-            analytical = error_probability(lpaa_cell, width, 0.5, 0.5, 0.5)
+            analytical = analyze_chain(lpaa_cell, width, 0.5, 0.5, 0.5).p_error
             assert exact == pytest.approx(float(analytical), abs=1e-12)
 
     def test_matches_analytical_weighted(self, lpaa_cell):
@@ -27,7 +27,7 @@ class TestErrorProbability:
         p_a = [0.15, 0.9, 0.42, 0.68]
         p_b = [0.33, 0.05, 0.77, 0.5]
         exact = exhaustive_error_probability(lpaa_cell, 4, p_a, p_b, 0.22)
-        analytical = error_probability(lpaa_cell, 4, p_a, p_b, 0.22)
+        analytical = analyze_chain(lpaa_cell, 4, p_a, p_b, 0.22).p_error
         assert exact == pytest.approx(float(analytical), abs=1e-12)
 
     def test_accurate_adder_never_errs(self):
@@ -41,7 +41,7 @@ class TestErrorProbability:
 
         assert chain_is_exact(chain)
         exact = exhaustive_error_probability(chain, p_a=0.3, p_b=0.3, p_cin=0.3)
-        analytical = error_probability(chain, None, 0.3, 0.3, 0.3)
+        analytical = analyze_chain(chain, None, 0.3, 0.3, 0.3).p_error
         assert exact == pytest.approx(float(analytical), abs=1e-12)
 
     def test_hybrid_chain_with_masking_is_upper_bounded(self):
@@ -55,7 +55,7 @@ class TestErrorProbability:
         assert not chain_is_exact(chain)
         functional = exhaustive_error_probability(chain, p_a=0.3, p_b=0.3,
                                                   p_cin=0.3)
-        analytical = float(error_probability(chain, None, 0.3, 0.3, 0.3))
+        analytical = float(analyze_chain(chain, None, 0.3, 0.3, 0.3).p_error)
         assert analytical > functional
 
     def test_width_guard(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.exceptions import AnalysisError
-from repro.core.recursive import error_probability
+from repro.core.recursive import analyze_chain
 from repro.simulation.montecarlo import (
     MonteCarloResult,
     simulate_error_probability,
@@ -15,7 +15,7 @@ from repro.simulation.montecarlo import (
 class TestSimulateErrorProbability:
     def test_three_decimal_agreement_at_1m_samples(self):
         # The paper's Table 6 claim, at the Table 7 operating point.
-        analytical = float(error_probability("LPAA 6", 8, 0.1, 0.1, 0.1))
+        analytical = float(analyze_chain("LPAA 6", 8, 0.1, 0.1, 0.1).p_error)
         result = simulate_error_probability(
             "LPAA 6", 8, 0.1, 0.1, 0.1, samples=1_000_000, seed=7
         )
@@ -38,7 +38,7 @@ class TestSimulateErrorProbability:
         assert 0 < result.half_width() < 0.05
 
     def test_estimate_within_confidence_interval(self, lpaa_cell):
-        analytical = float(error_probability(lpaa_cell, 5, 0.4, 0.4, 0.4))
+        analytical = float(analyze_chain(lpaa_cell, 5, 0.4, 0.4, 0.4).p_error)
         result = simulate_error_probability(
             lpaa_cell, 5, 0.4, 0.4, 0.4, samples=200_000, seed=123
         )

@@ -10,14 +10,14 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro import engine
+from repro.core.adder_zoo import from_gear
 from repro.core.adders import PAPER_LPAAS, paper_cell
 from repro.core.hybrid import HybridChain
 from repro.core.recursive import analyze_chain
+from repro.engine import AnalysisRequest
 from repro.explore.hybrid_search import optimal_hybrid
-from repro.gear.analysis import (
-    gear_error_probability,
-    gear_subadder_error_probabilities,
-)
+from repro.gear.analysis import gear_subadder_error_probabilities
 from repro.gear.config import GeArConfig
 from repro.gear.correction import (
     corrected_error_probability,
@@ -43,6 +43,11 @@ def gear_configs(max_n: int = 12):
     return st.tuples(
         st.integers(2, max_n), st.integers(0, 97), st.integers(0, 89)
     ).map(build)
+
+
+def gear_p_error(config, p):
+    """Exact GeAr error rate: the zoo DP over ``gear:N:R:P``."""
+    return engine.run(AnalysisRequest.zoo(from_gear(config), p, p)).p_error
 
 
 # -- GeAr -----------------------------------------------------------------------
@@ -72,7 +77,7 @@ def test_gear_full_correction_is_exact(config, a_seed, b_seed):
 @settings(max_examples=50, deadline=None)
 def test_gear_error_between_union_bounds(config, p):
     marginals = gear_subadder_error_probabilities(config, p, p)
-    total = gear_error_probability(config, p, p)
+    total = gear_p_error(config, p)
     assert total <= sum(marginals) + 1e-9
     assert total >= max(marginals, default=0.0) - 1e-9
 
@@ -83,7 +88,7 @@ def test_gear_count_distribution_consistency(config, p):
     pmf = error_count_distribution(config, p, p)
     assert math.isclose(sum(pmf), 1.0, abs_tol=1e-9)
     assert math.isclose(
-        1.0 - pmf[0], gear_error_probability(config, p, p), abs_tol=1e-9
+        1.0 - pmf[0], gear_p_error(config, p), abs_tol=1e-9
     )
     # residual error with budget b is the tail of the count PMF
     for budget in range(len(pmf)):
@@ -167,16 +172,15 @@ def test_correlated_engine_reduces_to_standard_under_independence(
 ):
     from repro.core.correlated import (
         JointBitDistribution,
-        error_probability_correlated,
+        analyze_chain_correlated,
     )
-    from repro.core.recursive import error_probability
 
     joints = [
         JointBitDistribution.independent(pa, pb)
         for pa, pb in zip(p_a, p_b)
     ]
-    got = error_probability_correlated(cell, joints, p_cin)
-    ref = float(error_probability(cell, 4, p_a, p_b, p_cin))
+    got = 1.0 - analyze_chain_correlated(cell, joints, p_cin)[0]
+    ref = float(analyze_chain(cell, 4, p_a, p_b, p_cin).p_error)
     assert math.isclose(got, ref, abs_tol=1e-9)
 
 

@@ -15,7 +15,7 @@ from repro.core.hybrid import HybridChain
 from repro.core.magnitude import error_pmf
 from repro.core.masking import chain_is_exact
 from repro.core.metrics import metrics_from_pmf, metrics_from_samples
-from repro.core.recursive import error_probability
+from repro.core.recursive import analyze_chain
 from repro.explore.design_space import sweep_design_space
 from repro.explore.hybrid_search import optimal_hybrid
 from repro.explore.pareto import pareto_front
@@ -60,7 +60,7 @@ class TestStructuralStatisticalAgreement:
         cin = rng.integers(0, 2, samples)
         got = netlist_add_array(netlist, a, b, cin, width)
         error_rate = float((got != a + b + cin).mean())
-        analytical = float(error_probability(cell, width, 0.5, 0.5, 0.5))
+        analytical = float(analyze_chain(cell, width, 0.5, 0.5, 0.5).p_error)
         assert error_rate == pytest.approx(analytical, abs=5e-3)
 
 
@@ -88,8 +88,8 @@ class TestMetricsPipelines:
         exact = approximate_blend(img_a, img_b, "accurate", approx_bits=0)
         chain_small = ["LPAA 7"] * 3 + ["accurate"] * 5
         chain_large = ["LPAA 2"] * 3 + ["accurate"] * 5
-        p_small = float(error_probability(chain_small, None, 0.5, 0.5, 0.0))
-        p_large = float(error_probability(chain_large, None, 0.5, 0.5, 0.0))
+        p_small = analyze_chain(chain_small, None, 0.5, 0.5, 0.0).p_error
+        p_large = analyze_chain(chain_large, None, 0.5, 0.5, 0.0).p_error
         assert p_small < p_large
         q_small = psnr(exact, approximate_blend(img_a, img_b, "LPAA 7",
                                                 approx_bits=3))
@@ -110,7 +110,7 @@ class TestCustomCellEndToEnd:
         cell = FullAdderTruthTable(rows, name="flip000")
 
         # analytical
-        analytical = float(error_probability(cell, 4, 0.3, 0.3, 0.3))
+        analytical = float(analyze_chain(cell, 4, 0.3, 0.3, 0.3).p_error)
         # oracle
         oracle = exhaustive_error_probability(cell, 4, 0.3, 0.3, 0.3)
         assert analytical == pytest.approx(oracle, abs=1e-12)
