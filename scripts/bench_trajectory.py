@@ -4,9 +4,10 @@ The pytest-benchmark timings are great for local A/B runs but drift with
 every runner; what the repo pins instead is a small JSON document of
 *headline* metrics per benchmark (requests/second, speedup factors,
 wall seconds) written by the benches themselves.  Committed baselines
-(``BENCH_serve.json``, ``BENCH_parallel.json`` at the repo root) plus
-this module's comparison helper make a >20% regression visible in
-review instead of vanishing into CI noise.
+(``BENCH_serve.json``, ``BENCH_prefix.json`` and the other
+``BENCH_*.json`` files at the repo root) plus this module's comparison
+helper make a >20% regression visible in review instead of vanishing
+into CI noise.
 
 Document schema (``sealpaa-bench-v1``)::
 

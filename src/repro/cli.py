@@ -68,26 +68,6 @@ def _prob_list(text: str) -> object:
     return _probability(text)
 
 
-def _jobs(text: str) -> object:
-    """``--jobs`` value: ``auto``, ``off``, or a worker count."""
-    if text in ("auto", "off"):
-        return text
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"jobs must be 'auto', 'off' or an integer, got {text!r}"
-        ) from None
-
-
-def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs", type=_jobs, default="off", metavar="N",
-        help="worker processes for sharded execution: a count, 'auto' "
-             "(one per CPU), or 'off' (default; serial)",
-    )
-
-
 def _budget_from_args(args):
     """Build a :class:`repro.runtime.RunBudget` from CLI flags (or None)."""
     deadline = getattr(args, "deadline", None)
@@ -221,7 +201,6 @@ def _cmd_simulate(args) -> int:
         budget=_budget_from_args(args), samples=args.samples,
         seed=args.seed, checkpoint_path=getattr(args, "checkpoint", None),
         resume=getattr(args, "resume", False),
-        jobs=getattr(args, "jobs", None),
     )
     print(f"chain      : {chain.describe()}")
     print(f"engine     : {result.engine}  ({result.reason})")
@@ -442,7 +421,6 @@ def _cmd_export(args) -> int:
         args.widths,
         args.probabilities,
         power_model=model,
-        parallelism=getattr(args, "jobs", "off"),
     )
     manifest = obs.build_manifest(
         "design-space-export",
@@ -608,7 +586,6 @@ def _cmd_serve(args) -> int:
         queue_limit=args.queue_limit,
         default_deadline_s=args.default_deadline,
         drain_grace_s=args.drain_grace,
-        parallelism=getattr(args, "jobs", "off"),
         cache_dir=args.cache_dir,
         max_disk_entries=args.max_disk_entries,
         segment_cache_dir=args.segment_cache_dir,
@@ -993,7 +970,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--save", metavar="PATH", default=None,
                    help="write the result (with manifest) as JSON")
     _add_runtime_arguments(p, caps=True)
-    _add_jobs_argument(p)
     _add_obs_arguments(p)
     p.set_defaults(func=_cmd_simulate)
 
@@ -1108,7 +1084,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "(default: from the file suffix)")
     p.add_argument("-o", "--output", required=True,
                    help="output file path")
-    _add_jobs_argument(p)
     _add_obs_arguments(p)
     p.set_defaults(func=_cmd_export)
 
@@ -1258,7 +1233,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--slo-cache-hit-rate", type=float, metavar="RATIO", default=None,
         help="degrade /healthz when the result-cache hit rate falls "
              "below this (default: disabled)")
-    _add_jobs_argument(p)
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(

@@ -25,7 +25,7 @@ associative, which yields three guarantees at once:
 * the segment-tree bracketing cannot change the answer, so any prefix /
   suffix split -- and therefore any cache hit pattern -- returns the
   same bits as a cold stage-by-stage evaluation (warm == cold);
-* serial and parallel evaluations agree bit-for-bit with no
+* batched and single evaluations agree bit-for-bit with no
   fixed-order summation discipline needed (the `_masked_sum` contract
   of the float path is subsumed: exact sums have no rounding order).
 

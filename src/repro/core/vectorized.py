@@ -66,12 +66,12 @@ def _masked_sum(ipm: np.ndarray, mask: np.ndarray) -> np.ndarray:
     ``numpy``'s matmul hands the contraction to BLAS kernels whose
     summation order varies with the batch shape, so the same
     probability row can land on a different last ulp depending on which
-    rows happen to share its batch.  The parallel executor
-    (:mod:`repro.engine.parallel`) shards batches across worker
-    processes and promises results bit-identical to the serial path, so
-    the 8-term reduction is accumulated explicitly in canonical row
-    order instead: elementwise multiplies and adds are exactly rounded,
-    which makes every row's value independent of its batch mates.
+    rows happen to share its batch.  ``run_batch`` groups and chunks
+    requests by cell sequence, and a request must get the same bits
+    whichever batch it lands in, so the 8-term reduction is accumulated
+    explicitly in canonical row order instead: elementwise multiplies
+    and adds are exactly rounded, which makes every row's value
+    independent of its batch mates.
     """
     out = ipm[:, 0] * mask[0]
     for j in range(1, ipm.shape[1]):

@@ -112,13 +112,6 @@ from .zoo import (
     ZOO_TRUNCATED_MAX_WIDTH,
     register_zoo_engines,
 )
-from .parallel import (
-    PARALLEL_EXHAUSTIVE,
-    budget_allows_parallel,
-    parallel_exhaustive,
-    resolve_jobs,
-    run_batch_parallel,
-)
 
 __all__ = [
     "AnalysisRequest",
@@ -162,7 +155,6 @@ __all__ = [
     "METRIC_P_ERROR",
     "METRIC_P_SUCCESS",
     "METRIC_WCE",
-    "PARALLEL_EXHAUSTIVE",
     "ZOO_EXACT_MAX_WIDTH",
     "ZOO_MC_MAX_WIDTH",
     "ZOO_MRED_EXACT_MAX_WIDTH",
@@ -173,7 +165,6 @@ __all__ = [
     "StageMatrixCache",
     "StageTransition",
     "analysis_matrices",
-    "budget_allows_parallel",
     "cache_stats",
     "clear_cache",
     "configure_cache",
@@ -182,12 +173,9 @@ __all__ = [
     "get_segment_cache",
     "error_curves",
     "mask_arrays",
-    "parallel_exhaustive",
     "register_builtin_engines",
-    "resolve_jobs",
     "run",
     "run_batch",
-    "run_batch_parallel",
     "select_engine",
     "stage_transition",
 ]

@@ -239,19 +239,6 @@ def run_exhaustive(request: AnalysisRequest, **options: object) -> AnalysisResul
     )
 
 
-def run_parallel_exhaustive(
-    request: AnalysisRequest, **options: object
-) -> AnalysisResult:
-    """Exhaustive enumeration sharded across ``options["jobs"]`` workers."""
-    from .parallel import parallel_exhaustive
-
-    return parallel_exhaustive(
-        request, jobs=int(options.get("jobs") or 0),  # type: ignore[arg-type]
-        budget=options.get("budget"),  # type: ignore[arg-type]
-        progress=options.get("progress"),
-    )
-
-
 def run_montecarlo(request: AnalysisRequest, **options: object) -> AnalysisResult:
     """Seeded Monte-Carlo estimation (budgetable, checkpointable)."""
     from ..simulation.montecarlo import (
@@ -344,14 +331,14 @@ def register_builtin_engines() -> None:
     REGISTRY.register(EngineInfo(
         name="recursive", family=FAMILY_ANALYTICAL,
         request_kinds=(KIND_CHAIN,), exact=True, deterministic=True,
-        run=run_recursive, supports_trace=True, parallel_safe=True,
+        run=run_recursive, supports_trace=True,
         cost_estimate=lambda request: _STAGE_COST * request.width,
         description="paper Algorithm 1 over cached stage transitions",
     ))
     REGISTRY.register(EngineInfo(
         name="transfer", family=FAMILY_ANALYTICAL,
         request_kinds=(KIND_CHAIN,), exact=True, deterministic=True,
-        run=run_transfer, parallel_safe=True,
+        run=run_transfer,
         cost_estimate=lambda request: (
             _TRANSFER_OVERHEAD + _TRANSFER_STAGE_COST * request.width),
         description="exact segment-tree composition, prefix-cached",
@@ -359,7 +346,7 @@ def register_builtin_engines() -> None:
     REGISTRY.register(EngineInfo(
         name="vectorized", family=FAMILY_ANALYTICAL,
         request_kinds=(KIND_CHAIN,), exact=True, deterministic=True,
-        run=run_vectorized, parallel_safe=True,
+        run=run_vectorized,
         cost_estimate=lambda request: (
             _VECTOR_OVERHEAD + 12.0 * request.width),
         description="NumPy batch recursion (cache-fed mask arrays)",
@@ -375,19 +362,17 @@ def register_builtin_engines() -> None:
         name="inclusion-exclusion", family=FAMILY_ANALYTICAL,
         request_kinds=(KIND_CHAIN,), exact=True, deterministic=True,
         run=run_inclusion_exclusion, max_width=MAX_IE_WIDTH,
-        parallel_safe=True,
         cost_estimate=lambda request: (
             request.width * 2.0 ** request.width),
         description="the exponential baseline the paper beats (Table 3)",
     ))
     # The chain simulation ladder: one enumeration block, then chunked
-    # (bounded memory), then sharded across a pool, then sampling.
+    # (bounded memory), then sampling.
     REGISTRY.register(EngineInfo(
         name="exhaustive", family=FAMILY_SIMULATION,
         request_kinds=(KIND_CHAIN,), exact=True, deterministic=True,
         run=run_exhaustive, max_width=MAX_EXHAUSTIVE_WIDTH,
-        block_cases=BLOCK_CASES, parallel_safe=True,
-        cost_estimate=_enumeration_cost,
+        block_cases=BLOCK_CASES, cost_estimate=_enumeration_cost,
         degrades_to={KIND_CHAIN: "chunked-exhaustive"},
         description="weighted enumeration of all 2^(2N+1) cases",
     ))
@@ -395,30 +380,21 @@ def register_builtin_engines() -> None:
         name="chunked-exhaustive", family=FAMILY_SIMULATION,
         request_kinds=(KIND_CHAIN,), exact=True, deterministic=True,
         run=run_exhaustive, max_width=MAX_EXHAUSTIVE_WIDTH,
-        parallel_safe=True, cost_estimate=_enumeration_cost,
-        degrades_to={KIND_CHAIN: "parallel-exhaustive"},
-        description="the exhaustive enumerator, block by block",
-    ))
-    REGISTRY.register(EngineInfo(
-        name="parallel-exhaustive", family=FAMILY_SIMULATION,
-        request_kinds=(KIND_CHAIN,), exact=True, deterministic=True,
-        run=run_parallel_exhaustive, max_width=MAX_EXHAUSTIVE_WIDTH,
         cost_estimate=_enumeration_cost,
         degrades_to={KIND_CHAIN: "montecarlo"},
-        description="exhaustive enumeration sharded across a process pool",
+        description="the exhaustive enumerator, block by block",
     ))
     REGISTRY.register(EngineInfo(
         name="montecarlo", family=FAMILY_SIMULATION,
         request_kinds=(KIND_CHAIN,), exact=False,
         run=run_montecarlo, default_samples=PAPER_SAMPLE_COUNT,
-        parallel_safe=True,
         cost_estimate=lambda request: float(PAPER_SAMPLE_COUNT),
         description="seeded sampling estimate with Wilson intervals",
     ))
     REGISTRY.register(EngineInfo(
         name="multiop-exact", family=FAMILY_SIMULATION,
         request_kinds=(KIND_MULTIOP,), exact=True, deterministic=True,
-        run=run_multiop_exact, parallel_safe=True,
+        run=run_multiop_exact,
         block_cases=MULTIOP_EXACT_CASES, cost_estimate=_multiop_cases,
         degrades_to={KIND_MULTIOP: "multiop-mc"},
         description="weighted enumeration of the CSA tree + final adder",
@@ -426,7 +402,7 @@ def register_builtin_engines() -> None:
     REGISTRY.register(EngineInfo(
         name="multiop-mc", family=FAMILY_SIMULATION,
         request_kinds=(KIND_MULTIOP,), exact=False,
-        run=run_multiop_mc, default_samples=200_000, parallel_safe=True,
+        run=run_multiop_mc, default_samples=200_000,
         cost_estimate=lambda request: 200_000.0,
         description="Monte-Carlo over the functional CSA-tree model",
     ))

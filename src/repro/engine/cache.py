@@ -221,29 +221,6 @@ class StageMatrixCache:
             _metrics.set_gauge("engine.cache.size", size)
         return transition
 
-    def merge_stats(self, hits: int = 0, misses: int = 0) -> None:
-        """Fold external hit/miss deltas into this cache's totals.
-
-        :mod:`repro.engine.parallel` workers serve lookups from their
-        own per-process cache; their per-chunk deltas are merged here so
-        ``stats()`` and the ``engine.cache.*`` obs counters describe the
-        whole run, not just the parent process.
-        """
-        if hits < 0 or misses < 0:
-            raise ValueError(
-                f"stat deltas must be >= 0, got hits={hits} misses={misses}"
-            )
-        if not (hits or misses):
-            return
-        with self._lock:
-            self._hits += hits
-            self._misses += misses
-        if _metrics.is_enabled():
-            if hits:
-                _metrics.inc("engine.cache.hits", hits)
-            if misses:
-                _metrics.inc("engine.cache.misses", misses)
-
     def stats(self) -> CacheStats:
         with self._lock:
             return CacheStats(hits=self._hits, misses=self._misses,

@@ -422,7 +422,7 @@ def register_distribution_engines() -> None:
     REGISTRY.register(EngineInfo(
         name="distribution-dp", family=FAMILY_ANALYTICAL,
         request_kinds=DISTRIBUTION_KINDS, exact=True, deterministic=True,
-        run=run_distribution_dp, parallel_safe=True,
+        run=run_distribution_dp,
         cost_estimate=_dp_cost,
         # ``wce`` has no entry: the interval DP is exact at any width.
         width_limits={KIND_ERROR_DISTRIBUTION: DIST_EXACT_MAX_WIDTH,
@@ -439,7 +439,7 @@ def register_distribution_engines() -> None:
     REGISTRY.register(EngineInfo(
         name="distribution-dp-truncated", family=FAMILY_ANALYTICAL,
         request_kinds=DISTRIBUTION_KINDS, exact=False, deterministic=True,
-        run=run_distribution_dp_truncated, parallel_safe=True,
+        run=run_distribution_dp_truncated,
         cost_estimate=lambda request: 3000.0 * request.width ** 2,
         width_limits={KIND_ERROR_DISTRIBUTION: DIST_TRUNCATED_MAX_WIDTH,
                       KIND_MED: DIST_TRUNCATED_MAX_WIDTH},
@@ -451,7 +451,7 @@ def register_distribution_engines() -> None:
     REGISTRY.register(EngineInfo(
         name="distribution-exhaustive", family=FAMILY_SIMULATION,
         request_kinds=DISTRIBUTION_KINDS, exact=True, deterministic=True,
-        run=run_distribution_exhaustive, parallel_safe=True,
+        run=run_distribution_exhaustive,
         max_width=MAX_EXHAUSTIVE_WIDTH,
         cost_estimate=lambda request: 2.0 ** (2 * request.width + 1),
         description="weighted enumeration oracle: PMF, MRED and bias in "
@@ -460,7 +460,7 @@ def register_distribution_engines() -> None:
     REGISTRY.register(EngineInfo(
         name="distribution-mc", family=FAMILY_SIMULATION,
         request_kinds=DISTRIBUTION_KINDS, exact=False,
-        run=run_distribution_mc, parallel_safe=True,
+        run=run_distribution_mc,
         default_samples=MC_DEFAULT_SAMPLES,
         cost_estimate=lambda request: float(MC_DEFAULT_SAMPLES),
         description="seeded sampling: Wilson-bounded ER, "

@@ -28,12 +28,7 @@ from ..obs import metrics as _metrics
 from ..obs.log import get_logger, log_event
 from ..obs.tracing import trace_span
 from ..runtime.budget import RunBudget, make_meter
-from ..runtime.router import (
-    ENGINE_EXHAUSTIVE,
-    ENGINE_PARALLEL_EXHAUSTIVE,
-    EngineDecision,
-    record_decision,
-)
+from ..runtime.router import ENGINE_EXHAUSTIVE, EngineDecision, record_decision
 from . import backends
 from . import diskcache as _diskcache
 from . import segcache as _segcache
@@ -122,7 +117,6 @@ def _misfit(
     info: EngineInfo,
     request: AnalysisRequest,
     budget: Optional[RunBudget],
-    workers: int,
 ) -> Optional[str]:
     """Why the *info* rung cannot answer *request* (``None``: it fits)."""
     if not info.accepts(request):
@@ -140,9 +134,9 @@ def _misfit(
         return (f"{cost:.0f} cases exceed the budget's max_cases "
                 f"({budget.max_cases})")
     if budget.deadline_s is not None \
-            and cost > budget.deadline_s * OPS_PER_SECOND * workers:
+            and cost > budget.deadline_s * OPS_PER_SECOND:
         return (f"{cost:.0f} ops would overrun the {budget.deadline_s:g}s "
-                f"deadline at ~{OPS_PER_SECOND * workers:.0f} ops/s")
+                f"deadline at ~{OPS_PER_SECOND:.0f} ops/s")
     return None
 
 
@@ -152,7 +146,6 @@ def select_engine(
     samples: Optional[int] = None,
     *,
     simulate: bool = False,
-    jobs: int = 0,
 ) -> EngineDecision:
     """Choose the engine for *request*: the one engine ladder.
 
@@ -166,8 +159,7 @@ def select_engine(
     fit: it refuses the request, the width passes its
     ``width_limits[kind]``, its cost passes ``block_cases``, an exact
     simulation's cost passes the budget's ``max_cases``, or the cost
-    passes ``deadline_s * OPS_PER_SECOND`` (times *jobs* on the
-    ``parallel-exhaustive`` rung, which is skipped when ``jobs < 2``).
+    passes ``deadline_s * OPS_PER_SECOND``.
     A rung without a ``degrades_to`` entry for the kind is final.
     ``degraded_from`` names the rung directly above the chosen one, and
     a sampling rung's *samples* are clamped to ``max_samples``.
@@ -179,13 +171,9 @@ def select_engine(
         fallback = rung.degrades_to.get(request.kind)
         if fallback is None:
             break
-        pooled = rung.name == ENGINE_PARALLEL_EXHAUSTIVE
-        if pooled and jobs < 2:
-            rung = REGISTRY.get(fallback)
-            continue
         if _enumerates(rung) and rung.accepts(request):
             estimated_cases = int(rung.cost_estimate(request))
-        why = _misfit(rung, request, budget, jobs if pooled else 1)
+        why = _misfit(rung, request, budget)
         if why is None:
             break
         degraded_from, reason = rung.name, f"{rung.name}: {why}"
@@ -220,7 +208,6 @@ def run(
     progress: Optional[object] = None,
     joints: Optional[Sequence[object]] = None,
     keep_trace: bool = False,
-    jobs: object = None,
     kind: Optional[str] = None,
 ) -> AnalysisResult:
     """Answer one analysis question through the registry.
@@ -230,10 +217,7 @@ def run(
     ``(cell, width, p_a, p_b, p_cin)`` convention.  *engine* forces a
     registered backend by name; ``simulate=True`` asks for a simulation
     answer routed down the budget-aware degradation ladder instead of
-    the analytical default.  *jobs* (``"auto"`` or a worker count)
-    offers the router a process pool: an exhaustive enumeration that
-    would overrun the deadline on one core may then run sharded as
-    ``parallel-exhaustive`` instead of degrading to Monte-Carlo.
+    the analytical default.
 
     *kind* switches the question itself: one of
     :data:`~repro.engine.request.DISTRIBUTION_KINDS`
@@ -242,8 +226,6 @@ def run(
     -- the answer lands in the result's ``med``/``wce``/``mred``/...
     fields.  Default (``None``) keeps the plain P(error) question.
     """
-    from . import parallel as _parallel
-
     if request is None and isinstance(cell, AnalysisRequest):
         request, cell = cell, None
     if request is None:
@@ -290,11 +272,9 @@ def run(
                 _metrics.inc("engine.selected.result-cache")
             return cached
 
-    jobs_n = _parallel.resolve_jobs(jobs) if jobs is not None else 0
     decision: Optional[EngineDecision] = None
     if engine is None:
-        decision = select_engine(request, budget, samples,
-                                 simulate=simulate, jobs=jobs_n)
+        decision = select_engine(request, budget, samples, simulate=simulate)
         engine_name = decision.engine
         if decision.samples is not None:
             samples = decision.samples
@@ -318,7 +298,7 @@ def run(
         result = info.run(
             request, budget=budget, samples=samples, seed=seed,
             checkpoint_path=checkpoint_path, resume=resume,
-            progress=progress, routed=bool(simulate), jobs=jobs_n,
+            progress=progress, routed=bool(simulate),
         )
     if _metrics.is_enabled():
         _metrics.inc("engine.requests")
@@ -357,7 +337,6 @@ def run_batch(
     requests: Sequence[AnalysisRequest],
     budget: Optional[RunBudget] = None,
     *,
-    parallelism: object = "off",
     engine: Optional[str] = None,
     simulate: bool = False,
     samples: Optional[int] = None,
@@ -373,23 +352,10 @@ def run_batch(
     positions of completed requests always hold well-formed results).
     Everything else falls back to :func:`run` per request.
 
-    ``parallelism`` (``"auto"``, a worker count, or ``"off"``) shards
-    the grouped chunks across a process pool
-    (:mod:`repro.engine.parallel`) with bit-identical results; budgets
-    capping ``max_samples``/``max_cases`` keep the run serial so the
-    caps stay exact.  *engine*/*simulate*/*samples*/*seed* force the
-    same :func:`run` options onto every request (e.g. a Monte-Carlo
-    sweep at a fixed seed) instead of the analytical default.
+    *engine*/*simulate*/*samples*/*seed* force the same :func:`run`
+    options onto every request (e.g. a Monte-Carlo sweep at a fixed
+    seed) instead of the analytical default.
     """
-    from . import parallel as _parallel
-
-    jobs = _parallel.resolve_jobs(parallelism)
-    if jobs and len(requests) > 1 \
-            and _parallel.budget_allows_parallel(budget):
-        return _parallel.run_batch_parallel(
-            requests, budget=budget, jobs=jobs, engine=engine,
-            simulate=simulate, samples=samples, seed=seed,
-        )
     if engine is not None or simulate or samples is not None:
         # Forced options: every request is a single through run().
         forced: List[Optional[AnalysisResult]] = [None] * len(requests)
@@ -533,7 +499,6 @@ def error_curves(
     max_width: int,
     p: object = 0.5,
     p_cin: object = 0.5,
-    parallelism: object = "off",
 ) -> np.ndarray:
     """``P(Error)`` of a uniform chain for every width ``1..max_width``.
 
@@ -541,20 +506,11 @@ def error_curves(
     (:func:`~repro.core.vectorized.success_by_width`) reports every
     prefix width (optionally over a batch of probability points at once
     -- scalar *p* gives ``(max_width,)``, a ``(batch,)`` *p* gives
-    ``(batch, max_width)``).  With ``parallelism`` enabled a
-    batched *p* is sliced across worker processes and re-concatenated
-    (the recursion is elementwise along the batch axis, so the rows are
-    bit-identical either way); a scalar *p* always runs serially.
+    ``(batch, max_width)``).
     """
     from ..core.recursive import resolve_chain
     from ..core.vectorized import success_by_width
-    from . import parallel as _parallel
 
     table = resolve_chain(cell, 1)[0]
-    jobs = _parallel.resolve_jobs(parallelism)
-    if jobs and np.ndim(p) == 1 and np.shape(p)[0] > 1:
-        return _parallel.error_curves_parallel(
-            table, max_width, p, p_cin, jobs
-        )
     with trace_span("engine.error_curves", max_width=max_width):
         return 1.0 - success_by_width(table, max_width, p, p_cin)

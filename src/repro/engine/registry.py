@@ -43,11 +43,6 @@ class EngineInfo:
     cost_estimate: CostEstimator
     supports_trace: bool = False
     supports_correlated: bool = False
-    #: Safe to execute in a worker process: the runner is a pure function
-    #: of a picklable request + options (no shared mutable state beyond
-    #: the per-process stage-matrix cache, whose hit/miss deltas are
-    #: merged back by :mod:`repro.engine.parallel`).
-    parallel_safe: bool = False
     #: The answer is a pure function of the request alone -- no seed,
     #: sample budget or wall clock in the output -- so it may be replayed
     #: from the persistent result cache (:mod:`repro.engine.diskcache`)

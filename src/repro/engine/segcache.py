@@ -38,9 +38,6 @@ Obs metrics: ``engine.cache.segment.{hits,misses}`` counters and the
 ``engine.cache.segment.size`` gauge for the memory tier;
 ``engine.cache.segment.disk.{hits,misses,writes,corrupt,evictions,
 races}`` and ``engine.cache.segment.disk.entries`` for the disk tier.
-Worker processes fold their per-chunk deltas back through
-:meth:`SegmentCache.merge_stats`, the same lock path the stage-matrix
-LRU uses (:mod:`repro.engine.parallel`).
 """
 
 from __future__ import annotations
@@ -314,24 +311,6 @@ class SegmentCache:
             loaded += 1
         return loaded
 
-    def merge_stats(self, hits: int = 0, misses: int = 0) -> None:
-        """Fold a worker chunk's hit/miss delta into this cache's totals
-        (the :mod:`repro.engine.parallel` merge path)."""
-        if hits < 0 or misses < 0:
-            raise ValueError(
-                f"stat deltas must be >= 0, got hits={hits} misses={misses}"
-            )
-        if not (hits or misses):
-            return
-        with self._lock:
-            self._hits += hits
-            self._misses += misses
-        if _metrics.is_enabled():
-            if hits:
-                _metrics.inc("engine.cache.segment.hits", hits)
-            if misses:
-                _metrics.inc("engine.cache.segment.misses", misses)
-
     def stats(self) -> Dict[str, object]:
         """Combined memory/disk statistics (JSON-ready, dashboard shape)."""
         with self._lock:
@@ -395,37 +374,3 @@ def disable_segment_cache() -> None:
 def get_segment_cache() -> Optional[SegmentCache]:
     """The installed process-wide segment cache, or ``None``."""
     return _SEGMENT_CACHE
-
-
-def export_config(cache: Optional[SegmentCache]) -> Optional[Dict[str, object]]:
-    """Wire form of an installed cache's *configuration* (not contents)
-    for worker processes; see :func:`ensure_worker_cache`."""
-    if cache is None:
-        return None
-    return {
-        "path": str(cache.store.root) if cache.store is not None else None,
-        "memory_entries": cache._memory_entries,
-        "max_disk_entries": (cache.store.max_entries
-                             if cache.store is not None else None),
-        "min_disk_span": cache.min_disk_span,
-    }
-
-
-def ensure_worker_cache(doc: Optional[Dict[str, object]]) -> None:
-    """Install a segment cache in a worker from :func:`export_config`.
-
-    Fork workers inherit the parent's installed cache and need nothing;
-    spawn workers start clean, and without this the worker would fall
-    back to the float path while the parent used the exact segment path
-    -- a bit-identity break across start methods.  Idempotent.
-    """
-    if doc is None or _SEGMENT_CACHE is not None:
-        return
-    configure_segment_cache(
-        doc.get("path"),  # type: ignore[arg-type]
-        memory_entries=int(doc.get("memory_entries",
-                                   DEFAULT_MEMORY_ENTRIES)),  # type: ignore[arg-type]
-        max_disk_entries=doc.get("max_disk_entries"),  # type: ignore[arg-type]
-        min_disk_span=int(doc.get("min_disk_span",
-                                  DEFAULT_MIN_DISK_SPAN)),  # type: ignore[arg-type]
-    )

@@ -295,7 +295,7 @@ def register_zoo_engines() -> None:
     REGISTRY.register(EngineInfo(
         name="zoo-dp", family=FAMILY_ANALYTICAL,
         request_kinds=ZOO_KINDS, exact=True, deterministic=True,
-        run=run_zoo_dp, parallel_safe=True, supports_block=True,
+        run=run_zoo_dp, supports_block=True,
         cost_estimate=lambda request: (
             8.0 * request.width * min(2.0 ** request.width, 4.0e6)),
         # ``chain`` and ``wce`` have no entry: their DPs are linear-time
@@ -312,7 +312,7 @@ def register_zoo_engines() -> None:
     REGISTRY.register(EngineInfo(
         name="zoo-dp-truncated", family=FAMILY_ANALYTICAL,
         request_kinds=ZOO_KINDS, exact=False, deterministic=True,
-        run=run_zoo_dp_truncated, parallel_safe=True, supports_block=True,
+        run=run_zoo_dp_truncated, supports_block=True,
         cost_estimate=lambda request: 3000.0 * request.width ** 2,
         width_limits={KIND_ERROR_DISTRIBUTION: ZOO_TRUNCATED_MAX_WIDTH,
                       KIND_MED: ZOO_TRUNCATED_MAX_WIDTH},
@@ -323,7 +323,7 @@ def register_zoo_engines() -> None:
     REGISTRY.register(EngineInfo(
         name="zoo-exhaustive", family=FAMILY_SIMULATION,
         request_kinds=ZOO_KINDS, exact=True, deterministic=True,
-        run=run_zoo_exhaustive, parallel_safe=True, supports_block=True,
+        run=run_zoo_exhaustive, supports_block=True,
         max_width=ZOO_EXACT_MAX_WIDTH,
         cost_estimate=lambda request: 2.0 ** (2 * request.width + 1),
         description="weighted enumeration oracle through the bit-true "
@@ -332,7 +332,7 @@ def register_zoo_engines() -> None:
     REGISTRY.register(EngineInfo(
         name="zoo-mc", family=FAMILY_SIMULATION,
         request_kinds=ZOO_KINDS, exact=False,
-        run=run_zoo_mc, parallel_safe=True, supports_block=True,
+        run=run_zoo_mc, supports_block=True,
         max_width=ZOO_MC_MAX_WIDTH, default_samples=MC_DEFAULT_SAMPLES,
         cost_estimate=lambda request: float(MC_DEFAULT_SAMPLES),
         description="seeded operand sampling through "

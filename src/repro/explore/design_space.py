@@ -46,17 +46,12 @@ def sweep_design_space(
     widths: Sequence[int],
     probabilities: Sequence[float],
     power_model: Optional[PowerModel] = None,
-    parallelism: object = "off",
 ) -> List[DesignPoint]:
     """Evaluate every (cell, width, input probability) combination.
 
     Error probabilities come from one vectorised recursion pass per
     (cell, probability); power/area are attached when a *power_model* is
     supplied (each adds one structural evaluation per cell/width).
-    ``parallelism`` (``"auto"``, a worker count, or ``"off"``) is
-    forwarded to :func:`repro.engine.error_curves`, which shards each
-    cell's probability grid across worker processes with bit-identical
-    results.
     """
     if not cells or not widths or not probabilities:
         raise ExplorationError("cells, widths and probabilities must be non-empty")
@@ -74,8 +69,7 @@ def sweep_design_space(
         table = resolve_cell(spec)
         # The paper's operating points tie the carry-in to the operand
         # probability (e.g. Table 7's "A_i = B_i = C_in = 0.1").
-        curves = error_curves(table, max_width, prob_array,
-                              p_cin=prob_array, parallelism=parallelism)
+        curves = error_curves(table, max_width, prob_array, p_cin=prob_array)
         curves = np.atleast_2d(curves)
         for pi, p in enumerate(prob_list):
             for width in width_list:

@@ -499,7 +499,6 @@ def hybrid_tradeoff_curve(
     p_cin: float = 0.5,
     power_model: Optional[PowerModel] = None,
     budget: Optional[RunBudget] = None,
-    parallelism: object = "off",
 ) -> ParetoFront:
     """Sweep the power weight to trace an error/power trade-off frontier.
 
@@ -513,13 +512,6 @@ def hybrid_tradeoff_curve(
     partial front explored so far as a :class:`ParetoFront` with
     ``truncated=True`` -- a deadline-limited exploration degrades to a
     coarser frontier instead of failing with nothing.
-
-    ``parallelism`` (``"auto"``, a worker count, or ``"off"``) fans the
-    independent per-weight searches out across worker processes
-    (:mod:`repro.engine.parallel`); the front is assembled in weight
-    order, so the result matches a serial sweep.  A custom
-    *power_model* keeps the sweep serial -- models are not shipped to
-    workers, which rebuild the datasheet default.
     """
     if not power_weights:
         raise ExplorationError("need at least one power weight")
@@ -531,48 +523,21 @@ def hybrid_tradeoff_curve(
     stop_reason: Optional[str] = None
     weights = sorted(float(w) for w in power_weights)
 
-    jobs = 0
-    if power_model is None and len(weights) > 1:
-        from ..engine.parallel import resolve_jobs
-
-        jobs = resolve_jobs(parallelism)
-    if jobs:
-        from ..core.types import validate_probability as _vp
-        from ..engine.parallel import tradeoff_results_parallel
-
-        tables = [resolve_cell(c) for c in cells]
-        answers, cancelled = tradeoff_results_parallel(
-            tables, width,
-            float_probability_vector(p_a, width, "p_a"),
-            float_probability_vector(p_b, width, "p_b"),
-            float(_vp(p_cin, "p_cin")),
-            weights, jobs, meter,
-        )
-        swept = sorted(answers)
-        for weight in swept:
-            result = answers[weight]
-            key = result.chain
-            if key not in seen:
-                seen.add(key)
-                results.append(result)
-        if len(swept) < len(weights):
+    for weight in weights:
+        if swept:
             stop_reason = meter.stop_reason()
-    else:
-        for weight in weights:
-            if swept:
-                stop_reason = meter.stop_reason()
-                if stop_reason is not None:
-                    break
-            result = optimal_hybrid(
-                cells, width, p_a, p_b, p_cin,
-                power_weight=weight, power_model=model,
-            )
-            swept.append(weight)
-            _chaos.tick("hybrid.tradeoff.weight")
-            key = result.chain
-            if key not in seen:
-                seen.add(key)
-                results.append(result)
+            if stop_reason is not None:
+                break
+        result = optimal_hybrid(
+            cells, width, p_a, p_b, p_cin,
+            power_weight=weight, power_model=model,
+        )
+        swept.append(weight)
+        _chaos.tick("hybrid.tradeoff.weight")
+        key = result.chain
+        if key not in seen:
+            seen.add(key)
+            results.append(result)
     truncated = len(swept) < len(weights)
     manifest = build_manifest(
         "pareto-front",

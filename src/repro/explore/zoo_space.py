@@ -8,8 +8,8 @@ MED, WCE and MRED through the engine's batch executor, plus the
 abstract unit-gate delay/area of :func:`repro.core.adder_zoo.zoo_cost`.
 
 :func:`sweep_zoo_space` builds all (adder, kind) requests into one
-:func:`repro.engine.run_batch` call -- so result caches, budgets and
-the parallel executor apply exactly as in any other sweep -- and
+:func:`repro.engine.run_batch` call -- so result caches and budgets
+apply exactly as in any other sweep -- and
 :func:`zoo_pareto_front` extracts the non-dominated subset under any
 selection of minimised objectives (quality vs delay vs area).
 """
@@ -66,7 +66,6 @@ def sweep_zoo_space(
     adders: Optional[Sequence[Union[str, ZooAdder]]] = None,
     p: object = 0.5,
     budget: Optional[RunBudget] = None,
-    parallelism: object = "off",
 ) -> List[ZooDesignPoint]:
     """Measure every zoo adder at *width* across ER/MED/WCE/MRED.
 
@@ -74,8 +73,8 @@ def sweep_zoo_space(
     (:func:`~repro.core.adder_zoo.named_zoo`); pass config strings or
     parsed :class:`~repro.core.adder_zoo.ZooAdder` instances to sweep a
     custom set.  All requests go through one :func:`repro.engine
-    .run_batch` call, so the segment/result caches and the process pool
-    (*parallelism*) serve the sweep exactly like any other batch.
+    .run_batch` call, so the segment/result caches serve the sweep
+    exactly like any other batch.
     Requests a budget truncates leave their metric ``None``.
     """
     zoo = ([parse_adder(a) for a in adders] if adders is not None
@@ -91,7 +90,7 @@ def sweep_zoo_space(
         for adder in zoo
         for kind in _SWEEP_KINDS
     ]
-    results = run_batch(requests, budget=budget, parallelism=parallelism)
+    results = run_batch(requests, budget=budget)
     points: List[ZooDesignPoint] = []
     for i, adder in enumerate(zoo):
         chain, med, wce, mred = results[4 * i:4 * i + 4]

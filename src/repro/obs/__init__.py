@@ -84,7 +84,6 @@ from .tracing import (
     Span,
     Tracer,
     get_tracer,
-    graft_spans,
     install_tracer,
     trace_span,
     use_tracer,
@@ -100,8 +99,8 @@ __all__ = [
     "render_prometheus", "current_request_id", "new_request_id",
     "use_request_id", "AccessLog", "SloPolicy", "evaluate_slo",
     # tracing
-    "TRACE_FORMAT", "Span", "Tracer", "get_tracer", "graft_spans",
-    "install_tracer", "trace_span", "use_tracer",
+    "TRACE_FORMAT", "Span", "Tracer", "get_tracer", "install_tracer",
+    "trace_span", "use_tracer",
     # provenance
     "MANIFEST_FORMAT", "RunManifest", "StopWatch", "build_manifest",
     "git_revision", "provenance_line",

@@ -3,16 +3,15 @@
 The serving layer mints one ID per HTTP request (honouring an inbound
 ``X-Request-Id`` header when present), echoes it in the response, and
 scopes it with :func:`use_request_id` around the handler.  Downstream
-code -- batch dispatch, `engine.run_batch` spans, parallel-worker trace
-lanes, the access log -- reads :func:`current_request_id` instead of
-passing an argument through every signature.
+code -- batch dispatch, `engine.run_batch` spans, the access log --
+reads :func:`current_request_id` instead of passing an argument through
+every signature.
 
 The ID lives in a `contextvars.ContextVar`, so concurrent asyncio
 connections each see their own.  One caveat the service layer handles
 explicitly: contextvars do **not** propagate into
-``loop.run_in_executor`` threads or forked pool workers, so the
-executor callable re-enters :func:`use_request_id` itself and the
-parallel executor ships the ID inside the chunk payload.
+``loop.run_in_executor`` threads, so the executor callable re-enters
+:func:`use_request_id` itself.
 """
 
 from __future__ import annotations

@@ -126,8 +126,8 @@ class Histogram:
     bucket catches values above the last bound.  Per-bucket counts and
     the count/sum/min/max scalars are exact and *add*, so two
     histograms over the same bounds merge losslessly
-    (:meth:`merge_state`) -- the property the parallel executor relies
-    on to fold worker deltas into the parent registry.
+    (:meth:`merge_state`) -- the property the serve supervisor relies
+    on to fold its workers' metrics into one fleet snapshot.
 
     Memory is a fixed ``len(bounds) + 1`` integers per histogram no
     matter how many observations arrive.
@@ -484,32 +484,24 @@ class MetricsRegistry:
 
     # -- cross-process delta merging ---------------------------------------
 
-    def export_state(
-        self, exclude_prefixes: Sequence[str] = ()
-    ) -> Dict[str, object]:
+    def export_state(self) -> Dict[str, object]:
         """Serialisable delta document for :meth:`merge_state`.
 
         Counters export their values, timers and histograms their
         bucketed states.  Gauges are last-write-wins and meaningless to
-        add, so they are excluded.  *exclude_prefixes* drops metric
-        families merged through a different channel (the parallel
-        executor excludes ``engine.cache.*``, which travels with the
-        stage-matrix cache deltas instead).
+        add, so they are excluded.
         """
-        def keep(name: str) -> bool:
-            return not any(name.startswith(p) for p in exclude_prefixes)
-
         with self._lock:
             counters = dict(self._counters)
             histograms = dict(self._histograms)
             timers = dict(self._timers)
         return {
             "counters": {k: c.value for k, c in counters.items()
-                         if keep(k) and c.value},
+                         if c.value},
             "histograms": {k: h.state_dict() for k, h in histograms.items()
-                           if keep(k) and h.count},
+                           if h.count},
             "timers": {k: t.state_dict() for k, t in timers.items()
-                       if keep(k) and t.count},
+                       if t.count},
         }
 
     def merge_state(self, state: Optional[Mapping[str, object]]) -> None:
@@ -517,8 +509,8 @@ class MetricsRegistry:
 
         Bucket counts and counter values add exactly, so merging N
         worker deltas in any order equals having observed every sample
-        in one registry -- the property the parallel-merge regression
-        tests pin.
+        in one registry -- the property the serve supervisor's
+        fleet-wide snapshot rests on.
         """
         if not state:
             return

@@ -61,33 +61,6 @@ class Span:
             doc["children"] = [child.as_dict() for child in self.children]
         return doc
 
-    @classmethod
-    def from_dict(
-        cls,
-        doc: Dict[str, object],
-        thread_id: Optional[int] = None,
-        offset_s: float = 0.0,
-    ) -> "Span":
-        """Rehydrate an :meth:`as_dict` tree (inverse, recursively).
-
-        *thread_id* overrides the recorded lane on the whole subtree --
-        the parallel executor uses the worker's PID so each worker gets
-        its own row in ``chrome://tracing``.  *offset_s* shifts every
-        start time, mapping a worker-local clock onto the parent
-        tracer's origin.
-        """
-        span = cls(str(doc.get("name", "span")),
-                   dict(doc.get("attrs", {})),  # type: ignore[arg-type]
-                   float(doc.get("start_s", 0.0)) + offset_s)  # type: ignore[arg-type]
-        span.duration_s = float(doc.get("duration_s", 0.0))  # type: ignore[arg-type]
-        if thread_id is not None:
-            span.thread_id = thread_id
-        span.children = [
-            cls.from_dict(child, thread_id=thread_id, offset_s=offset_s)
-            for child in doc.get("children", ())  # type: ignore[union-attr]
-        ]
-        return span
-
 
 class Tracer:
     """Collects completed span trees for one run."""
@@ -175,9 +148,7 @@ def use_tracer(tracer: Tracer) -> Iterator[Tracer]:
 
     Any active span is detached for the block: it belongs to the
     previously installed tracer, and parenting new spans under it would
-    silently hide them from *tracer* (the forked pool workers hit
-    exactly this -- they inherit the parent's active span and must not
-    attach their chunk spans to the inherited copy).
+    silently hide them from *tracer*.
     """
     token = _tracer_var.set(tracer)
     span_token = _span_var.set(None)
@@ -241,7 +212,7 @@ def trace_span(name: str, **attrs: object):
     safe to leave in hot paths.  Attributes must be JSON-serialisable.
     When a correlation ID is scoped (see :mod:`repro.obs.correlate`),
     it is stamped on the span as ``request_id``, so serving-layer spans
-    join up with access-log lines and worker trace lanes.
+    join up with access-log lines.
     """
     tracer = _tracer_var.get()
     if tracer is None:
@@ -253,33 +224,3 @@ def trace_span(name: str, **attrs: object):
         if request_id is not None:
             attrs["request_id"] = request_id
     return _SpanContext(tracer, name, attrs)
-
-
-def graft_spans(
-    span_docs: List[Dict[str, object]],
-    thread_id: Optional[int] = None,
-    offset_s: float = 0.0,
-) -> List[Span]:
-    """Attach serialised span trees to the active tracer.
-
-    The process-pool executor collects each worker chunk's spans as
-    :meth:`Span.as_dict` documents (tracers do not cross process
-    boundaries) and grafts them back here: under the currently active
-    span when inside one (the usual case -- the ``engine.run_batch``
-    span), else as new roots.  With ``thread_id`` set to the worker's
-    PID, :meth:`Tracer.to_chrome` renders one lane per worker inside a
-    single Chrome trace.  No-op (returns ``[]``) when no tracer is
-    installed.
-    """
-    tracer = _tracer_var.get()
-    if tracer is None or not span_docs:
-        return []
-    spans = [Span.from_dict(doc, thread_id=thread_id, offset_s=offset_s)
-             for doc in span_docs]
-    parent = _span_var.get()
-    if parent is not None:
-        parent.children.extend(spans)
-    else:
-        with tracer._lock:
-            tracer.roots.extend(spans)
-    return spans

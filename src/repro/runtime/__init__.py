@@ -54,7 +54,6 @@ from .router import (
     ENGINE_CHUNKED_EXHAUSTIVE,
     ENGINE_EXHAUSTIVE,
     ENGINE_MONTECARLO,
-    ENGINE_PARALLEL_EXHAUSTIVE,
     EngineDecision,
 )
 from .validation import (
@@ -79,7 +78,6 @@ __all__ = [
     "EngineDecision",
     "ENGINE_EXHAUSTIVE",
     "ENGINE_CHUNKED_EXHAUSTIVE",
-    "ENGINE_PARALLEL_EXHAUSTIVE",
     "ENGINE_MONTECARLO",
     "ValidationReport",
     "validate_against_simulation",

@@ -150,17 +150,6 @@ class BudgetMeter:
             return STOP_MAX_CONFIGS
         return None
 
-    def remaining_seconds(self) -> Optional[float]:
-        """Wall-clock seconds left before the deadline.
-
-        ``None`` when the budget has no deadline; never negative.  The
-        parallel executor uses this to hand each worker chunk a
-        derived deadline-only budget covering exactly the time left.
-        """
-        if self.budget.deadline_s is None:
-            return None
-        return max(0.0, self.budget.deadline_s - self.elapsed())
-
     def remaining_samples(self, want: int) -> int:
         """Clamp a desired chunk of samples to the budget's remainder."""
         if self.budget.max_samples is None:

@@ -74,7 +74,6 @@ class ServeConfig:
     default_deadline_s: Optional[float] = None
     retry_after_s: float = 0.05
     drain_grace_s: float = 5.0
-    parallelism: object = "off"
     cache_dir: Optional[str] = None
     memory_cache_entries: int = DEFAULT_MEMORY_ENTRIES
     max_disk_entries: Optional[int] = None

@@ -6,7 +6,7 @@ renders the operator signals in one terminal screen:
 
 * throughput (served / batches, requests-per-second since the last
   poll) and shed counters;
-* queue depth, batch occupancy (mean and last), worker pool gauges;
+* queue depth and batch occupancy (mean and last);
 * result-cache tiers (memory/disk hits, hit rate);
 * latency quantiles (p50/p95/p99) of the request and batch timers;
 * the ``/healthz`` SLO verdict with per-check pass/fail.
@@ -96,7 +96,6 @@ def render_lines(
 
     metrics: Mapping[str, object] = sample.get("metrics") or {}
     service: Mapping[str, object] = metrics.get("service") or {}
-    gauges: Mapping[str, object] = metrics.get("gauges") or {}
     timers: Mapping[str, Mapping[str, object]] = metrics.get("timers") or {}
     histograms: Mapping[str, Mapping[str, object]] = (
         metrics.get("histograms") or {})
@@ -141,12 +140,6 @@ def render_lines(
             f"/{int(supervisor.get('restart_budget') or 0)}"
             f"  mode: {supervisor.get('mode', '?')}"
             f"  [{str(supervisor.get('state', '?')).upper()}]"
-        )
-    workers = gauges.get("engine.parallel.workers")
-    if workers:
-        lines.append(
-            f"  workers: {int(float(workers)):<4d} pool occupancy: "
-            f"{float(gauges.get('engine.parallel.occupancy') or 0.0):5.1%}"
         )
 
     for cache_name, title in (("result_cache", "result cache"),

@@ -454,7 +454,7 @@ class AnalysisService:
         budget = RunBudget.for_deadline(tightest)
         requests = [p.request for p in live]
         # One correlation ID represents the whole micro-batch in engine
-        # spans and worker trace lanes: the (only) member's ID for a
+        # spans: the (only) member's ID for a
         # solo batch, else the first member's ID tagged with the count.
         member_ids = [p.request_id for p in live if p.request_id]
         if not member_ids:
@@ -463,10 +463,7 @@ class AnalysisService:
             batch_id = member_ids[0]
         else:
             batch_id = f"{member_ids[0]}+{len(live) - 1}"
-        run = functools.partial(
-            engine.run_batch, requests, budget,
-            parallelism=self.config.parallelism,
-        )
+        run = functools.partial(engine.run_batch, requests, budget)
 
         def runner():
             # Contextvars do not propagate into executor threads; the
@@ -554,7 +551,6 @@ class AnalysisService:
             run_solo = functools.partial(
                 engine.run_batch, [pending.request],
                 RunBudget.for_deadline(remaining),
-                parallelism=self.config.parallelism,
             )
             request_id = pending.request_id
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import engine
+from repro.core import get_cell
 from repro.core.exceptions import ProbabilityError
 from repro.core.recursive import analyze_chain
 from repro.core.vectorized import analyze_batch, success_by_width
@@ -110,3 +111,36 @@ class TestSuccessByWidth:
             success_by_width("LPAA 1", 4, np.eye(2))
         with pytest.raises(ProbabilityError):
             success_by_width("LPAA 1", 4, [0.5, 0.5], p_cin=np.zeros(3))
+
+
+class TestBatchInvariance:
+    """The vectorised recursion is elementwise along the batch axis --
+    the numerical contract ``run_batch``'s grouping and chunking rest on
+    (fixed-order masked sums instead of BLAS matvecs whose reduction
+    order varies with the batch shape)."""
+
+    def test_analyze_batch_rows_independent_of_batch_mates(self):
+        cells = [get_cell("LPAA 6")] * 5
+        rng = np.random.default_rng(3)
+        pa = rng.uniform(0, 1, size=(9, 5))
+        pb = rng.uniform(0, 1, size=(9, 5))
+        pc = rng.uniform(0, 1, size=9)
+        full = analyze_batch(cells, None, pa, pb, pc, batch=9)
+        for split in (1, 4, 8):
+            pieces = np.concatenate([
+                analyze_batch(cells, None, pa[:split], pb[:split],
+                              pc[:split], batch=split),
+                analyze_batch(cells, None, pa[split:], pb[split:],
+                              pc[split:], batch=9 - split),
+            ])
+            assert np.array_equal(full, pieces), split
+
+    def test_success_by_width_rows_independent_of_batch_mates(self):
+        table = get_cell("LPAA 3")
+        rng = np.random.default_rng(5)
+        p = rng.uniform(0, 1, size=11)
+        full = success_by_width(table, 9, p, 0.3)
+        singles = np.vstack([
+            success_by_width(table, 9, p[i:i + 1], 0.3) for i in range(11)
+        ])
+        assert np.array_equal(full, singles)

@@ -152,29 +152,6 @@ class TestRouterLadder:
     def _req(self, width, kind=KIND_MED):
         return AnalysisRequest.distribution("LPAA 1", width, kind=kind)
 
-    def test_exact_dp_inside_the_guard(self):
-        decision = select_engine(self._req(DIST_EXACT_MAX_WIDTH))
-        assert decision.engine == "distribution-dp"
-        assert decision.degraded_from is None
-
-    def test_truncated_rung_past_the_guard(self):
-        decision = select_engine(
-            self._req(DIST_EXACT_MAX_WIDTH + 1))
-        assert decision.engine == "distribution-dp-truncated"
-        assert decision.degraded_from == "distribution-dp"
-
-    def test_mc_past_the_truncated_guard(self):
-        decision = select_engine(self._req(48))
-        assert decision.engine == "distribution-mc"
-        assert decision.degraded_from == "distribution-dp-truncated"
-        assert decision.samples is not None
-
-    def test_wce_never_degrades(self):
-        for width in (8, 32, 64, 128):
-            decision = select_engine(
-                self._req(width, kind=KIND_WCE))
-            assert decision.engine == "distribution-dp"
-
     def test_mred_skips_the_truncated_rung(self):
         dp = REGISTRY.get("distribution-dp")
         assert dp.width_limits[KIND_MRED] == MRED_EXACT_MAX_WIDTH
@@ -196,17 +173,6 @@ class TestRouterLadder:
                             budget=budget)
         assert result.engine == "distribution-dp"
         assert result.exact is True
-
-    def test_tight_deadline_drops_to_sampling(self):
-        decision = select_engine(
-            self._req(30), budget=RunBudget(deadline_s=1e-9),
-        )
-        assert decision.engine == "distribution-mc"
-
-    def test_budget_clamps_samples(self):
-        decision = select_engine(
-            self._req(48), budget=RunBudget(max_samples=1234))
-        assert decision.samples == 1234
 
     def test_truncated_engine_refuses_mred(self):
         with pytest.raises(AnalysisError, match="mass-preserving"):

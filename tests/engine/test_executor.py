@@ -138,6 +138,21 @@ class TestRunBatch:
         batched = run_batch(requests)
         assert batched[0].trace is not None
 
+    def test_montecarlo_seed_stable(self):
+        requests = [
+            AnalysisRequest.chain(cell, 6, p, 1.0 - p, 0.3)
+            for cell, p in (("LPAA 6", 0.2), ("LPAA 3", 0.5),
+                            ("LPAA 1", 0.7), ("LPAA 6", 0.9))
+        ]
+        first = run_batch(requests, engine="montecarlo", samples=2000,
+                          seed=42)
+        again = run_batch(requests, engine="montecarlo", samples=2000,
+                          seed=42)
+        for a, b in zip(first, again):
+            assert a.p_error == b.p_error
+            assert a.interval == b.interval
+            assert a.raw.wilson_interval() == b.raw.wilson_interval()
+
 
 class TestErrorCurves:
     def test_matches_pointwise_runs(self):

@@ -5,7 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core.adder_zoo import from_gear
-from repro.core.exceptions import AnalysisError, ProbabilityError
+from repro.core.exceptions import (
+    AnalysisError,
+    ChainLengthError,
+    ProbabilityError,
+)
 from repro.core.hybrid import HybridChain
 from repro.engine import (
     KIND_CHAIN,
@@ -53,6 +57,10 @@ class TestChainNormalisation:
     def test_joint_count_must_match_width(self):
         with pytest.raises(AnalysisError):
             AnalysisRequest.chain("LPAA 1", 3, joints=[object(), object()])
+
+    def test_zero_width_rejected(self):
+        with pytest.raises(ChainLengthError, match="width"):
+            AnalysisRequest.chain("LPAA 1", 0)
 
 
 class TestMetrics:

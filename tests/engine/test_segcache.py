@@ -1,11 +1,10 @@
 """The segment cache tier: memory LRU, disk store, prefill, wiring.
 
 Covers the :mod:`repro.engine.segcache` mechanics (tier interplay,
-counters, persistence, corruption tolerance, worker-delta merging) and
-the executor/parallel integration: an installed segment cache routes
-eligible chain requests through the exact ``transfer`` engine, traced
-requests keep the stage-by-stage recursion, and parallel fan-outs fold
-worker hit/miss deltas back into the parent's counters.
+counters, persistence, corruption tolerance) and the executor
+integration: an installed segment cache routes eligible chain requests
+through the exact ``transfer`` engine, traced requests keep the
+stage-by-stage recursion, and a batch sweep's hits reach the counters.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ from repro.engine.segcache import (
     SegmentCache,
     configure_segment_cache,
     disable_segment_cache,
-    ensure_worker_cache,
-    export_config,
     get_segment_cache,
 )
 from repro.obs import metrics as _metrics
@@ -89,14 +86,6 @@ class TestMemoryTier:
         assert counters["engine.cache.segment.misses"] > 0
         gauges = metrics_registry.snapshot()["gauges"]
         assert gauges["engine.cache.segment.size"] > 0
-
-    def test_merge_stats_validates_and_accumulates(self):
-        cache = SegmentCache(store=None)
-        cache.merge_stats(3, 4)
-        stats = cache.stats()["memory"]
-        assert stats["hits"] == 3 and stats["misses"] == 4
-        with pytest.raises(ValueError):
-            cache.merge_stats(-1, 0)
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
@@ -172,26 +161,6 @@ class TestProcessWideConfig:
         disable_segment_cache()
         assert get_segment_cache() is None
 
-    def test_export_and_worker_install_round_trip(self, tmp_path):
-        cache = configure_segment_cache(
-            tmp_path, memory_entries=256, min_disk_span=16)
-        doc = export_config(cache)
-        disable_segment_cache()
-        ensure_worker_cache(doc)
-        worker = get_segment_cache()
-        assert worker is not None
-        assert worker.min_disk_span == 16
-        assert str(worker.store.root) == str(cache.store.root)
-
-    def test_ensure_worker_cache_is_idempotent(self, tmp_path):
-        installed = configure_segment_cache(tmp_path)
-        ensure_worker_cache({"path": None, "memory_entries": 8})
-        assert get_segment_cache() is installed  # did not replace
-        assert export_config(None) is None
-        disable_segment_cache()
-        ensure_worker_cache(None)
-        assert get_segment_cache() is None
-
 
 class TestExecutorRouting:
     def test_run_prefers_transfer_when_installed(self, tmp_path):
@@ -243,21 +212,16 @@ class TestExecutorRouting:
         long = AnalysisRequest.chain("LPAA 1", 256)
         assert info.cost_estimate(short) > recursive.cost_estimate(short)
         assert info.cost_estimate(long) < recursive.cost_estimate(long)
-        assert info.deterministic and info.parallel_safe
+        assert info.deterministic
         assert not info.supports_trace
 
-
-class TestParallelMerge:
-    def test_worker_deltas_fold_into_parent(self, tmp_path, metrics_registry):
+    def test_sweep_hits_reach_the_counters(self, tmp_path, metrics_registry):
         configure_segment_cache(tmp_path)
         sweep = [AnalysisRequest.chain("LPAA 2", WIDTH, 0.3, 0.7, i / 31)
                  for i in range(32)]
-        parallel = executor.run_batch(sweep, parallelism=2)
+        results = executor.run_batch(sweep)
         assert all(r is not None and r.engine == "transfer"
-                   for r in parallel)
-        serial = executor.run_batch(sweep)
-        assert [r.p_success for r in parallel] == \
-            [r.p_success for r in serial]
+                   for r in results)
         stats = get_segment_cache().stats()["memory"]
         assert stats["hits"] > 0
         counters = metrics_registry.snapshot()["counters"]

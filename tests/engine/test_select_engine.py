@@ -1,12 +1,12 @@
 """The one engine ladder: ``select_engine`` as a decision table.
 
-Each row is ``(request, budget, samples, jobs, simulate) -> (engine,
+Each row is ``(request, budget, samples, simulate) -> (engine,
 degraded_from, samples, estimated_cases)``, optionally with a substring
 the decision's reason must contain.  The rows cover every request shape
 (chain, hybrid, trace, joints, the distribution kinds, the zoo kinds
 with GeAr among them, multi-operand) and every reason a rung can fail
 to fit: a width limit, a support guard, one enumeration block,
-``max_cases``, a deadline, and the pool rung's worker count.
+``max_cases`` and a deadline.
 """
 
 import pytest
@@ -41,9 +41,9 @@ def multiop(operands, width):
     return AnalysisRequest.for_multiop([[0.5] * width] * operands, width)
 
 
-def row(case_id, request, expected, budget=None, samples=None, jobs=0,
+def row(case_id, request, expected, budget=None, samples=None,
         simulate=False, reason=""):
-    return pytest.param(request, budget, samples, jobs, simulate,
+    return pytest.param(request, budget, samples, simulate,
                         expected, reason, id=case_id)
 
 
@@ -63,7 +63,7 @@ ROWS = [
     row("deadline-never-degrades-a-final-rung", chain(64),
         ("recursive", None, None, None), budget=RunBudget(deadline_s=1e-9)),
 
-    # Chain simulation: exhaustive -> chunked -> parallel -> montecarlo.
+    # Chain simulation: exhaustive -> chunked -> montecarlo.
     row("sim-w4-exhaustive", chain(4), ("exhaustive", None, None, 1 << 9),
         simulate=True),
     row("sim-w12-chunked", chain(12),
@@ -87,15 +87,9 @@ ROWS = [
     row("sim-deadline-serial", chain(10),
         ("montecarlo", "chunked-exhaustive", MC, 1 << 21),
         budget=RunBudget(deadline_s=0.15), simulate=True),
-    row("sim-deadline-pool-rescues", chain(10),
-        ("parallel-exhaustive", "chunked-exhaustive", None, 1 << 21),
-        budget=RunBudget(deadline_s=0.15), jobs=8, simulate=True),
-    row("sim-one-worker-skips-pool", chain(10),
-        ("montecarlo", "chunked-exhaustive", MC, 1 << 21),
-        budget=RunBudget(deadline_s=0.15), jobs=1, simulate=True),
-    row("sim-pool-too-slow", chain(16),
-        ("montecarlo", "parallel-exhaustive", MC, 1 << 33),
-        budget=RunBudget(deadline_s=0.01), jobs=8, simulate=True,
+    row("sim-w16-deadline", chain(16),
+        ("montecarlo", "chunked-exhaustive", MC, 1 << 33),
+        budget=RunBudget(deadline_s=0.01), simulate=True,
         reason="deadline"),
     row("sim-joints-refused-everywhere",
         chain(4, joints=[JointBitDistribution.identical(0.5)] * 4),
@@ -108,6 +102,9 @@ ROWS = [
         reason="support guard"),
     row("med-w48-mc", dist(48),
         ("distribution-mc", "distribution-dp-truncated", DIST_MC, None)),
+    row("wce-w8", dist(8, "wce"), ("distribution-dp", None, None, None)),
+    row("wce-w32", dist(32, "wce"), ("distribution-dp", None, None, None)),
+    row("wce-w64", dist(64, "wce"), ("distribution-dp", None, None, None)),
     row("wce-w128-never-degrades", dist(128, "wce"),
         ("distribution-dp", None, None, None),
         budget=RunBudget(deadline_s=1e-9)),
@@ -169,14 +166,19 @@ ROWS = [
 
 
 @pytest.mark.parametrize(
-    "request_, budget, samples, jobs, simulate, expected, reason", ROWS)
-def test_decision_table(request_, budget, samples, jobs, simulate, expected,
+    "request_, budget, samples, simulate, expected, reason", ROWS)
+def test_decision_table(request_, budget, samples, simulate, expected,
                         reason):
-    decision = select_engine(request_, budget, samples, simulate=simulate,
-                             jobs=jobs)
+    decision = select_engine(request_, budget, samples, simulate=simulate)
     assert (decision.engine, decision.degraded_from, decision.samples,
             decision.estimated_cases) == expected
     assert reason in decision.reason
+
+
+def test_forcing_an_unregistered_engine_raises():
+    with pytest.raises(AnalysisError, match="unknown engine "
+                       "'parallel-exhaustive'"):
+        engine.run(chain(8), engine="parallel-exhaustive")
 
 
 class TestHeads:

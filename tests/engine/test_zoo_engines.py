@@ -2,7 +2,8 @@
 
 Cross-validates every windowed zoo member against weighted enumeration
 for every request kind (bit-identical at dyadic probabilities), pins
-the zoo rungs of the engine ladder, and exercises block
+the zoo rungs' registry width limits (the routing decisions themselves
+are rows of ``test_select_engine.py``), and exercises block
 requests through ``run()``/``run_batch()``, the two-way
 ``supports_block`` capability gate, the persistent result cache and
 the Monte-Carlo fallback.
@@ -22,14 +23,8 @@ from repro.engine.diskcache import (
     result_from_payload,
 )
 from repro.engine.request import AnalysisRequest, DISTRIBUTION_KINDS
-from repro.engine.zoo import (
-    ZOO_EXACT_MAX_WIDTH,
-    ZOO_MRED_EXACT_MAX_WIDTH,
-    ZOO_TRUNCATED_MAX_WIDTH,
-)
-from repro.engine.executor import select_engine
+from repro.engine.zoo import ZOO_EXACT_MAX_WIDTH, ZOO_MRED_EXACT_MAX_WIDTH
 from repro.engine.registry import REGISTRY
-from repro.runtime.budget import RunBudget
 
 WIDTH = 8
 ALL_KINDS = ("chain",) + DISTRIBUTION_KINDS
@@ -80,41 +75,6 @@ class TestCrossValidationMatrix:
 
 
 class TestRouterLadder:
-    def test_chain_and_wce_always_get_the_exact_dp(self):
-        wide = f"aca1:{ZOO_TRUNCATED_MAX_WIDTH + 8}:4"
-        for kind in ("chain", "wce"):
-            decision = select_engine(AnalysisRequest.zoo(wide, kind=kind))
-            assert decision.engine == "zoo-dp"
-            assert decision.degraded_from is None
-
-    def test_pmf_kinds_inside_the_guard_get_the_exact_dp(self):
-        decision = select_engine(
-            AnalysisRequest.zoo("aca1:8:4", kind="med"))
-        assert decision.engine == "zoo-dp"
-
-    def test_pmf_kinds_past_the_guard_degrade_to_truncated(self):
-        wide = f"aca1:{ZOO_EXACT_MAX_WIDTH + 4}:4"
-        decision = select_engine(AnalysisRequest.zoo(wide, kind="med"))
-        assert decision.engine == "zoo-dp-truncated"
-        assert decision.degraded_from == "zoo-dp"
-
-    def test_mred_skips_the_truncated_rung(self):
-        wide = f"aca1:{ZOO_MRED_EXACT_MAX_WIDTH + 4}:4"
-        decision = select_engine(AnalysisRequest.zoo(wide, kind="mred"))
-        assert decision.engine == "zoo-mc"
-
-    def test_past_the_truncated_guard_samples(self):
-        wide = f"aca1:{ZOO_TRUNCATED_MAX_WIDTH + 8}:4"
-        decision = select_engine(AnalysisRequest.zoo(wide, kind="med"))
-        assert decision.engine == "zoo-mc"
-
-    def test_tight_deadline_drops_to_sampling(self):
-        decision = select_engine(
-            AnalysisRequest.zoo("aca1:16:4", kind="med"),
-            budget=RunBudget(deadline_s=1e-9),
-        )
-        assert decision.engine == "zoo-mc"
-
     def test_exact_width_limits(self):
         dp = REGISTRY.get("zoo-dp")
         assert "chain" not in dp.width_limits

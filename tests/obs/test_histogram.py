@@ -190,11 +190,3 @@ class TestRegistryHistograms:
         assert snapshot["counters"]["engine.requests"] == 8
         assert snapshot["timers"]["engine.run.seconds"]["count"] == 2
         assert snapshot["histograms"]["occupancy"]["count"] == 2
-
-    def test_export_respects_exclude_prefixes(self, enabled_registry):
-        metrics.inc("engine.cache.hits", 3)
-        metrics.inc("engine.requests", 1)
-        state = enabled_registry.export_state(
-            exclude_prefixes=("engine.cache.",))
-        assert "engine.cache.hits" not in state.get("counters", {})
-        assert state["counters"]["engine.requests"] == 1

@@ -64,6 +64,20 @@ class TestNullPath:
             assert tracing.get_tracer() is tracer
         assert tracing.get_tracer() is None
 
+    def test_use_tracer_detaches_inherited_span(self):
+        # A fresh tracer must not attach new spans to a span that
+        # belongs to the previously installed tracer.
+        outer = Tracer()
+        with use_tracer(outer):
+            with trace_span("outer.region"):
+                inner = Tracer()
+                with use_tracer(inner):
+                    with trace_span("inner.region"):
+                        pass
+        assert [s.name for s in inner.roots] == ["inner.region"]
+        assert [s.name for s in outer.roots] == ["outer.region"]
+        assert not outer.roots[0].children
+
 
 class TestExports:
     def _traced(self):

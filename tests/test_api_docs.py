@@ -36,13 +36,6 @@ def test_check_mode_passes_on_current_tree():
     assert generator.main(["--check"]) == 0
 
 
-def test_reference_covers_the_parallel_executor():
-    text = REFERENCE.read_text()
-    assert "## `repro.engine.parallel`" in text
-    assert "run_batch_parallel" in text
-    assert "resolve_jobs" in text
-
-
 def test_signatures_are_annotation_free():
     # Annotation reprs differ across interpreter versions; the page must
     # stay byte-identical on every CI Python.

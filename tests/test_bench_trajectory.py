@@ -130,7 +130,7 @@ class TestCli:
         assert "REGRESSED" in result.stdout
 
     def test_show_renders_the_committed_baselines(self):
-        for baseline in ("BENCH_serve.json", "BENCH_parallel.json"):
+        for baseline in ("BENCH_serve.json", "BENCH_prefix.json"):
             result = self._run("show", str(REPO / baseline))
             assert result.returncode == 0, result.stderr
             assert "is better" in result.stdout
@@ -141,9 +141,8 @@ class TestCommittedBaselines:
         serve = trajectory.load_trajectory(str(REPO / "BENCH_serve.json"))
         names = {m["metric"] for m in serve["metrics"]}
         assert names == {"serial_rps", "batched_rps", "batching_speedup"}
-        parallel = trajectory.load_trajectory(
-            str(REPO / "BENCH_parallel.json"))
-        names = {m["metric"] for m in parallel["metrics"]}
+        prefix = trajectory.load_trajectory(str(REPO / "BENCH_prefix.json"))
+        names = {m["metric"] for m in prefix["metrics"]}
         assert "sweep_configs_per_s" in names
 
 

@@ -23,9 +23,8 @@ PAGES = sorted(
 
 def test_the_doctested_pages_are_the_expected_ones():
     names = {page.name for page in PAGES}
-    assert {"README.md", "api_tour.md", "parallelism.md",
-            "serving.md", "caching.md", "error_metrics.md",
-            "adder_zoo.md"} <= names
+    assert {"README.md", "api_tour.md", "serving.md", "caching.md",
+            "error_metrics.md", "adder_zoo.md"} <= names
 
 
 @pytest.mark.parametrize("page", PAGES, ids=lambda page: page.name)
