@@ -26,8 +26,9 @@ associative, which yields three guarantees at once:
   suffix split -- and therefore any cache hit pattern -- returns the
   same bits as a cold stage-by-stage evaluation (warm == cold);
 * batched and single evaluations agree bit-for-bit with no
-  fixed-order summation discipline needed (the `_masked_sum` contract
-  of the float path is subsumed: exact sums have no rounding order).
+  fixed-order summation discipline needed (the float path's canonical
+  row-order sums in ``core.vectorized._stage_sums`` are subsumed: exact
+  sums have no rounding order).
 
 Entry points: :func:`lower_stage` turns one ``(cell, P(A), P(B))`` stage
 into a :class:`SegmentMatrix`; :func:`compose` joins two adjacent

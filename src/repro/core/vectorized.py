@@ -12,7 +12,11 @@ simultaneously:
   ``P(Succ)`` for *every* prefix width ``1..N`` (exactly what Fig. 5's
   x-axis needs), optionally over a batch of probability points at once.
 
-Both are validated against the scalar engine to ~1e-12 in the tests.
+Both share one per-stage helper, :func:`_stage_sums`, which sums only
+the IPM rows each 0/1 mask selects, in canonical row order, so a row's
+bits never depend on its batch mates.  Both are validated against the
+scalar engine to ~1e-12 in the tests, and bit for bit against the
+original full 8-term masked sums.
 """
 
 from __future__ import annotations
@@ -36,47 +40,56 @@ from .recursive import CellSpec, resolve_chain
 MaskArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _ipm_batch(
-    pa: np.ndarray, pb: np.ndarray, c1: np.ndarray, c0: np.ndarray
-) -> np.ndarray:
-    """Vectorised Eq. 10: build a ``(batch, 8)`` IPM block.
+def _selected_rows(masks: MaskArrays) -> Tuple[Tuple[int, ...], ...]:
+    """The canonical row indices each 0/1 mask of *masks* selects."""
+    selected = []
+    for mask in masks:
+        values = np.asarray(mask, dtype=np.float64)
+        if values.shape != (8,) or not set(values.tolist()) <= {0.0, 1.0}:
+            raise ProbabilityError(
+                f"matrices: each (m, k, l) mask must be eight 0/1 entries, "
+                f"got {values.tolist()}"
+            )
+        selected.append(tuple(np.flatnonzero(values).tolist()))
+    return tuple(selected)
 
-    Row order is the canonical ``(A,B,Cin) = 000..111``.
+
+def _stage_sums(
+    pa: np.ndarray,
+    pb: np.ndarray,
+    c1: np.ndarray,
+    c0: np.ndarray,
+    selections: Sequence[Tuple[int, ...]],
+) -> list:
+    """Vectorised Eqs. 10-12 for one stage: ``IPM . mask`` per selection.
+
+    The IPM row ``(A,B,Cin) = j`` (canonical ``000..111`` order) is the
+    operand product ``j >> 1`` times the carry state ``j & 1``; each of
+    the four operand products is formed once, each term at most once,
+    and every selection sums only the rows its mask picks, left to right
+    in canonical order.  Elementwise multiplies and adds are exactly
+    rounded, so every row's value is independent of its batch mates
+    (``run_batch`` groups and chunks requests by cell sequence, and a
+    request must get the same bits whichever batch it lands in -- a BLAS
+    matvec's reduction order varies with the batch shape).  Skipping the
+    unselected rows changes no bit: masks are 0/1 and every IPM term is
+    ``>= 0``, so ``x * 1.0 == x`` and ``x + 0.0 == x``.
     """
     qa = 1.0 - pa
     qb = 1.0 - pb
-    return np.stack(
-        [
-            qa * qb * c0,
-            qa * qb * c1,
-            qa * pb * c0,
-            qa * pb * c1,
-            pa * qb * c0,
-            pa * qb * c1,
-            pa * pb * c0,
-            pa * pb * c1,
-        ],
-        axis=1,
-    )
-
-
-def _masked_sum(ipm: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``ipm @ mask`` with a fixed left-to-right reduction order.
-
-    ``numpy``'s matmul hands the contraction to BLAS kernels whose
-    summation order varies with the batch shape, so the same
-    probability row can land on a different last ulp depending on which
-    rows happen to share its batch.  ``run_batch`` groups and chunks
-    requests by cell sequence, and a request must get the same bits
-    whichever batch it lands in, so the 8-term reduction is accumulated
-    explicitly in canonical row order instead: elementwise multiplies
-    and adds are exactly rounded, which makes every row's value
-    independent of its batch mates.
-    """
-    out = ipm[:, 0] * mask[0]
-    for j in range(1, ipm.shape[1]):
-        out += ipm[:, j] * mask[j]
-    return out
+    pairs = (qa * qb, qa * pb, pa * qb, pa * pb)
+    carries = (c0, c1)
+    terms: dict = {}
+    sums = []
+    for rows in selections:
+        total = None
+        for j in rows:
+            term = terms.get(j)
+            if term is None:
+                term = terms[j] = pairs[j >> 1] * carries[j & 1]
+            total = term if total is None else total + term
+        sums.append(np.zeros_like(c0) if total is None else total)
+    return sums
 
 
 def analyze_batch(
@@ -135,20 +148,23 @@ def analyze_batch(
 
     with _metrics.timed("core.vectorized.analyze_batch"), \
             trace_span("core.vectorized.analyze_batch", width=n, batch=batch):
+        # Selected rows once per distinct cell (or cache-supplied mask
+        # triple); the objects stay alive in ``cells``/``matrices``, so
+        # their ids are stable keys for the duration of the call.
+        selections: dict = {}
         c1 = pc.copy()
         c0 = 1.0 - pc
-        p_success = np.zeros(batch)
         for i, table in enumerate(cells):
-            if matrices is not None:
-                m, k, l = matrices[i]
-            else:
-                m, k, l = derive_matrices(table).as_arrays()
-            ipm = _ipm_batch(pa[:, i], pb[:, i], c1, c0)
+            source = table if matrices is None else matrices[i]
+            if id(source) not in selections:
+                selections[id(source)] = _selected_rows(
+                    derive_matrices(table).as_arrays() if matrices is None
+                    else source)
+            m, k, l = selections[id(source)]
             if i == n - 1:
-                p_success = _masked_sum(ipm, l)
+                (p_success,) = _stage_sums(pa[:, i], pb[:, i], c1, c0, (l,))
             else:
-                c1 = _masked_sum(ipm, m)
-                c0 = _masked_sum(ipm, k)
+                c1, c0 = _stage_sums(pa[:, i], pb[:, i], c1, c0, (m, k))
     if _metrics.is_enabled():
         _metrics.get_registry().counter("core.vectorized.points").add(batch)
     return p_success
@@ -197,7 +213,7 @@ def success_by_width(
     pc = probability_row(p_cin, batch, "p_cin")
 
     table = resolve_chain(cell, 1)[0]
-    m, k, l = derive_matrices(table).as_arrays()
+    m, k, l = _selected_rows(derive_matrices(table).as_arrays())
 
     with _metrics.timed("core.vectorized.success_by_width"), \
             trace_span("core.vectorized.success_by_width",
@@ -206,9 +222,7 @@ def success_by_width(
         c0 = 1.0 - pc
         out = np.zeros((batch, max_width))
         for i in range(max_width):
-            ipm = _ipm_batch(p_arr, p_arr, c1, c0)
-            out[:, i] = _masked_sum(ipm, l)
-            c1, c0 = _masked_sum(ipm, m), _masked_sum(ipm, k)
+            out[:, i], c1, c0 = _stage_sums(p_arr, p_arr, c1, c0, (l, m, k))
     if _metrics.is_enabled():
         _metrics.get_registry().counter("core.vectorized.points").add(
             batch * max_width

@@ -11,10 +11,12 @@ duplicates a threshold.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+import math
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.exceptions import AnalysisError
 from ..core.truth_table import FullAdderTruthTable
 from ..obs import metrics as _metrics
 from ..obs.tracing import trace_span
@@ -73,6 +75,13 @@ def _chain_is_upper_bound(request: AnalysisRequest) -> bool:
     return not exact
 
 
+def _non_finite(engine: str) -> AnalysisError:
+    """The error for a non-finite engine output, raised before the clamp:
+    ``max(0.0, nan)`` is ``0.0``, so clamping would silently turn NaN
+    into ``p_error == 1.0``."""
+    return AnalysisError(f"engine {engine!r} returned a non-finite P(Succ)")
+
+
 def _chain_result(
     request: AnalysisRequest,
     p_success: float,
@@ -85,6 +94,8 @@ def _chain_result(
     # leaving p_error at -2.2e-16); clamp to the unit interval so every
     # result is a probability.  The exact transfer path is unaffected:
     # its correctly-rounded values are already in [0, 1].
+    if not math.isfinite(p_success):
+        raise _non_finite(engine)
     p_success = min(1.0, max(0.0, p_success))
     return AnalysisResult(
         p_error=1.0 - p_success,
@@ -97,6 +108,69 @@ def _chain_result(
         is_upper_bound=exact and _chain_is_upper_bound(request),
         **extra,  # type: ignore[arg-type]
     )
+
+
+class _GroupResults:
+    """The results of one ``run_batch`` group, built per group, not per
+    request.
+
+    Every request of a group shares one cell sequence (by row
+    equality), so everything of its :func:`_chain_result` except the two
+    probabilities is fixed per group: ``is_upper_bound`` is decided once
+    per ``check_masking`` value, and ``cell_names`` once per ``cells``
+    tuple object (a renamed alias groups with its original but keeps its
+    own names).  Each result is a copy of the matching template's
+    fields, equal field for field to what :func:`_chain_result` builds.
+    """
+
+    def __init__(self, engine: str) -> None:
+        self.engine = engine
+        self._names: Dict[int, Tuple[str, ...]] = {}
+        self._base: Dict[bool, Dict[str, object]] = {}
+        self._templates: Dict[Tuple[int, bool], Dict[str, object]] = {}
+
+    def _template(self, request: AnalysisRequest) -> Dict[str, object]:
+        names = self._names.get(id(request.cells))
+        if names is None:
+            names = self._names[id(request.cells)] = request.cell_names
+        base = self._base.get(request.check_masking)
+        if base is None:
+            base = self._base[request.check_masking] = vars(AnalysisResult(
+                p_error=0.0, p_success=1.0, engine=self.engine, exact=True,
+                width=request.width, kind=request.kind, cell_names=names,
+                is_upper_bound=_chain_is_upper_bound(request),
+            ))
+        if base["cell_names"] == names:
+            return base
+        return dict(base, cell_names=names)
+
+    def fill(
+        self,
+        results: list,
+        chunk: Sequence[int],
+        requests: Sequence[AnalysisRequest],
+        p_success: object,
+    ) -> None:
+        """Store the answer to each of *requests*, whose success
+        probabilities are *p_success*, at its *chunk* position of
+        *results*."""
+        values = np.asarray(p_success, dtype=np.float64)
+        if not np.isfinite(values).all():
+            raise _non_finite(self.engine)
+        templates = self._templates
+        new = object.__new__
+        for i, request, p in zip(chunk, requests, values.tolist()):
+            key = (id(request.cells), request.check_masking)
+            template = templates.get(key)
+            if template is None:
+                template = templates[key] = self._template(request)
+            p = min(1.0, max(0.0, p))
+            result = new(AnalysisResult)
+            fields = result.__dict__
+            fields.update(template)
+            fields["p_error"] = 1.0 - p
+            fields["p_success"] = p
+            results[i] = result
 
 
 def run_recursive(request: AnalysisRequest, **options: object) -> AnalysisResult:

@@ -11,14 +11,15 @@ and budget, stamping ``degraded_from`` provenance.
 ``analyze_batch`` calls as possible: chain requests sharing a cell
 sequence are stacked into one ``(batch, width)`` grid, chunked at
 :data:`BATCH_CHUNK` rows with a :class:`~repro.runtime.budget.BudgetMeter`
-checked between chunks.  ``engine.batch.*`` obs counters report group
-count and vectorised occupancy; ``engine.cache.*`` the stage-matrix
-cache hit rate.
+checked between chunks.  Work that depends only on the cell sequence
+(hashing it, its names, its masking verdict, the result template) runs
+once per group or per distinct ``cells`` tuple, not once per request.
+``engine.batch.*`` obs counters report group count and vectorised
+occupancy; ``engine.cache.*`` the stage-matrix cache hit rate.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -350,6 +351,10 @@ def run_batch(
     the *budget* is charged one config per request at chunk boundaries
     and a stop reason leaves the remaining entries ``None`` (the
     positions of completed requests always hold well-formed results).
+    Each grouped answer equals ``run(request, engine="vectorized")``
+    field for field (``engine="transfer"`` with the segment tier
+    installed); a non-finite kernel output raises
+    :class:`~repro.core.exceptions.AnalysisError`.
     Everything else falls back to :func:`run` per request.
 
     *engine*/*simulate*/*samples*/*seed* force the same :func:`run`
@@ -383,7 +388,13 @@ def run_batch(
     results: List[Optional[AnalysisResult]] = [None] * len(requests)
     result_cache = _diskcache.get_result_cache()
     cache_hits = 0
-    groups: "OrderedDict[tuple, List[int]]" = OrderedDict()
+    # Bucket by ``cells`` tuple object first: requests built from one
+    # cell spec usually share it, so each distinct object is hashed
+    # (a Python-level ``__hash__`` per stage) once, not once per request.
+    # Buckets then merge into groups by row equality.  Groups run in the
+    # order of their first requests, each group's requests in input
+    # order, which fixes where a budget stop leaves ``None``.
+    buckets: Dict[int, List[int]] = {}
     singles: List[int] = []
     for i, request in enumerate(requests):
         if (request.kind == KIND_CHAIN and request.joints is None
@@ -394,9 +405,20 @@ def run_batch(
                     results[i] = cached
                     cache_hits += 1
                     continue
-            groups.setdefault(request.cells, []).append(i)
+            bucket = buckets.get(id(request.cells))
+            if bucket is None:
+                bucket = buckets[id(request.cells)] = []
+            bucket.append(i)
         else:
             singles.append(i)
+    merged: Dict[tuple, List[List[int]]] = {}
+    for bucket in buckets.values():
+        merged.setdefault(requests[bucket[0]].cells, []).append(bucket)
+    groups = [
+        (cells, parts[0] if len(parts) == 1
+         else sorted(i for part in parts for i in part))
+        for cells, parts in merged.items()
+    ]
 
     meter = make_meter(budget)
     stopped = False
@@ -411,11 +433,14 @@ def run_batch(
     with _metrics.timed("engine.run_batch"), \
             trace_span("engine.run_batch", requests=len(requests),
                        groups=len(groups)):
-        for cells, indices in groups.items():
+        for cells, indices in groups:
             if stopped:
                 break
+            cell_list = list(cells)
             matrices = None if segment_cache is not None \
                 else [mask_arrays(t) for t in cells]
+            out = backends._GroupResults(
+                "vectorized" if segment_cache is None else "transfer")
             start = 0
             while start < len(indices):
                 if meter.stop_reason() is not None:
@@ -427,41 +452,32 @@ def run_batch(
                     break
                 chunk = indices[start:start + step]
                 start += len(chunk)
+                chunk_requests = [requests[i] for i in chunk]
                 if segment_cache is not None:
-                    cell_list = list(cells)
                     with _metrics.timed("engine.transfer.seconds"):
-                        for i in chunk:
-                            results[i] = backends._chain_result(
-                                requests[i],
-                                segment_cache.success_probability(
-                                    cell_list, requests[i].p_a,
-                                    requests[i].p_b, requests[i].p_cin,
-                                ),
-                                "transfer", True,
-                            )
-                            if result_cache is not None:
-                                result_cache.put_result(requests[i],
-                                                        results[i])
+                        p_success = [
+                            segment_cache.success_probability(
+                                cell_list, r.p_a, r.p_b, r.p_cin)
+                            for r in chunk_requests
+                        ]
+                        out.fill(results, chunk, chunk_requests, p_success)
                     segment_points += len(chunk)
-                    meter.charge(configs=len(chunk))
-                    continue
-                pa = np.array([requests[i].p_a for i in chunk])
-                pb = np.array([requests[i].p_b for i in chunk])
-                pc = np.array([requests[i].p_cin for i in chunk])
-                from ..core.vectorized import analyze_batch
+                else:
+                    from ..core.vectorized import analyze_batch
 
-                with _metrics.timed("engine.vectorized.seconds"):
-                    p_success = analyze_batch(
-                        list(cells), None, pa, pb, pc,
-                        batch=len(chunk), matrices=matrices,
-                    )
-                for j, i in enumerate(chunk):
-                    results[i] = backends._chain_result(
-                        requests[i], float(p_success[j]), "vectorized", True
-                    )
-                    if result_cache is not None:
+                    pa = np.array([r.p_a for r in chunk_requests])
+                    pb = np.array([r.p_b for r in chunk_requests])
+                    pc = np.array([r.p_cin for r in chunk_requests])
+                    with _metrics.timed("engine.vectorized.seconds"):
+                        p_success = analyze_batch(
+                            cell_list, None, pa, pb, pc,
+                            batch=len(chunk), matrices=matrices,
+                        )
+                    out.fill(results, chunk, chunk_requests, p_success)
+                    vector_points += len(chunk)
+                if result_cache is not None:
+                    for i in chunk:
                         result_cache.put_result(requests[i], results[i])
-                vector_points += len(chunk)
                 meter.charge(configs=len(chunk))
         for i in singles:
             if meter.stop_reason() is not None:

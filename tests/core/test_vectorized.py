@@ -5,9 +5,13 @@ import pytest
 
 from repro import engine
 from repro.core import get_cell
+from repro.core.adders import PAPER_LPAAS
 from repro.core.exceptions import ProbabilityError
+from repro.core.matrices import derive_matrices
 from repro.core.recursive import analyze_chain
+from repro.core.truth_table import ACCURATE
 from repro.core.vectorized import analyze_batch, success_by_width
+from repro.engine.executor import BATCH_CHUNK
 
 
 class TestAgreementWithScalarEngine:
@@ -144,3 +148,121 @@ class TestBatchInvariance:
             success_by_width(table, 9, p[i:i + 1], 0.3) for i in range(11)
         ])
         assert np.array_equal(full, singles)
+
+
+# -- frozen oracle: the original full 8-term masked-sum kernel ----------------
+
+def _oracle_ipm(pa, pb, c1, c0):
+    qa = 1.0 - pa
+    qb = 1.0 - pb
+    return np.stack([qa * qb * c0, qa * qb * c1, qa * pb * c0, qa * pb * c1,
+                     pa * qb * c0, pa * qb * c1, pa * pb * c0, pa * pb * c1],
+                    axis=1)
+
+
+def _oracle_sum(ipm, mask):
+    out = ipm[:, 0] * mask[0]
+    for j in range(1, ipm.shape[1]):
+        out += ipm[:, j] * mask[j]
+    return out
+
+
+def _oracle_analyze(cells, pa, pb, pc):
+    c1 = pc.copy()
+    c0 = 1.0 - pc
+    for i, table in enumerate(cells):
+        m, k, l = derive_matrices(table).as_arrays()
+        ipm = _oracle_ipm(pa[:, i], pb[:, i], c1, c0)
+        if i == len(cells) - 1:
+            return _oracle_sum(ipm, l)
+        c1, c0 = _oracle_sum(ipm, m), _oracle_sum(ipm, k)
+
+
+def _oracle_by_width(table, max_width, p, pc):
+    m, k, l = derive_matrices(table).as_arrays()
+    c1 = pc.copy()
+    c0 = 1.0 - pc
+    out = np.zeros((p.shape[0], max_width))
+    for i in range(max_width):
+        ipm = _oracle_ipm(p, p, c1, c0)
+        out[:, i] = _oracle_sum(ipm, l)
+        c1, c0 = _oracle_sum(ipm, m), _oracle_sum(ipm, k)
+    return out
+
+
+#: Operand values that stress the bit contract: the end points (rows of
+#: the IPM that are exactly 0), subnormals, and values one ulp off 0/1.
+_EDGE_PROBABILITIES = np.array([0.0, 1.0, 1e-310, 5e-324, 1.0 - 2 ** -53,
+                                2 ** -52, 0.5])
+
+
+def _random_grid(rng, batch, width):
+    grid = rng.random((batch, width))
+    edges = rng.random((batch, width)) < 0.3
+    grid[edges] = rng.choice(_EDGE_PROBABILITIES, size=int(edges.sum()))
+    return grid
+
+
+def _random_hybrid(rng, width):
+    pool = [ACCURATE] + list(PAPER_LPAAS)
+    return [pool[i] for i in rng.integers(len(pool), size=width)]
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+class TestFrozenKernelBits:
+    """``analyze_batch`` and ``success_by_width`` return exactly the bits
+    of the original kernel, which summed all eight IPM rows times their
+    0/1 masks in canonical order."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_analyze_batch_matches_the_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        for width in (1, 2, 3, 7, 16, 33, 64):
+            cells = _random_hybrid(rng, width)
+            for batch in (1, 5, 200):
+                pa = _random_grid(rng, batch, width)
+                pb = _random_grid(rng, batch, width)
+                pc = rng.choice(np.array([0.0, 1.0, 0.3, 1e-310]),
+                                size=batch)
+                want = _oracle_analyze(cells, pa, pb, pc)
+                got = analyze_batch(cells, None, pa, pb, pc, batch=batch)
+                assert np.array_equal(_bits(got), _bits(want)), (width, batch)
+                cached = analyze_batch(
+                    cells, None, pa, pb, pc, batch=batch,
+                    matrices=[engine.cache.mask_arrays(t) for t in cells])
+                assert np.array_equal(_bits(cached), _bits(want))
+
+    def test_batch_past_the_executor_chunk(self):
+        rng = np.random.default_rng(11)
+        batch = BATCH_CHUNK + 37
+        for width in (1, 64):
+            cells = _random_hybrid(rng, width)
+            pa = _random_grid(rng, batch, width)
+            pb = _random_grid(rng, batch, width)
+            pc = rng.choice(np.array([0.0, 1.0, 0.5]), size=batch)
+            want = _oracle_analyze(cells, pa, pb, pc)
+            got = analyze_batch(cells, None, pa, pb, pc, batch=batch)
+            assert np.array_equal(_bits(got), _bits(want)), width
+
+    @pytest.mark.parametrize("table", [ACCURATE] + list(PAPER_LPAAS),
+                             ids=["AccuFA"] + [f"LPAA{i}" for i in range(1, 8)])
+    def test_success_by_width_matches_the_oracle(self, table):
+        rng = np.random.default_rng(7)
+        for batch in (1, BATCH_CHUNK + 3):
+            p = rng.random(batch)
+            edges = rng.random(batch) < 0.3
+            p[edges] = rng.choice(_EDGE_PROBABILITIES, size=int(edges.sum()))
+            for p_cin in (0.0, 1.0, 0.37):
+                pc = np.full(batch, p_cin)
+                want = _oracle_by_width(table, 64, p, pc)
+                got = success_by_width(table, 64, p, p_cin)
+                assert np.array_equal(_bits(got), _bits(want)), (batch, p_cin)
+
+    def test_masks_must_be_zero_one(self):
+        m, k, l = engine.cache.mask_arrays(ACCURATE)
+        with pytest.raises(ProbabilityError, match="0/1"):
+            analyze_batch([ACCURATE], None, 0.5, 0.5, 0.5,
+                          matrices=[(m * 0.5, k, l)])
