@@ -601,10 +601,6 @@ def _cmd_serve(args) -> int:
             max_p99_s=None if args.slo_p99 < 0 else args.slo_p99,
             max_shed_rate=(None if args.slo_shed_rate < 0
                            else args.slo_shed_rate),
-            min_cache_hit_rate=(
-                None if args.slo_cache_hit_rate is None
-                or args.slo_cache_hit_rate < 0
-                else args.slo_cache_hit_rate),
         ),
     )
     overrides = {}
@@ -1229,10 +1225,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--slo-shed-rate", type=float, metavar="RATIO", default=0.5,
         help="degrade /healthz when the recent shed rate exceeds this "
              "(default 0.5; negative disables)")
-    telemetry.add_argument(
-        "--slo-cache-hit-rate", type=float, metavar="RATIO", default=None,
-        help="degrade /healthz when the result-cache hit rate falls "
-             "below this (default: disabled)")
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(

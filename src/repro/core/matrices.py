@@ -27,15 +27,19 @@ from .truth_table import FullAdderTruthTable
 
 MaskRow = Tuple[int, int, int, int, int, int, int, int]
 
-# Fingerprint-keyed memos (same keying convention as the stage-matrix
-# LRU: the eight (sum, cout) truth-table rows identify a cell exactly).
-# Sweeps lower the same handful of cells millions of times -- the masks
-# are pure functions of the rows, so recomputing them per call is pure
-# waste.  Unbounded on purpose: there are at most 4^8 distinct tables,
-# and a real run sees a few dozen.  Hit rates are reported under the
-# engine-wide cache namespace (``engine.cache.matrices.*``).
+#: The canonical row indices each of a cell's ``(m, k, l)`` masks selects.
+SelectedRows = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]
+
+# Fingerprint-keyed memos: the eight (sum, cout) truth-table rows
+# identify a cell exactly, so differently-named tables with equal rows
+# share entries.  Sweeps lower the same handful of cells millions of
+# times -- the masks are pure functions of the rows, so recomputing them
+# per call is pure waste.  Unbounded on purpose: there are at most 4^8
+# distinct tables, and a real run sees a few dozen.  Hit rates of the
+# mask memos are reported as ``engine.cache.matrices.*``.
 _MATRICES_MEMO: Dict[Tuple[Tuple[int, int], ...], "AnalysisMatrices"] = {}
 _CARRY_MEMO: Dict[Tuple[Tuple[int, int], ...], Tuple[MaskRow, MaskRow]] = {}
+_SELECTED_MEMO: Dict[Tuple[Tuple[int, int], ...], SelectedRows] = {}
 
 
 def _count_memo(hit: bool) -> None:
@@ -100,6 +104,36 @@ def derive_matrices(table: FullAdderTruthTable) -> AnalysisMatrices:
     matrices = AnalysisMatrices(m=m, k=k, l=l)  # type: ignore[arg-type]
     _MATRICES_MEMO[table.rows] = matrices
     return matrices
+
+
+def selected_rows(table: FullAdderTruthTable) -> SelectedRows:
+    """The row indices *table*'s ``(m, k, l)`` masks select, in canonical
+    ``000..111`` order -- what the stage kernel of
+    :mod:`repro.core.vectorized` sums.
+
+    >>> from repro.core.adders import LPAA1
+    >>> selected_rows(LPAA1)[0]
+    (3, 5, 6, 7)
+    """
+    selected = _SELECTED_MEMO.get(table.rows)
+    if selected is None:
+        mkl = derive_matrices(table)
+        selected = tuple(  # type: ignore[assignment]
+            tuple(j for j, bit in enumerate(mask) if bit)
+            for mask in (mkl.m, mkl.k, mkl.l)
+        )
+        _SELECTED_MEMO[table.rows] = selected
+    return selected
+
+
+def clear_memos() -> None:
+    """Empty the fingerprint-keyed mask memos (cold starts, tests).
+
+    Exported as :func:`repro.engine.clear_cache`.
+    """
+    _MATRICES_MEMO.clear()
+    _CARRY_MEMO.clear()
+    _SELECTED_MEMO.clear()
 
 
 def derive_carry_matrices(table: FullAdderTruthTable) -> Tuple[MaskRow, MaskRow]:

@@ -50,10 +50,9 @@ from .recursive import CellSpec, resolve_chain
 from .truth_table import FullAdderTruthTable
 from .types import validate_probability, validate_probability_vector
 
-#: Decimal digits kept when quantising probabilities into content keys
-#: (the library-wide convention shared with ``engine.cache`` and the
-#: disk result store -- see QUANT_DIGITS there; duplicated as a literal
-#: to keep core free of engine imports).
+#: Decimal digits kept when quantising probabilities into content keys:
+#: the segment tier's leaf keys here and the disk result store's request
+#: keys (:mod:`repro.engine.diskcache`) both use it.
 KEY_QUANT_DIGITS = 12
 
 
@@ -79,8 +78,8 @@ class SegmentMatrix:
 
     * ``t00 t01 / t10 t11`` -- the 2x2 carry update ``v' = T v`` a
       non-final segment applies to ``v = (P(C̄∩Succ), P(C∩Succ))``
-      (``T[out][in]``, matching
-      :class:`repro.engine.cache.StageTransition`);
+      (``T[out][in]``, matching the stage maps of
+      :mod:`repro.explore.hybrid_search`);
     * ``l0 l1`` -- the success functional of the segment's *last* stage
       composed with the stages before it: ``P(Succ) = l . v`` when the
       segment is the chain's tail (Eq. 12).
@@ -153,8 +152,8 @@ def lower_stage(
 ) -> SegmentMatrix:
     """Lower one ``(cell, P(A), P(B))`` stage to its exact transfer map.
 
-    Expands the M/K/L mask contraction of
-    :func:`repro.engine.cache._build_transition` in dyadic integers: the
+    Expands the M/K/L mask contraction of the float stage kernel
+    (:func:`repro.core.vectorized._stage_sums`) in dyadic integers: the
     four operand-pair weights ``(q_a q_b, q_a p_b, p_a q_b, p_a p_b)``
     are brought to one common denominator, then routed to the ``T`` rows
     (K mask -> row 0, M mask -> row 1) and the ``l`` functional by carry

@@ -10,13 +10,16 @@ simultaneously:
   grids, returns ``P(Succ)`` per batch element;
 * :func:`success_by_width` -- one recursion pass that reports
   ``P(Succ)`` for *every* prefix width ``1..N`` (exactly what Fig. 5's
-  x-axis needs), optionally over a batch of probability points at once.
+  x-axis needs), optionally over a batch of probability points at once;
+* :func:`chain_success` -- the chain recursion both the batch grid and
+  the scalar ``recursive`` engine run (the latter on Python floats).
 
-Both share one per-stage helper, :func:`_stage_sums`, which sums only
-the IPM rows each 0/1 mask selects, in canonical row order, so a row's
-bits never depend on its batch mates.  Both are validated against the
-scalar engine to ~1e-12 in the tests, and bit for bit against the
-original full 8-term masked sums.
+All of them share one per-stage helper, :func:`_stage_sums`, which sums
+only the IPM rows each 0/1 mask selects, in canonical row order, so a
+row's bits never depend on its batch mates, and a single request run on
+Python floats gets exactly the bits of its row in a batch.  The kernel
+is validated against the exact engines to ~1e-12 in the tests, and bit
+for bit against the original full 8-term masked sums.
 """
 
 from __future__ import annotations
@@ -28,40 +31,24 @@ import numpy as np
 from ..obs import metrics as _metrics
 from ..obs.tracing import trace_span
 from .exceptions import ProbabilityError
-from .matrices import derive_matrices
+from .matrices import selected_rows
 from .probability import probability_grid, probability_row
 from .recursive import CellSpec, resolve_chain
+from .truth_table import FullAdderTruthTable
 
-#: Per-stage ``(m, k, l)`` mask arrays, as produced by
-#: ``AnalysisMatrices.as_arrays()``.  ``analyze_batch`` accepts a
-#: precomputed sequence of these (one per stage) so callers with a
-#: matrix cache -- the :mod:`repro.engine` executor -- skip the
-#: per-stage mask derivation entirely.
-MaskArrays = Tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _selected_rows(masks: MaskArrays) -> Tuple[Tuple[int, ...], ...]:
-    """The canonical row indices each 0/1 mask of *masks* selects."""
-    selected = []
-    for mask in masks:
-        values = np.asarray(mask, dtype=np.float64)
-        if values.shape != (8,) or not set(values.tolist()) <= {0.0, 1.0}:
-            raise ProbabilityError(
-                f"matrices: each (m, k, l) mask must be eight 0/1 entries, "
-                f"got {values.tolist()}"
-            )
-        selected.append(tuple(np.flatnonzero(values).tolist()))
-    return tuple(selected)
+#: A probability operand of the stage kernel: a ``(batch,)`` array or a
+#: plain Python float.
+Operand = Union[np.ndarray, float]
 
 
 def _stage_sums(
-    pa: np.ndarray,
-    pb: np.ndarray,
-    c1: np.ndarray,
-    c0: np.ndarray,
+    pa: Operand,
+    pb: Operand,
+    c1: Operand,
+    c0: Operand,
     selections: Sequence[Tuple[int, ...]],
 ) -> list:
-    """Vectorised Eqs. 10-12 for one stage: ``IPM . mask`` per selection.
+    """Eqs. 10-12 for one stage: ``IPM . mask`` per selection.
 
     The IPM row ``(A,B,Cin) = j`` (canonical ``000..111`` order) is the
     operand product ``j >> 1`` times the carry state ``j & 1``; each of
@@ -73,7 +60,9 @@ def _stage_sums(
     request must get the same bits whichever batch it lands in -- a BLAS
     matvec's reduction order varies with the batch shape).  Skipping the
     unselected rows changes no bit: masks are 0/1 and every IPM term is
-    ``>= 0``, so ``x * 1.0 == x`` and ``x + 0.0 == x``.
+    ``>= 0``, so ``x * 1.0 == x`` and ``x + 0.0 == x``.  Plain Python
+    floats follow the same IEEE-754 double arithmetic as a ``float64``
+    array element, so the scalar callers get a batch row's bits.
     """
     qa = 1.0 - pa
     qb = 1.0 - pb
@@ -88,8 +77,46 @@ def _stage_sums(
             if term is None:
                 term = terms[j] = pairs[j >> 1] * carries[j & 1]
             total = term if total is None else total + term
-        sums.append(np.zeros_like(c0) if total is None else total)
+        # An empty mask sums to zero (``c0 >= 0``, so ``c0 * 0.0`` is
+        # +0.0 whether *c0* is an array or a float).
+        sums.append(c0 * 0.0 if total is None else total)
     return sums
+
+
+def chain_success(
+    cells: Sequence[FullAdderTruthTable],
+    p_a: Sequence[Operand],
+    p_b: Sequence[Operand],
+    p_cin: Operand,
+) -> Operand:
+    """``P(Succ)`` of a chain: the recursion through :func:`_stage_sums`.
+
+    *cells* are resolved truth tables; ``p_a[i]``/``p_b[i]`` are stage
+    *i*'s operand probabilities, validated by the caller.  With Python
+    floats this is the scalar ``recursive`` engine; with ``(batch,)``
+    arrays it is :func:`analyze_batch`'s loop.  Both run the same
+    operations, so a float answer has exactly the bits of its batch row.
+
+    >>> from repro.core.adders import LPAA1
+    >>> chain_success([LPAA1] * 2, [0.5, 0.5], [0.5, 0.5], 0.5)
+    0.625
+    """
+    # Selected rows once per distinct cell object; the objects stay
+    # alive in *cells*, so their ids are stable keys for the call.
+    selections: dict = {}
+    c1 = p_cin
+    c0 = 1.0 - p_cin
+    last = len(cells) - 1
+    for i, table in enumerate(cells):
+        rows = selections.get(id(table))
+        if rows is None:
+            rows = selections[id(table)] = selected_rows(table)
+        m, k, l = rows
+        if i == last:
+            (p_success,) = _stage_sums(p_a[i], p_b[i], c1, c0, (l,))
+        else:
+            c1, c0 = _stage_sums(p_a[i], p_b[i], c1, c0, (m, k))
+    return p_success
 
 
 def analyze_batch(
@@ -99,7 +126,6 @@ def analyze_batch(
     p_b: object = 0.5,
     p_cin: object = 0.5,
     batch: Optional[int] = None,
-    matrices: Optional[Sequence[MaskArrays]] = None,
 ) -> np.ndarray:
     """Run the recursion over a batch of probability points.
 
@@ -115,9 +141,6 @@ def analyze_batch(
         Scalar or ``(batch,)`` array.
     batch:
         Batch size; inferred from array arguments when omitted.
-    matrices:
-        Optional per-stage ``(m, k, l)`` mask arrays (cache-supplied);
-        derived from the truth tables when omitted.
 
     Returns
     -------
@@ -126,11 +149,6 @@ def analyze_batch(
     """
     cells = resolve_chain(cell, width)
     n = len(cells)
-    if matrices is not None and len(matrices) != n:
-        raise ProbabilityError(
-            f"matrices: need one (m, k, l) triple per stage, got "
-            f"{len(matrices)} for {n} stages"
-        )
 
     if batch is None:
         batch = 1
@@ -148,23 +166,8 @@ def analyze_batch(
 
     with _metrics.timed("core.vectorized.analyze_batch"), \
             trace_span("core.vectorized.analyze_batch", width=n, batch=batch):
-        # Selected rows once per distinct cell (or cache-supplied mask
-        # triple); the objects stay alive in ``cells``/``matrices``, so
-        # their ids are stable keys for the duration of the call.
-        selections: dict = {}
-        c1 = pc.copy()
-        c0 = 1.0 - pc
-        for i, table in enumerate(cells):
-            source = table if matrices is None else matrices[i]
-            if id(source) not in selections:
-                selections[id(source)] = _selected_rows(
-                    derive_matrices(table).as_arrays() if matrices is None
-                    else source)
-            m, k, l = selections[id(source)]
-            if i == n - 1:
-                (p_success,) = _stage_sums(pa[:, i], pb[:, i], c1, c0, (l,))
-            else:
-                c1, c0 = _stage_sums(pa[:, i], pb[:, i], c1, c0, (m, k))
+        # Row i of the transposed grids is stage i's (batch,) column.
+        p_success = chain_success(cells, pa.T, pb.T, pc)
     if _metrics.is_enabled():
         _metrics.get_registry().counter("core.vectorized.points").add(batch)
     return p_success
@@ -213,7 +216,7 @@ def success_by_width(
     pc = probability_row(p_cin, batch, "p_cin")
 
     table = resolve_chain(cell, 1)[0]
-    m, k, l = _selected_rows(derive_matrices(table).as_arrays())
+    m, k, l = selected_rows(table)
 
     with _metrics.timed("core.vectorized.success_by_width"), \
             trace_span("core.vectorized.success_by_width",

@@ -8,8 +8,6 @@ backend in the library:
 * :mod:`repro.engine.registry` -- capability metadata, abstract cost
   estimates and ``degrades_to`` rungs per backend, the data
   :func:`select_engine` walks;
-* :mod:`repro.engine.cache` -- the process-wide stage-matrix LRU keyed
-  by (cell truth-table fingerprint, quantized operand probabilities);
 * :mod:`repro.engine.diskcache` -- the opt-in persistent result tier:
   an in-memory result LRU over a content-addressed on-disk store shared
   across processes and restarts (``configure_result_cache``);
@@ -20,11 +18,16 @@ backend in the library:
 * :mod:`repro.engine.executor` -- :func:`run`, :func:`run_batch` and
   :func:`error_curves`, instrumented through :mod:`repro.obs`.
 
+Scalar and batched chain answers come from one stage kernel
+(:mod:`repro.core.vectorized`), so ``run`` and ``run_batch`` agree bit
+for bit; :func:`clear_cache` empties the truth-table-keyed mask memos
+behind it (cold-start benchmarks and tests).
+
 Typical use::
 
     from repro import engine
 
-    result = engine.run("axa3", 8, p_a=0.3)        # analytical, cached
+    result = engine.run("axa3", 8, p_a=0.3)        # analytical
     result = engine.run("axa3", 24, simulate=True)  # routed simulation
     curves = engine.error_curves("axa2", 16)
 
@@ -37,18 +40,7 @@ in turn used by ``runtime.validation``, ``explore``, ``circuits``,
 ``gear``, ``apps`` and the CLI.
 """
 
-from .cache import (
-    GLOBAL_CACHE,
-    CacheStats,
-    StageMatrixCache,
-    StageTransition,
-    analysis_matrices,
-    cache_stats,
-    clear_cache,
-    configure_cache,
-    mask_arrays,
-    stage_transition,
-)
+from ..core.matrices import clear_memos as clear_cache
 from .diskcache import (
     DEFAULT_MEMORY_ENTRIES,
     STORE_FORMAT,
@@ -116,7 +108,6 @@ from .zoo import (
 __all__ = [
     "AnalysisRequest",
     "AnalysisResult",
-    "CacheStats",
     "DEFAULT_MEMORY_ENTRIES",
     "DiskResultStore",
     "DiskSegmentStore",
@@ -133,7 +124,6 @@ __all__ = [
     "EngineRegistry",
     "FAMILY_ANALYTICAL",
     "FAMILY_SIMULATION",
-    "GLOBAL_CACHE",
     "OPS_PER_SECOND",
     "DISTRIBUTION_KINDS",
     "DIST_EXACT_MAX_WIDTH",
@@ -162,22 +152,15 @@ __all__ = [
     "register_distribution_engines",
     "register_zoo_engines",
     "REGISTRY",
-    "StageMatrixCache",
-    "StageTransition",
-    "analysis_matrices",
-    "cache_stats",
     "clear_cache",
-    "configure_cache",
     "configure_segment_cache",
     "disable_segment_cache",
     "get_segment_cache",
     "error_curves",
-    "mask_arrays",
     "register_builtin_engines",
     "run",
     "run_batch",
     "select_engine",
-    "stage_transition",
 ]
 
 register_builtin_engines()

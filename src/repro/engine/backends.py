@@ -12,15 +12,13 @@ duplicates a threshold.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from ..core.exceptions import AnalysisError
-from ..core.truth_table import FullAdderTruthTable
 from ..obs import metrics as _metrics
 from ..obs.tracing import trace_span
-from .cache import mask_arrays, stage_transition
 from .registry import (
     FAMILY_ANALYTICAL,
     FAMILY_SIMULATION,
@@ -34,11 +32,11 @@ from .request import (
     AnalysisResult,
 )
 
-#: Abstract cost units per recursion stage (scalar path, cache warm).
+#: Abstract cost units per recursion stage (scalar path).
 _STAGE_COST = 8.0
 
 #: NumPy dispatch overhead of a batch=1 vectorised call, in the same
-#: units.  Keeps the cached scalar loop the default for single-point
+#: units.  Keeps the scalar loop the default for single-point
 #: requests while ``run_batch`` feeds the vectorised engine directly.
 _VECTOR_OVERHEAD = 400.0
 
@@ -174,7 +172,7 @@ class _GroupResults:
 
 
 def run_recursive(request: AnalysisRequest, **options: object) -> AnalysisResult:
-    """Scalar recursion over cached stage transitions (Algorithm 1)."""
+    """Scalar recursion (Algorithm 1) through the batch stage kernel."""
     cells = request.cells
     pa, pb = request.p_a, request.p_b
     if request.keep_trace:
@@ -185,18 +183,16 @@ def run_recursive(request: AnalysisRequest, **options: object) -> AnalysisResult
         return _chain_result(request, float(native.p_success),
                              "recursive", True,
                              trace=native.trace, raw=native)
+    from ..core.vectorized import chain_success
+
     n = len(cells)
-    # Cache-accelerated execution of the same recursion as
-    # ``core.recursive.analyze_chain``; it honours that function's
-    # observability contract (span + calls/stages counters) so existing
-    # dashboards keep working regardless of which path served the run.
+    # The vectorised kernel on Python floats: bit-identical to the
+    # request's row in ``run_batch``.  It honours the observability
+    # contract of ``core.recursive.analyze_chain`` (span + calls/stages
+    # counters) so dashboards keep working whichever path served the run.
     with _metrics.timed("core.recursive.analyze_chain"), \
             trace_span("core.recursive.analyze_chain", width=n):
-        c1 = request.p_cin
-        c0 = 1.0 - c1
-        for i in range(n - 1):
-            c0, c1 = stage_transition(cells[i], pa[i], pb[i]).apply(c0, c1)
-        p_success = stage_transition(cells[-1], pa[-1], pb[-1]).success(c0, c1)
+        p_success = chain_success(cells, pa, pb, request.p_cin)
     if _metrics.is_enabled():
         registry = _metrics.get_registry()
         registry.counter("core.recursive.calls").add(1)
@@ -235,14 +231,13 @@ def run_transfer(request: AnalysisRequest, **options: object) -> AnalysisResult:
 
 
 def run_vectorized(request: AnalysisRequest, **options: object) -> AnalysisResult:
-    """Single-point entry of the NumPy batch engine (cache-fed masks)."""
+    """Single-point entry of the NumPy batch engine."""
     from ..core.vectorized import analyze_batch
 
-    cells = list(request.cells)
     p_success = analyze_batch(
-        cells, None,
+        list(request.cells), None,
         np.asarray(request.p_a), np.asarray(request.p_b), request.p_cin,
-        batch=1, matrices=[mask_arrays(t) for t in cells],
+        batch=1,
     )
     return _chain_result(request, float(p_success[0]), "vectorized", True)
 
@@ -407,7 +402,7 @@ def register_builtin_engines() -> None:
         request_kinds=(KIND_CHAIN,), exact=True, deterministic=True,
         run=run_recursive, supports_trace=True,
         cost_estimate=lambda request: _STAGE_COST * request.width,
-        description="paper Algorithm 1 over cached stage transitions",
+        description="paper Algorithm 1, scalar, on the batch stage kernel",
     ))
     REGISTRY.register(EngineInfo(
         name="transfer", family=FAMILY_ANALYTICAL,

@@ -1,17 +1,16 @@
-"""Persistent result cache: the disk tier under the stage-matrix LRU.
+"""Persistent result cache: finished answers that outlive the process.
 
-The stage-matrix cache (:mod:`repro.engine.cache`) amortises the *inner*
-recursion work but dies with the process, so a service answering the
-same handful of analytical questions thousands of times per design loop
-re-derives every answer after each restart.  This module adds the outer
-tier: a content-addressed on-disk store of finished
+A service answering the same handful of analytical questions thousands
+of times per design loop would otherwise re-derive every answer after
+each restart.  This module adds a result tier: a content-addressed
+on-disk store of finished
 :class:`~repro.engine.request.AnalysisResult` values, fronted by a small
 in-memory LRU, shared across processes and restarts.
 
-Keying follows the stage-matrix convention -- the truth-table
-fingerprint of every cell in the chain plus the
-:data:`~repro.engine.cache.QUANT_DIGITS`-quantised probability vectors
--- hashed to one SHA-256 content address.  Only deterministic, exact,
+Keying follows the library-wide fingerprint convention -- the
+truth-table rows of every cell in the chain plus the
+:data:`~repro.core.transfer.KEY_QUANT_DIGITS`-quantised probability
+vectors -- hashed to one SHA-256 content address.  Only deterministic, exact,
 non-truncated analytical chain answers are stored (the executor consults
 :attr:`EngineInfo.deterministic <repro.engine.registry.EngineInfo>`), so
 a hit is always bit-identical to a recompute on the same code version.
@@ -48,9 +47,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from ..core.transfer import KEY_QUANT_DIGITS
 from ..obs import metrics as _metrics
 from ..runtime import chaos as _chaos
-from .cache import QUANT_DIGITS
 from .request import (
     DISTRIBUTION_KINDS,
     KIND_CHAIN,
@@ -111,8 +110,8 @@ def request_key(request: AnalysisRequest) -> Optional[str]:
                 "lows": list(request.block.lows),  # type: ignore[attr-defined]
                 "carry_low": request.block.carry_low,  # type: ignore[attr-defined]
             },
-            "p_a": [round(float(p), QUANT_DIGITS) for p in request.p_a],
-            "p_b": [round(float(p), QUANT_DIGITS) for p in request.p_b],
+            "p_a": [round(float(p), KEY_QUANT_DIGITS) for p in request.p_a],
+            "p_b": [round(float(p), KEY_QUANT_DIGITS) for p in request.p_b],
             "check_masking": bool(request.check_masking),
         }
     elif not request.cells:
@@ -123,9 +122,9 @@ def request_key(request: AnalysisRequest) -> Optional[str]:
             "kind": request.kind,
             "cells": [list(map(list, table.rows))
                       for table in request.cells],
-            "p_a": [round(float(p), QUANT_DIGITS) for p in request.p_a],
-            "p_b": [round(float(p), QUANT_DIGITS) for p in request.p_b],
-            "p_cin": round(float(request.p_cin), QUANT_DIGITS),
+            "p_a": [round(float(p), KEY_QUANT_DIGITS) for p in request.p_a],
+            "p_b": [round(float(p), KEY_QUANT_DIGITS) for p in request.p_b],
+            "p_cin": round(float(request.p_cin), KEY_QUANT_DIGITS),
             "check_masking": bool(request.check_masking),
         }
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))

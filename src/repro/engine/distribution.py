@@ -53,7 +53,7 @@ import numpy as np
 
 from ..core.exceptions import AnalysisError
 from ..core.metrics import metrics_from_law, metrics_from_pmf
-from .cache import stage_transition
+from ..core.vectorized import chain_success
 from .registry import (
     FAMILY_ANALYTICAL,
     FAMILY_SIMULATION,
@@ -162,16 +162,10 @@ def _quantized_error_pmf(request: AnalysisRequest) -> Dict[int, float]:
 
 
 def _chain_error_probability(request: AnalysisRequest) -> float:
-    """Word-level P(error) of the request's chain via the cached
-    stage-transition recursion (the paper's Algorithm 1)."""
-    cells = request.cells
-    c1 = request.p_cin
-    c0 = 1.0 - c1
-    for i in range(len(cells) - 1):
-        c0, c1 = stage_transition(
-            cells[i], request.p_a[i], request.p_b[i]).apply(c0, c1)
-    p_success = stage_transition(
-        cells[-1], request.p_a[-1], request.p_b[-1]).success(c0, c1)
+    """Word-level P(error) of the request's chain (the paper's
+    Algorithm 1), bit-identical to the ``recursive`` engine's."""
+    p_success = chain_success(
+        request.cells, request.p_a, request.p_b, request.p_cin)
     return 1.0 - min(1.0, max(0.0, p_success))
 
 

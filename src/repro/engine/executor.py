@@ -15,7 +15,7 @@ checked between chunks.  Work that depends only on the cell sequence
 (hashing it, its names, its masking verdict, the result template) runs
 once per group or per distinct ``cells`` tuple, not once per request.
 ``engine.batch.*`` obs counters report group count and vectorised
-occupancy; ``engine.cache.*`` the stage-matrix cache hit rate.
+occupancy.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from ..runtime.router import ENGINE_EXHAUSTIVE, EngineDecision, record_decision
 from . import backends
 from . import diskcache as _diskcache
 from . import segcache as _segcache
-from .cache import mask_arrays
 from .registry import (
     FAMILY_ANALYTICAL,
     FAMILY_SIMULATION,
@@ -437,8 +436,6 @@ def run_batch(
             if stopped:
                 break
             cell_list = list(cells)
-            matrices = None if segment_cache is not None \
-                else [mask_arrays(t) for t in cells]
             out = backends._GroupResults(
                 "vectorized" if segment_cache is None else "transfer")
             start = 0
@@ -471,7 +468,7 @@ def run_batch(
                     with _metrics.timed("engine.vectorized.seconds"):
                         p_success = analyze_batch(
                             cell_list, None, pa, pb, pc,
-                            batch=len(chunk), matrices=matrices,
+                            batch=len(chunk),
                         )
                     out.fill(results, chunk, chunk_requests, p_success)
                     vector_points += len(chunk)

@@ -35,11 +35,12 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from ..circuits.power import PowerModel
 from ..core.exceptions import ExplorationError
 from ..core.hybrid import HybridChain
+from ..core.matrices import selected_rows
 from ..core.probability import float_probability_vector
 from ..core.recursive import CellSpec, resolve_cell
 from ..core.truth_table import FullAdderTruthTable
 from ..core.types import validate_probability
-from ..engine.cache import stage_transition
+from ..core.vectorized import _stage_sums
 from ..obs import metrics as _metrics
 from ..obs.log import get_logger, log_event
 from ..obs.provenance import RunManifest, StopWatch, build_manifest
@@ -62,18 +63,24 @@ def _stage_matrix(
     """2x2 map ``v_next = T v`` of one stage (rows: next c0/c1 mass).
 
     ``T[out][in]``: contribution of incoming mass with carry *in* to the
-    outgoing success mass with carry *out*.  Served from the
-    process-wide stage-matrix cache -- the DP revisits the same
-    ``(cell, p_a, p_b)`` combination once per frontier vector.
+    outgoing success mass with carry *out*.  Column *in* is the chain
+    recursion's stage kernel run from the unit carry state *in*; the
+    searches call this once per (stage, candidate cell).
     """
-    return stage_transition(table, p_a, p_b).matrix
+    m, k, _ = selected_rows(table)
+    m0, k0 = _stage_sums(p_a, p_b, 0.0, 1.0, (m, k))
+    m1, k1 = _stage_sums(p_a, p_b, 1.0, 0.0, (m, k))
+    return ((k0, k1), (m0, m1))
 
 
 def _final_vector(
     table: FullAdderTruthTable, p_a: float, p_b: float
 ) -> Tuple[float, float]:
     """Functional ``l`` with ``P(Succ) = l . v`` at the last stage."""
-    return stage_transition(table, p_a, p_b).final
+    l = selected_rows(table)[2]
+    (l0,) = _stage_sums(p_a, p_b, 0.0, 1.0, (l,))
+    (l1,) = _stage_sums(p_a, p_b, 1.0, 0.0, (l,))
+    return (l0, l1)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from ..core.exceptions import AnalysisError
+from ..core.matrices import derive_matrices
 from ..core.probability import float_probability_vector
 from ..core.recursive import CellSpec, resolve_cell
 from .compressor import multi_operand_add, multi_operand_add_array
@@ -34,10 +35,8 @@ from .compressor import multi_operand_add, multi_operand_add_array
 
 def _column_distribution(cell, p_x: float, p_y: float, p_z: float):
     """Per-column probabilities: (P(cell accurate), P(sum=1), P(carry=1))."""
-    from ..engine.cache import analysis_matrices
-
     table = resolve_cell(cell)
-    mkl = analysis_matrices(table)
+    mkl = derive_matrices(table)
     p_ok = p_sum = p_carry = 0.0
     for idx in range(8):
         x, y, z = (idx >> 2) & 1, (idx >> 1) & 1, idx & 1

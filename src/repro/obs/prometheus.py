@@ -15,8 +15,8 @@ endpoint with ``Accept: text/plain`` and ingest:
 
 Metric names are sanitised to the Prometheus grammar
 (``[a-zA-Z_:][a-zA-Z0-9_:]*``): dots, dashes and spaces become
-underscores, so ``engine.cache.hits`` is exposed as
-``sealpaa_engine_cache_hits_total``.  Every exposed name carries the
+underscores, so ``engine.cache.disk.hits`` is exposed as
+``sealpaa_engine_cache_disk_hits_total``.  Every exposed name carries the
 ``sealpaa_`` prefix to namespace the scrape.
 
 The renderer works from the *snapshot document*, not live metric
@@ -40,8 +40,8 @@ _INVALID_FIRST = re.compile(r"^[^a-zA-Z_:]")
 def sanitize_name(name: str) -> str:
     """Map a dotted metric name onto the Prometheus name grammar.
 
-    >>> sanitize_name("engine.cache.hits")
-    'sealpaa_engine_cache_hits'
+    >>> sanitize_name("engine.cache.disk.hits")
+    'sealpaa_engine_cache_disk_hits'
     >>> sanitize_name("serve.http./healthz")
     'sealpaa_serve_http__healthz'
     """

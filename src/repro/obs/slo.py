@@ -8,14 +8,12 @@ evaluating a small set of objectives against recent behaviour:
   nearest-rank quantiles -- see the accuracy contract in
   :mod:`repro.obs.metrics`);
 * **shed rate** -- fraction of recent admissions the bounded queue
-  rejected, from the service's :class:`RollingRatio` window;
-* **cache hit rate** -- hits / (hits + misses) of the engine result
-  cache, when one is mounted.
+  rejected, from the service's :class:`RollingRatio` window.
 
 Each objective with observed data produces a pass/fail check; the
 overall verdict is ``ok`` when every evaluated check passes and
-``degraded`` otherwise.  Objectives without data (fresh server, no
-cache mounted, threshold disabled with ``None``) are reported as
+``degraded`` otherwise.  Objectives without data (fresh server,
+threshold disabled with ``None``) are reported as
 ``no_data``/``disabled`` and never degrade the verdict -- a service
 that has served nothing is healthy, not failing its latency SLO.
 
@@ -84,7 +82,6 @@ class SloPolicy:
     max_p50_s: Optional[float] = 1.0
     max_p99_s: Optional[float] = 5.0
     max_shed_rate: Optional[float] = 0.5
-    min_cache_hit_rate: Optional[float] = None
     #: Timer whose rolling window provides the latency quantiles.
     latency_timer: str = "serve.http.analyze.seconds"
 
@@ -93,10 +90,9 @@ class SloPolicy:
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-        for name in ("max_shed_rate", "min_cache_hit_rate"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+        value = self.max_shed_rate
+        if value is not None and not 0.0 <= value <= 1.0:
+            raise ValueError(f"max_shed_rate must be in [0, 1], got {value}")
 
 
 def _check(name: str, observed: Optional[float], threshold: Optional[float],
@@ -133,18 +129,11 @@ def evaluate_slo(
     p50 = float(latency["p50_s"]) if has_latency else None
     p99 = float(latency["p99_s"]) if has_latency else None
 
-    counters: Mapping[str, object] = snapshot.get("counters") or {}
-    hits = int(counters.get("engine.cache.hits") or 0)
-    misses = int(counters.get("engine.cache.misses") or 0)
-    hit_rate = hits / (hits + misses) if hits + misses else None
-
     checks: List[Dict[str, object]] = [
         _check("latency_p50", p50, policy.max_p50_s, upper_bound=True),
         _check("latency_p99", p99, policy.max_p99_s, upper_bound=True),
         _check("shed_rate", shed_rate, policy.max_shed_rate,
                upper_bound=True),
-        _check("cache_hit_rate", hit_rate, policy.min_cache_hit_rate,
-               upper_bound=False),
     ]
     degraded = any(c["status"] == "fail" for c in checks)
     return {"status": "degraded" if degraded else "ok", "checks": checks}

@@ -2,12 +2,15 @@
 
 import numpy as np
 
+from repro import engine
 from repro.core.adders import PAPER_LPAAS
 from repro.core.matrices import (
     TABLE5_MATRICES,
+    clear_memos,
     derive_carry_matrices,
     derive_matrices,
     derive_sum_matrix,
+    selected_rows,
 )
 from repro.core.truth_table import ACCURATE
 
@@ -69,3 +72,33 @@ class TestAuxiliaryMasks:
         c1, c0 = derive_carry_matrices(any_cell)
         assert all(m <= c for m, c in zip(mkl.m, c1))
         assert all(k <= c for k, c in zip(mkl.k, c0))
+
+
+class TestFingerprintMemos:
+    """The mask memos are keyed on the truth-table rows, and
+    ``engine.clear_cache`` empties them."""
+
+    def test_memoised_per_table(self, any_cell):
+        assert derive_matrices(any_cell) is derive_matrices(any_cell)
+        assert selected_rows(any_cell) is selected_rows(any_cell)
+        mkl = derive_matrices(any_cell)
+        for mask, rows in zip((mkl.m, mkl.k, mkl.l), selected_rows(any_cell)):
+            assert rows == tuple(j for j in range(8) if mask[j])
+
+    def test_equal_rows_share_entries_across_table_objects(self):
+        # The key is the truth-table fingerprint, not object identity.
+        clone = type(ACCURATE)(ACCURATE.rows, name="clone-of-accurate")
+        assert derive_matrices(clone) is derive_matrices(ACCURATE)
+        assert selected_rows(clone) is selected_rows(ACCURATE)
+        assert derive_carry_matrices(clone) is derive_carry_matrices(ACCURATE)
+
+    def test_clear_cache_empties_the_memos(self):
+        assert engine.clear_cache is clear_memos
+        table = PAPER_LPAAS[3]
+        before = (derive_matrices(table), selected_rows(table),
+                  derive_carry_matrices(table))
+        engine.clear_cache()
+        after = (derive_matrices(table), selected_rows(table),
+                 derive_carry_matrices(table))
+        assert after == before
+        assert all(a is not b for a, b in zip(after, before))

@@ -10,7 +10,11 @@ from repro.core.exceptions import ProbabilityError
 from repro.core.matrices import derive_matrices
 from repro.core.recursive import analyze_chain
 from repro.core.truth_table import ACCURATE
-from repro.core.vectorized import analyze_batch, success_by_width
+from repro.core.vectorized import (
+    analyze_batch,
+    chain_success,
+    success_by_width,
+)
 from repro.engine.executor import BATCH_CHUNK
 
 
@@ -213,9 +217,10 @@ def _bits(values):
 
 
 class TestFrozenKernelBits:
-    """``analyze_batch`` and ``success_by_width`` return exactly the bits
-    of the original kernel, which summed all eight IPM rows times their
-    0/1 masks in canonical order."""
+    """``analyze_batch``, ``success_by_width`` and the scalar
+    ``chain_success`` return exactly the bits of the original kernel,
+    which summed all eight IPM rows times their 0/1 masks in canonical
+    order."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_analyze_batch_matches_the_oracle(self, seed):
@@ -230,10 +235,12 @@ class TestFrozenKernelBits:
                 want = _oracle_analyze(cells, pa, pb, pc)
                 got = analyze_batch(cells, None, pa, pb, pc, batch=batch)
                 assert np.array_equal(_bits(got), _bits(want)), (width, batch)
-                cached = analyze_batch(
-                    cells, None, pa, pb, pc, batch=batch,
-                    matrices=[engine.cache.mask_arrays(t) for t in cells])
-                assert np.array_equal(_bits(cached), _bits(want))
+                for j in range(min(batch, 5)):
+                    scalar = chain_success(cells, pa[j].tolist(),
+                                           pb[j].tolist(), float(pc[j]))
+                    assert type(scalar) is float
+                    assert np.array_equal(_bits(np.array([scalar])),
+                                          _bits(want[j:j + 1])), (width, j)
 
     def test_batch_past_the_executor_chunk(self):
         rng = np.random.default_rng(11)
@@ -261,8 +268,21 @@ class TestFrozenKernelBits:
                 got = success_by_width(table, 64, p, p_cin)
                 assert np.array_equal(_bits(got), _bits(want)), (batch, p_cin)
 
-    def test_masks_must_be_zero_one(self):
-        m, k, l = engine.cache.mask_arrays(ACCURATE)
-        with pytest.raises(ProbabilityError, match="0/1"):
-            analyze_batch([ACCURATE], None, 0.5, 0.5, 0.5,
-                          matrices=[(m * 0.5, k, l)])
+    def test_accurate_success_from_half_is_exactly_one(self):
+        # Accurate cell at p=0.5: the carry-out of a successful stage is
+        # correct by construction, so success from (0.5, 0.5) is 1.
+        assert np.all(success_by_width(ACCURATE, 64, 0.5, 0.5) == 1.0)
+        assert chain_success([ACCURATE], [0.5], [0.5], 0.5) == 1.0
+
+    def test_accurate_cell_keeps_all_carry_mass(self):
+        # The accurate cell never fails: every stage keeps all the carry
+        # mass, so success stays at 1 at every width and input bias.
+        got = analyze_batch(ACCURATE, width=1, p_a=0.3, p_b=0.8, p_cin=0.0)
+        assert got[0] == pytest.approx(1.0, abs=1e-12)
+        rng = np.random.default_rng(7)
+        p = rng.random(BATCH_CHUNK + 3)
+        edges = rng.random(p.size) < 0.3
+        p[edges] = rng.choice(_EDGE_PROBABILITIES, size=int(edges.sum()))
+        for p_cin in (0.0, 1.0, 0.37):
+            got = success_by_width(ACCURATE, 64, p, p_cin)
+            assert np.allclose(got, 1.0, rtol=0.0, atol=1e-12), p_cin

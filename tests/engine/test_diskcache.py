@@ -66,6 +66,25 @@ class TestRequestKey:
         assert masked != unmasked
 
 
+    @pytest.mark.parametrize("request_, key", [
+        (AnalysisRequest.chain("LPAA 1", 8, 0.3, 0.7, 0.5),
+         "7ff13d835d8ae7df8d47c3be805eec25ecd6655a3e5d7e2e00e5eaa174dce2cc"),
+        (AnalysisRequest.chain(["LPAA 2", "accurate", "LPAA 7"], None,
+                               [0.1, 1 / 3, 0.9], 0.25, 1 / 7),
+         "711429048ba28fca0cef750eca4013b65aed17b134897bf92b2013d5cb25714c"),
+        (AnalysisRequest.distribution("LPAA 3", 6, 0.2, kind="med"),
+         "ff7ea21a4bb7acff892851687c549bfa1dbf7407c0666db26b9b7655a11b2076"),
+        (AnalysisRequest.chain("LPAA 5", 4, 0.1 + 1e-14),
+         "a717bdaba44b450933002d5b04dd9739acc0e46b09f0cfb17580f1228a36b18c"),
+    ], ids=["uniform", "hybrid-third", "med", "sub-quantum"])
+    def test_keys_are_pinned(self, request_, key):
+        # Entries already on disk stay addressable: the key recipe and
+        # its 12-digit probability quantum (``KEY_QUANT_DIGITS``) are
+        # part of the store format.
+        assert STORE_FORMAT == "sealpaa-diskcache-v1"
+        assert request_key(request_) == key
+
+
 class TestCacheability:
     def test_analytical_result_is_cacheable(self):
         assert cacheable_result(engine.run(_request()))

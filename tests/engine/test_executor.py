@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -234,6 +235,38 @@ class TestRunBatchContract:
     def test_random_hybrid_chains(self):
         requests = _with_repeats(_random_chains(1, 120), 2, 300)
         self._assert_matches(requests, run_batch(requests), "vectorized")
+
+    def test_scalar_engines_give_the_batch_bits(self):
+        # One stage kernel: the default ``recursive`` engine, the
+        # vectorised engine, ``run_batch`` and the ``wce`` kind's
+        # P(error) all return the same bits, not merely close ones.
+        requests = _with_repeats(_random_chains(1, 120), 2, 300)
+        requests += _random_chains(11, 20, max_width=32)
+        for seed, width in ((12, 32), (13, 64)):
+            rng = random.Random(seed)
+            requests += [
+                AnalysisRequest.chain(
+                    [rng.choice(("accurate", "LPAA 1", "LPAA 6", "LPAA 7"))
+                     for _ in range(width)], None,
+                    [rng.random() for _ in range(width)],
+                    [rng.choice((0.0, 1.0, rng.random()))
+                     for _ in range(width)],
+                    rng.random())
+                for _ in range(10)
+            ]
+        for request, grouped in zip(requests, run_batch(requests)):
+            scalar = run(request=request, engine="recursive")
+            assert replace(scalar, engine="vectorized") == grouped
+            if request.width >= 3:  # narrower chains route elsewhere
+                default = run(request)
+                assert default.engine == "recursive"
+                # Only the routing provenance differs.
+                assert replace(default, reason=None) == scalar
+            assert run(request=request, engine="vectorized") == grouped
+            wce = run(AnalysisRequest.distribution(
+                request.cells, None, request.p_a, request.p_b,
+                request.p_cin, kind="wce"))
+            assert wce.p_error == scalar.p_error
 
     def test_masking_decided_per_check_masking_value(self):
         cells = ["LPAA 6"] * 3 + ["LPAA 1"] * 5

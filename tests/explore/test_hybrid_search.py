@@ -1,10 +1,18 @@
 """Tests for the optimal hybrid search (vector DP vs brute force)."""
 
+import random
+import struct
+
 import pytest
 
 from repro.circuits.power import PowerModel
+from repro.core.adders import PAPER_LPAAS
 from repro.core.exceptions import ExplorationError
+from repro.core.matrices import derive_matrices
+from repro.core.truth_table import ACCURATE
 from repro.explore.hybrid_search import (
+    _final_vector,
+    _stage_matrix,
     brute_force_hybrid,
     greedy_hybrid,
     optimal_hybrid,
@@ -152,3 +160,64 @@ class TestValidation:
     def test_negative_power_weight(self):
         with pytest.raises(ExplorationError):
             optimal_hybrid(ALL_CELLS, 4, power_weight=-1.0)
+
+
+# -- frozen oracle: the per-stage transition the searches used to read ------
+
+def _frozen_transition(table, p_a, p_b):
+    """``(T, l)`` as the former stage-matrix cache built them: the four
+    operand-pair weights routed by carry bit into ``T[out][in]`` (K mask
+    -> row 0, M mask -> row 1) and the L functional."""
+    mkl = derive_matrices(table)
+    qa, qb = 1.0 - p_a, 1.0 - p_b
+    pair = (qa * qb, qa * p_b, p_a * qb, p_a * p_b)
+    t00 = t01 = t10 = t11 = l0 = l1 = 0.0
+    for row in range(8):
+        weight = pair[row >> 1]
+        cin = row & 1
+        if mkl.k[row]:
+            if cin:
+                t01 += weight
+            else:
+                t00 += weight
+        if mkl.m[row]:
+            if cin:
+                t11 += weight
+            else:
+                t10 += weight
+        if mkl.l[row]:
+            if cin:
+                l1 += weight
+            else:
+                l0 += weight
+    return ((t00, t01), (t10, t11)), (l0, l1)
+
+
+def _float_bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+_STAGE_PROBABILITIES = (0.0, 1.0, 0.5, 1e-310, 5e-324, 2.5e-308,
+                        1.0 - 2.0 ** -53)
+
+
+class TestFrozenStageBits:
+    """``_stage_matrix``/``_final_vector`` run the chain kernel at the
+    two unit carry states; that reproduces the former cache's ``T`` and
+    ``l`` bit for bit."""
+
+    @pytest.mark.parametrize("table", [ACCURATE] + list(PAPER_LPAAS),
+                             ids=["AccuFA"] + [f"LPAA{i}" for i in range(1, 8)])
+    def test_matches_the_frozen_transition(self, table):
+        rng = random.Random(table.name)
+        points = [(a, b) for a in _STAGE_PROBABILITIES
+                  for b in _STAGE_PROBABILITIES]
+        points += [(rng.random(), rng.random()) for _ in range(200)]
+        for p_a, p_b in points:
+            (t0, t1), l = _frozen_transition(table, p_a, p_b)
+            got_t = _stage_matrix(table, p_a, p_b)
+            got_l = _final_vector(table, p_a, p_b)
+            assert _float_bits(got_t[0] + got_t[1]) == \
+                _float_bits(t0 + t1), (p_a, p_b)
+            assert _float_bits(got_l) == _float_bits(l), (p_a, p_b)
+            assert all(type(v) is float for v in got_t[0] + got_t[1] + got_l)

@@ -8,15 +8,11 @@ from repro.obs import metrics
 from repro.obs.slo import RollingRatio, SloPolicy, evaluate_slo
 
 
-def _snapshot(latency_s=None, hits=0, misses=0, count=0):
+def _snapshot(latency_s=None, count=0):
     registry = metrics.MetricsRegistry()
     metrics.enable()
     try:
         with metrics.use_registry(registry):
-            if hits:
-                metrics.inc("engine.cache.hits", hits)
-            if misses:
-                metrics.inc("engine.cache.misses", misses)
             for _ in range(count):
                 metrics.observe("serve.http.analyze.seconds", latency_s)
             return registry.snapshot()
@@ -54,7 +50,6 @@ class TestSloPolicy:
         assert policy.max_p50_s == 1.0
         assert policy.max_p99_s == 5.0
         assert policy.max_shed_rate == 0.5
-        assert policy.min_cache_hit_rate is None
 
     def test_validation(self):
         with pytest.raises(ValueError, match="max_p50_s"):
@@ -69,12 +64,18 @@ class TestEvaluateSlo:
         assert verdict["status"] == "ok"
         by_name = {c["name"]: c for c in verdict["checks"]}
         assert by_name["latency_p50"]["status"] == "no_data"
-        assert by_name["cache_hit_rate"]["status"] == "disabled"
+        assert by_name["shed_rate"]["status"] == "no_data"
+
+    def test_disabled_threshold_is_reported_not_evaluated(self):
+        verdict = evaluate_slo(_snapshot(), SloPolicy(max_shed_rate=None),
+                               shed_rate=0.9)
+        by_name = {c["name"]: c for c in verdict["checks"]}
+        assert by_name["shed_rate"]["status"] == "disabled"
+        assert verdict["status"] == "ok"
 
     def test_fast_service_passes(self):
-        snapshot = _snapshot(latency_s=0.01, count=50, hits=9, misses=1)
-        verdict = evaluate_slo(snapshot, SloPolicy(min_cache_hit_rate=0.5),
-                               shed_rate=0.0)
+        snapshot = _snapshot(latency_s=0.01, count=50)
+        verdict = evaluate_slo(snapshot, SloPolicy(), shed_rate=0.0)
         assert verdict["status"] == "ok"
         assert all(c["status"] == "pass" for c in verdict["checks"])
 
@@ -91,13 +92,6 @@ class TestEvaluateSlo:
         by_name = {c["name"]: c for c in verdict["checks"]}
         assert by_name["shed_rate"]["status"] == "fail"
         assert verdict["status"] == "degraded"
-
-    def test_cache_hit_rate_is_a_lower_bound(self):
-        snapshot = _snapshot(hits=1, misses=9)
-        verdict = evaluate_slo(
-            snapshot, SloPolicy(min_cache_hit_rate=0.5))
-        by_name = {c["name"]: c for c in verdict["checks"]}
-        assert by_name["cache_hit_rate"]["status"] == "fail"
 
     def test_latency_uses_the_rolling_window_not_whole_run(self):
         # A long-ago slow spell outside the window must not fail the

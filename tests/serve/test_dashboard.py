@@ -37,7 +37,7 @@ def _sample(ts=100.0, served=10, **service):
         "health": {"status": "ok", "slo": {"status": "ok", "checks": [
             {"name": "latency_p50", "status": "pass",
              "observed": 0.01, "threshold": 1.0},
-            {"name": "cache_hit_rate", "status": "disabled"},
+            {"name": "shed_rate", "status": "disabled"},
         ]}},
     }
 
