@@ -4,7 +4,7 @@ The tentpole claim of the transfer-matrix refactor: once a chain's
 aligned segment tree is cached, sweeping configurations that share a
 prefix costs O(log N) composes per new suffix plus one exact evaluation
 per carry-in -- not an O(N) re-recursion per config.  This bench pins
-that claim on the workload the serve layer actually sees:
+that claim on a prefix-sharing exact sweep:
 
 * **Sweep shape** -- a 64-bit chain whose first 63 stages are fixed
   (the shared prefix) while the last stage steps through ``VARIANTS``
@@ -69,7 +69,7 @@ def _exact_reference(cell, width, p_a, p_b, p_cin) -> float:
 
 def test_bit_identity_across_the_cell_zoo():
     """Every registry cell, five widths: segment tree == exact recursion."""
-    cache = SegmentCache(store=None)
+    cache = SegmentCache()
     checked = 0
     for cell in CELL_NAMES:
         for width in IDENTITY_WIDTHS:
@@ -109,7 +109,7 @@ def test_million_config_shared_prefix_sweep(benchmark):
 
     # The segment path: per variant one O(log N) root rebuild over the
     # cached prefix, then one exact evaluation per carry-in.
-    cache = SegmentCache(store=None)
+    cache = SegmentCache()
     start = time.perf_counter()
     checksum = 0.0
     for value in suffix_values:

@@ -34,7 +34,7 @@ OUTPUT = REPO_ROOT / "docs" / "api_reference.md"
 MODULES = [
     ("repro.engine", "Unified analysis/simulation entry points"),
     ("repro.engine.diskcache", "Persistent two-tier result cache"),
-    ("repro.engine.segcache", "Prefix-shared segment transfer-matrix cache"),
+    ("repro.engine.segcache", "Library memory-LRU of segment transfer matrices"),
     ("repro.core.transfer", "Exact segment transfer matrices (O(log N) chains)"),
     ("repro.engine.registry", "Engine capability registry"),
     ("repro.engine.distribution", "Error-magnitude engines (MED/MRED/WCE/PMF)"),

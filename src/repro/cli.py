@@ -573,11 +573,15 @@ def _cmd_ant(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    """Run the batching HTTP/JSON analysis service until SIGTERM."""
+def _serve_config(args):
+    """The :class:`~repro.serve.ServeConfig` the ``serve`` flags ask for."""
     from .obs.slo import SloPolicy
-    from .serve import ServeConfig, run_server
+    from .serve import ServeConfig
 
+    if args.segment_cache_dir is not None:
+        obs.get_logger("cli").warning(
+            "--segment-cache-dir is deprecated and ignored: chain "
+            "questions always run the float stage kernel")
     config = ServeConfig(
         host=args.host,
         port=args.port,
@@ -588,7 +592,6 @@ def _cmd_serve(args) -> int:
         drain_grace_s=args.drain_grace,
         cache_dir=args.cache_dir,
         max_disk_entries=args.max_disk_entries,
-        segment_cache_dir=args.segment_cache_dir,
         access_log=args.access_log,
         breaker_failures=args.breaker_failures,
         breaker_reset_s=args.breaker_reset,
@@ -614,6 +617,14 @@ def _cmd_serve(args) -> int:
         import dataclasses
 
         config = dataclasses.replace(config, **overrides)
+    return config
+
+
+def _cmd_serve(args) -> int:
+    """Run the batching HTTP/JSON analysis service until SIGTERM."""
+    from .serve import run_server
+
+    config = _serve_config(args)
     if args.workers > 1:
         from .serve import SupervisorConfig, run_supervisor
 
@@ -713,13 +724,12 @@ def _print_metrics_snapshot(data) -> None:
             [key, value] for key, value in sorted(service.items())
             if not isinstance(value, dict)
         ]
-        for cache_name in ("result_cache", "segment_cache"):
-            for tier, tier_doc in sorted(
-                (service.get(cache_name) or {}).items()
-            ):
-                if isinstance(tier_doc, dict):
-                    for key, value in sorted(tier_doc.items()):
-                        rows.append([f"{cache_name}.{tier}.{key}", value])
+        for tier, tier_doc in sorted(
+            (service.get("result_cache") or {}).items()
+        ):
+            if isinstance(tier_doc, dict):
+                for key, value in sorted(tier_doc.items()):
+                    rows.append([f"result_cache.{tier}.{key}", value])
         print(ascii_table(["Service", "Value"], rows, digits=6,
                           title="serve stats"))
     # A serving snapshot carries enough signal to judge the default SLO
@@ -1154,10 +1164,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", metavar="PATH", default=None,
                    help="mount the persistent on-disk result cache at "
                         "PATH (shared across processes and restarts)")
+    # Deprecated no-op, still parsed because existing launch scripts
+    # pass it; _serve_config logs one warning when it is given.
     p.add_argument("--segment-cache-dir", metavar="PATH", default=None,
-                   help="mount the segment transfer-matrix cache at PATH "
-                        "and prefill its memory tier from disk on boot "
-                        "(exact O(log N) chain analysis, prefix-shared)")
+                   help=argparse.SUPPRESS)
     fleet = p.add_argument_group("multi-worker supervision")
     fleet.add_argument(
         "--workers", type=int, default=1, metavar="N",

@@ -7,8 +7,9 @@ stage, and contracts the final state with the L-mask functional
 of stages collapses into a single 2x2 matrix plus a final-row functional
 -- and a whole chain becomes O(log N) compositions over a canonical
 segment tree whose aligned sub-blocks are shared between every chain
-that extends the same prefix (:mod:`repro.engine.segcache` stores them
-content-addressed, like the disk result cache).
+that extends the same prefix (a
+:class:`repro.engine.segcache.SegmentCache` memoises them for
+prefix-sharing exact sweeps).
 
 **Exactness contract.**  Floating-point summation is *not* associative,
 so a float-matrix composition could never promise the same bits as the
@@ -51,7 +52,7 @@ from .truth_table import FullAdderTruthTable
 from .types import validate_probability, validate_probability_vector
 
 #: Decimal digits kept when quantising probabilities into content keys:
-#: the segment tier's leaf keys here and the disk result store's request
+#: the segment cache's leaf keys and the disk result store's request
 #: keys (:mod:`repro.engine.diskcache`) both use it.
 KEY_QUANT_DIGITS = 12
 
@@ -87,8 +88,7 @@ class SegmentMatrix:
     ``span`` counts the stages covered; ``key`` is the segment's content
     address -- a Merkle hash over (truth-table rows, quantised operand
     probabilities) for leaves and over the child keys for composites, so
-    equal keys mean equal stage content and the store can be shared
-    across processes without trusting pickles.
+    equal keys mean equal stage content.
 
     Representations are canonical: the common power of two dividing all
     six numerators is stripped (:func:`_normalise`), so equal values
@@ -131,7 +131,7 @@ def leaf_key(table: FullAdderTruthTable, p_a: float, p_b: float) -> str:
     """Content address of a single-stage segment.
 
     Probabilities are quantised to :data:`KEY_QUANT_DIGITS` decimal
-    digits -- the library-wide keying convention (stage-matrix LRU, disk
+    digits -- the library-wide keying convention (segment cache, disk
     result store), well below the 1e-12 parity tolerance of the
     analytical engines.
     """

@@ -11,10 +11,10 @@ backend in the library:
 * :mod:`repro.engine.diskcache` -- the opt-in persistent result tier:
   an in-memory result LRU over a content-addressed on-disk store shared
   across processes and restarts (``configure_result_cache``);
-* :mod:`repro.engine.segcache` -- the opt-in segment tier
-  (``configure_segment_cache``): exact transfer matrices of chain
-  *segments*, content-addressed and prefix-shared, giving O(log N)
-  chain analysis through :mod:`repro.core.transfer`;
+* :mod:`repro.engine.segcache` -- :class:`SegmentCache`, a library
+  memory-LRU of exact segment transfer matrices
+  (:mod:`repro.core.transfer`) for prefix-sharing exact sweeps; the
+  executor never consults it;
 * :mod:`repro.engine.executor` -- :func:`run`, :func:`run_batch` and
   :func:`error_curves`, instrumented through :mod:`repro.obs`.
 
@@ -53,13 +53,7 @@ from .diskcache import (
     get_result_cache,
     request_key,
 )
-from .segcache import (
-    DiskSegmentStore,
-    SegmentCache,
-    configure_segment_cache,
-    disable_segment_cache,
-    get_segment_cache,
-)
+from .segcache import SegmentCache
 from .registry import (
     FAMILY_ANALYTICAL,
     FAMILY_SIMULATION,
@@ -110,7 +104,6 @@ __all__ = [
     "AnalysisResult",
     "DEFAULT_MEMORY_ENTRIES",
     "DiskResultStore",
-    "DiskSegmentStore",
     "DiskStoreStats",
     "ResultCache",
     "SegmentCache",
@@ -153,9 +146,6 @@ __all__ = [
     "register_zoo_engines",
     "REGISTRY",
     "clear_cache",
-    "configure_segment_cache",
-    "disable_segment_cache",
-    "get_segment_cache",
     "error_curves",
     "register_builtin_engines",
     "run",

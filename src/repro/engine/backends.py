@@ -40,15 +40,15 @@ _STAGE_COST = 8.0
 #: requests while ``run_batch`` feeds the vectorised engine directly.
 _VECTOR_OVERHEAD = 400.0
 
-#: Cost model of the segment-tree path: big-int leaf lowering dominates
-#: a cold evaluation (one-time, then content-addressed away), while the
-#: O(log N) compose/evaluate work grows far slower than the recursion's
-#: O(N) stage loop.  The crossover with ``recursive`` (8w vs 600 + 2w)
-#: sits near width 100, so the router sends *long* chains to the segment
-#: path by default and an installed segment cache (see
-#: ``executor.select_engine``) opts shorter ones in explicitly.
-_TRANSFER_OVERHEAD = 600.0
-_TRANSFER_STAGE_COST = 2.0
+#: Cost model of the exact segment-tree path, fitted to forced
+#: ``engine="transfer"`` runs on random LPAA chains (2-vCPU host: 0.22 ms
+#: at width 8, 1.71 ms at 64, 4.0 ms at 128, 18.2 ms at 512; about 60
+#: ``OPS_PER_SECOND`` units a stage).  Its big-int arithmetic is 2.5x
+#: slower than the float recursion at width 1 and 6-16x from width 8 to
+#: 512, so its estimate stays above ``recursive``'s at every width and
+#: the router never picks it: it is a forced-only exact reference.
+_TRANSFER_OVERHEAD = 40.0
+_TRANSFER_STAGE_COST = 60.0
 
 # Per-chain masking-exactness memo, keyed on the full stage sequence's
 # truth-table rows: True iff the recursion's P(Error) is exact (not
@@ -121,8 +121,7 @@ class _GroupResults:
     fields, equal field for field to what :func:`_chain_result` builds.
     """
 
-    def __init__(self, engine: str) -> None:
-        self.engine = engine
+    def __init__(self) -> None:
         self._names: Dict[int, Tuple[str, ...]] = {}
         self._base: Dict[bool, Dict[str, object]] = {}
         self._templates: Dict[Tuple[int, bool], Dict[str, object]] = {}
@@ -134,7 +133,7 @@ class _GroupResults:
         base = self._base.get(request.check_masking)
         if base is None:
             base = self._base[request.check_masking] = vars(AnalysisResult(
-                p_error=0.0, p_success=1.0, engine=self.engine, exact=True,
+                p_error=0.0, p_success=1.0, engine="vectorized", exact=True,
                 width=request.width, kind=request.kind, cell_names=names,
                 is_upper_bound=_chain_is_upper_bound(request),
             ))
@@ -154,7 +153,7 @@ class _GroupResults:
         *results*."""
         values = np.asarray(p_success, dtype=np.float64)
         if not np.isfinite(values).all():
-            raise _non_finite(self.engine)
+            raise _non_finite("vectorized")
         templates = self._templates
         new = object.__new__
         for i, request, p in zip(chunk, requests, values.tolist()):
@@ -201,32 +200,20 @@ def run_recursive(request: AnalysisRequest, **options: object) -> AnalysisResult
 
 
 def run_transfer(request: AnalysisRequest, **options: object) -> AnalysisResult:
-    """Segment-tree evaluation over exact transfer matrices (O(log N)).
+    """Segment-tree evaluation over exact transfer matrices.
 
-    Served through the process-wide :mod:`repro.engine.segcache` tier
-    when one is installed (``configure_segment_cache``), so chains
-    sharing prefixes reuse composed segments; without one it builds the
-    canonical tree directly.  Either way the answer is the correctly
-    rounded exact value -- bit-identical to ``analyze_chain`` in its
-    documented exact (``Fraction``) mode, and independent of cache
-    state (warm == cold by the transfer module's exactness contract).
+    The answer is the correctly rounded exact value -- bit-identical to
+    ``analyze_chain`` in its documented exact (``Fraction``) mode.
     """
     from ..core.transfer import analyze_chain_transfer
-    from . import segcache as _segcache
 
     cells = list(request.cells)
-    cache = _segcache.get_segment_cache()
     with _metrics.timed("core.transfer.analyze_chain"), \
             trace_span("core.transfer.analyze_chain", width=len(cells)):
-        if cache is not None:
-            p_success = cache.success_probability(
-                cells, request.p_a, request.p_b, request.p_cin
-            )
-        else:
-            p_success = analyze_chain_transfer(
-                cells, None, list(request.p_a), list(request.p_b),
-                request.p_cin,
-            )
+        p_success = analyze_chain_transfer(
+            cells, None, list(request.p_a), list(request.p_b),
+            request.p_cin,
+        )
     return _chain_result(request, p_success, "transfer", True)
 
 
@@ -410,7 +397,7 @@ def register_builtin_engines() -> None:
         run=run_transfer,
         cost_estimate=lambda request: (
             _TRANSFER_OVERHEAD + _TRANSFER_STAGE_COST * request.width),
-        description="exact segment-tree composition, prefix-cached",
+        description="exact segment-tree composition (forced only)",
     ))
     REGISTRY.register(EngineInfo(
         name="vectorized", family=FAMILY_ANALYTICAL,
@@ -418,7 +405,7 @@ def register_builtin_engines() -> None:
         run=run_vectorized,
         cost_estimate=lambda request: (
             _VECTOR_OVERHEAD + 12.0 * request.width),
-        description="NumPy batch recursion (cache-fed mask arrays)",
+        description="NumPy batch recursion on the stage kernel",
     ))
     REGISTRY.register(EngineInfo(
         name="correlated", family=FAMILY_ANALYTICAL,

@@ -45,7 +45,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 from ..core.transfer import KEY_QUANT_DIGITS
 from ..obs import metrics as _metrics
@@ -223,18 +223,7 @@ class DiskResultStore:
     directory listings short at hundreds of thousands of entries.  All
     mutation goes through atomic whole-file replacement, so any number
     of processes may read and write one store concurrently.
-
-    The store machinery (atomic writes, corruption-tolerant reads,
-    concurrent pruning, race accounting) is payload-agnostic; subclasses
-    override :attr:`store_format` / :attr:`metric_prefix` and
-    :meth:`validate_payload` to persist other entry shapes under the
-    same guarantees (:class:`repro.engine.segcache.DiskSegmentStore`).
     """
-
-    #: Format tag embedded in every entry (wrong tag reads as corrupt).
-    store_format = STORE_FORMAT
-    #: Obs counter prefix (``<prefix>.{hits,misses,writes,...}``).
-    metric_prefix = "engine.cache.disk"
 
     def __init__(
         self,
@@ -261,12 +250,7 @@ class DiskResultStore:
         with self._lock:
             setattr(self, f"_{field}", getattr(self, f"_{field}") + n)
         if _metrics.is_enabled():
-            _metrics.inc(f"{self.metric_prefix}.{field}", n)
-
-    @staticmethod
-    def validate_payload(payload: object) -> Dict[str, object]:
-        """Schema hook: raise ``ValueError`` on a malformed payload."""
-        return _validate_payload(payload)
+            _metrics.inc(f"engine.cache.disk.{field}", n)
 
     def get(self, key: str) -> Optional[Dict[str, object]]:
         """The stored payload for *key*, or ``None`` (miss).
@@ -286,11 +270,11 @@ class DiskResultStore:
         try:
             doc = json.loads(raw.decode())
             if not isinstance(doc, dict) \
-                    or doc.get("format") != self.store_format:
-                raise ValueError(f"not a {self.store_format} document")
+                    or doc.get("format") != STORE_FORMAT:
+                raise ValueError(f"not a {STORE_FORMAT} document")
             if doc.get("key") != key:
                 raise ValueError("entry key does not match its address")
-            payload = self.validate_payload(doc.get("payload"))
+            payload = _validate_payload(doc.get("payload"))
         except (ValueError, TypeError, KeyError):
             self._count("corrupt")
             self._count("misses")
@@ -312,11 +296,11 @@ class DiskResultStore:
 
         path = self.entry_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        doc = {"format": self.store_format, "key": key, "payload": payload}
+        doc = {"format": STORE_FORMAT, "key": key, "payload": payload}
         atomic_write_text(path, json.dumps(doc, sort_keys=True) + "\n")
         self._count("writes")
         if _metrics.is_enabled():
-            _metrics.set_gauge(f"{self.metric_prefix}.entries",
+            _metrics.set_gauge("engine.cache.disk.entries",
                                self.entry_count())
         if self.max_entries is not None and self._writes % _PRUNE_EVERY == 0:
             self.prune()
@@ -324,22 +308,6 @@ class DiskResultStore:
     def entry_count(self) -> int:
         """Number of entry files currently on disk."""
         return sum(1 for _ in self.root.glob("??/*.json"))
-
-    def list_keys(self, newest_first: bool = False) -> List[str]:
-        """Content keys of every entry on disk, ordered by mtime.
-
-        Drives warm-start prefill (newest first fills a bounded memory
-        tier with the most recently touched segments).  Entries deleted
-        underneath the listing are simply skipped.
-        """
-        entries = []
-        for path in self.root.glob("??/*.json"):
-            try:
-                entries.append((path.stat().st_mtime, path.stem))
-            except OSError:
-                continue
-        entries.sort(reverse=newest_first)
-        return [key for _, key in entries]
 
     def prune(self, max_entries: Optional[int] = None) -> int:
         """Evict oldest entries (by mtime) beyond *max_entries*.

@@ -32,7 +32,6 @@ from ..runtime.budget import RunBudget, make_meter
 from ..runtime.router import ENGINE_EXHAUSTIVE, EngineDecision, record_decision
 from . import backends
 from . import diskcache as _diskcache
-from . import segcache as _segcache
 from .registry import (
     FAMILY_ANALYTICAL,
     FAMILY_SIMULATION,
@@ -56,24 +55,6 @@ _logger = get_logger("engine.executor")
 backends.register_builtin_engines()
 
 
-def _segment_eligible(request: AnalysisRequest) -> bool:
-    """Should *request* route through the installed segment tier?
-
-    True only when a process-wide segment cache is configured
-    (:func:`repro.engine.segcache.configure_segment_cache`) and the
-    request is a plain chain question: per-stage Table 4 traces
-    (``keep_trace``) force the stage-by-stage recursion, and joint
-    operand laws need the correlated engine.
-    """
-    return (
-        _segcache.get_segment_cache() is not None
-        and request.kind == KIND_CHAIN
-        and request.joints is None
-        and not request.keep_trace
-        and request.block is None
-    )
-
-
 def _head(request: AnalysisRequest, simulate: bool) -> Tuple[EngineInfo, str]:
     """The rung the engine walk starts from, and why."""
     if simulate:
@@ -88,14 +69,6 @@ def _head(request: AnalysisRequest, simulate: bool) -> Tuple[EngineInfo, str]:
                 "simulate=True routing applies to chain requests only"
             )
         return REGISTRY.get(name), "simulate=True asks for a simulation"
-    # Installed segment tier: eligible chain questions take the exact
-    # O(log N) prefix-cached path.  Eligibility depends only on request
-    # shape and process configuration -- never on cache contents -- so
-    # warm and cold runs select identically (and the transfer core's
-    # exactness makes the answer cache-independent anyway).
-    if _segment_eligible(request):
-        return (REGISTRY.get("transfer"),
-                "segment cache installed: exact O(log N) prefix-cached path")
     candidates = (
         REGISTRY.for_request(request, family=FAMILY_ANALYTICAL, exact=True)
         or REGISTRY.for_request(request, exact=True)
@@ -152,7 +125,6 @@ def select_engine(
     The walk starts at a head rung: with *simulate*, the request
     shape's simulation engine (``exhaustive`` for chains,
     ``distribution-mc`` / ``zoo-mc`` for magnitude and block kinds);
-    with an installed segment cache, ``transfer`` for plain chains;
     otherwise the cheapest exact analytical engine (or, when there is
     none, the cheapest exact engine of any family).  From there it
     follows ``EngineInfo.degrades_to[kind]`` while the rung does not
@@ -351,8 +323,7 @@ def run_batch(
     and a stop reason leaves the remaining entries ``None`` (the
     positions of completed requests always hold well-formed results).
     Each grouped answer equals ``run(request, engine="vectorized")``
-    field for field (``engine="transfer"`` with the segment tier
-    installed); a non-finite kernel output raises
+    field for field; a non-finite kernel output raises
     :class:`~repro.core.exceptions.AnalysisError`.
     Everything else falls back to :func:`run` per request.
 
@@ -419,16 +390,11 @@ def run_batch(
         for cells, parts in merged.items()
     ]
 
+    from ..core.vectorized import analyze_batch
+
     meter = make_meter(budget)
     stopped = False
     vector_points = 0
-    segment_points = 0
-    # An installed segment tier serves whole groups through the exact
-    # prefix-cached path (grouped requests are segment-eligible by
-    # construction: chain kind, no joints, no trace).  The choice is
-    # process configuration, not cache state, so batches stay
-    # deterministic whichever tier answers.
-    segment_cache = _segcache.get_segment_cache()
     with _metrics.timed("engine.run_batch"), \
             trace_span("engine.run_batch", requests=len(requests),
                        groups=len(groups)):
@@ -436,8 +402,7 @@ def run_batch(
             if stopped:
                 break
             cell_list = list(cells)
-            out = backends._GroupResults(
-                "vectorized" if segment_cache is None else "transfer")
+            out = backends._GroupResults()
             start = 0
             while start < len(indices):
                 if meter.stop_reason() is not None:
@@ -450,28 +415,15 @@ def run_batch(
                 chunk = indices[start:start + step]
                 start += len(chunk)
                 chunk_requests = [requests[i] for i in chunk]
-                if segment_cache is not None:
-                    with _metrics.timed("engine.transfer.seconds"):
-                        p_success = [
-                            segment_cache.success_probability(
-                                cell_list, r.p_a, r.p_b, r.p_cin)
-                            for r in chunk_requests
-                        ]
-                        out.fill(results, chunk, chunk_requests, p_success)
-                    segment_points += len(chunk)
-                else:
-                    from ..core.vectorized import analyze_batch
-
-                    pa = np.array([r.p_a for r in chunk_requests])
-                    pb = np.array([r.p_b for r in chunk_requests])
-                    pc = np.array([r.p_cin for r in chunk_requests])
-                    with _metrics.timed("engine.vectorized.seconds"):
-                        p_success = analyze_batch(
-                            cell_list, None, pa, pb, pc,
-                            batch=len(chunk),
-                        )
-                    out.fill(results, chunk, chunk_requests, p_success)
-                    vector_points += len(chunk)
+                pa = np.array([r.p_a for r in chunk_requests])
+                pb = np.array([r.p_b for r in chunk_requests])
+                pc = np.array([r.p_cin for r in chunk_requests])
+                with _metrics.timed("engine.vectorized.seconds"):
+                    p_success = analyze_batch(
+                        cell_list, None, pa, pb, pc, batch=len(chunk),
+                    )
+                out.fill(results, chunk, chunk_requests, p_success)
+                vector_points += len(chunk)
                 if result_cache is not None:
                     for i in chunk:
                         result_cache.put_result(requests[i], results[i])
@@ -488,17 +440,13 @@ def run_batch(
         registry.counter("engine.batch.requests").add(len(requests))
         registry.counter("engine.batch.groups").add(len(groups))
         registry.counter("engine.batch.vectorized_points").add(vector_points)
-        if segment_points:
-            registry.counter("engine.batch.segment_points").add(
-                segment_points)
         if cache_hits:
             registry.counter("engine.batch.result_cache_hits").add(cache_hits)
         if requests:
-            # Occupancy = share of requests served batch-grouped (by the
-            # vectorised grid or the segment tier) rather than one-by-one.
+            # Occupancy = share of requests served by the vectorised
+            # grid rather than one-by-one.
             _metrics.set_gauge("engine.batch.occupancy",
-                               (vector_points + segment_points)
-                               / len(requests))
+                               vector_points / len(requests))
     if stopped:
         log_event(_logger, "engine.run_batch.truncated",
                   reason=meter.stop_reason(),

@@ -73,7 +73,7 @@ def sweep_zoo_space(
     (:func:`~repro.core.adder_zoo.named_zoo`); pass config strings or
     parsed :class:`~repro.core.adder_zoo.ZooAdder` instances to sweep a
     custom set.  All requests go through one :func:`repro.engine
-    .run_batch` call, so the segment/result caches serve the sweep
+    .run_batch` call, so an installed result cache serves the sweep
     exactly like any other batch.
     Requests a budget truncates leave their metric ``None``.
     """

@@ -41,10 +41,7 @@ class ServeConfig:
 
     *Caching*: ``cache_dir`` mounts the persistent two-tier result store
     (:mod:`repro.engine.diskcache`) so answers survive restarts and are
-    shared across server processes on one host; ``segment_cache_dir``
-    mounts the segment tier (:mod:`repro.engine.segcache`) -- exact
-    chain-prefix transfer matrices, prefilled from disk on boot so the
-    first requests after a restart already hit warm segments.
+    shared across server processes on one host.
 
     *Shutdown*: on SIGTERM the server stops accepting connections,
     finishes everything already queued, and force-closes whatever is
@@ -77,7 +74,6 @@ class ServeConfig:
     cache_dir: Optional[str] = None
     memory_cache_entries: int = DEFAULT_MEMORY_ENTRIES
     max_disk_entries: Optional[int] = None
-    segment_cache_dir: Optional[str] = None
     access_log: Optional[str] = None
     access_log_max_bytes: int = DEFAULT_ACCESS_LOG_MAX_BYTES
     access_log_backups: int = DEFAULT_ACCESS_LOG_BACKUPS

@@ -142,13 +142,10 @@ def render_lines(
             f"  [{str(supervisor.get('state', '?')).upper()}]"
         )
 
-    for cache_name, title in (("result_cache", "result cache"),
-                              ("segment_cache", "segment cache")):
-        cache: Mapping[str, object] = service.get(cache_name) or {}
-        if not cache:
-            continue
+    cache: Mapping[str, object] = service.get("result_cache") or {}
+    if cache:
         lines.append("")
-        lines.append(f"  {title}")
+        lines.append("  result cache")
         for tier in ("memory", "disk"):
             tier_doc: Mapping[str, object] = cache.get(tier) or {}
             if not tier_doc:

@@ -295,15 +295,6 @@ class AnalysisService:
                 memory_entries=self.config.memory_cache_entries,
                 max_disk_entries=self.config.max_disk_entries,
             )
-        prefilled = 0
-        if self.config.segment_cache_dir is not None:
-            # Warm-start: segments persisted by earlier processes serve
-            # the first requests after a restart at memory-tier speed.
-            segments = engine.configure_segment_cache(
-                self.config.segment_cache_dir,
-                max_disk_entries=self.config.max_disk_entries,
-            )
-            prefilled = segments.prefill()
         self._dispatcher = asyncio.get_running_loop().create_task(
             self._dispatch_loop()
         )
@@ -311,9 +302,7 @@ class AnalysisService:
         log_event(_logger, "serve.start",
                   max_batch=self.config.max_batch,
                   queue_limit=self.config.queue_limit,
-                  cache_dir=self.config.cache_dir,
-                  segment_cache_dir=self.config.segment_cache_dir,
-                  segments_prefilled=prefilled)
+                  cache_dir=self.config.cache_dir)
 
     @property
     def draining(self) -> bool:
@@ -600,7 +589,4 @@ class AnalysisService:
         cache = engine.get_result_cache()
         if cache is not None:
             doc["result_cache"] = cache.stats()
-        segments = engine.get_segment_cache()
-        if segments is not None:
-            doc["segment_cache"] = segments.stats()
         return doc

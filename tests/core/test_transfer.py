@@ -148,7 +148,7 @@ class TestCacheEquivalence:
         p_a = [round(p, 12) for p in p_a]
         p_b = [round(p, 12) for p in p_b]
         tables = resolve_chain(cells, width)
-        cache = SegmentCache(store=None)
+        cache = SegmentCache()
         cold = cache.success_probability(tables, p_a, p_b, p_cin)
         warm = cache.success_probability(tables, p_a, p_b, p_cin)
         pure = analyze_chain_transfer(cells, width, p_a, p_b, p_cin)
@@ -159,7 +159,7 @@ class TestCacheEquivalence:
     def test_prefix_extension_hits_shared_nodes(self):
         # Chains extending a common aligned prefix must re-hit its
         # cached segments -- the whole point of aligned decomposition.
-        cache = SegmentCache(store=None)
+        cache = SegmentCache()
         tables = resolve_chain("LPAA 2", 64)
         cache.chain_root(tables[:32], [0.3] * 32, [0.7] * 32)
         misses_before = cache.stats()["memory"]["misses"]

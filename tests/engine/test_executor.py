@@ -19,10 +19,6 @@ from repro.engine.diskcache import (
     get_result_cache,
 )
 from repro.engine.executor import BATCH_CHUNK, error_curves
-from repro.engine.segcache import (
-    configure_segment_cache,
-    disable_segment_cache,
-)
 from repro.runtime import RunBudget
 
 
@@ -216,15 +212,12 @@ def _head_answered_positions(requests, max_configs):
 
 class TestRunBatchContract:
     """``run_batch`` answers every grouped request field for field as
-    ``run(engine="vectorized")`` does (``engine="transfer"`` with the
-    segment tier installed)."""
+    ``run(engine="vectorized")`` does."""
 
     @pytest.fixture(autouse=True)
     def _no_tiers(self):
-        disable_segment_cache()
         disable_result_cache()
         yield
-        disable_segment_cache()
         disable_result_cache()
 
     @staticmethod
@@ -310,16 +303,23 @@ class TestRunBatchContract:
             assert results[i] == run(request=requests[i],
                                      engine="vectorized")
 
-    def test_segment_tier_matches_transfer(self, tmp_path):
-        configure_segment_cache(tmp_path)
+    def test_grouped_answers_agree_with_exact_transfer(self):
         requests = _with_repeats(_random_chains(5, 30), 6, 80)
         requests.append(AnalysisRequest.chain(
             resolve_cell("LPAA 2").renamed("alias"), 4, 0.2))
         requests.append(AnalysisRequest.chain("LPAA 2", 4, 0.2,
                                               check_masking=False))
+        requests.append(AnalysisRequest.chain("LPAA 6", 256, 0.3, 0.8))
         results = run_batch(requests)
-        self._assert_matches(requests, results, "transfer")
-        assert results[-2].cell_names == ("alias",) * 4
+        for request, result in zip(requests, results):
+            exact = run(request=request, engine="transfer")
+            assert result.engine == "vectorized"
+            assert result.p_success == pytest.approx(
+                exact.p_success, rel=1e-12, abs=0.0)
+            assert replace(result, engine="transfer",
+                           p_success=exact.p_success,
+                           p_error=exact.p_error) == exact
+        assert results[-3].cell_names == ("alias",) * 4
 
     def test_result_tier_replays_equal_results(self, tmp_path):
         requests = _with_repeats(_random_chains(7, 30), 8, 60)

@@ -15,10 +15,6 @@ from repro import engine
 from repro.core.correlated import JointBitDistribution
 from repro.core.exceptions import AnalysisError
 from repro.engine import AnalysisRequest, select_engine
-from repro.engine.segcache import (
-    configure_segment_cache,
-    disable_segment_cache,
-)
 from repro.runtime import RunBudget
 
 MC = 1_000_000          # montecarlo's default sample count
@@ -50,7 +46,8 @@ def row(case_id, request, expected, budget=None, samples=None,
 ROWS = [
     # Analytical defaults: the cheapest exact engine is final.
     row("chain-w8", chain(8), ("recursive", None, None, None)),
-    row("chain-w128-transfer", chain(128), ("transfer", None, None, None)),
+    row("chain-w128", chain(128), ("recursive", None, None, None)),
+    row("chain-w1024", chain(1024), ("recursive", None, None, None)),
     row("hybrid-w8", AnalysisRequest.chain(["LPAA 6"] * 4 + ["LPAA 1"] * 4),
         ("recursive", None, None, None)),
     row("trace-w8", chain(8, keep_trace=True),
@@ -182,16 +179,13 @@ def test_forcing_an_unregistered_engine_raises():
 
 
 class TestHeads:
-    def test_segment_cache_heads_plain_chains_with_transfer(self, tmp_path):
-        configure_segment_cache(str(tmp_path))
-        try:
-            assert select_engine(chain(8)).engine == "transfer"
-            assert select_engine(chain(8, keep_trace=True)).engine \
-                == "recursive"
-            assert select_engine(chain(8), simulate=True).engine \
-                == "exhaustive"
-        finally:
-            disable_segment_cache()
+    def test_transfer_never_heads_a_chain(self):
+        for width in (4, 8, 100, 101, 128, 256, 4096):
+            assert select_engine(chain(width)).engine == "recursive"
+        assert select_engine(chain(8, keep_trace=True)).engine \
+            == "recursive"
+        assert select_engine(chain(8), simulate=True).engine \
+            == "exhaustive"
 
     @pytest.mark.parametrize("request_", [multiop(2, 4)])
     def test_simulate_refuses_other_kinds(self, request_):

@@ -80,23 +80,6 @@ class TestRenderLines:
         text = "\n".join(render_lines(sample))
         assert "memory" in text and "80.0%" in text
 
-    def test_segment_cache_tiers_render_alongside_result_cache(self):
-        sample = _sample(
-            result_cache={"memory": {"hits": 8, "misses": 2}},
-            segment_cache={
-                "memory": {"hits": 30, "misses": 10},
-                "disk": {"hits": 3, "misses": 1, "writes": 4},
-            },
-        )
-        text = "\n".join(render_lines(sample))
-        assert "result cache" in text
-        assert "segment cache" in text
-        assert "75.0%" in text  # segment memory: 30/(30+10)
-        # The section is skipped entirely when the serve config never
-        # mounted a segment cache.
-        without = "\n".join(render_lines(_sample()))
-        assert "segment cache" not in without
-
 
 class TestLivePolling:
     def test_poll_and_render_once_against_a_live_server(self):

@@ -367,3 +367,51 @@ class TestObsSubcommand:
         path.write_text('{"hello": 1}')
         with pytest.raises(SystemExit):
             main(["obs", str(path)])
+
+
+class TestServeSegmentCacheDir:
+    """``serve --segment-cache-dir PATH`` still parses, is ignored, and
+    chain questions keep running the float stage kernel."""
+
+    @staticmethod
+    def _config(path):
+        from repro.cli import _serve_config, build_parser
+
+        return _serve_config(build_parser().parse_args(
+            ["serve", "--port", "0", "--batch-window-ms", "2",
+             "--segment-cache-dir", str(path)]))
+
+    def test_parses_logs_once_and_writes_nothing(self, tmp_path, caplog):
+        path = tmp_path / "segments"
+        with caplog.at_level("WARNING", logger="repro"):
+            config = self._config(path)
+        assert config.port == 0
+        deprecations = [record for record in caplog.records
+                        if "--segment-cache-dir" in record.getMessage()]
+        assert len(deprecations) == 1
+        assert not path.exists()
+
+    def test_hidden_from_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["serve", "--help"])
+        assert "--segment-cache-dir" not in capsys.readouterr().out
+
+    def test_chain_answers_come_from_the_float_kernel(self, tmp_path):
+        from repro import engine
+        from repro.serve import AnalysisClient, AnalysisServer
+
+        path = tmp_path / "segments"
+        server = AnalysisServer(self._config(path))
+        url = server.start()
+        try:
+            with AnalysisClient(url) as client:
+                answer = client.analyze(
+                    {"cell": "LPAA 6", "width": 128, "p_a": 0.3})
+        finally:
+            server.stop()
+        exact = engine.run(engine.AnalysisRequest.chain("LPAA 6", 128, 0.3),
+                           engine="transfer")
+        assert answer["engine"] in ("recursive", "vectorized")
+        assert answer["p_success"] == pytest.approx(
+            exact.p_success, rel=1e-12, abs=0.0)
+        assert not path.exists()
