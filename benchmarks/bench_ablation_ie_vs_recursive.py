@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro import engine
+from repro.baselines import chain_inclusion_exclusion
 from repro.core.recursive import analyze_chain
 from repro.reporting import ascii_table
 
@@ -27,10 +27,8 @@ def test_ablation_ie_equals_recursion_at_exponential_cost(benchmark):
     rows = []
     for width in WIDTHS:
         start = time.perf_counter()
-        report = engine.run(
-            "LPAA 1", width, POINT["p_a"], POINT["p_b"], POINT["p_cin"],
-            engine="inclusion-exclusion",
-        ).raw
+        report = chain_inclusion_exclusion(
+            "LPAA 1", width, POINT["p_a"], POINT["p_b"], POINT["p_cin"])
         ie_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
@@ -56,10 +54,8 @@ def test_ablation_ie_equals_recursion_at_exponential_cost(benchmark):
     assert rows[-1][2] > 50 * max(rows[-1][3], 1e-4)
 
     benchmark.pedantic(
-        lambda: engine.run(
-            "LPAA 1", 10, POINT["p_a"], POINT["p_b"], POINT["p_cin"],
-            engine="inclusion-exclusion",
-        ),
+        lambda: chain_inclusion_exclusion(
+            "LPAA 1", 10, POINT["p_a"], POINT["p_b"], POINT["p_cin"]),
         rounds=3, iterations=1,
     )
 

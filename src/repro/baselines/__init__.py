@@ -9,6 +9,7 @@
 from .inclusion_exclusion import (
     MAX_IE_WIDTH,
     InclusionExclusionReport,
+    chain_inclusion_exclusion,
     single_stage_error_probabilities,
     stage_error_event_probability,
 )
@@ -26,6 +27,7 @@ from .operation_counter import (
 )
 
 __all__ = [
+    "chain_inclusion_exclusion",
     "single_stage_error_probabilities",
     "stage_error_event_probability",
     "InclusionExclusionReport",

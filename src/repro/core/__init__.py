@@ -17,7 +17,6 @@ from .adder_zoo import (
     PREFIX_TOPOLOGIES,
     ZOO_FAMILIES,
     WindowedAdderSpec,
-    WindowedQualityReport,
     ZooAdder,
     ZooCost,
     ZooFamily,
@@ -32,7 +31,6 @@ from .adder_zoo import (
     windowed_error_moments,
     windowed_error_pmf,
     windowed_error_probability,
-    windowed_exhaustive_quality,
     windowed_joint_error_pmf,
     windowed_worst_case_error,
     zoo_cost,
@@ -152,7 +150,6 @@ __all__ = [
     "LOA_GEN",
     # the adder-family zoo
     "WindowedAdderSpec",
-    "WindowedQualityReport",
     "ZooAdder",
     "ZooCost",
     "ZooFamily",
@@ -169,7 +166,6 @@ __all__ = [
     "windowed_error_moments",
     "windowed_error_pmf",
     "windowed_error_probability",
-    "windowed_exhaustive_quality",
     "windowed_joint_error_pmf",
     "windowed_worst_case_error",
     "zoo_cost",

@@ -26,8 +26,10 @@ code change:
   :func:`windowed_joint_error_pmf` (``(D, exact)`` law for MRED) mirror
   :mod:`repro.core.magnitude`'s five-function structure.
 * Bit-true functional models (:func:`windowed_add`,
-  :func:`windowed_add_array`) and the weighted enumeration oracle
-  :func:`windowed_exhaustive_quality` used for cross-validation.
+  :func:`windowed_add_array`); the weighted enumeration oracle the DPs
+  are cross-validated against,
+  :func:`repro.simulation.exhaustive.windowed_exhaustive_quality`,
+  runs every operand pair through the array model.
 * Parallel-prefix graphs (:func:`prefix_levels`) for Brent-Kung,
   Kogge-Stone, Sklansky and Ladner-Fischer, truncated at a chosen level
   count to produce AxPPA-style approximate prefix adders
@@ -68,10 +70,6 @@ from .exceptions import AnalysisError, SupportLimitError
 from .magnitude import ErrorMoments, WorstCaseError
 from .truth_table import ACCURATE, FullAdderTruthTable
 from .types import Probability, validate_probability_vector
-
-#: Width guard of the weighted-enumeration oracle
-#: (:func:`windowed_exhaustive_quality`): ``2^(2N)`` operand pairs.
-MAX_WINDOWED_EXHAUSTIVE_WIDTH = 16
 
 #: Entry guard of the guarded DPs, matching
 #: :mod:`repro.core.magnitude`'s default.
@@ -557,74 +555,6 @@ def windowed_joint_error_pmf(
             key = (delta + delta_inc, value + value_inc)
             joint[key] = joint.get(key, 0.0) + prob
     return {k: p for k, p in joint.items() if p > 0.0}
-
-
-# --------------------------------------------------------------------------
-# The enumeration oracle
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WindowedQualityReport:
-    """One weighted enumeration pass over every operand pair."""
-
-    pmf: Dict[int, float]
-    mred: float
-    bias: float
-    cases: int
-
-
-def windowed_exhaustive_quality(
-    spec: WindowedAdderSpec,
-    p_a: Union[Probability, Sequence[Probability]] = 0.5,
-    p_b: Union[Probability, Sequence[Probability]] = 0.5,
-    chunk: int = 1 << 12,
-) -> WindowedQualityReport:
-    """The oracle: enumerate all ``2^(2N)`` operand pairs (carry-in 0),
-    weighted by the per-bit operand probabilities.
-
-    Width-guarded at :data:`MAX_WINDOWED_EXHAUSTIVE_WIDTH`; the DPs
-    above are cross-validated against this bit-for-bit at dyadic
-    operand probabilities.
-    """
-    n = spec.width
-    if n > MAX_WINDOWED_EXHAUSTIVE_WIDTH:
-        raise AnalysisError(
-            f"exhaustive enumeration is guarded at width "
-            f"{MAX_WINDOWED_EXHAUSTIVE_WIDTH}; got {n}"
-        )
-    pa = [float(p) for p in validate_probability_vector(p_a, n, "p_a")]
-    pb = [float(p) for p in validate_probability_vector(p_b, n, "p_b")]
-    values = np.arange(1 << n, dtype=np.int64)
-
-    def value_weights(probs: List[float]) -> np.ndarray:
-        w = np.ones(1 << n, dtype=np.float64)
-        for i, p in enumerate(probs):
-            bit = (values >> i) & 1
-            w *= np.where(bit == 1, p, 1.0 - p)
-        return w
-
-    wa = value_weights(pa)
-    wb = value_weights(pb)
-    pmf: Dict[int, float] = {}
-    mred = 0.0
-    bias = 0.0
-    for start in range(0, 1 << n, chunk):
-        rows = values[start:start + chunk][:, None]
-        exact = rows + values[None, :]
-        delta = windowed_add_array(spec, rows, values[None, :]) - exact
-        w = wa[start:start + chunk][:, None] * wb[None, :]
-        uniques, inverse = np.unique(delta, return_inverse=True)
-        sums = np.bincount(inverse.ravel(), weights=w.ravel(),
-                           minlength=uniques.size)
-        for d, p in zip(uniques, sums):
-            if p > 0.0:
-                key = int(d)
-                pmf[key] = pmf.get(key, 0.0) + float(p)
-        mred += float((np.abs(delta) / np.maximum(exact, 1) * w).sum())
-        bias += float((delta * w).sum())
-    return WindowedQualityReport(
-        pmf=pmf, mred=mred, bias=bias, cases=1 << (2 * n)
-    )
 
 
 # --------------------------------------------------------------------------

@@ -240,45 +240,9 @@ def run_correlated(request: AnalysisRequest, **options: object) -> AnalysisResul
                          trace=tuple(trace))
 
 
-def run_inclusion_exclusion(
-    request: AnalysisRequest, **options: object
-) -> AnalysisResult:
-    """The exponential inclusion-exclusion baseline (Table 3)."""
-    from ..baselines.inclusion_exclusion import _inclusion_exclusion_impl
-
-    report = _inclusion_exclusion_impl(
-        list(request.cells), None,
-        list(request.p_a), list(request.p_b), request.p_cin,
-    )
-    return _chain_result(request, 1.0 - report.p_error,
-                         "inclusion-exclusion", True, raw=report)
-
-
 def run_exhaustive(request: AnalysisRequest, **options: object) -> AnalysisResult:
     """Weighted exhaustive enumeration (budgetable, checkpointable)."""
-    from ..simulation.exhaustive import (
-        exhaustive_error_probability,
-        exhaustive_report,
-    )
-
-    plain = (
-        options.get("budget") is None
-        and options.get("checkpoint_path") is None
-        and options.get("progress") is None
-        and not options.get("routed", False)
-    )
-    if plain:
-        # Single-shot enumeration: no chunk boundaries, so no budget
-        # checks, checkpoint flushes or chaos ticks -- same contract as
-        # the original ``exhaustive_error_probability`` entry point.
-        p_error = exhaustive_error_probability(
-            list(request.cells), None,
-            list(request.p_a), list(request.p_b), request.p_cin,
-        )
-        return _chain_result(
-            request, 1.0 - p_error, "exhaustive", True,
-            cases=1 << (2 * request.width + 1), truncated=False,
-        )
+    from ..simulation.exhaustive import exhaustive_report
 
     report = exhaustive_report(
         list(request.cells), None,
@@ -379,7 +343,6 @@ def register_builtin_engines() -> None:
     global _REGISTERED
     if _REGISTERED:
         return
-    from ..baselines.inclusion_exclusion import MAX_IE_WIDTH
     from ..multiop.analysis import MULTIOP_EXACT_CASES
     from ..simulation.exhaustive import BLOCK_CASES, MAX_EXHAUSTIVE_WIDTH
     from ..simulation.montecarlo import PAPER_SAMPLE_COUNT
@@ -413,14 +376,6 @@ def register_builtin_engines() -> None:
         run=run_correlated, supports_correlated=True,
         cost_estimate=lambda request: 60.0 * request.width,
         description="recursion under per-stage joint operand laws",
-    ))
-    REGISTRY.register(EngineInfo(
-        name="inclusion-exclusion", family=FAMILY_ANALYTICAL,
-        request_kinds=(KIND_CHAIN,), exact=True, deterministic=True,
-        run=run_inclusion_exclusion, max_width=MAX_IE_WIDTH,
-        cost_estimate=lambda request: (
-            request.width * 2.0 ** request.width),
-        description="the exponential baseline the paper beats (Table 3)",
     ))
     # The chain simulation ladder: one enumeration block, then chunked
     # (bounded memory), then sampling.

@@ -52,8 +52,13 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 import numpy as np
 
 from ..core.exceptions import AnalysisError
-from ..core.metrics import metrics_from_law, metrics_from_pmf
+from ..core.metrics import (
+    metrics_from_law,
+    metrics_from_pmf,
+    metrics_from_samples,
+)
 from ..core.vectorized import chain_success
+from ..simulation.montecarlo import wilson_interval
 from .registry import (
     FAMILY_ANALYTICAL,
     FAMILY_SIMULATION,
@@ -62,6 +67,7 @@ from .registry import (
 )
 from .request import (
     DISTRIBUTION_KINDS,
+    KIND_CHAIN,
     KIND_ERROR_DISTRIBUTION,
     KIND_MED,
     KIND_MRED,
@@ -72,6 +78,7 @@ from .request import (
 
 if TYPE_CHECKING:
     from ..core.magnitude import ErrorLaw
+    from ..simulation.exhaustive import ExhaustiveQuality
 
 #: Exact full-PMF DP guard: beyond this width the delta support can
 #: outgrow ``error_pmf``'s ``max_entries`` and the router degrades to
@@ -206,6 +213,20 @@ def _pmf_fields(
     return fields, quality.error_rate
 
 
+def _joint_fields(
+    joint: Dict[Tuple[int, int], float], request: AnalysisRequest
+) -> Tuple[Dict[str, object], float]:
+    """:func:`_pmf_fields` plus MRED from a joint ``(delta, exact)`` law."""
+    from ..core.magnitude import relative_error_from_joint
+
+    pmf: Dict[int, float] = {}
+    for (delta, _value), prob in joint.items():
+        pmf[delta] = pmf.get(delta, 0.0) + prob
+    fields, error_rate = _pmf_fields(pmf, request)
+    fields["mred"] = relative_error_from_joint(joint)
+    return fields, error_rate
+
+
 def _law_fields(
     law: "ErrorLaw", request: AnalysisRequest
 ) -> Tuple[Dict[str, object], float]:
@@ -238,7 +259,6 @@ def run_distribution_dp(
         error_law,
         error_moments,
         joint_error_pmf,
-        relative_error_from_joint,
         worst_case_error,
     )
 
@@ -256,12 +276,8 @@ def run_distribution_dp(
             is_upper_bound=_chain_is_upper_bound(request),
         )
     if request.kind == KIND_MRED:
-        joint = joint_error_pmf(cells, None, pa, pb, pc)
-        pmf: Dict[int, float] = {}
-        for (delta, _value), prob in joint.items():
-            pmf[delta] = pmf.get(delta, 0.0) + prob
-        fields, error_rate = _pmf_fields(pmf, request)
-        fields["mred"] = relative_error_from_joint(joint)
+        fields, error_rate = _joint_fields(
+            joint_error_pmf(cells, None, pa, pb, pc), request)
         return _result(request, "distribution-dp", True, error_rate,
                        **fields)
     fields, error_rate = _law_fields(
@@ -297,6 +313,22 @@ def run_distribution_dp_truncated(
                    error_rate, **fields)
 
 
+def _exhaustive_result(
+    request: AnalysisRequest, engine: str, report: "ExhaustiveQuality"
+) -> AnalysisResult:
+    """The result of one oracle pass: ``P(error)`` and ``cases`` for a
+    ``chain`` question, plus the kind's magnitude fields otherwise."""
+    fields, error_rate = _pmf_fields(report.pmf, request)
+    if request.kind == KIND_CHAIN:
+        fields = {}
+    else:
+        fields["bias"] = report.bias
+        if request.kind == KIND_MRED:
+            fields["mred"] = report.mred
+    return _result(request, engine, True, error_rate, cases=report.cases,
+                   **fields)
+
+
 def run_distribution_exhaustive(
     request: AnalysisRequest, **options: object
 ) -> AnalysisResult:
@@ -308,12 +340,7 @@ def run_distribution_exhaustive(
         list(request.p_a), list(request.p_b), request.p_cin,
         progress=options.get("progress"),
     )
-    fields, error_rate = _pmf_fields(report.pmf, request)
-    fields["bias"] = report.bias
-    if request.kind == KIND_MRED:
-        fields["mred"] = report.mred
-    return _result(request, "distribution-exhaustive", True, error_rate,
-                   cases=report.cases, **fields)
+    return _exhaustive_result(request, "distribution-exhaustive", report)
 
 
 def _mean_interval(
@@ -327,40 +354,28 @@ def _mean_interval(
     return (max(0.0, mean - half), mean + half)
 
 
-def _wilson_interval(
-    p: float, n: int, z: float = 1.96
-) -> Tuple[float, float]:
-    """Wilson score interval for a proportion (keeps width at p=0/1)."""
-    z2 = z * z
-    denom = 1.0 + z2 / n
-    center = (p + z2 / (2.0 * n)) / denom
-    half = (z / denom) * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n))
-    return (max(0.0, center - half), min(1.0, center + half))
-
-
-def run_distribution_mc(
-    request: AnalysisRequest, **options: object
+def _sampled_result(
+    request: AnalysisRequest,
+    engine: str,
+    approx: np.ndarray,
+    exact_sums: np.ndarray,
 ) -> AnalysisResult:
-    """Seeded sampling estimate of the error-magnitude metrics.
+    """The result of a sampling run from its approximate and exact sums.
 
     ``interval`` carries the 95% bound on the request's headline
-    metric: Wilson on ER for ``error_distribution``, a normal
-    approximation on the MED/MRED sample mean otherwise (WCE has no
-    sampling bound -- the observed maximum is only a lower bound, and
-    the result says so via ``exact=False``).
+    metric: Wilson on ER for ``chain`` and ``error_distribution``, a
+    normal approximation on the MED/MRED sample mean, nothing for WCE
+    (the observed maximum is only a lower bound; ``exact=False`` says
+    so).
     """
-    from ..core.metrics import metrics_from_samples
-    from ..simulation.montecarlo import simulate_samples
-
-    samples = int(options.get("samples") or MC_DEFAULT_SAMPLES)  # type: ignore[arg-type]
-    approx, exact_sums = simulate_samples(
-        list(request.cells), None,
-        list(request.p_a), list(request.p_b), request.p_cin,
-        samples=samples, seed=options.get("seed", 0),  # type: ignore[arg-type]
-        progress=options.get("progress"),
-    )
-    quality = metrics_from_samples(approx, exact_sums, request.width)
+    samples = int(approx.size)
     delta = approx - exact_sums
+    if request.kind == KIND_CHAIN:
+        error_rate = float((delta != 0).mean())
+        return _result(request, engine, False, error_rate,
+                       samples=samples,
+                       interval=wilson_interval(error_rate, samples))
+    quality = metrics_from_samples(approx, exact_sums, request.width)
     abs_delta = np.abs(delta).astype(np.float64)
     interval: Optional[Tuple[float, float]]
     if request.kind == KIND_MED:
@@ -368,7 +383,7 @@ def run_distribution_mc(
     elif request.kind == KIND_MRED:
         interval = _mean_interval(abs_delta / np.maximum(exact_sums, 1))
     elif request.kind == KIND_ERROR_DISTRIBUTION:
-        interval = _wilson_interval(quality.error_rate, samples)
+        interval = wilson_interval(quality.error_rate, samples)
     else:
         interval = None
     fields: Dict[str, object] = {
@@ -388,8 +403,26 @@ def run_distribution_mc(
                 (int(d), float(c) / samples)
                 for d, c in zip(uniques, counts)
             )
-    return _result(request, "distribution-mc", False, quality.error_rate,
-                   **fields)
+    return _result(request, engine, False, quality.error_rate, **fields)
+
+
+def run_distribution_mc(
+    request: AnalysisRequest, **options: object
+) -> AnalysisResult:
+    """Seeded sampling estimate of the error-magnitude metrics.
+
+    The result and its intervals come from :func:`_sampled_result`.
+    """
+    from ..simulation.montecarlo import simulate_samples
+
+    samples = int(options.get("samples") or MC_DEFAULT_SAMPLES)  # type: ignore[arg-type]
+    approx, exact_sums = simulate_samples(
+        list(request.cells), None,
+        list(request.p_a), list(request.p_b), request.p_cin,
+        samples=samples, seed=options.get("seed", 0),  # type: ignore[arg-type]
+        progress=options.get("progress"),
+    )
+    return _sampled_result(request, "distribution-mc", approx, exact_sums)
 
 
 def _dp_cost(request: AnalysisRequest) -> float:

@@ -270,7 +270,7 @@ def run(
         result = info.run(
             request, budget=budget, samples=samples, seed=seed,
             checkpoint_path=checkpoint_path, resume=resume,
-            progress=progress, routed=bool(simulate),
+            progress=progress,
         )
     if _metrics.is_enabled():
         _metrics.inc("engine.requests")

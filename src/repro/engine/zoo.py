@@ -18,10 +18,13 @@ built on the monotone-carry-cut DP of :mod:`repro.core.adder_zoo`:
   served (no mass-preserving joint truncation); WCE delegates to the
   always-exact interval DP.
 * ``zoo-exhaustive`` -- the oracle: weighted enumeration of every
-  operand pair through the bit-true functional model, width-guarded.
+  operand pair through the bit-true functional model
+  (:func:`~repro.simulation.exhaustive.windowed_exhaustive_quality`,
+  the chain oracle's enumerator without a carry-in axis),
+  width-guarded.
 * ``zoo-mc`` -- seeded operand sampling through
-  :func:`~repro.core.adder_zoo.windowed_add_array`, with the same
-  interval conventions as ``distribution-mc``.
+  :func:`~repro.core.adder_zoo.windowed_add_array`; its results come
+  from ``distribution-mc``'s builder, intervals included.
 
 Engine selection walks the same ladder as every other request
 (:func:`repro.engine.executor.select_engine`) over the ``width_limits``
@@ -32,8 +35,7 @@ family.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -43,19 +45,18 @@ from ..core.adder_zoo import (
     windowed_error_moments,
     windowed_error_pmf,
     windowed_error_probability,
-    windowed_exhaustive_quality,
     windowed_joint_error_pmf,
     windowed_worst_case_error,
 )
 from ..core.exceptions import AnalysisError
-from ..core.magnitude import relative_error_from_joint
-from ..core.metrics import metrics_from_pmf, metrics_from_samples
 from .distribution import (
     MC_DEFAULT_SAMPLES,
-    MC_MAX_SUPPORT,
-    _mean_interval,
+    _exhaustive_result,
+    _joint_fields,
+    _pmf_fields,
     _quantize,
-    _wilson_interval,
+    _result,
+    _sampled_result,
 )
 from .registry import (
     FAMILY_ANALYTICAL,
@@ -101,43 +102,6 @@ def _block(request: AnalysisRequest) -> WindowedAdderSpec:
     return spec
 
 
-def _zoo_result(
-    request: AnalysisRequest,
-    engine: str,
-    exact: bool,
-    p_error: float,
-    **fields: object,
-) -> AnalysisResult:
-    p_error = min(1.0, max(0.0, float(p_error)))
-    return AnalysisResult(
-        p_error=p_error,
-        p_success=1.0 - p_error,
-        engine=engine,
-        exact=exact,
-        width=request.width,
-        kind=request.kind,
-        cell_names=request.cell_names,
-        **fields,  # type: ignore[arg-type]
-    )
-
-
-def _pmf_fields(
-    pmf: Dict[int, float], request: AnalysisRequest
-) -> Tuple[Dict[str, object], float]:
-    """(MED/NMED/MSE/WCE/bias fields, error rate) from a delta law."""
-    quality = metrics_from_pmf(pmf, request.width)
-    fields: Dict[str, object] = {
-        "med": quality.med,
-        "nmed": quality.nmed,
-        "mse": quality.mse,
-        "wce": quality.wce,
-        "bias": float(sum(d * p for d, p in pmf.items())),
-    }
-    if request.kind == KIND_ERROR_DISTRIBUTION:
-        fields["distribution"] = tuple(sorted(pmf.items()))
-    return fields, quality.error_rate
-
-
 def run_zoo_dp(
     request: AnalysisRequest, **options: object
 ) -> AnalysisResult:
@@ -150,29 +114,25 @@ def run_zoo_dp(
     spec = _block(request)
     pa, pb = request.p_a, request.p_b
     if request.kind == KIND_CHAIN:
-        return _zoo_result(
+        return _result(
             request, "zoo-dp", True,
             windowed_error_probability(spec, pa, pb),
         )
     if request.kind == KIND_WCE:
         moments = windowed_error_moments(spec, pa, pb)
         worst = windowed_worst_case_error(spec, pa, pb)
-        return _zoo_result(
+        return _result(
             request, "zoo-dp", True,
             windowed_error_probability(spec, pa, pb),
             wce=worst.wce, mse=moments.second_moment, bias=moments.mean,
         )
     if request.kind == KIND_MRED:
-        joint = windowed_joint_error_pmf(spec, pa, pb)
-        pmf: Dict[int, float] = {}
-        for (delta, _value), prob in joint.items():
-            pmf[delta] = pmf.get(delta, 0.0) + prob
-        fields, error_rate = _pmf_fields(pmf, request)
-        fields["mred"] = relative_error_from_joint(joint)
-        return _zoo_result(request, "zoo-dp", True, error_rate, **fields)
+        fields, error_rate = _joint_fields(
+            windowed_joint_error_pmf(spec, pa, pb), request)
+        return _result(request, "zoo-dp", True, error_rate, **fields)
     pmf = windowed_error_pmf(spec, pa, pb)
     fields, error_rate = _pmf_fields(pmf, request)
-    return _zoo_result(request, "zoo-dp", True, error_rate, **fields)
+    return _result(request, "zoo-dp", True, error_rate, **fields)
 
 
 def run_zoo_dp_truncated(
@@ -197,8 +157,8 @@ def run_zoo_dp_truncated(
     pmf = windowed_error_pmf(spec, request.p_a, request.p_b,
                              quantize=_quantize)
     fields, error_rate = _pmf_fields(pmf, request)
-    return _zoo_result(request, "zoo-dp-truncated", False, error_rate,
-                       **fields)
+    return _result(request, "zoo-dp-truncated", False, error_rate,
+                   **fields)
 
 
 def run_zoo_exhaustive(
@@ -206,18 +166,11 @@ def run_zoo_exhaustive(
 ) -> AnalysisResult:
     """The oracle: weighted enumeration of every operand pair through
     the bit-true functional model."""
-    spec = _block(request)
-    report = windowed_exhaustive_quality(spec, request.p_a, request.p_b)
-    error_rate = sum(p for d, p in report.pmf.items() if d != 0)
-    if request.kind == KIND_CHAIN:
-        return _zoo_result(request, "zoo-exhaustive", True, error_rate,
-                           cases=report.cases)
-    fields, error_rate = _pmf_fields(report.pmf, request)
-    fields["bias"] = report.bias
-    if request.kind == KIND_MRED:
-        fields["mred"] = report.mred
-    return _zoo_result(request, "zoo-exhaustive", True, error_rate,
-                       cases=report.cases, **fields)
+    from ..simulation.exhaustive import windowed_exhaustive_quality
+
+    report = windowed_exhaustive_quality(_block(request), request.p_a,
+                                         request.p_b)
+    return _exhaustive_result(request, "zoo-exhaustive", report)
 
 
 def _sample_operands(
@@ -234,10 +187,8 @@ def run_zoo_mc(
 ) -> AnalysisResult:
     """Seeded operand sampling through the functional model.
 
-    ``interval`` follows ``distribution-mc``'s conventions: Wilson on
-    the error rate for ``chain``/``error_distribution``, a normal
-    approximation on the MED/MRED sample mean, nothing for WCE (the
-    observed maximum is only a lower bound; ``exact=False`` says so).
+    The result and its intervals come from the same builder as
+    ``distribution-mc``'s (:func:`~repro.engine.distribution._sampled_result`).
     """
     spec = _block(request)
     samples = int(options.get("samples") or MC_DEFAULT_SAMPLES)  # type: ignore[arg-type]
@@ -246,46 +197,8 @@ def run_zoo_mc(
     rng = np.random.default_rng(int(options.get("seed", 0)))  # type: ignore[arg-type]
     a = _sample_operands(request.p_a, samples, rng)
     b = _sample_operands(request.p_b, samples, rng)
-    approx = windowed_add_array(spec, a, b)
-    exact_sums = a + b
-    delta = approx - exact_sums
-    error_rate = float((delta != 0).mean())
-    if request.kind == KIND_CHAIN:
-        return _zoo_result(
-            request, "zoo-mc", False, error_rate,
-            samples=samples,
-            interval=_wilson_interval(error_rate, samples),
-        )
-    quality = metrics_from_samples(approx, exact_sums, request.width)
-    abs_delta = np.abs(delta).astype(np.float64)
-    interval: Optional[Tuple[float, float]]
-    if request.kind == KIND_MRED:
-        interval = _mean_interval(abs_delta / np.maximum(exact_sums, 1))
-    elif request.kind == KIND_ERROR_DISTRIBUTION:
-        interval = _wilson_interval(quality.error_rate, samples)
-    elif request.kind == KIND_WCE:
-        interval = None
-    else:
-        interval = _mean_interval(abs_delta)
-    fields: Dict[str, object] = {
-        "med": quality.med,
-        "nmed": quality.nmed,
-        "mse": quality.mse,
-        "wce": quality.wce,
-        "mred": quality.mred,
-        "bias": float(delta.mean()),
-        "samples": samples,
-        "interval": interval,
-    }
-    if request.kind == KIND_ERROR_DISTRIBUTION:
-        uniques, counts = np.unique(delta, return_counts=True)
-        if uniques.size <= MC_MAX_SUPPORT:
-            fields["distribution"] = tuple(
-                (int(d), float(c) / samples)
-                for d, c in zip(uniques, counts)
-            )
-    return _zoo_result(request, "zoo-mc", False, quality.error_rate,
-                       **fields)
+    return _sampled_result(request, "zoo-mc", windowed_add_array(spec, a, b),
+                           a + b)
 
 
 def register_zoo_engines() -> None:

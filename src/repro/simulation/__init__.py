@@ -14,11 +14,14 @@ from .cost_model import (
 )
 from .exhaustive import (
     MAX_EXHAUSTIVE_WIDTH,
+    ExhaustiveQuality,
     ExhaustiveResult,
     exhaustive_error_count,
     exhaustive_error_pmf,
     exhaustive_error_probability,
+    exhaustive_quality,
     exhaustive_report,
+    windowed_exhaustive_quality,
 )
 from .functional import exact_add, ripple_add, ripple_add_array
 from .montecarlo import (
@@ -36,7 +39,10 @@ __all__ = [
     "exhaustive_error_count",
     "exhaustive_error_pmf",
     "exhaustive_report",
+    "exhaustive_quality",
+    "windowed_exhaustive_quality",
     "ExhaustiveResult",
+    "ExhaustiveQuality",
     "MAX_EXHAUSTIVE_WIDTH",
     "simulate_error_probability",
     "simulate_samples",

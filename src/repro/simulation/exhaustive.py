@@ -12,24 +12,32 @@ inputs).  This module implements that baseline with two refinements:
   against;
 * :func:`exhaustive_error_count` reproduces the paper's plain
   equiprobable count (errors / total cases);
-* :func:`exhaustive_error_pmf` additionally bins the numeric error,
+* :func:`exhaustive_quality` additionally bins the numeric error and
+  accumulates MRED and bias (:func:`exhaustive_error_pmf` is its PMF),
   cross-validating :mod:`repro.core.magnitude`;
 * :func:`exhaustive_report` wraps the weighted oracle in an
-  :class:`ExhaustiveResult` carrying a provenance manifest.
+  :class:`ExhaustiveResult` carrying a provenance manifest;
+* :func:`windowed_exhaustive_quality` is the same quality pass over the
+  ``2^(2N)`` operand pairs of a zoo block adder
+  (:class:`~repro.core.adder_zoo.WindowedAdderSpec`, carry-in 0).
 
-Cost is exponential in N (that is the paper's Fig. 1 point); the
-functions refuse absurd widths instead of hanging.  Enumeration runs in
-fixed-size blocks, so memory stays bounded and long runs report
-progress instead of going dark.
+Every one of them is a fold over one weighted-case enumerator
+(:class:`_Cases`), which resolves the adder, validates the
+probabilities, builds the per-case weights and reports progress and
+metrics once.  Cost is exponential in N (that is the paper's Fig. 1
+point); the functions refuse absurd widths instead of hanging.
+Enumeration runs in fixed-size blocks, so memory stays bounded and long
+runs report progress instead of going dark.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..core.adder_zoo import WindowedAdderSpec, windowed_add_array
 from ..core.exceptions import AnalysisError
 from ..core.probability import float_probability_vector
 from ..core.recursive import CellSpec, resolve_chain
@@ -39,7 +47,7 @@ from ..obs.log import Progress, ProgressCallback, get_logger, log_event
 from ..obs.provenance import RunManifest, StopWatch, build_manifest
 from ..obs.tracing import trace_span
 from ..runtime import chaos as _chaos
-from ..runtime.budget import STOP_MAX_CASES, RunBudget, make_meter
+from ..runtime.budget import STOP_MAX_CASES, BudgetMeter, RunBudget, make_meter
 from ..runtime.checkpoint import (
     Checkpoint,
     config_fingerprint,
@@ -56,71 +64,150 @@ BLOCK_CASES = 1 << 21
 
 _logger = get_logger("simulation.exhaustive")
 
-
-def _operand_grid(width: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All ``2^(2*width+1)`` (a, b, cin) combinations as flat arrays."""
-    values = np.arange(1 << width, dtype=np.int64)
-    a, b, cin = np.meshgrid(values, values, np.array([0, 1], dtype=np.int64),
-                            indexing="ij")
-    return a.ravel(), b.ravel(), cin.ravel()
+#: A fold consumes ``(delta, exact, weights)`` of one block, flat in
+#: case order.
+_Fold = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
 
 
-def _block_step(width: int, budget: Optional[RunBudget] = None) -> int:
-    """``a``-axis stride per block, clamped to a budget's memory hint."""
-    per_a = 1 << (width + 1)
-    step = max(1, BLOCK_CASES // per_a)
-    if budget is not None and budget.memory_hint_mb is not None:
-        # ~5 int64 arrays (a, b, cin, approx, exact) alive per case.
-        max_cases = max(per_a, int(budget.memory_hint_mb * 1_000_000 / 40))
-        step = max(1, min(step, max_cases // per_a))
-    return step
-
-
-def _iter_operand_blocks(
-    width: int,
-    start_a: int = 0,
-    step: Optional[int] = None,
-) -> Iterator[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """The :func:`_operand_grid` enumeration, in bounded-size blocks.
-
-    Blocks split along the *a* axis (each *a* value contributes
-    ``2^(width+1)`` cases), preserving the full-grid case order.  Yields
-    ``(a_start, a, b, cin)``; *a_start* is the block's cursor, which the
-    checkpointing enumerators persist so a resumed run continues from
-    the first unvisited block.
-    """
-    values = np.arange(1 << width, dtype=np.int64)
-    if step is None:
-        step = _block_step(width)
-    for start in range(start_a, values.size, step):
-        a, b, cin = np.meshgrid(
-            values[start:start + step], values,
-            np.array([0, 1], dtype=np.int64), indexing="ij",
-        )
-        yield start, a.ravel(), b.ravel(), cin.ravel()
-
-
-def _bit_weights(values: np.ndarray, probs: Sequence[float], width: int) -> np.ndarray:
-    """Probability weight of each operand value under per-bit one-probs."""
+def _value_weights(values: np.ndarray, probs: Sequence[float]) -> np.ndarray:
+    """Probability weight of each operand value under per-bit
+    one-probabilities *probs* (bit 0 first)."""
     weights = np.ones(values.shape, dtype=np.float64)
-    for i in range(width):
+    for i, p in enumerate(probs):
         bit = (values >> i) & 1
-        p = float(probs[i])
         weights *= np.where(bit == 1, p, 1.0 - p)
     return weights
 
 
-def _check_width(width: int) -> None:
-    if width > MAX_EXHAUSTIVE_WIDTH:
-        raise AnalysisError(
-            f"exhaustive enumeration of a {width}-bit adder would visit "
-            f"2^{2 * width + 1} cases; use the analytical engine or the "
-            "Monte-Carlo simulator instead"
-        )
+class _Cases:
+    """Every input case of one adder, weighted by its input probabilities.
+
+    The one enumerator behind every exhaustive answer.  *add* maps
+    operand arrays ``(a, b, cin)`` to approximate sums; a chain has a
+    carry-in axis (``2^(2N+1)`` cases, *p_cin* given), a block adder
+    has none (``2^(2N)`` cases, *p_cin* ``None``, ``cin`` is 0).
+    Blocks split along the *a* axis and keep the full grid's case
+    order (``a``, then ``b``, then ``cin``), so a resumed run continues
+    from its block cursor and visits every case exactly once.
+    """
+
+    def __init__(
+        self,
+        add: Callable[[np.ndarray, np.ndarray, object], np.ndarray],
+        width: int,
+        p_a: Union[Probability, Sequence[Probability]],
+        p_b: Union[Probability, Sequence[Probability]],
+        p_cin: Optional[Probability],
+    ) -> None:
+        carry_bits = 0 if p_cin is None else 1
+        if width > MAX_EXHAUSTIVE_WIDTH:
+            raise AnalysisError(
+                f"exhaustive enumeration of a {width}-bit adder would visit "
+                f"2^{2 * width + carry_bits} cases; use the analytical "
+                "engine or the Monte-Carlo simulator instead"
+            )
+        self.add = add
+        self.width = width
+        self.p_a = float_probability_vector(p_a, width, "p_a")
+        self.p_b = float_probability_vector(p_b, width, "p_b")
+        self.p_cin = (None if p_cin is None
+                      else float(validate_probability(p_cin, "p_cin")))
+        self.total = 1 << (2 * width + carry_bits)
+        self._values = np.arange(1 << width, dtype=np.int64)
+        self._weights_a = _value_weights(self._values, self.p_a)
+        self._weights_b = _value_weights(self._values, self.p_b)
+
+    def step(self, budget: Optional[RunBudget] = None) -> int:
+        """``a``-axis stride per block, clamped to a budget's memory hint."""
+        per_a = self.total >> self.width
+        step = max(1, BLOCK_CASES // per_a)
+        if budget is not None and budget.memory_hint_mb is not None:
+            # ~5 int64 arrays (a, b, cin, approx, exact) alive per case.
+            max_cases = max(per_a, int(budget.memory_hint_mb * 1_000_000 / 40))
+            step = max(1, min(step, max_cases // per_a))
+        return step
+
+    def _block(
+        self, start: int, step: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(delta, exact, weights)`` of the cases with ``a`` in
+        ``[start, start + step)``."""
+        axes = [self._values[start:start + step], self._values]
+        weights = (self._weights_a[start:start + step][:, None]
+                   * self._weights_b[None, :])
+        if self.p_cin is not None:
+            axes.append(np.array([0, 1], dtype=np.int64))
+            weights = (weights[:, :, None]
+                       * np.array([1.0 - self.p_cin, self.p_cin]))
+        grid = [axis.ravel() for axis in np.meshgrid(*axes, indexing="ij")]
+        a, b = grid[0], grid[1]
+        cin = grid[2] if self.p_cin is not None else 0
+        exact = a + b + cin
+        return self.add(a, b, cin) - exact, exact, weights.ravel()
+
+    def run(
+        self,
+        span: str,
+        fold: _Fold,
+        progress: Optional[ProgressCallback] = None,
+        *,
+        meter: Optional[BudgetMeter] = None,
+        step: Optional[int] = None,
+        start_a: int = 0,
+        done: int = 0,
+        after_block: Optional[Callable[[int, int], None]] = None,
+    ) -> Tuple[int, Optional[str]]:
+        """Feed *fold* every block from the ``a`` cursor *start_a* on.
+
+        *meter* is checked before each block after the first one this
+        call visits; *after_block* gets ``(next a cursor, cases visited)``
+        once a block is folded.  *done* counts cases an earlier run
+        already visited.  Returns ``(cases visited, stop reason)``; the
+        reason is ``None`` unless the meter stopped the run.
+        """
+        if step is None:
+            step = self.step()
+        reporter = Progress(self.total, "exhaustive.cases",
+                            callback=progress, logger=_logger)
+        if done:
+            reporter.update(done)
+        visited = done
+        stop_reason: Optional[str] = None
+        progressed = False
+        with _metrics.timed("simulation.exhaustive.enumerate"), \
+                trace_span(span, width=self.width, cases=self.total):
+            for start in range(start_a, 1 << self.width, step):
+                if progressed and meter is not None:
+                    stop_reason = meter.stop_reason()
+                    if stop_reason is not None:
+                        break
+                delta, exact, weights = self._block(start, step)
+                fold(delta, exact, weights)
+                visited += delta.size
+                progressed = True
+                if meter is not None:
+                    meter.charge(cases=delta.size)
+                reporter.update(delta.size)
+                if after_block is not None:
+                    after_block(start + step, visited)
+        reporter.finish()
+        if _metrics.is_enabled():
+            _metrics.get_registry().counter(
+                "simulation.exhaustive.cases"
+            ).add(visited)
+        return visited, stop_reason
 
 
-def _count_cases(width: int) -> int:
-    return 1 << (2 * width + 1)
+def _chain_cases(
+    cell: Union[CellSpec, Sequence[CellSpec]],
+    width: Optional[int],
+    p_a: Union[Probability, Sequence[Probability]],
+    p_b: Union[Probability, Sequence[Probability]],
+    p_cin: Probability,
+) -> _Cases:
+    cells = resolve_chain(cell, width)
+    return _Cases(lambda a, b, cin: ripple_add_array(cells, a, b, cin),
+                  len(cells), p_a, p_b, p_cin)
 
 
 @dataclass(frozen=True)
@@ -161,35 +248,15 @@ def exhaustive_error_probability(
     mass of the erroneous ones.  Exact for arbitrary per-bit input
     probabilities; exponential in *width*.
     """
-    cells = resolve_chain(cell, width)
-    n = len(cells)
-    _check_width(n)
-    pa = float_probability_vector(p_a, n, "p_a")
-    pb = float_probability_vector(p_b, n, "p_b")
-    pc = float(validate_probability(p_cin, "p_cin"))
-
-    total_cases = _count_cases(n)
-    reporter = Progress(total_cases, "exhaustive.cases", callback=progress,
-                        logger=_logger)
     mass = 0.0
-    with _metrics.timed("simulation.exhaustive.enumerate"), \
-            trace_span("simulation.exhaustive.enumerate",
-                       width=n, cases=total_cases):
-        for _, a, b, cin in _iter_operand_blocks(n):
-            approx = ripple_add_array(cells, a, b, cin)
-            wrong = approx != (a + b + cin)
-            weights = (
-                _bit_weights(a, pa, n)
-                * _bit_weights(b, pb, n)
-                * np.where(cin == 1, pc, 1.0 - pc)
-            )
-            mass += float(weights[wrong].sum())
-            reporter.update(a.size)
-    reporter.finish()
-    if _metrics.is_enabled():
-        _metrics.get_registry().counter(
-            "simulation.exhaustive.cases"
-        ).add(total_cases)
+
+    def fold(delta: np.ndarray, exact: np.ndarray,
+             weights: np.ndarray) -> None:
+        nonlocal mass
+        mass += float(weights[delta != 0].sum())
+
+    _chain_cases(cell, width, p_a, p_b, p_cin).run(
+        "simulation.exhaustive.enumerate", fold, progress)
     return mass
 
 
@@ -214,26 +281,27 @@ def exhaustive_report(
     *checkpoint_every* blocks).  ``resume=True`` continues from the
     first unvisited block and yields exactly the same mass as an
     uninterrupted run -- blocks partition the grid, and every case is
-    visited exactly once.
+    visited exactly once.  Only a run with a budget or a checkpoint has
+    block boundaries for the chaos shim (:mod:`repro.runtime.chaos`) to
+    act on; a plain enumeration, forced or routed, runs straight
+    through.
     """
     watch = StopWatch()
+    resilient = budget is not None or checkpoint_path is not None
     cells = resolve_chain(cell, width)
-    n = len(cells)
-    _check_width(n)
+    cases = _chain_cases(cells, None, p_a, p_b, p_cin)
     if checkpoint_every < 1:
         raise AnalysisError(
             f"checkpoint_every must be >= 1, got {checkpoint_every}"
         )
     if resume and checkpoint_path is None:
         raise AnalysisError("resume=True requires checkpoint_path")
-    pa = float_probability_vector(p_a, n, "p_a")
-    pb = float_probability_vector(p_b, n, "p_b")
-    pc = float(validate_probability(p_cin, "p_cin"))
+    names = [t.name for t in cells]
+    pa, pb, pc = cases.p_a, cases.p_b, cases.p_cin
 
-    step = _block_step(n, budget)
-    total_cases = _count_cases(n)
+    step = cases.step(budget)
     fingerprint = config_fingerprint(
-        kind="exhaustive", cells=[t.name for t in cells],
+        kind="exhaustive", cells=names,
         p_a=pa, p_b=pb, p_cin=pc, step=step,
     )
     start_a = 0
@@ -250,13 +318,6 @@ def exhaustive_report(
         log_event(_logger, "exhaustive.resumed", next_a_start=start_a,
                   cases_done=cases_done, path=checkpoint_path)
 
-    meter = make_meter(budget)
-    stop_reason: Optional[str] = None
-    progressed = False
-    reporter = Progress(total_cases, "exhaustive.cases", callback=progress,
-                        logger=_logger)
-    if cases_done:
-        reporter.update(cases_done)
     latest_payload: Optional[dict] = None
     blocks_since_save = 0
 
@@ -270,57 +331,47 @@ def exhaustive_report(
         )
         blocks_since_save = 0
 
+    def fold(delta: np.ndarray, exact: np.ndarray,
+             weights: np.ndarray) -> None:
+        nonlocal mass
+        mass += float(weights[delta != 0].sum())
+
+    def after_block(next_a_start: int, visited: int) -> None:
+        nonlocal latest_payload, blocks_since_save
+        latest_payload = {
+            "next_a_start": next_a_start,
+            "mass": mass,
+            "cases_done": visited,
+        }
+        blocks_since_save += 1
+        if (checkpoint_path is not None
+                and blocks_since_save >= checkpoint_every):
+            flush(latest_payload)
+        if resilient:
+            _chaos.tick("exhaustive.block")
+
     try:
-        with _metrics.timed("simulation.exhaustive.enumerate"), \
-                trace_span("simulation.exhaustive.report",
-                           width=n, cases=total_cases):
-            for a_start, a, b, cin in _iter_operand_blocks(n, start_a, step):
-                if progressed:
-                    stop_reason = meter.stop_reason()
-                    if stop_reason is not None:
-                        break
-                approx = ripple_add_array(cells, a, b, cin)
-                wrong = approx != (a + b + cin)
-                weights = (
-                    _bit_weights(a, pa, n)
-                    * _bit_weights(b, pb, n)
-                    * np.where(cin == 1, pc, 1.0 - pc)
-                )
-                mass += float(weights[wrong].sum())
-                cases_done += a.size
-                progressed = True
-                meter.charge(cases=a.size)
-                reporter.update(a.size)
-                latest_payload = {
-                    "next_a_start": a_start + step,
-                    "mass": mass,
-                    "cases_done": cases_done,
-                }
-                blocks_since_save += 1
-                if (checkpoint_path is not None
-                        and blocks_since_save >= checkpoint_every):
-                    flush(latest_payload)
-                _chaos.tick("exhaustive.block")
+        cases_done, stop_reason = cases.run(
+            "simulation.exhaustive.report", fold, progress,
+            meter=make_meter(budget), step=step, start_a=start_a,
+            done=cases_done, after_block=after_block,
+        )
     except KeyboardInterrupt:
         if checkpoint_path is not None and latest_payload is not None:
             flush(latest_payload)
         raise
-    reporter.finish()
     if checkpoint_path is not None and blocks_since_save > 0 \
             and latest_payload is not None:
         flush(latest_payload)
 
-    if _metrics.is_enabled():
-        _metrics.get_registry().counter(
-            "simulation.exhaustive.cases"
-        ).add(cases_done)
+    total_cases = cases.total
     truncated = cases_done < total_cases
     if truncated and stop_reason is None:
         stop_reason = STOP_MAX_CASES
     manifest = build_manifest(
         "exhaustive",
         samples=cases_done,
-        cells=[t.name for t in cells],
+        cells=names,
         wall_time_s=watch.elapsed(),
         budget=budget.as_dict() if budget is not None else None,
         truncated=True if truncated else None,
@@ -329,7 +380,7 @@ def exhaustive_report(
         **({"total_cases": total_cases} if truncated else {}),
     )
     return ExhaustiveResult(
-        p_error=mass, width=n, cases=cases_done, manifest=manifest,
+        p_error=mass, width=cases.width, cases=cases_done, manifest=manifest,
         truncated=truncated, stop_reason=stop_reason if truncated else None,
         total_cases=total_cases,
     )
@@ -345,73 +396,16 @@ def exhaustive_error_count(
     Returns ``(errors, total)`` with ``total = 2^(2*width+1)`` -- the
     paper's Table 6 "No. of Simulation Cases" for the finite scenario.
     """
-    cells = resolve_chain(cell, width)
-    n = len(cells)
-    _check_width(n)
-    total_cases = _count_cases(n)
-    reporter = Progress(total_cases, "exhaustive.cases", callback=progress,
-                        logger=_logger)
+    cases = _chain_cases(cell, width, 0.5, 0.5, 0.5)
     errors = 0
-    with _metrics.timed("simulation.exhaustive.enumerate"), \
-            trace_span("simulation.exhaustive.count",
-                       width=n, cases=total_cases):
-        for _, a, b, cin in _iter_operand_blocks(n):
-            approx = ripple_add_array(cells, a, b, cin)
-            errors += int((approx != (a + b + cin)).sum())
-            reporter.update(a.size)
-    reporter.finish()
-    if _metrics.is_enabled():
-        _metrics.get_registry().counter(
-            "simulation.exhaustive.cases"
-        ).add(total_cases)
-    return errors, total_cases
 
+    def fold(delta: np.ndarray, exact: np.ndarray,
+             weights: np.ndarray) -> None:
+        nonlocal errors
+        errors += int((delta != 0).sum())
 
-def exhaustive_error_pmf(
-    cell: Union[CellSpec, Sequence[CellSpec]],
-    width: Optional[int] = None,
-    p_a: Union[Probability, Sequence[Probability]] = 0.5,
-    p_b: Union[Probability, Sequence[Probability]] = 0.5,
-    p_cin: Probability = 0.5,
-    progress: Optional[ProgressCallback] = None,
-) -> Dict[int, float]:
-    """Exact PMF of ``approx - exact`` by weighted enumeration.
-
-    Cross-validates :func:`repro.core.magnitude.error_pmf` (which
-    computes the same distribution in polynomial time).
-    """
-    cells = resolve_chain(cell, width)
-    n = len(cells)
-    _check_width(n)
-    pa = float_probability_vector(p_a, n, "p_a")
-    pb = float_probability_vector(p_b, n, "p_b")
-    pc = float(validate_probability(p_cin, "p_cin"))
-
-    total_cases = _count_cases(n)
-    reporter = Progress(total_cases, "exhaustive.cases", callback=progress,
-                        logger=_logger)
-    pmf: Dict[int, float] = {}
-    with _metrics.timed("simulation.exhaustive.enumerate"), \
-            trace_span("simulation.exhaustive.pmf",
-                       width=n, cases=total_cases):
-        for _, a, b, cin in _iter_operand_blocks(n):
-            delta = ripple_add_array(cells, a, b, cin) - (a + b + cin)
-            weights = (
-                _bit_weights(a, pa, n)
-                * _bit_weights(b, pb, n)
-                * np.where(cin == 1, pc, 1.0 - pc)
-            )
-            for d in np.unique(delta):
-                mass = float(weights[delta == d].sum())
-                if mass > 0.0:
-                    pmf[int(d)] = pmf.get(int(d), 0.0) + mass
-            reporter.update(a.size)
-    reporter.finish()
-    if _metrics.is_enabled():
-        _metrics.get_registry().counter(
-            "simulation.exhaustive.cases"
-        ).add(total_cases)
-    return {d: m for d, m in sorted(pmf.items()) if m > 0.0}
+    cases.run("simulation.exhaustive.count", fold, progress)
+    return errors, cases.total
 
 
 @dataclass(frozen=True)
@@ -432,6 +426,51 @@ class ExhaustiveQuality:
     cases: int
 
 
+def _quality(cases: _Cases, span: str,
+             progress: Optional[ProgressCallback]) -> ExhaustiveQuality:
+    """The quality fold: each block's PMF is binned with one
+    ``np.unique`` + ``np.bincount``, not one masked sum per delta."""
+    pmf: Dict[int, float] = {}
+    mred = 0.0
+    bias = 0.0
+
+    def fold(delta: np.ndarray, exact: np.ndarray,
+             weights: np.ndarray) -> None:
+        nonlocal mred, bias
+        uniques, inverse = np.unique(delta, return_inverse=True)
+        sums = np.bincount(inverse.ravel(), weights=weights,
+                           minlength=uniques.size)
+        for d, mass in zip(uniques.tolist(), sums.tolist()):
+            if mass > 0.0:
+                pmf[d] = pmf.get(d, 0.0) + mass
+        abs_delta = np.abs(delta).astype(np.float64)
+        mred += float((weights * abs_delta / np.maximum(exact, 1)).sum())
+        bias += float((weights * delta).sum())
+
+    cases.run(span, fold, progress)
+    return ExhaustiveQuality(
+        pmf={d: m for d, m in sorted(pmf.items()) if m > 0.0},
+        mred=mred, bias=bias, width=cases.width, cases=cases.total,
+    )
+
+
+def exhaustive_error_pmf(
+    cell: Union[CellSpec, Sequence[CellSpec]],
+    width: Optional[int] = None,
+    p_a: Union[Probability, Sequence[Probability]] = 0.5,
+    p_b: Union[Probability, Sequence[Probability]] = 0.5,
+    p_cin: Probability = 0.5,
+    progress: Optional[ProgressCallback] = None,
+) -> Dict[int, float]:
+    """Exact PMF of ``approx - exact`` by weighted enumeration.
+
+    The ``pmf`` of :func:`exhaustive_quality`.  Cross-validates :func:`repro.core.magnitude.error_pmf` (which
+    computes the same distribution in polynomial time).
+    """
+    return _quality(_chain_cases(cell, width, p_a, p_b, p_cin),
+                    "simulation.exhaustive.pmf", progress).pmf
+
+
 def exhaustive_quality(
     cell: Union[CellSpec, Sequence[CellSpec]],
     width: Optional[int] = None,
@@ -447,45 +486,23 @@ def exhaustive_quality(
     case, the relative error against the exact sum -- which the
     marginal PMF cannot recover (MRED conditions on the exact value).
     """
-    cells = resolve_chain(cell, width)
-    n = len(cells)
-    _check_width(n)
-    pa = float_probability_vector(p_a, n, "p_a")
-    pb = float_probability_vector(p_b, n, "p_b")
-    pc = float(validate_probability(p_cin, "p_cin"))
+    return _quality(_chain_cases(cell, width, p_a, p_b, p_cin),
+                    "simulation.exhaustive.quality", progress)
 
-    total_cases = _count_cases(n)
-    reporter = Progress(total_cases, "exhaustive.cases", callback=progress,
-                        logger=_logger)
-    pmf: Dict[int, float] = {}
-    mred = 0.0
-    bias = 0.0
-    with _metrics.timed("simulation.exhaustive.enumerate"), \
-            trace_span("simulation.exhaustive.quality",
-                       width=n, cases=total_cases):
-        for _, a, b, cin in _iter_operand_blocks(n):
-            exact = a + b + cin
-            delta = ripple_add_array(cells, a, b, cin) - exact
-            weights = (
-                _bit_weights(a, pa, n)
-                * _bit_weights(b, pb, n)
-                * np.where(cin == 1, pc, 1.0 - pc)
-            )
-            for d in np.unique(delta):
-                mass = float(weights[delta == d].sum())
-                if mass > 0.0:
-                    pmf[int(d)] = pmf.get(int(d), 0.0) + mass
-            abs_delta = np.abs(delta).astype(np.float64)
-            mred += float((weights * abs_delta
-                           / np.maximum(exact, 1)).sum())
-            bias += float((weights * delta).sum())
-            reporter.update(a.size)
-    reporter.finish()
-    if _metrics.is_enabled():
-        _metrics.get_registry().counter(
-            "simulation.exhaustive.cases"
-        ).add(total_cases)
-    return ExhaustiveQuality(
-        pmf={d: m for d, m in sorted(pmf.items()) if m > 0.0},
-        mred=mred, bias=bias, width=n, cases=total_cases,
-    )
+
+def windowed_exhaustive_quality(
+    spec: WindowedAdderSpec,
+    p_a: Union[Probability, Sequence[Probability]] = 0.5,
+    p_b: Union[Probability, Sequence[Probability]] = 0.5,
+) -> ExhaustiveQuality:
+    """The zoo's oracle: :func:`exhaustive_quality` of a block adder.
+
+    Enumerates all ``2^(2N)`` operand pairs (carry-in 0) through
+    :func:`~repro.core.adder_zoo.windowed_add_array`; width-guarded at
+    :data:`MAX_EXHAUSTIVE_WIDTH`.  The cut DPs of
+    :mod:`repro.core.adder_zoo` match it bit-for-bit at dyadic operand
+    probabilities.
+    """
+    cases = _Cases(lambda a, b, cin: windowed_add_array(spec, a, b),
+                   spec.width, p_a, p_b, None)
+    return _quality(cases, "simulation.exhaustive.windowed", None)

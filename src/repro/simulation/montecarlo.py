@@ -92,6 +92,16 @@ def _sample_operands(
     return bits @ weights
 
 
+def wilson_interval(p: float, n: int, z: float = 1.96) -> Tuple[float, float]:
+    """Wilson score interval ``(lo, hi)`` for a proportion *p* observed
+    over *n* trials at quantile *z*; keeps positive width at p = 0 or 1."""
+    z2 = z * z
+    denom = 1.0 + z2 / n
+    center = (p + z2 / (2.0 * n)) / denom
+    half = (z / denom) * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n))
+    return (max(0.0, center - half), min(1.0, center + half))
+
+
 @dataclass(frozen=True)
 class MonteCarloResult:
     """Outcome of a Monte-Carlo error-probability estimation.
@@ -138,13 +148,7 @@ class MonteCarloResult:
         million-sample run), so "no errors observed" is not mistaken
         for "errors impossible".
         """
-        n = self.samples
-        p = self.p_error
-        z2 = z * z
-        denom = 1.0 + z2 / n
-        center = (p + z2 / (2.0 * n)) / denom
-        half = (z / denom) * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n))
-        return (max(0.0, center - half), min(1.0, center + half))
+        return wilson_interval(self.p_error, self.samples, z)
 
     @property
     def p_success(self) -> float:

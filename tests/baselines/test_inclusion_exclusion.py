@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro import engine
+from repro.baselines.inclusion_exclusion import (
+    chain_inclusion_exclusion as inclusion_exclusion,
+)
 from repro.baselines.inclusion_exclusion import (
     single_stage_error_probabilities,
     stage_error_event_probability,
@@ -10,12 +12,6 @@ from repro.baselines.inclusion_exclusion import (
 from repro.core.exceptions import AnalysisError
 from repro.core.recursive import analyze_chain, resolve_chain
 from repro.core.truth_table import ACCURATE
-
-
-def inclusion_exclusion(cell, width=None, p_a=0.5, p_b=0.5, p_cin=0.5):
-    """The IE baseline's native report, through the engine."""
-    return engine.run(cell, width, p_a, p_b, p_cin,
-                      engine="inclusion-exclusion").raw
 
 
 class TestAgreementWithRecursion:
@@ -52,7 +48,7 @@ class TestTermAccounting:
         assert report.width == 6
 
     def test_width_guard(self):
-        with pytest.raises(AnalysisError, match="cannot serve"):
+        with pytest.raises(AnalysisError, match="refusing beyond 20"):
             inclusion_exclusion("LPAA 1", 21)
 
     def test_p_success_complements(self):

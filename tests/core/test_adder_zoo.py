@@ -30,7 +30,6 @@ from repro.core.adder_zoo import (
     windowed_error_moments,
     windowed_error_pmf,
     windowed_error_probability,
-    windowed_exhaustive_quality,
     windowed_joint_error_pmf,
     windowed_worst_case_error,
     zoo_cost,
@@ -39,6 +38,7 @@ from repro.core.adders import LOA_GEN, LOA_OR
 from repro.core.exceptions import AnalysisError
 from repro.gear.config import GeArConfig
 from repro.gear.functional import gear_add
+from repro.simulation import windowed_exhaustive_quality
 
 
 # ---------------------------------------------------------------- grammar

@@ -39,7 +39,7 @@ class TestRun:
 
     def test_engines_agree(self):
         reference = run("LPAA 2", 6).p_error
-        for name in ("vectorized", "inclusion-exclusion", "exhaustive"):
+        for name in ("vectorized", "exhaustive"):
             assert run("LPAA 2", 6, engine=name).p_error == pytest.approx(
                 reference, abs=1e-12
             ), name
@@ -250,11 +250,10 @@ class TestRunBatchContract:
         for request, grouped in zip(requests, run_batch(requests)):
             scalar = run(request=request, engine="recursive")
             assert replace(scalar, engine="vectorized") == grouped
-            if request.width >= 3:  # narrower chains route elsewhere
-                default = run(request)
-                assert default.engine == "recursive"
-                # Only the routing provenance differs.
-                assert replace(default, reason=None) == scalar
+            default = run(request)
+            assert default.engine == "recursive"
+            # Only the routing provenance differs.
+            assert replace(default, reason=None) == scalar
             assert run(request=request, engine="vectorized") == grouped
             wce = run(AnalysisRequest.distribution(
                 request.cells, None, request.p_a, request.p_b,

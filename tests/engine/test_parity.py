@@ -1,10 +1,12 @@
 """Cross-engine parity: every backend answers the same question identically.
 
 Property test over random chain configurations (hybrid cells, per-bit
-probabilities, width <= 8): the recursive, vectorized,
-inclusion-exclusion and exhaustive engines must agree to 1e-12 through
-the unified ``repro.engine.run`` entry point, and Monte-Carlo must land
-inside its own Wilson interval around that exact value.
+probabilities, width <= 8): the recursive, vectorized and exhaustive
+engines must agree to 1e-12 through the unified ``repro.engine.run``
+entry point, the inclusion-exclusion baseline
+(:func:`repro.baselines.chain_inclusion_exclusion`) must agree with
+them, and Monte-Carlo must land inside its own Wilson interval around
+that exact value.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import chain_inclusion_exclusion
 from repro.engine import AnalysisRequest, run
 
 CELL_NAMES = ["AccuFA"] + [f"LPAA {i}" for i in range(1, 8)]
@@ -38,13 +41,19 @@ class TestExactEngineParity:
     def test_all_exact_engines_agree(self, request):
         reference = run(request=request, engine="recursive")
         assert 0.0 <= reference.p_error <= 1.0
-        # The three analytical engines implement the same stage-error
-        # model and must agree bit-for-bit (to rounding).
-        for name in ("vectorized", "inclusion-exclusion"):
-            result = run(request=request, engine=name)
-            assert result.p_error == pytest.approx(
-                reference.p_error, abs=1e-12
-            ), f"{name} disagrees with recursive on {request.cell_names}"
+        # The analytical engines and the inclusion-exclusion baseline
+        # implement the same stage-error model and must agree
+        # bit-for-bit (to rounding).
+        result = run(request=request, engine="vectorized")
+        assert result.p_error == pytest.approx(
+            reference.p_error, abs=1e-12
+        ), f"vectorized disagrees with recursive on {request.cell_names}"
+        baseline = chain_inclusion_exclusion(
+            list(request.cells), None, list(request.p_a),
+            list(request.p_b), request.p_cin)
+        assert baseline.p_error == pytest.approx(
+            reference.p_error, abs=1e-12
+        ), f"inclusion-exclusion disagrees on {request.cell_names}"
         # Exhaustive enumeration counts *numeric* word errors.  For
         # chains that cannot mask an internal stage error the models
         # coincide; for masking-capable chains the recursion is a sound

@@ -35,9 +35,11 @@ def _dummy(name, **overrides):
 class TestBuiltinPopulation:
     def test_expected_engines_present(self):
         for name in ("recursive", "vectorized", "correlated",
-                     "inclusion-exclusion", "exhaustive", "montecarlo",
+                     "exhaustive", "montecarlo",
                      "multiop-exact", "multiop-mc"):
             assert name in REGISTRY
+        # The Table 3 baseline is called directly, never routed.
+        assert "inclusion-exclusion" not in REGISTRY
 
     def test_reregistration_is_idempotent(self):
         names = REGISTRY.names()
