@@ -19,12 +19,13 @@ code change:
   are nested suffixes, their carries are *monotone* (a longer window's
   carry dominates a shorter one's), so the joint carry state collapses
   to a single **cut index** in the sorted window list -- polynomial,
-  not exponential.  :func:`windowed_error_probability` (linear ER),
-  :func:`windowed_error_pmf` (full error law, guarded),
-  :func:`windowed_error_moments` (linear ``E[D]``/``E[D^2]``),
-  :func:`windowed_worst_case_error` (linear interval DP, any width) and
-  :func:`windowed_joint_error_pmf` (``(D, exact)`` law for MRED) mirror
-  :mod:`repro.core.magnitude`'s five-function structure.
+  not exponential.  :func:`windowed_table` compiles a spec to that cut
+  automaton in :mod:`repro.core.magnitude`'s table form, and each
+  analysis is one of that module's folds over it:
+  :func:`windowed_error_probability` (ER), :func:`windowed_error_pmf`
+  (error law, guarded), :func:`windowed_error_moments`,
+  :func:`windowed_worst_case_error` (any width) and
+  :func:`windowed_joint_error_pmf` (``(D, exact)`` law for MRED).
 * Bit-true functional models (:func:`windowed_add`,
   :func:`windowed_add_array`); the weighted enumeration oracle the DPs
   are cross-validated against,
@@ -54,7 +55,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    Callable,
     Dict,
     List,
     Optional,
@@ -66,14 +66,20 @@ from typing import (
 import numpy as np
 
 from .adders import LOA_GEN, LOA_OR
-from .exceptions import AnalysisError, SupportLimitError
-from .magnitude import ErrorMoments, WorstCaseError
+from .exceptions import AnalysisError
+from .magnitude import (
+    DEFAULT_MAX_ENTRIES,
+    CarryTable,
+    ErrorMoments,
+    WorstCaseError,
+    fold_extremes,
+    fold_moments,
+    fold_sparse,
+    fold_success,
+    operand_values,
+)
 from .truth_table import ACCURATE, FullAdderTruthTable
 from .types import Probability, validate_probability_vector
-
-#: Entry guard of the guarded DPs, matching
-#: :mod:`repro.core.magnitude`'s default.
-DEFAULT_MAX_ENTRIES = 2_000_000
 
 
 # --------------------------------------------------------------------------
@@ -228,67 +234,59 @@ def windowed_add_array(
 # t=1 propagates (cut unchanged); a window activating at step l joins
 # at the tail with carry 0, keeping the cut untouched.
 
-@dataclass(frozen=True)
-class _Step:
-    """One step of the precomputed DP schedule."""
+def windowed_table(
+    spec: WindowedAdderSpec,
+    p_a: Union[Probability, Sequence[Probability]] = 0.5,
+    p_b: Union[Probability, Sequence[Probability]] = 0.5,
+) -> CarryTable:
+    """Compile *spec* to its cut automaton (the state is the cut).
 
-    insert: bool              # a window [i, ...] activates this step
-    read_idx: int             # index of lows[i] in the active-low list
-    removals: Tuple[int, ...]  # positions dropped afterwards (descending)
-    size: int                 # active-window count during the transition
-
-
-def _plan(spec: WindowedAdderSpec) -> Tuple[List[_Step], int, int]:
-    """Schedule of the cut DP: per-step reads/activations/retirements,
-    the carry-out window's final index, and the final active count."""
+    A row's ``d`` is the output bit's difference and ``v`` the exact
+    sum bit; the final term is the carry-out's.  A digit is listed when
+    some operand pair makes it possible; its weight is summed term by
+    term, so dyadic inputs stay exact.
+    """
     n = spec.width
-    last_read: Dict[int, int] = {}
-    for j, low in enumerate(spec.lows):
-        last_read[low] = max(last_read.get(low, -1), j)
+    pa = validate_probability_vector(p_a, n, "p_a")
+    pb = validate_probability_vector(p_b, n, "p_b")
+    last_read = {low: j for j, low in enumerate(spec.lows)}  # last j wins
     last_read[0] = n           # the exact carry is read at every step
     last_read[spec.carry_low] = n
-    active: List[int] = []
-    steps: List[_Step] = []
+    active: List[int] = []     # lows of the active windows, ascending
+    states = 1
+    stages = []
     for i in range(n):
-        insert = i in last_read
-        if insert:
+        if i in last_read:     # a window [i, ...] activates this step
             active.append(i)
-        read_idx = active.index(spec.lows[i])
-        removals = tuple(sorted(
-            (pos for pos, low in enumerate(active) if last_read[low] == i),
-            reverse=True,
-        ))
-        steps.append(_Step(insert, read_idx, removals, len(active)))
-        for pos in removals:
+        size, read_idx = len(active), active.index(spec.lows[i])
+        states = max(states, size + 1)
+        retired = [pos for pos, low in enumerate(active)
+                   if last_read[low] == i]
+        # Retiring a window below a cut shifts the cut down.
+        reindexed = [cut - sum(pos < cut for pos in retired)
+                     for cut in range(size + 1)]
+        digits: Dict[int, float] = {}
+        for a, wa in operand_values(float(pa[i])):
+            for b, wb in operand_values(float(pb[i])):
+                digits[a + b] = digits.get(a + b, 0.0) + wa * wb
+        rows = []
+        for cut in range(size + 1):
+            c_exact, c_approx = int(cut > 0), int(cut > read_idx)
+            for t, w in digits.items():
+                s_exact = (t + c_exact) & 1
+                new_cut = 0 if t == 0 else (size if t == 2 else cut)
+                rows.append((cut, reindexed[new_cut],
+                             ((t + c_approx) & 1) - s_exact, s_exact, w))
+        stages.append(tuple(rows))
+        for pos in reversed(retired):
             del active[pos]
-    return steps, active.index(spec.carry_low), len(active)
-
-
-def _digit_weights(
-    p_a: Union[Probability, Sequence[Probability]],
-    p_b: Union[Probability, Sequence[Probability]],
-    n: int,
-) -> List[Tuple[float, float, float]]:
-    """Per-step probabilities of the digit ``t_i = a_i + b_i`` being
-    0 / 1 / 2 (computed term-by-term so dyadic inputs stay exact)."""
-    pa = [float(p) for p in validate_probability_vector(p_a, n, "p_a")]
-    pb = [float(p) for p in validate_probability_vector(p_b, n, "p_b")]
-    return [
-        (
-            (1.0 - pa[i]) * (1.0 - pb[i]),
-            pa[i] * (1.0 - pb[i]) + (1.0 - pa[i]) * pb[i],
-            pa[i] * pb[i],
-        )
-        for i in range(n)
-    ]
-
-
-def _apply_removals(cut: int, removals: Tuple[int, ...]) -> int:
-    """Re-index a cut after retiring the given positions (descending)."""
-    for pos in removals:
-        if cut > pos:
-            cut -= 1
-    return cut
+    carry_idx = active.index(spec.carry_low)
+    return CarryTable(
+        label=f"{spec.name!r} (width {n})", states=states,
+        start=((0, 1.0, 0),), stages=tuple(stages),
+        final=tuple((int(cut > carry_idx) - int(cut > 0), int(cut > 0))
+                    for cut in range(len(active) + 1)),
+    )
 
 
 def windowed_error_probability(
@@ -298,41 +296,13 @@ def windowed_error_probability(
 ) -> float:
     """Exact word-level ``P(error)`` of a windowed adder, O(N * cuts).
 
-    Tracks the probability mass of *still fully correct* paths per cut:
-    output bit i errs exactly when the exact carry and the window's
+    Output bit i errs exactly when the exact carry and the window's
     carry disagree (windowed adders only ever drop carries, so the
-    disagreement is one-sided), and likewise for the carry-out.
+    disagreement is one-sided), and likewise for the carry-out: the
+    success mass is that of the all-zero-increment paths
+    (:func:`~repro.core.magnitude.fold_success`).
     """
-    steps, carry_idx, _ = _plan(spec)
-    weights = _digit_weights(p_a, p_b, spec.width)
-    mass: List[float] = [1.0]
-    for i, step in enumerate(steps):
-        if step.insert:
-            mass.append(0.0)
-        q0, q1, q2 = weights[i]
-        m = step.size
-        nxt = [0.0] * (m + 1)
-        for cut, w in enumerate(mass):
-            if w == 0.0:
-                continue
-            if (cut > 0) != (cut > step.read_idx):
-                continue  # this output bit is wrong: drop the path
-            if q0 > 0.0:
-                nxt[0] += w * q0
-            if q1 > 0.0:
-                nxt[cut] += w * q1
-            if q2 > 0.0:
-                nxt[m] += w * q2
-        for pos in step.removals:
-            merged = [0.0] * (len(nxt) - 1)
-            for cut, w in enumerate(nxt):
-                merged[cut - 1 if cut > pos else cut] += w
-            nxt = merged
-        mass = nxt
-    p_success = sum(
-        w for cut, w in enumerate(mass)
-        if (cut > 0) == (cut > carry_idx)
-    )
+    p_success = fold_success(windowed_table(spec, p_a, p_b))
     return 1.0 - min(1.0, max(0.0, p_success))
 
 
@@ -341,69 +311,15 @@ def windowed_error_pmf(
     p_a: Union[Probability, Sequence[Probability]] = 0.5,
     p_b: Union[Probability, Sequence[Probability]] = 0.5,
     max_entries: int = DEFAULT_MAX_ENTRIES,
-    prune_below: float = 0.0,
-    quantize: Optional[Callable[[int], int]] = None,
 ) -> Dict[int, float]:
     """Exact PMF of ``D = approx - exact`` for a windowed adder.
 
     Mirrors :func:`repro.core.magnitude.error_pmf`: guarded by
     *max_entries* (raising
-    :class:`~repro.core.exceptions.SupportLimitError` with the stage),
-    optionally pruned, and -- for the engine's truncated rung --
-    optionally *quantize*\\ d per accumulated delta (mass-preserving, so
-    the PMF still sums to 1 and ER stays exact).
+    :class:`~repro.core.exceptions.SupportLimitError` with the stage).
     """
-    steps, carry_idx, _ = _plan(spec)
-    n = spec.width
-    weights = _digit_weights(p_a, p_b, n)
-    keep = quantize if quantize is not None else (lambda delta: delta)
-    dists: Dict[int, Dict[int, float]] = {0: {0: 1.0}}
-    for i, step in enumerate(steps):
-        q = weights[i]
-        m = step.size
-        weight_bit = 1 << i
-        nxt: Dict[int, Dict[int, float]] = {}
-        for cut, dist in dists.items():
-            if not dist:
-                continue
-            c_exact = 1 if cut > 0 else 0
-            c_approx = 1 if cut > step.read_idx else 0
-            for t in (0, 1, 2):
-                w = q[t]
-                if w == 0.0:
-                    continue
-                delta_inc = (((t + c_approx) & 1) - ((t + c_exact) & 1)) \
-                    * weight_bit
-                new_cut = 0 if t == 0 else (m if t == 2 else cut)
-                new_cut = _apply_removals(new_cut, step.removals)
-                bucket = nxt.setdefault(new_cut, {})
-                for delta, prob in dist.items():
-                    key = keep(delta + delta_inc)
-                    bucket[key] = bucket.get(key, 0.0) + prob * w
-        if prune_below > 0.0:
-            for bucket in nxt.values():
-                stale = [d for d, p in bucket.items() if p < prune_below]
-                for d in stale:
-                    del bucket[d]
-        size = sum(len(bucket) for bucket in nxt.values())
-        if size > max_entries:
-            raise SupportLimitError(
-                f"windowed_error_pmf support for {spec.name!r} (width "
-                f"{n}) exceeded max_entries={max_entries} at stage {i} "
-                f"({size} (cut, delta) pairs); raise the limit, set "
-                "prune_below, or use windowed_error_moments()",
-                width=n, entries=size, limit=max_entries, stage=i,
-            )
-        dists = nxt
-    weight_carry = 1 << n
-    pmf: Dict[int, float] = {}
-    for cut, dist in dists.items():
-        delta_inc = ((1 if cut > carry_idx else 0)
-                     - (1 if cut > 0 else 0)) * weight_carry
-        for delta, prob in dist.items():
-            key = keep(delta + delta_inc)
-            pmf[key] = pmf.get(key, 0.0) + prob
-    return {d: p for d, p in pmf.items() if p > 0.0}
+    return fold_sparse(windowed_table(spec, p_a, p_b),
+                       max_entries=max_entries)
 
 
 def windowed_error_moments(
@@ -413,42 +329,7 @@ def windowed_error_moments(
 ) -> ErrorMoments:
     """Exact ``E[D]`` / ``E[D^2]`` in O(N * cuts) time and O(cuts)
     memory, mirroring :func:`repro.core.magnitude.error_moments`."""
-    steps, carry_idx, final_size = _plan(spec)
-    n = spec.width
-    weights = _digit_weights(p_a, p_b, n)
-    stats: Dict[int, Tuple[float, float, float]] = {0: (1.0, 0.0, 0.0)}
-    for i, step in enumerate(steps):
-        q = weights[i]
-        m = step.size
-        weight_bit = float(1 << i)
-        nxt: Dict[int, List[float]] = {}
-        for cut, (p, m1, m2) in stats.items():
-            if p == 0.0 and m1 == 0.0 and m2 == 0.0:
-                continue
-            c_exact = 1 if cut > 0 else 0
-            c_approx = 1 if cut > step.read_idx else 0
-            for t in (0, 1, 2):
-                w = q[t]
-                if w == 0.0:
-                    continue
-                delta = (((t + c_approx) & 1) - ((t + c_exact) & 1)) \
-                    * weight_bit
-                new_cut = 0 if t == 0 else (m if t == 2 else cut)
-                new_cut = _apply_removals(new_cut, step.removals)
-                acc = nxt.setdefault(new_cut, [0.0, 0.0, 0.0])
-                acc[0] += w * p
-                acc[1] += w * (m1 + delta * p)
-                acc[2] += w * (m2 + 2.0 * delta * m1 + delta * delta * p)
-        stats = {cut: (v[0], v[1], v[2]) for cut, v in nxt.items()}
-    weight_carry = float(1 << n)
-    mean = 0.0
-    second = 0.0
-    for cut, (p, m1, m2) in stats.items():
-        delta = ((1 if cut > carry_idx else 0)
-                 - (1 if cut > 0 else 0)) * weight_carry
-        mean += m1 + delta * p
-        second += m2 + 2.0 * delta * m1 + delta * delta * p
-    return ErrorMoments(mean=mean, second_moment=second, width=n)
+    return fold_moments(windowed_table(spec, p_a, p_b))
 
 
 def windowed_worst_case_error(
@@ -458,42 +339,7 @@ def windowed_worst_case_error(
 ) -> WorstCaseError:
     """Exact ``max |D|`` at any width: the reachable ``[min, max]``
     delta interval per cut, in exact integer arithmetic."""
-    steps, carry_idx, _ = _plan(spec)
-    n = spec.width
-    weights = _digit_weights(p_a, p_b, n)
-    spans: Dict[int, Tuple[int, int]] = {0: (0, 0)}
-    for i, step in enumerate(steps):
-        q = weights[i]
-        m = step.size
-        weight_bit = 1 << i
-        nxt: Dict[int, Tuple[int, int]] = {}
-        for cut, (lo, hi) in spans.items():
-            c_exact = 1 if cut > 0 else 0
-            c_approx = 1 if cut > step.read_idx else 0
-            for t in (0, 1, 2):
-                if q[t] == 0.0:
-                    continue
-                inc = (((t + c_approx) & 1) - ((t + c_exact) & 1)) \
-                    * weight_bit
-                new_cut = 0 if t == 0 else (m if t == 2 else cut)
-                new_cut = _apply_removals(new_cut, step.removals)
-                cur = nxt.get(new_cut)
-                if cur is None:
-                    nxt[new_cut] = (lo + inc, hi + inc)
-                else:
-                    nxt[new_cut] = (min(cur[0], lo + inc),
-                                    max(cur[1], hi + inc))
-        spans = nxt
-    weight_carry = 1 << n
-    lo_all: Optional[int] = None
-    hi_all: Optional[int] = None
-    for cut, (lo, hi) in spans.items():
-        inc = ((1 if cut > carry_idx else 0)
-               - (1 if cut > 0 else 0)) * weight_carry
-        lo_all = lo + inc if lo_all is None else min(lo_all, lo + inc)
-        hi_all = hi + inc if hi_all is None else max(hi_all, hi + inc)
-    return WorstCaseError(min_delta=int(lo_all or 0),
-                          max_delta=int(hi_all or 0), width=n)
+    return fold_extremes(windowed_table(spec, p_a, p_b))
 
 
 def windowed_joint_error_pmf(
@@ -509,52 +355,8 @@ def windowed_joint_error_pmf(
     practical limit sits lower than the marginal PMF's (same guard
     behaviour as :func:`repro.core.magnitude.joint_error_pmf`).
     """
-    steps, carry_idx, _ = _plan(spec)
-    n = spec.width
-    weights = _digit_weights(p_a, p_b, n)
-    dists: Dict[int, Dict[Tuple[int, int], float]] = {0: {(0, 0): 1.0}}
-    for i, step in enumerate(steps):
-        q = weights[i]
-        m = step.size
-        weight_bit = 1 << i
-        nxt: Dict[int, Dict[Tuple[int, int], float]] = {}
-        for cut, dist in dists.items():
-            if not dist:
-                continue
-            c_exact = 1 if cut > 0 else 0
-            c_approx = 1 if cut > step.read_idx else 0
-            for t in (0, 1, 2):
-                w = q[t]
-                if w == 0.0:
-                    continue
-                s_exact = (t + c_exact) & 1
-                delta_inc = (((t + c_approx) & 1) - s_exact) * weight_bit
-                value_inc = s_exact * weight_bit
-                new_cut = 0 if t == 0 else (m if t == 2 else cut)
-                new_cut = _apply_removals(new_cut, step.removals)
-                bucket = nxt.setdefault(new_cut, {})
-                for (delta, value), prob in dist.items():
-                    key = (delta + delta_inc, value + value_inc)
-                    bucket[key] = bucket.get(key, 0.0) + prob * w
-        size = sum(len(bucket) for bucket in nxt.values())
-        if size > max_entries:
-            raise SupportLimitError(
-                f"windowed_joint_error_pmf support for {spec.name!r} "
-                f"(width {n}) exceeded max_entries={max_entries} at "
-                f"stage {i} ({size} entries); estimate MRED by sampling",
-                width=n, entries=size, limit=max_entries, stage=i,
-            )
-        dists = nxt
-    weight_carry = 1 << n
-    joint: Dict[Tuple[int, int], float] = {}
-    for cut, dist in dists.items():
-        c_exact = 1 if cut > 0 else 0
-        delta_inc = ((1 if cut > carry_idx else 0) - c_exact) * weight_carry
-        value_inc = c_exact * weight_carry
-        for (delta, value), prob in dist.items():
-            key = (delta + delta_inc, value + value_inc)
-            joint[key] = joint.get(key, 0.0) + prob
-    return {k: p for k, p in joint.items() if p > 0.0}
+    return fold_sparse(windowed_table(spec, p_a, p_b), joint=True,
+                       max_entries=max_entries)
 
 
 # --------------------------------------------------------------------------

@@ -1,56 +1,48 @@
 """Exact arithmetic-error *magnitude* analysis (extension beyond the paper).
 
-The paper reports the word-level error probability ``P(Error)``.  Error-
-resilient applications usually also care about *how wrong* an erroneous
-sum is (mean error distance, MSE...).  Every DP here rests on one
-identity.  Fed operand bits ``a, b`` and the *approximate* carry ``c``,
-a cell produces
+The paper reports the word-level error probability ``P(Error)``;
+error-resilient applications also ask *how wrong* an erroneous sum is.
+Every answer here is one fold over one table form, the adder's carry
+automaton (:class:`CarryTable`): per stage ``i`` with probability ``w``
+the state moves and ``D = approx_output - exact_output`` gains
+``d * 2^i``.  The paper's Algorithm 1, Roy & Dhar's MED method and Wu
+et al.'s block statistics (PAPERS.md) are DPs of this shape.
 
-``s + 2 c' = a + b + c + e``
+Three compilers build the table: :func:`chain_table` (a cell chain over
+its approximate carry, ``d`` the cell's *local error* ``e`` in
+``s + 2 c' = a + b + c + e``, which telescopes to
+``D = sum_i e_i 2^i``), :func:`pair_table` (the chain over
+``(approximate, exact)`` carry pairs, ``d`` the sum-bit difference) and
+:func:`repro.core.adder_zoo.windowed_table` (a block adder over its
+monotone carry cut).  Five folds answer every question:
 
-where ``e`` in ``[-3, 3]`` is that cell's *local error* (zero on every
-row of the accurate cell).  Weighting stage ``i`` by ``2^i`` and summing
-telescopes the carries, so the numeric difference of the whole adder is
+* :func:`fold_law` -- the law of ``D`` as one dense window per state
+  (chains: :func:`error_law`, :func:`error_pmf`); accurate stages add
+  ``e = 0``, so a chain with approximate LSBs stays small at any width.
+* :func:`fold_sparse` -- the law over one integer key per
+  ``(state, delta[, exact value])``, merged per stage with
+  ``np.unique`` + ``np.bincount``: the joint ``(D, exact)`` laws behind
+  MRED, the windowed PMF and, with deltas rounded to a few significant
+  bits, both truncated PMFs.  The pair table's partial ``D`` is nonzero
+  exactly when a lower bit is wrong, so rounding it never turns an
+  error into a non-error; local-error sums can cancel later.
+* :func:`fold_moments` -- exact ``E[D]`` and ``E[D^2]`` in linear time.
+* :func:`fold_extremes` -- the reachable ``[min, max]`` of ``D`` (the
+  WCE) in exact integers at any width.
+* :func:`fold_success` -- the mass of the all-zero-increment paths, the
+  windowed ``P(no error)`` (chain ``P(error)`` is the paper's recursion,
+  :mod:`repro.core.vectorized`).
 
-``D = approx_output - exact_output = sum_i e_i(a_i, b_i, c_i) * 2^i``
-
--- a function of the approximate carry chain alone.  Because each
-stage's operand bits are independent of its carry-in, that carry is the
-same two-state Markov chain as the paper's recursion, and
-:func:`_transitions` is its one transition table: per stage, every
-reachable ``(a, b, c)`` row with its weight, next carry and ``e``.
-
-* :func:`error_law` -- the full law of ``D`` as a dense NumPy array
-  per carry state over its reachable delta window; each stage is at
-  most eight slice updates shifted by ``e * 2^i``.  Accurate stages add
-  ``e = 0``, so their windows do not grow: a chain with approximate
-  LSBs stays small at any width.  Guarded by ``max_entries``.
-  :func:`error_pmf` is its ``{delta: prob}`` view.
-* :func:`error_moments` -- exact ``E[D]`` and ``E[D^2]`` for *any*
-  width in linear time, by propagating per-state first/second moments
-  instead of full distributions.
-* :func:`worst_case_error` -- exact ``max |D|`` (WCE) for *any* width
-  in linear time, by propagating the reachable ``[min, max]`` delta
-  interval per carry state (extremes compose stage-by-stage even
-  though the full distribution does not).
-* :func:`joint_error_pmf` -- the joint law of ``(D, exact sum)``,
-  from which the mean *relative* error distance (MRED) falls out
-  exactly; support is bounded by ``2^(N+1)`` exact values times the
-  delta support, so the same ``max_entries`` guard applies.
-
-All support hybrid chains and per-bit probabilities, and are
-cross-validated against exhaustive enumeration and each other.  When a
-guarded DP outgrows ``max_entries`` it raises
-:class:`~repro.core.exceptions.SupportLimitError` carrying the width,
-support size and stage, so callers (the engine's distribution router)
-can degrade to a truncated DP or Monte-Carlo instead of parsing the
-message.
+The guarded folds raise :class:`~repro.core.exceptions.SupportLimitError`
+with the width, support size and stage once the support outgrows
+``max_entries``, so the engine's router can degrade instead of parsing
+the message.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -63,61 +55,152 @@ from .types import (
     validate_probability_vector,
 )
 
-#: One reachable row of a stage: ``(c, c_next, e, a + b, weight)``.
-Transition = Tuple[int, int, int, int, float]
+#: Entry guard of the guarded folds.
+DEFAULT_MAX_ENTRIES = 2_000_000
 
-#: Per carry state: ``(lo, probs)`` with ``probs[k]`` the mass at the
-#: window's ``lo + k``-th delta unit.
-_Windows = Dict[int, Tuple[int, np.ndarray]]
+#: One stage row: ``(state, next_state, d, v, w)``.
+Row = Tuple[int, int, int, int, float]
+
+
+@dataclass(frozen=True, eq=False)
+class CarryTable:
+    """An adder compiled to its carry automaton.
+
+    ``start`` lists ``(state, mass, exact value)`` for each initial
+    state with nonzero mass, in ascending state order.  ``stages[i]``
+    holds bit ``i``'s rows ``(state, next_state, d, v, w)``: with
+    probability ``w``, ``D`` gains ``d * 2^i`` and the exact sum
+    ``v * 2^i``.  ``final[state] = (d, v)`` is the term at ``2^N``.
+    States are ``0 .. states - 1``.
+
+    A row is listed when its operand values are possible; its weight
+    can still underflow to 0.0, which the probability folds skip and
+    :func:`fold_extremes` (which asks what is *reachable*) does not.
+    """
+
+    label: str
+    states: int
+    start: Tuple[Tuple[int, float, int], ...]
+    stages: Tuple[Tuple[Row, ...], ...]
+    final: Tuple[Tuple[int, int], ...]
+
+    @property
+    def width(self) -> int:
+        return len(self.stages)
+
+    def layers(self) -> List[List[Row]]:
+        """Each stage's rows with scaled increments, then the final term's.
+
+        Rows become ``(state, next_state, d * 2^i, v * 2^i, w)``; the
+        final layer moves every state into state 0 with weight 1.0.
+        """
+        n = self.width
+        return [[(s, s_next, d << i, v << i, w)
+                 for s, s_next, d, v, w in rows]
+                for i, rows in enumerate(self.stages)] + [
+            [(s, 0, d << n, v << n, 1.0)
+             for s, (d, v) in enumerate(self.final)]]
+
+
+def operand_values(p: float) -> List[Tuple[int, float]]:
+    """Each possible value of a bit with ``P(1) = p``, with its weight."""
+    return [(bit, w) for bit, w in ((0, 1.0 - p), (1, p)) if w != 0.0]
 
 
 def _transitions(
     table: FullAdderTruthTable, p_a: float, p_b: float
-) -> List[Transition]:
-    """The stage's reachable rows as approximate-carry transitions.
-
-    A row is listed when both its operand values have nonzero
-    probability; its weight ``P(a) P(b)`` can still underflow to 0.0,
-    which the probability DPs skip and :func:`worst_case_error` (which
-    asks what is *reachable*) does not.
-    """
-    rows: List[Transition] = []
-    for a in (0, 1):
-        wa = p_a if a else 1.0 - p_a
-        if wa == 0.0:
-            continue
-        for b in (0, 1):
-            wb = p_b if b else 1.0 - p_b
-            if wb == 0.0:
-                continue
+) -> Tuple[Row, ...]:
+    """One stage's rows over the approximate carry: ``d`` is the local
+    error ``e``, ``v`` is ``a + b``."""
+    rows: List[Row] = []
+    for a, wa in operand_values(p_a):
+        for b, wb in operand_values(p_b):
             for c in (0, 1):
                 s, c_next = table.evaluate(a, b, c)
                 rows.append(
                     (c, c_next, s + 2 * c_next - a - b - c, a + b, wa * wb))
-    return rows
+    return tuple(rows)
 
 
-def _stages(
+def chain_table(
     cell: Union[CellSpec, Sequence[CellSpec]],
-    width: Optional[int],
-    p_a: Union[Probability, Sequence[Probability]],
-    p_b: Union[Probability, Sequence[Probability]],
-    p_cin: Probability,
-) -> Tuple[int, float, List[List[Transition]]]:
-    """``(width, p_cin, per-stage transition tables)`` of a chain."""
+    width: Optional[int] = None,
+    p_a: Union[Probability, Sequence[Probability]] = 0.5,
+    p_b: Union[Probability, Sequence[Probability]] = 0.5,
+    p_cin: Probability = 0.5,
+) -> CarryTable:
+    """A chain's two-state local-error table (state: approximate carry).
+
+    ``D`` does not depend on the final carry, and the exact sum starts
+    at the carry-in both chains share.
+    """
     cells = resolve_chain(cell, width)
     n = len(cells)
     pa = validate_probability_vector(p_a, n, "p_a")
     pb = validate_probability_vector(p_b, n, "p_b")
     pc = float(validate_probability(p_cin, "p_cin"))
-    return n, pc, [_transitions(table, float(pa[i]), float(pb[i]))
-                   for i, table in enumerate(cells)]
+    # Stages with the same cell and operand laws share one row tuple.
+    keys = list(zip(cells, map(float, pa), map(float, pb)))
+    rows = {key: _transitions(*key) for key in set(keys)}
+    return CarryTable(
+        label=f"the width-{n} chain", states=2,
+        start=tuple((c, m, c) for c, m in operand_values(pc)),
+        stages=tuple(rows[key] for key in keys),
+        final=((0, 0), (0, 0)),
+    )
 
 
-def _carry_in(pc: float) -> Dict[int, float]:
-    """Both chains share the carry-in: its states with nonzero mass."""
-    return {c: m for c, m in ((0, 1.0 - pc), (1, pc)) if m > 0.0}
+def pair_table(
+    cell: Union[CellSpec, Sequence[CellSpec]],
+    width: Optional[int] = None,
+    p_a: Union[Probability, Sequence[Probability]] = 0.5,
+    p_b: Union[Probability, Sequence[Probability]] = 0.5,
+    p_cin: Probability = 0.5,
+) -> CarryTable:
+    """The chain over ``(approximate carry, exact carry)`` pairs.
 
+    The state is ``2 * approx + exact``; ``d`` is the sum-bit
+    difference, ``v`` the exact sum bit, and the final term the
+    carry-out difference.
+
+    Built from :func:`chain_table`'s rows: the accurate cell's sum and
+    carry depend on ``a + b + c`` alone, and the approximate sum bit is
+    ``e + a + b + c - 2 c'``.
+    """
+    chain = chain_table(cell, width, p_a, p_b, p_cin)
+    stages = []
+    for rows in chain.stages:
+        pairs = []
+        for ca, ca_next, e, ab, w in rows:
+            for ce in (0, 1):
+                se, ce_next = (ab + ce) & 1, (ab + ce) >> 1
+                pairs.append((2 * ca + ce, 2 * ca_next + ce_next,
+                              e + ab + ca - 2 * ca_next - se, se, w))
+        stages.append(tuple(pairs))
+    return CarryTable(
+        label=chain.label, states=4,
+        start=tuple((3 * c, m, v) for c, m, v in chain.start),
+        stages=tuple(stages),
+        final=tuple(((s >> 1) - (s & 1), s & 1) for s in range(4)),
+    )
+
+
+def _check_support(
+    table: CarryTable, law: str, size: int, max_entries: int, stage: int
+) -> None:
+    if size > max_entries:
+        raise SupportLimitError(
+            f"the {law} support of {table.label} exceeded "
+            f"max_entries={max_entries} at stage {stage} ({size} "
+            "entries); raise the limit, or use the moments or sampling "
+            "for wide adders",
+            width=table.width, entries=size, limit=max_entries, stage=stage,
+        )
+
+
+# --------------------------------------------------------------------------
+# Fold 1: the dense law
+# --------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class ErrorLaw:
@@ -172,118 +255,122 @@ class ErrorLaw:
                    abs(self.lo + self.step * int(index[-1])))
 
 
-def _step_windows(
-    windows: _Windows,
-    moves: Sequence[Tuple[int, int, int, float]],
-    n: int,
-    stage: int,
-    max_entries: int,
-) -> _Windows:
-    """Apply ``(c, c_next, shift, w)`` moves: ``nxt[c_next]`` gains
-    ``w * windows[c]`` shifted by ``shift`` units.  The guard runs on
-    the new windows' total size before anything is allocated."""
-    spans: Dict[int, Tuple[int, int]] = {}
-    for c, c_next, shift, _ in moves:
-        lo, probs = windows[c]
-        a, b = lo + shift, lo + shift + probs.size
-        old = spans.get(c_next)
-        spans[c_next] = (a, b) if old is None else (min(old[0], a),
-                                                    max(old[1], b))
-    size = sum(b - a for a, b in spans.values())
-    if size > max_entries:
-        raise SupportLimitError(
-            f"error_pmf support for the width-{n} chain exceeded "
-            f"max_entries={max_entries} at stage {stage} ({size} "
-            f"(state, delta) window entries); raise the limit, set "
-            "prune_below, or use error_moments() for wide adders",
-            width=n, entries=size, limit=max_entries, stage=stage,
-        )
-    nxt = {c: (a, np.zeros(b - a)) for c, (a, b) in spans.items()}
-    for c, c_next, shift, w in moves:
-        lo, probs = windows[c]
-        base, out = nxt[c_next]
-        start = lo + shift - base
-        out[start:start + probs.size] += w * probs
-    return nxt
-
-
-def _pruned(windows: _Windows, floor: float) -> _Windows:
-    """Zero entries below *floor* and trim each window to its mass."""
-    out: _Windows = {}
-    for c, (lo, probs) in windows.items():
-        probs[probs < floor] = 0.0
-        keep = np.flatnonzero(probs)
-        if keep.size:
-            out[c] = (lo + int(keep[0]), probs[keep[0]:keep[-1] + 1])
-    return out
-
-
-def error_law(
-    cell: Union[CellSpec, Sequence[CellSpec]],
-    width: Optional[int] = None,
-    p_a: Union[Probability, Sequence[Probability]] = 0.5,
-    p_b: Union[Probability, Sequence[Probability]] = 0.5,
-    p_cin: Probability = 0.5,
-    max_entries: int = 2_000_000,
-    prune_below: float = 0.0,
+def fold_law(
+    table: CarryTable, max_entries: int = DEFAULT_MAX_ENTRIES
 ) -> ErrorLaw:
-    """Exact law of ``D = approx - exact`` as a dense :class:`ErrorLaw`.
+    """The law of ``D`` as one dense delta window per state.
 
-    Parameters as :func:`error_pmf`.  ``max_entries`` bounds the total
-    size of the per-carry-state delta windows and is checked before
-    each stage allocates them.
+    Deltas are counted in units of ``2^j``, ``j`` the first stage with
+    a nonzero ``d``.  Each layer's moves add ``w`` times a state's
+    window, shifted, into its next state's; ``max_entries`` bounds the
+    new windows' total size and is checked before they are allocated.
     """
-    n, pc, stages = _stages(cell, width, p_a, p_b, p_cin)
-    j = next((i for i, rows in enumerate(stages) if any(r[2] for r in rows)),
-             0)
-    windows: _Windows = {c: (0, np.array([m]))
-                         for c, m in _carry_in(pc).items()}
-    for i, rows in enumerate(stages):
-        # Stages before j add e = 0 on every reachable row.
-        unit = 1 << (i - j) if i >= j else 0
-        moves = [(c, c_next, e * unit, w) for c, c_next, e, _, w in rows
-                 if w != 0.0 and c in windows]
-        windows = _step_windows(windows, moves, n, i, max_entries)
-        if prune_below > 0.0:
-            windows = _pruned(windows, prune_below)
-    # D does not depend on the final carry: fold both states together.
-    windows = _step_windows(
-        windows, [(c, 0, 0, 1.0) for c in windows], n, n - 1, max_entries)
+    n = table.width
+    j = next((i for i, rows in enumerate(table.stages)
+              if any(r[2] for r in rows)), 0)
+    # Per state: (lo, probs), probs[k] the mass at delta unit lo + k.
+    windows = {s: (0, np.array([m])) for s, m, _ in table.start}
+    for i, layer in enumerate(table.layers()):
+        moves = [(s, s_next, inc >> j, w) for s, s_next, inc, _, w in layer
+                 if w != 0.0 and s in windows]
+        spans: Dict[int, Tuple[int, int]] = {}
+        for s, s_next, shift, _ in moves:
+            lo, probs = windows[s]
+            a, b = lo + shift, lo + shift + probs.size
+            old = spans.get(s_next)
+            spans[s_next] = (a, b) if old is None else (min(old[0], a),
+                                                        max(old[1], b))
+        _check_support(table, "error", sum(b - a for a, b in spans.values()),
+                       max_entries, min(i, n - 1))
+        nxt = {s: (a, np.zeros(b - a)) for s, (a, b) in spans.items()}
+        for s, s_next, shift, w in moves:
+            lo, probs = windows[s]
+            base, out = nxt[s_next]
+            start = lo + shift - base
+            out[start:start + probs.size] += w * probs
+        windows = nxt
     lo, probs = windows.get(0, (0, np.zeros(0)))
     return ErrorLaw(lo=lo << j, step=1 << j, probs=probs, width=n)
 
 
-def error_pmf(
-    cell: Union[CellSpec, Sequence[CellSpec]],
-    width: Optional[int] = None,
-    p_a: Union[Probability, Sequence[Probability]] = 0.5,
-    p_b: Union[Probability, Sequence[Probability]] = 0.5,
-    p_cin: Probability = 0.5,
-    max_entries: int = 2_000_000,
-    prune_below: float = 0.0,
-) -> Dict[int, float]:
-    """Exact PMF of ``D = approx - exact`` for the whole adder output.
+# --------------------------------------------------------------------------
+# Fold 2: the sparse-key law
+# --------------------------------------------------------------------------
 
-    Parameters
-    ----------
-    max_entries:
-        Abort (``SupportLimitError``, an ``AnalysisError``) before the
-        reachable ``(carry state, delta)`` window grows past this many
-        entries -- a guard against pathological very wide adders.
-    prune_below:
-        Optionally drop deltas whose accumulated mass is below this
-        threshold (default 0: fully exact).  When pruning, the returned
-        PMF may sum to slightly less than 1.
+def _quantized(delta: np.ndarray, bits: int) -> np.ndarray:
+    """Round every delta toward zero to *bits* significant binary digits."""
+    mag = np.abs(delta)
+    # frexp gives the bit length, or one more where the float rounds up.
+    length = np.frexp(mag.astype(np.float64))[1].astype(np.int64)
+    length -= (mag >> np.maximum(length - 1, 0)) == 0
+    shift = np.maximum(length - bits, 0)
+    mag = (mag >> shift) << shift
+    return np.where(delta < 0, -mag, mag)
 
-    Returns
-    -------
-    dict
-        ``{delta: probability}`` with strictly positive probabilities,
-        in ascending delta order; deltas are exact ints.
+
+def fold_sparse(
+    table: CarryTable,
+    *,
+    joint: bool = False,
+    quant_bits: Optional[int] = None,
+    max_entries: int = DEFAULT_MAX_ENTRIES,
+) -> Dict:
+    """The law of ``D``, or with *joint* of ``(D, exact sum)``, on keys.
+
+    One integer key per ``(state, delta[, value])``.  Each stage shifts
+    every state's slice of the sorted keys by its rows' increments, then
+    merges equal keys with ``np.unique`` and ``np.bincount``; the guard
+    counts the merged ``(state, key)`` entries, zero-mass ones included.
+    With *quant_bits*, every partial delta is rounded toward zero to
+    that many significant bits before the merge: mass is never dropped,
+    so the law still sums to 1.
+
+    Returns ``{delta: prob}`` or ``{(delta, value): prob}``, positive
+    mass only, ascending.
     """
-    return error_law(cell, width, p_a, p_b, p_cin, max_entries,
-                     prune_below).as_dict()
+    n = table.width
+    bias = 1 << (n + 2)                  # |partial delta| < 2^(n+2)
+    d_shift = n + 2 if joint else 0      # exact values stay below 2^(n+1)
+    s_shift = d_shift + n + 3
+    top = s_shift + max(1, (table.states - 1).bit_length())
+    dtype = np.int64 if top < 63 else object   # past int64: Python ints
 
+    layers = [[(s, ((s_next - s) << s_shift) + (d << d_shift)
+                + (v if joint else 0), w)
+               for s, s_next, d, v, w in layer if w != 0.0]
+              for layer in table.layers()]
+    keys = np.array([(s << s_shift) + (bias << d_shift) + (v if joint else 0)
+                     for s, _, v in table.start], dtype=dtype)
+    probs = np.array([m for _, m, _ in table.start])
+    for i, moves in enumerate(layers):
+        edges = np.searchsorted(
+            keys, [s << s_shift for s in range(table.states + 1)]).tolist()
+        parts = [(s, step, w) for s, step, w in moves
+                 if edges[s] < edges[s + 1]]
+        keys = np.concatenate([keys[edges[s]:edges[s + 1]] + step
+                               for s, step, _ in parts])
+        probs = np.concatenate([probs[edges[s]:edges[s + 1]] * w
+                                for s, _, w in parts])
+        if quant_bits is not None:
+            delta = ((keys >> d_shift) & ((1 << (n + 3)) - 1)) - bias
+            keys = keys + ((_quantized(delta, quant_bits) - delta)
+                           << d_shift)
+        keys, inverse = np.unique(keys, return_inverse=True)
+        probs = np.bincount(inverse, weights=probs, minlength=keys.size)
+        _check_support(table, "joint (D, exact)" if joint else "error",
+                       int(keys.size), max_entries, min(i, n - 1))
+    keep = probs > 0.0
+    keys, masses = keys[keep], probs[keep].tolist()
+    deltas = ((keys >> d_shift) - bias).tolist()
+    if not joint:
+        return dict(zip(deltas, masses))
+    values = (keys & ((1 << d_shift) - 1)).tolist()
+    return dict(zip(zip(deltas, values), masses))
+
+
+# --------------------------------------------------------------------------
+# Folds 3-5 along paths: moments, extremes, zero-increment mass
+# --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ErrorMoments:
@@ -309,37 +396,54 @@ class ErrorMoments:
         return self.rms / float((1 << (self.width + 1)) - 1)
 
 
-def error_moments(
-    cell: Union[CellSpec, Sequence[CellSpec]],
-    width: Optional[int] = None,
-    p_a: Union[Probability, Sequence[Probability]] = 0.5,
-    p_b: Union[Probability, Sequence[Probability]] = 0.5,
-    p_cin: Probability = 0.5,
-) -> ErrorMoments:
-    """Exact ``E[D]`` and ``E[D^2]`` in O(width) time and O(1) memory.
+def _path_fold(
+    table: CarryTable,
+    init: Callable[[float], Any],
+    move: Callable[[Any, int, float], Any],
+    merge: Callable[[Any, Any], Any],
+    reachable: bool = False,
+) -> Any:
+    """Carry one value per state along every row, the final term
+    included (into state 0), and return state 0's value.
 
-    Per carry state ``c`` we propagate ``(p_c, m1_c, m2_c)`` where
-    ``m1_c = E[D * 1_c]`` and ``m2_c = E[D^2 * 1_c]``; a transition of
-    weight ``w`` adding ``delta = e * 2^i`` updates them linearly:
+    ``move(value, inc, w)`` is the value after a row adding ``inc`` to
+    ``D`` (``None`` drops the path); ``merge`` joins values that meet.
+    Rows of weight 0.0 are skipped unless *reachable*.
+    """
+    values = {s: init(m) for s, m, _ in table.start}
+    for layer in table.layers():
+        nxt: Dict[int, Any] = {}
+        for s, s_next, inc, _, w in layer:
+            if s not in values or (w == 0.0 and not reachable):
+                continue
+            out = move(values[s], inc, w)
+            if out is not None:
+                nxt[s_next] = (out if s_next not in nxt
+                               else merge(nxt[s_next], out))
+        values = nxt
+    return values.get(0)
+
+
+def fold_moments(table: CarryTable) -> ErrorMoments:
+    """Exact ``E[D]`` and ``E[D^2]`` in O(width * rows) time.
+
+    Per state ``s`` we propagate ``(p_s, m1_s, m2_s)`` where
+    ``m1_s = E[D * 1_s]`` and ``m2_s = E[D^2 * 1_s]``; a row of weight
+    ``w`` adding ``delta`` updates them linearly:
 
     ``p' += w p``, ``m1' += w (m1 + delta p)``,
     ``m2' += w (m2 + 2 delta m1 + delta^2 p)``.
     """
-    n, pc, stages = _stages(cell, width, p_a, p_b, p_cin)
-    stats = [[1.0 - pc, 0.0, 0.0], [pc, 0.0, 0.0]]
-    for i, rows in enumerate(stages):
-        weight_bit = float(1 << i)
-        nxt = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
-        for c, c_next, e, _, w in rows:
-            p, m1, m2 = stats[c]
-            delta = e * weight_bit
-            acc = nxt[c_next]
-            acc[0] += w * p
-            acc[1] += w * (m1 + delta * p)
-            acc[2] += w * (m2 + 2.0 * delta * m1 + delta * delta * p)
-        stats = nxt
-    return ErrorMoments(mean=stats[0][1] + stats[1][1],
-                        second_moment=stats[0][2] + stats[1][2], width=n)
+    def move(stats, inc, w):
+        p, m1, m2 = stats
+        delta = float(inc)
+        return (w * p, w * (m1 + delta * p),
+                w * (m2 + 2.0 * delta * m1 + delta * delta * p))
+
+    _, mean, second = _path_fold(
+        table, lambda m: (m, 0.0, 0.0), move,
+        lambda x, y: (x[0] + y[0], x[1] + y[1], x[2] + y[2]))
+    return ErrorMoments(mean=mean, second_moment=second, width=table.width)
 
 
 @dataclass(frozen=True)
@@ -361,6 +465,90 @@ class WorstCaseError:
         return self.wce / float((1 << (self.width + 1)) - 1)
 
 
+def fold_extremes(table: CarryTable) -> WorstCaseError:
+    """Exact ``min``/``max`` of ``D`` over every listed path.
+
+    The full distribution does not compose stage by stage, but its
+    reachable ``[min, max]`` interval per state does.  Rows are listed
+    by whether their operand values are possible, not by their
+    (possibly underflowed) weight, so the answer is the exact worst
+    case *under the given input distribution*, in exact integer
+    arithmetic at any width.
+    """
+    lo, hi = _path_fold(
+        table, lambda m: (0, 0),
+        lambda span, inc, w: (span[0] + inc, span[1] + inc),
+        lambda x, y: (min(x[0], y[0]), max(x[1], y[1])), reachable=True)
+    return WorstCaseError(min_delta=lo, max_delta=hi, width=table.width)
+
+
+def fold_success(table: CarryTable) -> float:
+    """Mass of the paths whose every increment is zero.
+
+    Every ``d``, the final term's included, must be zero.  This is
+    ``P(no error)`` when ``d`` is an output-bit difference (the windowed
+    and pair tables), not for the local errors of :func:`chain_table`,
+    which can cancel.
+    """
+    return _path_fold(
+        table, lambda m: m,
+        lambda mass, inc, w: None if inc else mass * w,
+        lambda x, y: x + y) or 0.0
+
+
+# --------------------------------------------------------------------------
+# Chain entry points
+# --------------------------------------------------------------------------
+
+def error_law(
+    cell: Union[CellSpec, Sequence[CellSpec]],
+    width: Optional[int] = None,
+    p_a: Union[Probability, Sequence[Probability]] = 0.5,
+    p_b: Union[Probability, Sequence[Probability]] = 0.5,
+    p_cin: Probability = 0.5,
+    max_entries: int = DEFAULT_MAX_ENTRIES,
+) -> ErrorLaw:
+    """Exact law of ``D = approx - exact`` as a dense :class:`ErrorLaw`.
+
+    :func:`fold_law` over :func:`chain_table`; parameters as
+    :func:`error_pmf`.
+    """
+    return fold_law(chain_table(cell, width, p_a, p_b, p_cin), max_entries)
+
+
+def error_pmf(
+    cell: Union[CellSpec, Sequence[CellSpec]],
+    width: Optional[int] = None,
+    p_a: Union[Probability, Sequence[Probability]] = 0.5,
+    p_b: Union[Probability, Sequence[Probability]] = 0.5,
+    p_cin: Probability = 0.5,
+    max_entries: int = DEFAULT_MAX_ENTRIES,
+) -> Dict[int, float]:
+    """Exact PMF ``{delta: probability}`` of ``D = approx - exact``.
+
+    Positive masses only, ascending exact-int deltas.
+
+    *max_entries* aborts (``SupportLimitError``, an ``AnalysisError``)
+    before the reachable ``(carry state, delta)`` windows grow past
+    that many entries -- a guard against very wide adders.
+    """
+    return error_law(cell, width, p_a, p_b, p_cin, max_entries).as_dict()
+
+
+def error_moments(
+    cell: Union[CellSpec, Sequence[CellSpec]],
+    width: Optional[int] = None,
+    p_a: Union[Probability, Sequence[Probability]] = 0.5,
+    p_b: Union[Probability, Sequence[Probability]] = 0.5,
+    p_cin: Probability = 0.5,
+) -> ErrorMoments:
+    """Exact ``E[D]`` and ``E[D^2]`` in O(width) time and O(1) memory.
+
+    :func:`fold_moments` over :func:`chain_table`.
+    """
+    return fold_moments(chain_table(cell, width, p_a, p_b, p_cin))
+
+
 def worst_case_error(
     cell: Union[CellSpec, Sequence[CellSpec]],
     width: Optional[int] = None,
@@ -370,33 +558,10 @@ def worst_case_error(
 ) -> WorstCaseError:
     """Exact ``max |D|`` (WCE) in O(width) time and O(1) memory.
 
-    The full delta *distribution* does not compose linearly, but its
-    reachable ``[min, max]`` interval does: per carry state we track
-    the extreme deltas attainable with positive probability, and each
-    stage shifts them by the extreme ``e * 2^i`` local errors of its
-    reachable transitions.  Zero-probability operand values (``p == 0``
-    or ``p == 1`` bits) are excluded, so the answer is the exact worst
-    case *under the given input distribution*, in exact integer
-    arithmetic at any width.
+    Zero-probability operand values (``p == 0`` or ``p == 1`` bits) are
+    excluded (:func:`fold_extremes`).
     """
-    n, pc, stages = _stages(cell, width, p_a, p_b, p_cin)
-    # carry state -> (min reachable delta, max reachable delta); states
-    # with zero probability mass are simply absent.
-    spans: Dict[int, Tuple[int, int]] = {c: (0, 0) for c in _carry_in(pc)}
-    for i, rows in enumerate(stages):
-        nxt: Dict[int, Tuple[int, int]] = {}
-        for c, c_next, e, _, _ in rows:
-            if c not in spans:
-                continue
-            lo, hi = spans[c]
-            inc = e << i
-            cur = nxt.get(c_next)
-            nxt[c_next] = ((lo + inc, hi + inc) if cur is None else
-                           (min(cur[0], lo + inc), max(cur[1], hi + inc)))
-        spans = nxt
-    return WorstCaseError(min_delta=min(lo for lo, _ in spans.values()),
-                          max_delta=max(hi for _, hi in spans.values()),
-                          width=n)
+    return fold_extremes(chain_table(cell, width, p_a, p_b, p_cin))
 
 
 def joint_error_pmf(
@@ -405,58 +570,21 @@ def joint_error_pmf(
     p_a: Union[Probability, Sequence[Probability]] = 0.5,
     p_b: Union[Probability, Sequence[Probability]] = 0.5,
     p_cin: Probability = 0.5,
-    max_entries: int = 2_000_000,
-    prune_below: float = 0.0,
+    max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> Dict[Tuple[int, int], float]:
     """Exact joint PMF of ``(D, exact sum)``.
 
-    Extends the :func:`error_pmf` DP with the exact sum's partial value
-    ``cin + sum_k (a_k + b_k) 2^k``, so relative-error metrics (MRED:
-    ``E[|D| / max(exact, 1)]``) come out exactly instead of
-    sample-only.  Support is bounded by the ``2^(N+1)`` exact values
-    times the per-value delta support, so the practical width limit is
-    lower than :func:`error_pmf`'s (~12 bits at the default guard);
-    past it a :class:`SupportLimitError` is raised.
+    Relative-error metrics (MRED: ``E[|D| / max(exact, 1)]``) come out
+    of it exactly instead of sample-only.  Support is bounded by the
+    ``2^(N+1)`` exact values times the per-value delta support, so the
+    practical width limit is lower than :func:`error_pmf`'s (~12 bits
+    at the default guard); past it a :class:`SupportLimitError` is
+    raised.
 
     Returns ``{(delta, exact_sum): probability}``.
     """
-    n, pc, stages = _stages(cell, width, p_a, p_b, p_cin)
-    # carry state -> {(delta, exact partial value): prob}; the exact
-    # partial value starts at the carry-in both chains share.
-    dists: Dict[int, Dict[Tuple[int, int], float]] = {
-        c: {(0, c): m} for c, m in _carry_in(pc).items()}
-    for i, rows in enumerate(stages):
-        nxt: Dict[int, Dict[Tuple[int, int], float]] = {}
-        for c, c_next, e, ab, w in rows:
-            dist = dists.get(c)
-            if not dist or w == 0.0:
-                continue
-            delta_inc, value_inc = e << i, ab << i
-            bucket = nxt.setdefault(c_next, {})
-            for (delta, value), prob in dist.items():
-                key = (delta + delta_inc, value + value_inc)
-                bucket[key] = bucket.get(key, 0.0) + prob * w
-        if prune_below > 0.0:
-            for bucket in nxt.values():
-                stale = [k for k, p in bucket.items() if p < prune_below]
-                for k in stale:
-                    del bucket[k]
-        size = sum(len(bucket) for bucket in nxt.values())
-        if size > max_entries:
-            raise SupportLimitError(
-                f"joint_error_pmf support for the width-{n} chain "
-                f"exceeded max_entries={max_entries} at stage {i} "
-                f"({size} (state, delta, value) entries); raise the "
-                "limit, set prune_below, or estimate MRED by sampling",
-                width=n, entries=size, limit=max_entries, stage=i,
-            )
-        dists = nxt
-
-    joint: Dict[Tuple[int, int], float] = {}
-    for dist in dists.values():
-        for key, prob in dist.items():
-            joint[key] = joint.get(key, 0.0) + prob
-    return {k: p for k, p in joint.items() if p > 0.0}
+    return fold_sparse(chain_table(cell, width, p_a, p_b, p_cin),
+                       joint=True, max_entries=max_entries)
 
 
 def relative_error_from_joint(

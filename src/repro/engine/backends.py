@@ -4,7 +4,7 @@ Each runner normalises one backend's native call convention and result
 shape into the :class:`~repro.engine.request.AnalysisResult` protocol.
 Heavy backend modules are imported *inside* the runners (the registry
 itself stays import-light); static capability constants
-(``MAX_EXHAUSTIVE_WIDTH``, ``BLOCK_CASES``, ...) are read once at
+(``MAX_EXHAUSTIVE_WIDTH``, ``MULTIOP_EXACT_CASES``, ...) are read once at
 registration time from their owning modules, so the registry never
 duplicates a threshold.
 """
@@ -344,7 +344,7 @@ def register_builtin_engines() -> None:
     if _REGISTERED:
         return
     from ..multiop.analysis import MULTIOP_EXACT_CASES
-    from ..simulation.exhaustive import BLOCK_CASES, MAX_EXHAUSTIVE_WIDTH
+    from ..simulation.exhaustive import MAX_EXHAUSTIVE_WIDTH
     from ..simulation.montecarlo import PAPER_SAMPLE_COUNT
 
     REGISTRY.register(EngineInfo(
@@ -377,23 +377,14 @@ def register_builtin_engines() -> None:
         cost_estimate=lambda request: 60.0 * request.width,
         description="recursion under per-stage joint operand laws",
     ))
-    # The chain simulation ladder: one enumeration block, then chunked
-    # (bounded memory), then sampling.
+    # The chain simulation ladder: enumeration, then sampling.
     REGISTRY.register(EngineInfo(
         name="exhaustive", family=FAMILY_SIMULATION,
         request_kinds=(KIND_CHAIN,), exact=True, deterministic=True,
         run=run_exhaustive, max_width=MAX_EXHAUSTIVE_WIDTH,
-        block_cases=BLOCK_CASES, cost_estimate=_enumeration_cost,
-        degrades_to={KIND_CHAIN: "chunked-exhaustive"},
-        description="weighted enumeration of all 2^(2N+1) cases",
-    ))
-    REGISTRY.register(EngineInfo(
-        name="chunked-exhaustive", family=FAMILY_SIMULATION,
-        request_kinds=(KIND_CHAIN,), exact=True, deterministic=True,
-        run=run_exhaustive, max_width=MAX_EXHAUSTIVE_WIDTH,
         cost_estimate=_enumeration_cost,
         degrades_to={KIND_CHAIN: "montecarlo"},
-        description="the exhaustive enumerator, block by block",
+        description="weighted enumeration of all 2^(2N+1) cases",
     ))
     REGISTRY.register(EngineInfo(
         name="montecarlo", family=FAMILY_SIMULATION,

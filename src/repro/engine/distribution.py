@@ -14,21 +14,19 @@ Four engines; the first, second and fourth are rungs of the engine
 ladder (:func:`repro.engine.executor.select_engine`), their per-kind
 ``width_limits`` and ``degrades_to`` registered below:
 
-* ``distribution-dp`` -- exact: the dense two-state PMF kernel of
-  :func:`repro.core.magnitude.error_law` (practical to
+* ``distribution-dp`` -- exact folds over the chain's carry table
+  (:mod:`repro.core.magnitude`): the dense law (to
   :data:`DIST_EXACT_MAX_WIDTH` bits; MED/MSE/WCE/bias/ER come from
-  array reductions over it), the joint ``(D, exact)`` DP for
+  array reductions over it), the sparse joint ``(D, exact)`` law for
   MRED (to :data:`MRED_EXACT_MAX_WIDTH` bits), and for the ``wce`` kind
-  the linear-time interval DP
-  (:func:`repro.core.magnitude.worst_case_error`) exact at *any* width.
-  ``E[D]``/``E[D^2]`` always come exact from the linear-time moments.
-* ``distribution-dp-truncated`` -- the truncated-support rung past the
-  exact guard: the same DP with every delta rounded to
-  :data:`QUANT_BITS` significant bits (mass-preserving mantissa
-  quantisation, bounded support at any width).  ``P(error)`` stays
-  exact (a nonzero delta never merges into zero); MED/MSE/bias drift
-  by at most ``~width * 2^(1-QUANT_BITS)`` relative, so results are
-  flagged ``exact=False``.
+  the moments and extremes folds, exact at *any* width.
+* ``distribution-dp-truncated`` -- past the exact guard: the sparse
+  fold over the ``(approximate, exact)`` carry-pair table with every
+  partial delta rounded to :data:`QUANT_BITS` significant bits
+  (mass-preserving, bounded support at any width).  ``P(error)`` stays
+  exact (a wrong lower bit keeps the partial delta nonzero);
+  MED/MSE/bias drift by at most ``~width * 2^(1-QUANT_BITS)``
+  relative, so results are flagged ``exact=False``.
 * ``distribution-exhaustive`` -- the oracle: one weighted enumeration
   pass (:func:`repro.simulation.exhaustive.exhaustive_quality`)
   reporting the PMF, MRED and bias, width-guarded like every
@@ -52,6 +50,16 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 import numpy as np
 
 from ..core.exceptions import AnalysisError
+from ..core.magnitude import (
+    ErrorLaw,
+    chain_table,
+    fold_extremes,
+    fold_law,
+    fold_moments,
+    fold_sparse,
+    pair_table,
+    relative_error_from_joint,
+)
 from ..core.metrics import (
     metrics_from_law,
     metrics_from_pmf,
@@ -77,7 +85,6 @@ from .request import (
 )
 
 if TYPE_CHECKING:
-    from ..core.magnitude import ErrorLaw
     from ..simulation.exhaustive import ExhaustiveQuality
 
 #: Exact full-PMF DP guard: beyond this width the delta support can
@@ -95,7 +102,7 @@ MRED_EXACT_MAX_WIDTH = 12
 #: width, but past ~32 bits Monte-Carlo answers faster than the DP.
 DIST_TRUNCATED_MAX_WIDTH = 32
 
-#: Significant bits kept per delta by the truncated-support DP.  Mass
+#: Significant bits kept per partial delta by the truncated rungs.  Mass
 #: is never dropped -- nearby deltas merge -- so the PMF still sums to
 #: 1 and ER stays exact; magnitude metrics drift by at most
 #: ``~width * 2^(1-QUANT_BITS)`` relative.
@@ -107,65 +114,6 @@ MC_DEFAULT_SAMPLES = 200_000
 
 #: Largest empirical support ``distribution-mc`` reports as a PMF.
 MC_MAX_SUPPORT = 4096
-
-
-def _quantize(delta: int, bits: int = QUANT_BITS) -> int:
-    """Round *delta* toward zero to *bits* significant binary digits."""
-    if delta == 0:
-        return 0
-    magnitude = abs(delta)
-    shift = magnitude.bit_length() - bits
-    if shift <= 0:
-        return delta
-    magnitude = (magnitude >> shift) << shift
-    return magnitude if delta > 0 else -magnitude
-
-
-def _quantized_error_pmf(request: AnalysisRequest) -> Dict[int, float]:
-    """The :func:`~repro.core.magnitude.error_pmf` DP with deltas kept
-    at :data:`QUANT_BITS` significant bits -- bounded support (about
-    ``2^QUANT_BITS * width`` entries per carry state) at any width,
-    total mass exactly preserved."""
-    from ..core.truth_table import ACCURATE
-
-    cells = request.cells
-    pa, pb, pc = request.p_a, request.p_b, request.p_cin
-    dists: Dict[Tuple[int, int], Dict[int, float]] = {}
-    if pc < 1.0:
-        dists[(0, 0)] = {0: 1.0 - pc}
-    if pc > 0.0:
-        dists[(1, 1)] = {0: pc}
-    for i, table in enumerate(cells):
-        weight_bit = 1 << i
-        nxt: Dict[Tuple[int, int], Dict[int, float]] = {}
-        for (ca, ce), dist in dists.items():
-            if not dist:
-                continue
-            for a in (0, 1):
-                wa = pa[i] if a else 1.0 - pa[i]
-                if wa == 0.0:
-                    continue
-                for b in (0, 1):
-                    wb = pb[i] if b else 1.0 - pb[i]
-                    w = wa * wb
-                    if w == 0.0:
-                        continue
-                    sa, ca_next = table.evaluate(a, b, ca)
-                    se, ce_next = ACCURATE.evaluate(a, b, ce)
-                    delta_inc = (sa - se) * weight_bit
-                    bucket = nxt.setdefault((ca_next, ce_next), {})
-                    for delta, prob in dist.items():
-                        key = _quantize(delta + delta_inc)
-                        bucket[key] = bucket.get(key, 0.0) + prob * w
-        dists = nxt
-    weight_carry = 1 << len(cells)
-    pmf: Dict[int, float] = {}
-    for (ca, ce), dist in dists.items():
-        delta_inc = (ca - ce) * weight_carry
-        for delta, prob in dist.items():
-            key = _quantize(delta + delta_inc)
-            pmf[key] = pmf.get(key, 0.0) + prob
-    return {d: p for d, p in pmf.items() if p > 0.0}
 
 
 def _chain_error_probability(request: AnalysisRequest) -> float:
@@ -217,8 +165,6 @@ def _joint_fields(
     joint: Dict[Tuple[int, int], float], request: AnalysisRequest
 ) -> Tuple[Dict[str, object], float]:
     """:func:`_pmf_fields` plus MRED from a joint ``(delta, exact)`` law."""
-    from ..core.magnitude import relative_error_from_joint
-
     pmf: Dict[int, float] = {}
     for (delta, _value), prob in joint.items():
         pmf[delta] = pmf.get(delta, 0.0) + prob
@@ -228,7 +174,7 @@ def _joint_fields(
 
 
 def _law_fields(
-    law: "ErrorLaw", request: AnalysisRequest
+    law: ErrorLaw, request: AnalysisRequest
 ) -> Tuple[Dict[str, object], float]:
     """:func:`_pmf_fields` off a dense law's arrays; the
     ``distribution`` tuple is built only when the kind carries it."""
@@ -255,18 +201,10 @@ def run_distribution_dp(
     ``width_limits`` (:func:`repro.engine.executor.select_engine`) exist
     so un-forced callers never see that.
     """
-    from ..core.magnitude import (
-        error_law,
-        error_moments,
-        joint_error_pmf,
-        worst_case_error,
-    )
-
-    cells = list(request.cells)
-    pa, pb, pc = list(request.p_a), list(request.p_b), request.p_cin
+    table = chain_table(list(request.cells), None, list(request.p_a),
+                        list(request.p_b), request.p_cin)
     if request.kind == KIND_WCE:
-        moments = error_moments(cells, None, pa, pb, pc)
-        worst = worst_case_error(cells, None, pa, pb, pc)
+        moments, worst = fold_moments(table), fold_extremes(table)
         from .backends import _chain_is_upper_bound
 
         return _result(
@@ -277,11 +215,9 @@ def run_distribution_dp(
         )
     if request.kind == KIND_MRED:
         fields, error_rate = _joint_fields(
-            joint_error_pmf(cells, None, pa, pb, pc), request)
-        return _result(request, "distribution-dp", True, error_rate,
-                       **fields)
-    fields, error_rate = _law_fields(
-        error_law(cells, None, pa, pb, pc), request)
+            fold_sparse(table, joint=True), request)
+    else:
+        fields, error_rate = _law_fields(fold_law(table), request)
     return _result(request, "distribution-dp", True, error_rate, **fields)
 
 
@@ -290,12 +226,13 @@ def run_distribution_dp_truncated(
 ) -> AnalysisResult:
     """Truncated-support DP: bounded support at any width.
 
-    Deltas are kept at :data:`QUANT_BITS` significant bits, merging
-    (never dropping) nearby values, so the PMF sums to 1 and
-    ``p_error`` is still exact; MED/MSE/WCE/bias carry a bounded
-    relative drift and the result is flagged ``exact=False``.  MRED is
-    not served here (the joint DP has no mass-preserving truncation);
-    the router sends wide MRED questions to Monte-Carlo instead.
+    The carry-pair table's partial deltas are kept at
+    :data:`QUANT_BITS` significant bits, merging (never dropping)
+    nearby values, so the PMF sums to 1 and ``p_error`` is still exact;
+    MED/MSE/WCE/bias carry a bounded relative drift and the result is
+    flagged ``exact=False``.  MRED is not served here (the joint law has
+    no mass-preserving truncation); the router sends wide MRED
+    questions to Monte-Carlo instead.
     """
     if request.kind == KIND_MRED:
         raise AnalysisError(
@@ -307,8 +244,10 @@ def run_distribution_dp_truncated(
         # The exact interval DP is linear-time at any width; truncation
         # would only make the answer worse.
         return run_distribution_dp(request, **options)
-    pmf = _quantized_error_pmf(request)
-    fields, error_rate = _pmf_fields(pmf, request)
+    table = pair_table(list(request.cells), None, list(request.p_a),
+                       list(request.p_b), request.p_cin)
+    fields, error_rate = _pmf_fields(
+        fold_sparse(table, quant_bits=QUANT_BITS), request)
     return _result(request, "distribution-dp-truncated", False,
                    error_rate, **fields)
 

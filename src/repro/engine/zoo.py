@@ -42,19 +42,21 @@ import numpy as np
 from ..core.adder_zoo import (
     WindowedAdderSpec,
     windowed_add_array,
-    windowed_error_moments,
-    windowed_error_pmf,
-    windowed_error_probability,
-    windowed_joint_error_pmf,
-    windowed_worst_case_error,
+    windowed_table,
 )
 from ..core.exceptions import AnalysisError
+from ..core.magnitude import (
+    fold_extremes,
+    fold_moments,
+    fold_sparse,
+    fold_success,
+)
 from .distribution import (
     MC_DEFAULT_SAMPLES,
+    QUANT_BITS,
     _exhaustive_result,
     _joint_fields,
     _pmf_fields,
-    _quantize,
     _result,
     _sampled_result,
 )
@@ -111,27 +113,20 @@ def run_zoo_dp(
     kind's DP support outgrows its guard; the router rungs exist so
     un-forced callers never see that.
     """
-    spec = _block(request)
-    pa, pb = request.p_a, request.p_b
+    table = windowed_table(_block(request), request.p_a, request.p_b)
     if request.kind == KIND_CHAIN:
-        return _result(
-            request, "zoo-dp", True,
-            windowed_error_probability(spec, pa, pb),
-        )
+        return _result(request, "zoo-dp", True, 1.0 - fold_success(table))
     if request.kind == KIND_WCE:
-        moments = windowed_error_moments(spec, pa, pb)
-        worst = windowed_worst_case_error(spec, pa, pb)
+        moments, worst = fold_moments(table), fold_extremes(table)
         return _result(
-            request, "zoo-dp", True,
-            windowed_error_probability(spec, pa, pb),
+            request, "zoo-dp", True, 1.0 - fold_success(table),
             wce=worst.wce, mse=moments.second_moment, bias=moments.mean,
         )
     if request.kind == KIND_MRED:
         fields, error_rate = _joint_fields(
-            windowed_joint_error_pmf(spec, pa, pb), request)
-        return _result(request, "zoo-dp", True, error_rate, **fields)
-    pmf = windowed_error_pmf(spec, pa, pb)
-    fields, error_rate = _pmf_fields(pmf, request)
+            fold_sparse(table, joint=True), request)
+    else:
+        fields, error_rate = _pmf_fields(fold_sparse(table), request)
     return _result(request, "zoo-dp", True, error_rate, **fields)
 
 
@@ -153,10 +148,9 @@ def run_zoo_dp_truncated(
     if request.kind in (KIND_CHAIN, KIND_WCE):
         # Linear-time exact DPs at any width; truncation only hurts.
         return run_zoo_dp(request, **options)
-    spec = _block(request)
-    pmf = windowed_error_pmf(spec, request.p_a, request.p_b,
-                             quantize=_quantize)
-    fields, error_rate = _pmf_fields(pmf, request)
+    table = windowed_table(_block(request), request.p_a, request.p_b)
+    fields, error_rate = _pmf_fields(
+        fold_sparse(table, quant_bits=QUANT_BITS), request)
     return _result(request, "zoo-dp-truncated", False, error_rate,
                    **fields)
 

@@ -11,9 +11,8 @@ Everything a multi-hour run needs to survive the real world:
   bit-identical (RNG bit-generator state travels with the counts);
 * :mod:`~repro.runtime.router` -- the routing outcome
   (:class:`EngineDecision`) of the engine ladder's graceful degradation
-  from exhaustive enumeration to chunked, sharded and finally
-  Monte-Carlo simulation when the budget cannot afford the exact
-  oracle, recorded in provenance;
+  from exhaustive enumeration to Monte-Carlo simulation when the width
+  or the budget cannot afford the exact oracle, recorded in provenance;
 * :mod:`~repro.runtime.validation` -- opt-in cross-check of the
   analytical recursion against a budgeted simulation (Wilson score
   interval), raising :class:`~repro.core.exceptions.ValidationError`
@@ -51,7 +50,6 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .router import (
-    ENGINE_CHUNKED_EXHAUSTIVE,
     ENGINE_EXHAUSTIVE,
     ENGINE_MONTECARLO,
     EngineDecision,
@@ -77,7 +75,6 @@ __all__ = [
     "load_checkpoint",
     "EngineDecision",
     "ENGINE_EXHAUSTIVE",
-    "ENGINE_CHUNKED_EXHAUSTIVE",
     "ENGINE_MONTECARLO",
     "ValidationReport",
     "validate_against_simulation",

@@ -4,7 +4,7 @@ The paper's Fig. 1 story -- exhaustive simulation explodes as
 ``2^(2N+1)`` while cheaper estimators stay flat -- becomes an
 operational decision in :func:`repro.engine.executor.select_engine`,
 which walks the engines' registered ``degrades_to`` rungs (for chain
-simulations: exhaustive -> chunked -> Monte-Carlo) until one
+simulations: exhaustive -> Monte-Carlo) until one
 fits the width and the :class:`~repro.runtime.budget.RunBudget`.  This
 module holds what that walk produces: the :class:`EngineDecision`, its
 ``runtime.router.*`` counters, and the chain ladder's engine names.
@@ -21,7 +21,6 @@ from typing import Optional
 from ..obs import metrics as _metrics
 
 ENGINE_EXHAUSTIVE = "exhaustive"
-ENGINE_CHUNKED_EXHAUSTIVE = "chunked-exhaustive"
 ENGINE_MONTECARLO = "montecarlo"
 
 

@@ -186,6 +186,17 @@ def test_dps_accept_per_bit_probability_vectors():
         assert pmf[delta] == pytest.approx(mass, abs=1e-12)
 
 
+@pytest.mark.parametrize("p", [1e-100, 1e-200, 5e-324])
+def test_wce_counts_digits_whose_weight_underflows(p):
+    """A digit is reachable when its operand values are possible, even
+    when its weight ``P(a) P(b)`` underflows to 0.0 -- the chain
+    interval DP's rule."""
+    for adder in _windowed_members(8):
+        spec = adder.build()
+        assert windowed_worst_case_error(spec, p, p).wce \
+            == windowed_worst_case_error(spec).wce, adder.config_string
+
+
 def test_exact_spec_never_errs():
     spec = WindowedAdderSpec("exact", (0,) * 6, 0)
     assert spec.is_exact

@@ -80,13 +80,6 @@ class TestErrorPmf:
         with pytest.raises(AnalysisError, match="max_entries"):
             error_pmf("LPAA 5", 12, 0.5, 0.5, 0.5, max_entries=10)
 
-    def test_pruning_drops_small_mass_only(self):
-        full = error_pmf("LPAA 5", 8, 0.5, 0.5, 0.5)
-        pruned = error_pmf("LPAA 5", 8, 0.5, 0.5, 0.5, prune_below=1e-4)
-        assert set(pruned) <= set(full)
-        lost = sum(full.values()) - sum(pruned.values())
-        assert 0 <= lost < 1e-2
-
 
 # Edge probabilities the dense kernel must survive: deterministic bits
 # and subnormal-scale masses whose products underflow.

@@ -8,6 +8,8 @@ result cache and the serving layer.
 """
 
 import json
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -90,6 +92,30 @@ class TestAnalyticalMatchesExhaustive:
         trunc = self._run("LPAA 5", KIND_MED, "distribution-dp-truncated")
         assert trunc.med == pytest.approx(exact.med, abs=1e-12)
         assert trunc.exact is False and exact.exact is True
+
+
+class TestTruncatedErrorRate:
+    """Past width 12 quantisation moves deltas, and the truncated rung's
+    ``p_error`` must still be the exact rung's error rate.  Rounding the
+    local-error sums breaks this (they can cancel later; the first
+    hybrid below is one such case), the carry-pair table does not."""
+
+    def test_hybrid_chains_keep_the_exact_error_rate(self):
+        rng = random.Random(14)
+        lpaa = [f"LPAA {i}" for i in range(1, 8)]
+        chains = [["LPAA 6"] * 14 + ["LPAA 4"] * 2]
+        for _ in range(20):
+            width = rng.randint(14, 16)
+            low, high = rng.sample(lpaa, 2)
+            cut = rng.randint(1, width - 1)
+            chains.append([low] * cut + [high] * (width - cut))
+        for cells in chains:
+            request = AnalysisRequest.distribution(
+                cells, kind=KIND_ERROR_DISTRIBUTION)
+            exact = engine.run(request, engine="distribution-dp")
+            trunc = engine.run(request, engine="distribution-dp-truncated")
+            assert math.isclose(trunc.p_error, exact.p_error,
+                                rel_tol=1e-12), cells
 
 
 class TestHypothesisCrossValidation:

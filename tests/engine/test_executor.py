@@ -73,7 +73,7 @@ class TestSimulateRouting:
             budget=RunBudget(max_cases=1000, max_samples=2000), seed=1,
         )
         assert result.engine == "montecarlo"
-        assert result.degraded_from == "chunked-exhaustive"
+        assert result.degraded_from == "exhaustive"
         assert result.samples == 2000
 
     def test_simulate_rejects_non_chain_requests(self):

@@ -38,8 +38,11 @@ class TestBuiltinPopulation:
                      "exhaustive", "montecarlo",
                      "multiop-exact", "multiop-mc"):
             assert name in REGISTRY
-        # The Table 3 baseline is called directly, never routed.
+        # The Table 3 baseline is called directly, never routed, and
+        # one enumeration rung serves every exhaustive width.
         assert "inclusion-exclusion" not in REGISTRY
+        assert "chunked-exhaustive" not in REGISTRY
+        assert len(REGISTRY.names()) == 16
 
     def test_reregistration_is_idempotent(self):
         names = REGISTRY.names()

@@ -60,37 +60,37 @@ ROWS = [
     row("deadline-never-degrades-a-final-rung", chain(64),
         ("recursive", None, None, None), budget=RunBudget(deadline_s=1e-9)),
 
-    # Chain simulation: exhaustive -> chunked -> montecarlo.
+    # Chain simulation: exhaustive -> montecarlo.
     row("sim-w4-exhaustive", chain(4), ("exhaustive", None, None, 1 << 9),
         simulate=True),
-    row("sim-w12-chunked", chain(12),
-        ("chunked-exhaustive", "exhaustive", None, 1 << 25), simulate=True),
+    row("sim-w12-exhaustive", chain(12),
+        ("exhaustive", None, None, 1 << 25), simulate=True),
     row("sim-w17-past-width-limit", chain(17),
-        ("montecarlo", "chunked-exhaustive", MC, None), simulate=True),
+        ("montecarlo", "exhaustive", MC, None), simulate=True),
     row("sim-max-cases", chain(8),
-        ("montecarlo", "chunked-exhaustive", MC, 1 << 17),
+        ("montecarlo", "exhaustive", MC, 1 << 17),
         budget=RunBudget(max_cases=1_000), simulate=True,
         reason="max_cases"),
     row("sim-deadline", chain(14),
-        ("montecarlo", "chunked-exhaustive", MC, 1 << 29),
+        ("montecarlo", "exhaustive", MC, 1 << 29),
         budget=RunBudget(deadline_s=0.001), simulate=True,
         reason="deadline"),
     row("sim-max-samples", chain(20),
-        ("montecarlo", "chunked-exhaustive", 5_000, None),
+        ("montecarlo", "exhaustive", 5_000, None),
         budget=RunBudget(max_samples=5_000), simulate=True),
     row("sim-samples-clamped", chain(20),
-        ("montecarlo", "chunked-exhaustive", 1_000, None),
+        ("montecarlo", "exhaustive", 1_000, None),
         budget=RunBudget(max_samples=1_000), samples=5_000, simulate=True),
     row("sim-deadline-serial", chain(10),
-        ("montecarlo", "chunked-exhaustive", MC, 1 << 21),
+        ("montecarlo", "exhaustive", MC, 1 << 21),
         budget=RunBudget(deadline_s=0.15), simulate=True),
     row("sim-w16-deadline", chain(16),
-        ("montecarlo", "chunked-exhaustive", MC, 1 << 33),
+        ("montecarlo", "exhaustive", MC, 1 << 33),
         budget=RunBudget(deadline_s=0.01), simulate=True,
         reason="deadline"),
     row("sim-joints-refused-everywhere",
         chain(4, joints=[JointBitDistribution.identical(0.5)] * 4),
-        ("montecarlo", "chunked-exhaustive", MC, None), simulate=True),
+        ("montecarlo", "exhaustive", MC, None), simulate=True),
 
     # Error-magnitude kinds: dp -> dp-truncated -> mc.
     row("med-w16-exact", dist(16), ("distribution-dp", None, None, None)),

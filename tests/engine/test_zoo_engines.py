@@ -74,6 +74,17 @@ class TestCrossValidationMatrix:
                 engine.run(request, engine="zoo-dp").med
 
 
+class TestTruncatedErrorRate:
+    def test_truncated_rung_keeps_the_exact_error_rate_at_width_16(self):
+        for adder in _windowed(16):
+            request = AnalysisRequest.zoo(adder,
+                                          kind="error_distribution")
+            exact = engine.run(request, engine="zoo-dp")
+            trunc = engine.run(request, engine="zoo-dp-truncated")
+            assert math.isclose(trunc.p_error, exact.p_error,
+                                rel_tol=1e-12), adder.config_string
+
+
 class TestRouterLadder:
     def test_exact_width_limits(self):
         dp = REGISTRY.get("zoo-dp")

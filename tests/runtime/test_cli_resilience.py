@@ -30,14 +30,14 @@ class TestSimulateCommand:
         )
         assert code == 0
         assert "engine     : montecarlo" in out
-        assert "degraded   : from chunked-exhaustive" in out
+        assert "degraded   : from exhaustive" in out
         assert save.exists()
 
         from repro.io import load_result
 
         loaded = load_result(save)
         assert loaded.samples == 5_000
-        assert loaded.manifest.degraded_from == "chunked-exhaustive"
+        assert loaded.manifest.degraded_from == "exhaustive"
 
 
 class TestAnalyzeValidate:

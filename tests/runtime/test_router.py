@@ -8,7 +8,6 @@ import pytest
 
 from repro import engine
 from repro.runtime import (
-    ENGINE_CHUNKED_EXHAUSTIVE,
     ENGINE_EXHAUSTIVE,
     ENGINE_MONTECARLO,
     RunBudget,
@@ -33,9 +32,8 @@ class TestResilientErrorProbability:
             budget=RunBudget(max_cases=100, max_samples=20_000), seed=5,
         )
         assert result.engine == ENGINE_MONTECARLO
-        assert result.degraded_from == ENGINE_CHUNKED_EXHAUSTIVE
-        assert result.raw.manifest.degraded_from \
-            == ENGINE_CHUNKED_EXHAUSTIVE
+        assert result.degraded_from == ENGINE_EXHAUSTIVE
+        assert result.raw.manifest.degraded_from == ENGINE_EXHAUSTIVE
         assert result.samples == 20_000
 
     def test_routed_checkpointing_works(self, tmp_path):
