@@ -624,18 +624,7 @@ def _cmd_serve(args) -> int:
     """Run the batching HTTP/JSON analysis service until SIGTERM."""
     from .serve import run_server
 
-    config = _serve_config(args)
-    if args.workers > 1:
-        from .serve import SupervisorConfig, run_supervisor
-
-        sup = SupervisorConfig(
-            workers=args.workers,
-            restart_budget=args.restart_budget,
-            heartbeat_timeout_s=args.heartbeat_timeout,
-            status_port=args.status_port,
-        )
-        return run_supervisor(config, sup)
-    run_server(config)
+    run_server(_serve_config(args))
     return 0
 
 
@@ -1168,25 +1157,6 @@ def build_parser() -> argparse.ArgumentParser:
     # pass it; _serve_config logs one warning when it is given.
     p.add_argument("--segment-cache-dir", metavar="PATH", default=None,
                    help=argparse.SUPPRESS)
-    fleet = p.add_argument_group("multi-worker supervision")
-    fleet.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="run N supervised worker processes sharing this port "
-             "(SO_REUSEPORT), with crash detection and restarts "
-             "(default 1: single in-process server)")
-    fleet.add_argument(
-        "--restart-budget", type=int, default=8, metavar="N",
-        help="total worker restarts before the supervisor gives up "
-             "and exits nonzero (default 8)")
-    fleet.add_argument(
-        "--heartbeat-timeout", type=float, default=10.0,
-        metavar="SECONDS",
-        help="a worker silent this long is declared hung and "
-             "restarted (default 10)")
-    fleet.add_argument(
-        "--status-port", type=int, default=None, metavar="PORT",
-        help="supervisor status/merged-metrics port "
-             "(default: serve port + 1)")
     robust = p.add_argument_group("admission control and circuit breaker")
     robust.add_argument(
         "--rate-limit", type=float, default=None, metavar="RPS",

@@ -12,11 +12,12 @@ Two levels of analysis live here:
 
 * **Joint approximate/exact tracking** -- :func:`joint_carry_profile`
   and :func:`bit_error_probabilities` run the approximate and the exact
-  carry chains *jointly* (a 4-state DP over
-  ``(approx carry, exact carry)``), which yields the exact per-bit
-  probability that output bit *i* differs from the accurate sum.  This
-  is strictly more informative than the paper's single ``P(Error)``
-  number and is the foundation of :mod:`repro.core.magnitude`.
+  carry chains *jointly*: one per-stage fold over the 4-state
+  ``(approx carry, exact carry)`` table of
+  :func:`repro.core.magnitude.pair_table`, which yields the exact
+  per-bit probability that output bit *i* differs from the accurate
+  sum.  This is strictly more informative than the paper's single
+  ``P(Error)`` number.
 
 All functions accept hybrid chains.
 """
@@ -28,9 +29,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .magnitude import CarryTable, pair_table
 from .matrices import derive_carry_matrices, derive_sum_matrix
 from .recursive import CellSpec, build_ipm, mask_dot, resolve_chain
-from .truth_table import ACCURATE
 from .types import (
     Probability,
     complement,
@@ -131,6 +132,33 @@ class JointCarryState:
         return self.p00 + self.p01 + self.p10 + self.p11
 
 
+def _pair_fold(table: CarryTable) -> Tuple[List[np.ndarray], List[float]]:
+    """State masses entering every stage and each stage's mismatch mass.
+
+    One pass over the pair table: ``masses[i][2 * ca + ce]`` is
+    ``P(c_approx = ca, c_exact = ce)`` entering stage ``i`` (``N + 1``
+    vectors), ``mismatches[i]`` the mass of stage ``i``'s rows with a
+    sum-bit difference ``d != 0``.  Rows run in ascending state order,
+    so every sum accumulates in the order ``(ca, ce, a, b)``.
+    """
+    mass = np.zeros(table.states)
+    for state, start_mass, _ in table.start:
+        mass[state] = start_mass
+    masses, mismatches = [mass], []
+    for rows in table.stages:
+        nxt = np.zeros(table.states)
+        mismatch = 0.0
+        for state, state_next, d, _, w in sorted(rows, key=lambda r: r[0]):
+            flow = mass[state] * w
+            nxt[state_next] += flow
+            if d:
+                mismatch += flow
+        masses.append(nxt)
+        mismatches.append(mismatch)
+        mass = nxt
+    return masses, mismatches
+
+
 def joint_carry_profile(
     cell: Union[CellSpec, Sequence[CellSpec]],
     width: Optional[int] = None,
@@ -144,41 +172,8 @@ def joint_carry_profile(
     state ``i`` the carries *entering* stage ``i`` (so the last entry is
     the final carry-out pair of the whole adder).
     """
-    cells = resolve_chain(cell, width)
-    n = len(cells)
-    pa = [float(p) for p in validate_probability_vector(p_a, n, "p_a")]
-    pb = [float(p) for p in validate_probability_vector(p_b, n, "p_b")]
-    pc = float(validate_probability(p_cin, "p_cin"))
-
-    # joint[ca][ce]; both chains share the external carry-in.
-    joint = np.zeros((2, 2))
-    joint[0][0] = 1.0 - pc
-    joint[1][1] = pc
-    states = [JointCarryState(joint[0, 0], joint[0, 1], joint[1, 0], joint[1, 1])]
-
-    for i, table in enumerate(cells):
-        nxt = np.zeros((2, 2))
-        for ca in (0, 1):
-            for ce in (0, 1):
-                mass = joint[ca, ce]
-                if mass == 0.0:
-                    continue
-                for a in (0, 1):
-                    wa = pa[i] if a else 1.0 - pa[i]
-                    if wa == 0.0:
-                        continue
-                    for b in (0, 1):
-                        wb = pb[i] if b else 1.0 - pb[i]
-                        if wb == 0.0:
-                            continue
-                        _, ca_next = table.evaluate(a, b, ca)
-                        _, ce_next = ACCURATE.evaluate(a, b, ce)
-                        nxt[ca_next, ce_next] += mass * wa * wb
-        joint = nxt
-        states.append(
-            JointCarryState(joint[0, 0], joint[0, 1], joint[1, 0], joint[1, 1])
-        )
-    return states
+    masses, _ = _pair_fold(pair_table(cell, width, p_a, p_b, p_cin))
+    return [JointCarryState(*mass) for mass in masses]
 
 
 def bit_error_probabilities(
@@ -197,38 +192,9 @@ def bit_error_probabilities(
     so they do not multiply into a word-level error probability -- use
     :func:`repro.core.recursive.analyze_chain` for that).
     """
-    cells = resolve_chain(cell, width)
-    n = len(cells)
-    pa = [float(p) for p in validate_probability_vector(p_a, n, "p_a")]
-    pb = [float(p) for p in validate_probability_vector(p_b, n, "p_b")]
-    pc = float(validate_probability(p_cin, "p_cin"))
-
-    joint = np.zeros((2, 2))
-    joint[0][0] = 1.0 - pc
-    joint[1][1] = pc
-
-    errors: List[float] = []
-    for i, table in enumerate(cells):
-        nxt = np.zeros((2, 2))
-        mismatch = 0.0
-        for ca in (0, 1):
-            for ce in (0, 1):
-                mass = joint[ca, ce]
-                if mass == 0.0:
-                    continue
-                for a in (0, 1):
-                    wa = pa[i] if a else 1.0 - pa[i]
-                    for b in (0, 1):
-                        wb = pb[i] if b else 1.0 - pb[i]
-                        w = mass * wa * wb
-                        if w == 0.0:
-                            continue
-                        sa, ca_next = table.evaluate(a, b, ca)
-                        se, ce_next = ACCURATE.evaluate(a, b, ce)
-                        if sa != se:
-                            mismatch += w
-                        nxt[ca_next, ce_next] += w
-        errors.append(mismatch)
-        joint = nxt
-    carry_error = float(joint[0, 1] + joint[1, 0])
-    return errors, carry_error
+    table = pair_table(cell, width, p_a, p_b, p_cin)
+    masses, errors = _pair_fold(table)
+    # The final term's d is the carry-out difference.
+    carry_error = sum(masses[-1][state]
+                      for state, (d, _) in enumerate(table.final) if d)
+    return errors, float(carry_error)

@@ -24,8 +24,9 @@ ladder (:func:`repro.engine.executor.select_engine`), their per-kind
   fold over the ``(approximate, exact)`` carry-pair table with every
   partial delta rounded to :data:`QUANT_BITS` significant bits
   (mass-preserving, bounded support at any width).  ``P(error)`` stays
-  exact (a wrong lower bit keeps the partial delta nonzero);
-  MED/MSE/bias drift by at most ``~width * 2^(1-QUANT_BITS)``
+  exact (a wrong lower bit keeps the partial delta nonzero), and so
+  is ``bias`` (the chain table's moments fold, linear at any width);
+  MED/MSE/WCE drift by at most ``~width * 2^(1-QUANT_BITS)``
   relative, so results are flagged ``exact=False``.
 * ``distribution-exhaustive`` -- the oracle: one weighted enumeration
   pass (:func:`repro.simulation.exhaustive.exhaustive_quality`)
@@ -228,8 +229,9 @@ def run_distribution_dp_truncated(
 
     The carry-pair table's partial deltas are kept at
     :data:`QUANT_BITS` significant bits, merging (never dropping)
-    nearby values, so the PMF sums to 1 and ``p_error`` is still exact;
-    MED/MSE/WCE/bias carry a bounded relative drift and the result is
+    nearby values, so the PMF sums to 1 and ``p_error`` is still exact.
+    ``bias`` is the exact E[D] from the chain table's moments fold;
+    MED/MSE/WCE carry a bounded relative drift and the result is
     flagged ``exact=False``.  MRED is not served here (the joint law has
     no mass-preserving truncation); the router sends wide MRED
     questions to Monte-Carlo instead.
@@ -244,10 +246,13 @@ def run_distribution_dp_truncated(
         # The exact interval DP is linear-time at any width; truncation
         # would only make the answer worse.
         return run_distribution_dp(request, **options)
-    table = pair_table(list(request.cells), None, list(request.p_a),
-                       list(request.p_b), request.p_cin)
+    args = (list(request.cells), None, list(request.p_a),
+            list(request.p_b), request.p_cin)
     fields, error_rate = _pmf_fields(
-        fold_sparse(table, quant_bits=QUANT_BITS), request)
+        fold_sparse(pair_table(*args), quant_bits=QUANT_BITS), request)
+    # A sum over quantised deltas up to 2^(N+1) cancels inexactly; the
+    # linear moments fold gives E[D] exactly.
+    fields["bias"] = fold_moments(chain_table(*args)).mean
     return _result(request, "distribution-dp-truncated", False,
                    error_rate, **fields)
 

@@ -14,7 +14,8 @@ built on the monotone-carry-cut DP of :mod:`repro.core.adder_zoo`:
 * ``zoo-dp-truncated`` -- the same PMF DP with deltas kept at
   :data:`~repro.engine.distribution.QUANT_BITS` significant bits
   (mass-preserving merge): bounded support at any width, ``P(error)``
-  still exact, magnitude metrics flagged ``exact=False``.  MRED is not
+  and ``bias`` (the moments fold) still exact, the other magnitude
+  metrics flagged ``exact=False``.  MRED is not
   served (no mass-preserving joint truncation); WCE delegates to the
   always-exact interval DP.
 * ``zoo-exhaustive`` -- the oracle: weighted enumeration of every
@@ -136,8 +137,9 @@ def run_zoo_dp_truncated(
     """Truncated-support cut DP: bounded support at any width.
 
     Same contract as ``distribution-dp-truncated``: nearby deltas merge
-    (mass never drops), so ``p_error`` stays exact while magnitude
-    metrics carry a bounded relative drift (``exact=False``).
+    (mass never drops), so ``p_error`` stays exact, ``bias`` comes
+    exact from the moments fold, and MED/MSE/WCE carry a bounded
+    relative drift (``exact=False``).
     """
     if request.kind == KIND_MRED:
         raise AnalysisError(
@@ -151,6 +153,7 @@ def run_zoo_dp_truncated(
     table = windowed_table(_block(request), request.p_a, request.p_b)
     fields, error_rate = _pmf_fields(
         fold_sparse(table, quant_bits=QUANT_BITS), request)
+    fields["bias"] = fold_moments(table).mean
     return _result(request, "zoo-dp-truncated", False, error_rate,
                    **fields)
 

@@ -4,7 +4,7 @@ The analysis and simulation engines are instrumented with this package:
 
 * :mod:`repro.obs.metrics` -- counters/gauges/histograms/timers behind a
   single enable switch (disabled by default; hot paths pay one bool
-  check); bounded memory, mergeable across worker processes;
+  check); bounded memory;
 * :mod:`repro.obs.prometheus` -- renders a metrics snapshot in the
   Prometheus text exposition format (``text/plain; version=0.0.4``);
 * :mod:`repro.obs.correlate` -- `contextvars`-based request-correlation

@@ -10,9 +10,9 @@ diffable, and trivially machine-parseable without a JSON logger
 dependency.
 
 :class:`Progress` turns a silent million-sample loop into periodic
-heartbeats.  It is deliberately deterministic -- it reports when the
-completed fraction crosses 10% boundaries (not on wall-clock timers), so
-test assertions about callback cadence are stable.
+progress reports.  It is deliberately deterministic -- it reports when
+the completed fraction crosses 10% boundaries (not on wall-clock
+timers), so test assertions about callback cadence are stable.
 """
 
 from __future__ import annotations

@@ -11,13 +11,10 @@ built around three rules:
   nested CLI invocations in tests) can each collect into their own
   registry via :func:`use_registry` without seeing each other's numbers.
   The default is one shared process-global registry;
-* **bounded memory, mergeable state** -- no metric retains unbounded
-  per-sample state.  Distributions live in :class:`Histogram` (fixed
-  exponential buckets) plus, for :class:`Timer`, a deterministic
-  rolling window of the most recent samples.  Bucket counts and the
-  exact count/total/min/max scalars add, so worker-process deltas fold
-  back into the parent registry (:meth:`MetricsRegistry.merge_state`)
-  the same way the stage-matrix cache merges hit/miss deltas.
+* **bounded memory** -- no metric retains unbounded per-sample state.
+  Distributions live in :class:`Histogram` (fixed exponential buckets)
+  plus, for :class:`Timer`, a deterministic rolling window of the most
+  recent samples.
 
 Quantile-accuracy contract
 --------------------------
@@ -29,12 +26,11 @@ Two estimators coexist, with different guarantees:
   in this process.  Deterministic -- the window is the most recent N
   samples, never a random reservoir -- so repeated runs of the same
   workload report identical quantiles.
-* *Bucketed quantiles* (``Histogram.quantile()`` and everything that
-  crosses a process boundary): the sample count per exponential bucket
-  is exact; a quantile is reported as the geometric midpoint of its
-  bucket, so the relative error of any reported quantile is bounded by
-  ``sqrt(HISTOGRAM_FACTOR)`` (about +/-19% with the default
-  ``sqrt(2)`` spacing).  Counts merge exactly; only the position
+* *Bucketed quantiles* (``Histogram.quantile()``): the sample count
+  per exponential bucket is exact; a quantile is reported as the
+  geometric midpoint of its bucket, so the relative error of any
+  reported quantile is bounded by ``sqrt(HISTOGRAM_FACTOR)`` (about
+  +/-19% with the default ``sqrt(2)`` spacing).  Only the position
   *within* a bucket is approximate.
 
 Snapshot documents are plain JSON (``sealpaa-metrics-v1``) so they can
@@ -119,15 +115,12 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bucket exponential histogram with exact, mergeable counts.
+    """Fixed-bucket exponential histogram with exact counts.
 
     Buckets follow the Prometheus classic-histogram convention: bucket
     ``i`` counts observations ``<= bounds[i]``; one implicit overflow
     bucket catches values above the last bound.  Per-bucket counts and
-    the count/sum/min/max scalars are exact and *add*, so two
-    histograms over the same bounds merge losslessly
-    (:meth:`merge_state`) -- the property the serve supervisor relies
-    on to fold its workers' metrics into one fleet snapshot.
+    the count/sum/min/max scalars are exact.
 
     Memory is a fixed ``len(bounds) + 1`` integers per histogram no
     matter how many observations arrive.
@@ -241,46 +234,6 @@ class Histogram:
             "max": hi,
         }
 
-    # -- mergeable state ---------------------------------------------------
-
-    def state_dict(self) -> Dict[str, object]:
-        """Serialisable delta state (counts + exact scalars)."""
-        with self._lock:
-            return {
-                "counts": list(self._counts),
-                "count": self._count,
-                "sum": self._sum,
-                "min": self._min if self._count else None,
-                "max": self._max if self._count else None,
-            }
-
-    def merge_state(self, state: Mapping[str, object]) -> None:
-        """Fold another histogram's :meth:`state_dict` into this one.
-
-        Bucket counts add exactly; the two histograms must share bucket
-        bounds (always true for states produced by the same code).
-        """
-        counts = list(state.get("counts") or [])
-        if len(counts) != len(self._counts):
-            raise ValueError(
-                f"bucket mismatch: got {len(counts)} buckets, "
-                f"have {len(self._counts)}"
-            )
-        count = int(state.get("count") or 0)
-        if count == 0:
-            return
-        other_min = state.get("min")
-        other_max = state.get("max")
-        with self._lock:
-            for i, c in enumerate(counts):
-                self._counts[i] += int(c)
-            self._count += count
-            self._sum += float(state.get("sum") or 0.0)
-            if other_min is not None and float(other_min) < self._min:
-                self._min = float(other_min)
-            if other_max is not None and float(other_max) > self._max:
-                self._max = float(other_max)
-
     def snapshot(self) -> Dict[str, object]:
         """JSON-ready document: stats plus non-empty cumulative buckets."""
         doc: Dict[str, object] = self.stats()
@@ -310,7 +263,7 @@ class Timer:
     :data:`TIMER_WINDOW` samples -- an exact description of recent
     behaviour (the window the serving layer's SLO evaluation reads).
     The embedded :class:`Histogram` carries the whole-run distribution
-    in bounded memory and is what merges across process boundaries.
+    in bounded memory.
     """
 
     __slots__ = ("name", "_hist", "_window", "_window_pos", "_lock")
@@ -373,22 +326,14 @@ class Timer:
         if count == 0:
             return {"count": 0, "total_s": 0.0, "min_s": 0.0, "mean_s": 0.0,
                     "p50_s": 0.0, "p95_s": 0.0, "p99_s": 0.0, "max_s": 0.0}
-        if ordered:
-            p50 = self._quantile(ordered, 0.50)
-            p95 = self._quantile(ordered, 0.95)
-            p99 = self._quantile(ordered, 0.99)
-        else:
-            # merged-only timer: no local window; fall back to buckets
-            p50, p95, p99 = (hist_stats["p50"], hist_stats["p95"],
-                             hist_stats["p99"])
         return {
             "count": count,
             "total_s": hist_stats["total"],
             "min_s": hist_stats["min"],
             "mean_s": hist_stats["mean"],
-            "p50_s": p50,
-            "p95_s": p95,
-            "p99_s": p99,
+            "p50_s": self._quantile(ordered, 0.50),
+            "p95_s": self._quantile(ordered, 0.95),
+            "p99_s": self._quantile(ordered, 0.99),
             "max_s": hist_stats["max"],
         }
 
@@ -398,21 +343,6 @@ class Timer:
         hist_doc = self._hist.snapshot()
         doc["buckets"] = hist_doc["buckets"]
         return doc
-
-    # -- mergeable state ---------------------------------------------------
-
-    def state_dict(self) -> Dict[str, object]:
-        """Serialisable whole-run state (bucket counts + scalars).
-
-        The rolling window deliberately stays process-local: windows
-        from concurrent processes interleave non-deterministically, and
-        merged quantiles come from the exact bucket counts instead.
-        """
-        return self._hist.state_dict()
-
-    def merge_state(self, state: Mapping[str, object]) -> None:
-        """Fold a worker timer's :meth:`state_dict` into this one."""
-        self._hist.merge_state(state)
 
 
 class MetricsRegistry:
@@ -481,45 +411,6 @@ class MetricsRegistry:
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.snapshot(), indent=indent)
-
-    # -- cross-process delta merging ---------------------------------------
-
-    def export_state(self) -> Dict[str, object]:
-        """Serialisable delta document for :meth:`merge_state`.
-
-        Counters export their values, timers and histograms their
-        bucketed states.  Gauges are last-write-wins and meaningless to
-        add, so they are excluded.
-        """
-        with self._lock:
-            counters = dict(self._counters)
-            histograms = dict(self._histograms)
-            timers = dict(self._timers)
-        return {
-            "counters": {k: c.value for k, c in counters.items()
-                         if c.value},
-            "histograms": {k: h.state_dict() for k, h in histograms.items()
-                           if h.count},
-            "timers": {k: t.state_dict() for k, t in timers.items()
-                       if t.count},
-        }
-
-    def merge_state(self, state: Optional[Mapping[str, object]]) -> None:
-        """Fold a worker registry's :meth:`export_state` into this one.
-
-        Bucket counts and counter values add exactly, so merging N
-        worker deltas in any order equals having observed every sample
-        in one registry -- the property the serve supervisor's
-        fleet-wide snapshot rests on.
-        """
-        if not state:
-            return
-        for name, value in (state.get("counters") or {}).items():
-            self.counter(str(name)).add(int(value))
-        for name, hist_state in (state.get("histograms") or {}).items():
-            self.histogram(str(name)).merge_state(hist_state)
-        for name, timer_state in (state.get("timers") or {}).items():
-            self.timer(str(name)).merge_state(timer_state)
 
 
 #: The process-global default registry.

@@ -17,8 +17,8 @@ survive:
   boundary; an armed shim raises ``KeyboardInterrupt`` on the N-th
   tick, simulating a user/scheduler kill between batches.
 
-The serving layer adds three more, exercised by the chaos soak
-(``benchmarks/bench_serve_chaos.py``):
+The serving layer adds two more, exercised in-process against a real
+:class:`~repro.serve.AnalysisServer` (``tests/serve/test_chaos_soak.py``):
 
 * **engine faults** -- :func:`engine_call_check` runs before every
   engine dispatch inside :class:`~repro.serve.service.AnalysisService`;
@@ -26,43 +26,18 @@ The serving layer adds three more, exercised by the chaos soak
   or delay each one (deadline blowouts on demand);
 * **cache read faults** -- :func:`cache_read_check` runs inside
   :meth:`~repro.engine.diskcache.DiskResultStore.get`; an injected
-  ``OSError`` must surface as a cache miss, never as a request failure;
-* **worker crashes** -- ``kill_after_batches`` sends ``SIGKILL`` to the
-  *current process* on the N-th engine dispatch, the deterministic way
-  to die mid-batch with requests in flight.
+  ``OSError`` must surface as a cache miss, never as a request failure.
 
 Installation is a context manager (:func:`install_chaos`) so a failed
-test can never leak chaos into the rest of the suite; worker processes
-instead install permanently from a JSON spec in the ``SEALPAA_CHAOS``
-environment variable (:func:`install_chaos_from_env`), which is how the
-supervisor transports faults across the process boundary.  When no shim
-is installed every hook is a single ``is None`` check.
+test can never leak chaos into the rest of the suite.  When no shim is
+installed every hook is a single ``is None`` check.
 """
 
 from __future__ import annotations
 
 import contextlib
-import json
-import os
-import signal
 import time
-from typing import Any, Dict, Iterator, Optional
-
-#: Environment variable the supervisor/bench harness uses to arm chaos
-#: inside freshly spawned worker processes.
-CHAOS_ENV_VAR = "SEALPAA_CHAOS"
-
-#: Constructor knobs that round-trip through :meth:`ChaosShim.to_spec`.
-_SPEC_FIELDS = (
-    "fail_io_times",
-    "interrupt_after_ticks",
-    "advance_per_tick",
-    "fail_engine_times",
-    "engine_fail_every",
-    "engine_delay_s",
-    "cache_read_fail_every",
-    "kill_after_batches",
-)
+from typing import Iterator, Optional
 
 _active: Optional["ChaosShim"] = None
 
@@ -79,7 +54,6 @@ class ChaosShim:
         engine_fail_every: int = 0,
         engine_delay_s: float = 0.0,
         cache_read_fail_every: int = 0,
-        kill_after_batches: Optional[int] = None,
     ) -> None:
         #: How many further IO commits should fail (-1 = fail forever).
         self.fail_io_times = fail_io_times
@@ -98,9 +72,6 @@ class ChaosShim:
         self.engine_delay_s = engine_delay_s
         #: Raise ``OSError`` on every Nth disk-cache read (0 = never).
         self.cache_read_fail_every = cache_read_fail_every
-        #: ``SIGKILL`` the current process on this 1-based engine
-        #: dispatch, if set -- dies mid-batch with requests in flight.
-        self.kill_after_batches = kill_after_batches
         self.io_failures_injected = 0
         self.ticks_seen = 0
         self.engine_calls_seen = 0
@@ -108,29 +79,6 @@ class ChaosShim:
         self.cache_reads_seen = 0
         self.cache_faults_injected = 0
         self._now = 0.0
-
-    # -- spec round-trip ---------------------------------------------------
-
-    @classmethod
-    def from_spec(cls, spec: Dict[str, Any]) -> "ChaosShim":
-        """Build a shim from a (possibly partial) spec dictionary.
-
-        Unknown keys are rejected loudly -- a typo in a chaos spec that
-        silently injects *nothing* would make a passing soak meaningless.
-        """
-        unknown = sorted(set(spec) - set(_SPEC_FIELDS))
-        if unknown:
-            raise ValueError(f"unknown chaos spec fields: {unknown}")
-        return cls(**spec)
-
-    def to_spec(self) -> Dict[str, Any]:
-        """Non-default constructor knobs as a JSON-serialisable dict."""
-        defaults = ChaosShim()
-        return {
-            field: getattr(self, field)
-            for field in _SPEC_FIELDS
-            if getattr(self, field) != getattr(defaults, field)
-        }
 
     # -- virtual clock -----------------------------------------------------
 
@@ -167,15 +115,8 @@ class ChaosShim:
             )
 
     def on_engine_call(self, label: str) -> None:
-        """Pre-dispatch hook; may kill the process, sleep, or raise."""
+        """Pre-dispatch hook; may sleep, or raise."""
         self.engine_calls_seen += 1
-        if (
-            self.kill_after_batches is not None
-            and self.engine_calls_seen >= self.kill_after_batches
-        ):
-            # Die the way a segfault/OOM-kill does: no cleanup, no
-            # drain, requests in flight.  The supervisor must notice.
-            os.kill(os.getpid(), signal.SIGKILL)
         if self.engine_delay_s > 0:
             time.sleep(self.engine_delay_s)
         burst = self.fail_engine_times != 0
@@ -242,23 +183,3 @@ def cache_read_check(path: str) -> None:
     """Disk-cache read hook (no-op unless a shim is installed)."""
     if _active is not None:
         _active.on_cache_read(path)
-
-
-def install_chaos_from_env(environ: Optional[Dict[str, str]] = None,
-                           ) -> Optional[ChaosShim]:
-    """Permanently install a shim described by ``SEALPAA_CHAOS``.
-
-    Worker processes call this once at startup; unlike
-    :func:`install_chaos` there is no scope to restore, because the
-    process *is* the scope.  Returns the installed shim, or ``None``
-    when the variable is unset/empty.  A malformed spec raises --
-    silently running a chaos soak with no chaos would be worse.
-    """
-    global _active
-    raw = (environ if environ is not None else os.environ).get(
-        CHAOS_ENV_VAR, "")
-    if not raw.strip():
-        return None
-    shim = ChaosShim.from_spec(json.loads(raw))
-    _active = shim
-    return shim

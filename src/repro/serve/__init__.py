@@ -6,7 +6,7 @@ clients POST chain questions, the service coalesces them into vectorised
 repeat questions from the persistent two-tier result store
 (:mod:`repro.engine.diskcache`) without touching an engine at all.
 
-Three layers, importable separately:
+Its modules, importable separately:
 
 * :mod:`repro.serve.config` -- :class:`ServeConfig`, every operator knob;
 * :mod:`repro.serve.service` -- :class:`AnalysisService`, the
@@ -16,9 +16,6 @@ Three layers, importable separately:
   point);
 * :mod:`repro.serve.admission` -- per-client token-bucket admission
   control (429 before queueing, distinct from queue-full shedding);
-* :mod:`repro.serve.supervisor` -- the ``sealpaa serve --workers N``
-  multi-process supervisor: shared-port workers, heartbeats, restart
-  budget, merged ``/metrics``;
 * :mod:`repro.serve.client` -- :class:`AnalysisClient`, the retrying
   deadline-aware client (backoff + jitter, Retry-After, fingerprinted
   idempotent retries);
@@ -35,7 +32,9 @@ In-process use (tests, notebooks, benchmarks)::
     server.stop()                                  # graceful drain
 
 Operator use: ``sealpaa serve --port 8080 --cache-dir /var/cache/sealpaa``
-(see ``docs/serving.md``).
+(see ``docs/serving.md``).  One process serves; restarting it after a
+crash is the host process manager's job (systemd, a container
+runtime), and SIGTERM drains it gracefully.
 """
 
 from .admission import AdmissionController
@@ -45,10 +44,9 @@ from .client import (
     RetryBudgetError,
     ServerStatusError,
 )
-from .config import ServeConfig, config_from_doc, config_to_doc
+from .config import ServeConfig
 from .dashboard import render_once, run_dashboard
 from .http import MAX_BODY_BYTES, AnalysisServer, run_server
-from .supervisor import SupervisorConfig, run_supervisor
 from .service import (
     MAX_DEADLINE_S,
     AnalysisService,
@@ -76,14 +74,10 @@ __all__ = [
     "RetryBudgetError",
     "ServeConfig",
     "ServerStatusError",
-    "SupervisorConfig",
-    "config_from_doc",
-    "config_to_doc",
     "parse_analysis_doc",
     "parse_deadline",
     "render_once",
     "result_to_doc",
     "run_dashboard",
     "run_server",
-    "run_supervisor",
 ]

@@ -10,7 +10,7 @@ semantics were designed against:
 
 * **capped exponential backoff with full jitter** -- attempt *k* sleeps
   ``uniform(0, min(backoff_max_s, backoff_base_s * 2**k))``, so a
-  thousand clients bounced by one worker crash do not return as one
+  thousand clients bounced by one server restart do not return as one
   synchronised thundering herd;
 * **Retry-After honoured** -- a server hint (429 admission/shedding,
   503 open breaker) becomes the floor of the next sleep;
@@ -24,11 +24,10 @@ semantics were designed against:
   operation, ``total_deadline_s`` bounds the whole retry dance; the
   client never sleeps past the total deadline;
 * **connection reuse** -- one keep-alive connection per client,
-  transparently re-established when the server (or a worker crash)
-  drops it.
+  transparently re-established when the server (or its restart) drops
+  it.
 
-One client instance serves one thread; give each worker thread its own
-(the chaos soak does exactly that).
+One client instance serves one thread; give each thread its own.
 """
 
 from __future__ import annotations
@@ -212,8 +211,8 @@ class AnalysisClient:
                 status, answer, retry_after = self._one_attempt(
                     method, path, doc, timeout, request_id)
             except ClientError as exc:
-                # Network-level failure: connection refused (worker
-                # restarting), reset mid-flight (worker SIGKILLed),
+                # Network-level failure: connection refused (server
+                # restarting), reset mid-flight (server killed),
                 # timeout.  All retryable for an idempotent request.
                 last_status, last_error = None, str(exc)
             else:

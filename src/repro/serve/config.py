@@ -7,9 +7,8 @@ eagerly, so a bad flag fails at start-up instead of under load.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from ..core.exceptions import AnalysisError
 from ..engine.diskcache import DEFAULT_MEMORY_ENTRIES
@@ -134,35 +133,3 @@ class ServeConfig:
             raise AnalysisError(
                 f"rate_limit_burst must be >= 1, got {self.rate_limit_burst}"
             )
-
-
-def config_to_doc(config: ServeConfig) -> Dict[str, object]:
-    """*config* as a JSON-safe document (the supervisor→worker wire form).
-
-    Only non-default fields are emitted, so documents stay readable and
-    a worker running a slightly newer build with *new* knobs still
-    accepts a document from an older supervisor.
-    """
-    defaults = ServeConfig()
-    doc: Dict[str, object] = {}
-    for field in dataclasses.fields(ServeConfig):
-        value = getattr(config, field.name)
-        if value == getattr(defaults, field.name):
-            continue
-        if field.name == "slo":
-            doc[field.name] = dataclasses.asdict(value)
-        else:
-            doc[field.name] = value
-    return doc
-
-
-def config_from_doc(doc: Dict[str, object]) -> ServeConfig:
-    """Rebuild a :class:`ServeConfig` from :func:`config_to_doc` output."""
-    known = {field.name for field in dataclasses.fields(ServeConfig)}
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise AnalysisError(f"unknown serve config fields: {unknown}")
-    kwargs = dict(doc)
-    if "slo" in kwargs:
-        kwargs["slo"] = SloPolicy(**kwargs["slo"])  # type: ignore[arg-type]
-    return ServeConfig(**kwargs)  # type: ignore[arg-type]

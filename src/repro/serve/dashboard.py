@@ -130,17 +130,6 @@ def render_lines(
         f"{_fmt_rate(float(shed_rate) if shed_rate is not None else None)}"
         + ("   DRAINING" if service.get("draining") else "")
     )
-    supervisor: Mapping[str, object] = metrics.get("supervisor") or {}
-    if supervisor:
-        # Pointed at a supervisor status port: one line of fleet state.
-        lines.append(
-            f"  supervisor: {int(supervisor.get('workers_ready') or 0)}"
-            f"/{int(supervisor.get('workers_target') or 0)} workers ready"
-            f"  restarts: {int(supervisor.get('restarts_used') or 0)}"
-            f"/{int(supervisor.get('restart_budget') or 0)}"
-            f"  mode: {supervisor.get('mode', '?')}"
-            f"  [{str(supervisor.get('state', '?')).upper()}]"
-        )
 
     cache: Mapping[str, object] = service.get("result_cache") or {}
     if cache:

@@ -33,7 +33,6 @@ import asyncio
 import json
 import math
 import signal
-import socket
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -254,10 +253,8 @@ class AnalysisServer:
             if self.config.access_log else None
         )
         self._server: Optional[asyncio.AbstractServer] = None
-        self._admin_server: Optional[asyncio.AbstractServer] = None
         self._conn_tasks: "set[asyncio.Task]" = set()
         self._port: Optional[int] = None
-        self._admin_port: Optional[int] = None
         self._metrics_were_enabled = False
         # Background-thread hosting state (sync start()/stop()).
         self._thread: Optional[threading.Thread] = None
@@ -279,57 +276,20 @@ class AnalysisServer:
     def base_url(self) -> str:
         return f"http://{self.config.host}:{self.port}"
 
-    @property
-    def admin_port(self) -> int:
-        """The loopback admin port (after :meth:`start_admin_async`)."""
-        if self._admin_port is None:
-            raise RuntimeError("admin listener has not started")
-        return self._admin_port
-
     # -- event-loop lifecycle ---------------------------------------------
 
-    async def start_async(self, sock: Optional[socket.socket] = None,
-                          reuse_port: bool = False) -> None:
-        """Bind the listening socket and start serving (non-blocking).
-
-        *sock* serves on an already-bound listening socket (the
-        supervisor's inherited-FD fallback); *reuse_port* binds with
-        ``SO_REUSEPORT`` so sibling worker processes can share one
-        address and let the kernel balance accepts between them.
-        """
+    async def start_async(self) -> None:
+        """Bind the listening socket and start serving (non-blocking)."""
         self._metrics_were_enabled = _metrics.is_enabled()
         if not self._metrics_were_enabled:
             _metrics.enable()
         await self.service.start()
-        if sock is not None:
-            self._server = await asyncio.start_server(
-                self._client_connected, sock=sock
-            )
-        elif reuse_port:
-            self._server = await asyncio.start_server(
-                self._client_connected, self.config.host, self.config.port,
-                reuse_port=True,
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self._client_connected, self.config.host, self.config.port
-            )
+        self._server = await asyncio.start_server(
+            self._client_connected, self.config.host, self.config.port
+        )
         self._port = self._server.sockets[0].getsockname()[1]
         log_event(_logger, "serve.listen", host=self.config.host,
                   port=self._port)
-
-    async def start_admin_async(self) -> int:
-        """Open a private loopback listener serving the same routes.
-
-        Under the supervisor every worker shares one public port, so
-        "scrape *this* worker's /metrics" needs a per-process address;
-        the supervisor aggregates across these.  Returns the port.
-        """
-        self._admin_server = await asyncio.start_server(
-            self._client_connected, "127.0.0.1", 0
-        )
-        self._admin_port = self._admin_server.sockets[0].getsockname()[1]
-        return self._admin_port
 
     async def stop_async(self) -> None:
         """Graceful drain: close the listener, finish the queue, stop."""
@@ -337,10 +297,6 @@ class AnalysisServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self._admin_server is not None:
-            self._admin_server.close()
-            await self._admin_server.wait_closed()
-            self._admin_server = None
         await self.service.drain()
         for task in list(self._conn_tasks):
             task.cancel()
@@ -641,14 +597,6 @@ class AnalysisServer:
         return (503 if draining else 200), doc, ()
 
     async def _handle_metrics(self, request: _HttpRequest):
-        if "format=state" in request.query:
-            # Mergeable wire form: exact histogram/timer state the
-            # supervisor folds across workers via merge_state().
-            doc = {
-                "state": _metrics.get_registry().export_state(),
-                "service": self.service.stats(),
-            }
-            return 200, doc, ()
         doc = _metrics.get_registry().snapshot()
         doc["service"] = self.service.stats()
         if request.wants_prometheus():
@@ -657,15 +605,22 @@ class AnalysisServer:
         return 200, doc, ()
 
 
-async def _serve_until_signal(config: ServeConfig) -> None:
+async def _serve_until_signal(config: ServeConfig) -> Optional[int]:
+    """Serve until SIGTERM/SIGINT, drain, and return the stopping signal."""
     server = AnalysisServer(config)
     await server.start_async()
     stop = asyncio.Event()
+    received: List[int] = []
     loop = asyncio.get_running_loop()
     handled = []
+
+    def on_signal(signum: int) -> None:
+        received.append(signum)
+        stop.set()
+
     for signum in (signal.SIGTERM, signal.SIGINT):
         try:
-            loop.add_signal_handler(signum, stop.set)
+            loop.add_signal_handler(signum, on_signal, signum)
             handled.append(signum)
         except (NotImplementedError, RuntimeError):
             pass
@@ -683,9 +638,17 @@ async def _serve_until_signal(config: ServeConfig) -> None:
         print("draining...", flush=True)
         await server.stop_async()
         print("stopped", flush=True)
+    return received[0] if received else None
 
 
 def run_server(config: Optional[ServeConfig] = None) -> None:
     """Blocking entry point of ``sealpaa serve``: serve until SIGTERM/
-    SIGINT, then drain gracefully."""
-    asyncio.run(_serve_until_signal(config or ServeConfig()))
+    SIGINT, then drain gracefully.
+
+    Both signals drain the same way.  SIGTERM then returns normally
+    (exit 0); SIGINT re-raises ``KeyboardInterrupt`` after the drain,
+    so the CLI reports Ctrl-C with its usual exit status 130.
+    """
+    stopped_by = asyncio.run(_serve_until_signal(config or ServeConfig()))
+    if stopped_by == signal.SIGINT:
+        raise KeyboardInterrupt

@@ -16,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import engine
+from repro.core.adder_zoo import named_zoo, windowed_table
 from repro.core.exceptions import AnalysisError
+from repro.core.magnitude import chain_table, fold_moments
 from repro.engine.diskcache import (
     cacheable_result,
     payload_from_result,
@@ -210,6 +212,33 @@ class TestRouterLadder:
                             samples=5_000, seed=1)
         assert result.engine == "distribution-mc"
         assert result.samples == 5_000
+
+
+class TestTruncatedBias:
+    """The truncated rungs report the exact E[D] as ``bias``: the
+    linear moments fold, not a cancelling sum over quantised deltas."""
+
+    @pytest.mark.parametrize("cell, width, p_a, p_b", [
+        ("LPAA 1", 20, 0.3, 0.7),
+        ("LPAA 5", 32, 0.5, 0.5),  # E[D] is exactly 0.0 here
+    ])
+    def test_chain_bias_is_the_moments_fold_mean(self, cell, width, p_a,
+                                                 p_b):
+        request = AnalysisRequest.distribution(cell, width, p_a, p_b,
+                                               kind=KIND_MED)
+        result = engine.run(request, engine="distribution-dp-truncated")
+        table = chain_table(list(request.cells), None, list(request.p_a),
+                            list(request.p_b), request.p_cin)
+        assert result.bias == fold_moments(table).mean
+
+    def test_zoo_bias_is_the_moments_fold_mean(self):
+        adder = next(a for a in named_zoo(24)
+                     if a.config_string == "aca1:24:2")
+        request = AnalysisRequest.zoo(adder.config_string, 0.3, 0.7,
+                                      kind=KIND_MED)
+        result = engine.run(request, engine="zoo-dp-truncated")
+        table = windowed_table(request.block, request.p_a, request.p_b)
+        assert result.bias == fold_moments(table).mean
 
 
 class TestExecutorSurface:

@@ -1,18 +1,9 @@
-"""Serve-facing chaos faults: engine/cache hooks, spec transport, kill."""
-
-import json
-import subprocess
-import sys
+"""Serve-facing chaos faults: the engine and cache hooks."""
 
 import pytest
 
 from repro.runtime import ChaosShim, install_chaos
-from repro.runtime.chaos import (
-    CHAOS_ENV_VAR,
-    cache_read_check,
-    engine_call_check,
-    install_chaos_from_env,
-)
+from repro.runtime.chaos import cache_read_check, engine_call_check
 
 pytestmark = pytest.mark.chaos
 
@@ -65,64 +56,3 @@ class TestCacheFaults:
             cache_read_check("c.json")
         assert shim.cache_faults_injected == 1
         assert shim.cache_reads_seen == 3
-
-
-class TestSpecTransport:
-    def test_round_trip_keeps_only_non_defaults(self):
-        shim = ChaosShim(engine_fail_every=5, engine_delay_s=0.1,
-                         kill_after_batches=7)
-        spec = shim.to_spec()
-        assert spec == {"engine_fail_every": 5, "engine_delay_s": 0.1,
-                        "kill_after_batches": 7}
-        clone = ChaosShim.from_spec(spec)
-        assert clone.engine_fail_every == 5
-        assert clone.kill_after_batches == 7
-
-    def test_default_shim_serialises_empty(self):
-        assert ChaosShim().to_spec() == {}
-
-    def test_unknown_fields_are_rejected(self):
-        with pytest.raises(ValueError, match="unknown chaos spec"):
-            ChaosShim.from_spec({"engine_fail_evry": 1})
-
-    def test_env_install(self):
-        from repro.runtime import chaos as chaos_mod
-
-        previous = chaos_mod._active
-        try:
-            spec = json.dumps({"cache_read_fail_every": 1})
-            shim = install_chaos_from_env({CHAOS_ENV_VAR: spec})
-            assert shim is not None
-            assert chaos_mod.get_chaos() is shim
-            with pytest.raises(OSError):
-                cache_read_check("x")
-        finally:
-            chaos_mod._active = previous
-
-    def test_env_install_without_variable_is_inert(self):
-        assert install_chaos_from_env({}) is None
-        assert install_chaos_from_env({CHAOS_ENV_VAR: "  "}) is None
-
-
-class TestKillAfterBatches:
-    def test_sigkills_the_process_on_the_nth_dispatch(self):
-        # SIGKILL is uncatchable, so prove it on a sacrificial child.
-        code = (
-            "import json, os\n"
-            f"os.environ[{CHAOS_ENV_VAR!r}] = json.dumps("
-            "{'kill_after_batches': 2})\n"
-            "from repro.runtime.chaos import (engine_call_check,\n"
-            "                                 install_chaos_from_env)\n"
-            "install_chaos_from_env()\n"
-            "engine_call_check('one')\n"
-            "print('survived first dispatch', flush=True)\n"
-            "engine_call_check('two')\n"
-            "print('UNREACHABLE', flush=True)\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == -9  # killed by SIGKILL
-        assert "survived first dispatch" in proc.stdout
-        assert "UNREACHABLE" not in proc.stdout

@@ -7,9 +7,7 @@
   well-formed request;
 * every ``Retry-After`` the server emits is positive and finite;
 * an open circuit breaker answers 503 with Retry-After instead of
-  queueing doomed work, and closes again after the engine recovers;
-* ``/metrics?format=state`` (the supervisor's scrape format) merges
-  losslessly into a fresh registry.
+  queueing doomed work, and closes again after the engine recovers.
 """
 
 from __future__ import annotations
@@ -209,33 +207,6 @@ class TestAdmissionOverHttp:
             retry_after = float(response.getheader("Retry-After"))
             assert math.isfinite(retry_after) and retry_after > 0
             assert "rate limit" in doc["error"]["message"]
-            conn.close()
-        finally:
-            server.stop()
-
-
-class TestStateScrapeFormat:
-    def test_state_merges_losslessly(self):
-        server = _start(ServeConfig(port=0, batch_window_s=0.002))
-        try:
-            conn = http.client.HTTPConnection("127.0.0.1", server.port,
-                                              timeout=30)
-            for _ in range(3):
-                response, _ = _post(conn, "/v1/analyze",
-                                    {"cell": "LPAA 1", "width": 4})
-                assert response.status == 200
-            conn.request("GET", "/metrics?format=state")
-            response = conn.getresponse()
-            doc = json.loads(response.read().decode())
-            assert set(doc) == {"state", "service"}
-            assert doc["service"]["served"] == 3
-
-            merged = _metrics.MetricsRegistry()
-            merged.merge_state(doc["state"])
-            merged.merge_state(doc["state"])  # a second "worker"
-            snapshot = merged.snapshot()
-            assert (snapshot["counters"]["serve.http.analyze.requests"]
-                    == 2 * 3)
             conn.close()
         finally:
             server.stop()
