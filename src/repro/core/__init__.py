@@ -28,6 +28,7 @@ from .adder_zoo import (
     truncated_prefix_spec,
     windowed_add,
     windowed_add_array,
+    windowed_add_planes,
     windowed_error_moments,
     windowed_error_pmf,
     windowed_error_probability,
@@ -163,6 +164,7 @@ __all__ = [
     "truncated_prefix_spec",
     "windowed_add",
     "windowed_add_array",
+    "windowed_add_planes",
     "windowed_error_moments",
     "windowed_error_pmf",
     "windowed_error_probability",

@@ -26,11 +26,13 @@ code change:
   (error law, guarded), :func:`windowed_error_moments`,
   :func:`windowed_worst_case_error` (any width) and
   :func:`windowed_joint_error_pmf` (``(D, exact)`` law for MRED).
-* Bit-true functional models (:func:`windowed_add`,
-  :func:`windowed_add_array`); the weighted enumeration oracle the DPs
-  are cross-validated against,
+* Bit-true functional models: the scalar :func:`windowed_add`, the
+  bit-sliced kernel :func:`windowed_add_planes` over packed bit planes
+  (:mod:`repro.core.bitplanes`; ``zoo-mc`` feeds it straight from its
+  draws) and its int64 wrapper :func:`windowed_add_array`; the
+  weighted enumeration oracle the DPs are cross-validated against,
   :func:`repro.simulation.exhaustive.windowed_exhaustive_quality`,
-  runs every operand pair through the array model.
+  runs every operand pair through the wrapper.
 * Parallel-prefix graphs (:func:`prefix_levels`) for Brent-Kung,
   Kogge-Stone, Sklansky and Ladner-Fischer, truncated at a chosen level
   count to produce AxPPA-style approximate prefix adders
@@ -66,6 +68,7 @@ from typing import (
 import numpy as np
 
 from .adders import LOA_GEN, LOA_OR
+from .bitplanes import planes_to_values, values_to_planes
 from .exceptions import AnalysisError
 from .magnitude import (
     DEFAULT_MAX_ENTRIES,
@@ -196,26 +199,62 @@ def windowed_add(spec: WindowedAdderSpec, a: int, b: int) -> int:
     return result | (carry << n)
 
 
+def windowed_add_planes(
+    spec: WindowedAdderSpec, a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """The bit-sliced windowed kernel over packed bit planes.
+
+    *a* and *b* are ``(N, bytes)`` uint8 planes
+    (:mod:`repro.core.bitplanes`); returns the ``(N + 1, bytes)`` result
+    planes.  Result bit *i* is ``a_i ^ b_i`` XOR the carry into bit *i*
+    of the window ``[lows[i], i]``; each window's carry ripples as
+    ``g | (p & c)`` from its low bit (carry-in 0) until the last bit
+    that reads it.  Every lane equals :func:`windowed_add` on its
+    operands; padding lanes are undefined.
+    """
+    n = spec.width
+    if a.shape != b.shape or a.shape[0] != n:
+        raise AnalysisError(
+            f"need {n} operand planes each, got {a.shape} and {b.shape}"
+        )
+    generate, propagate = a & b, a ^ b
+    last_read = {low: j for j, low in enumerate(spec.lows)}  # last j wins
+    last_read[spec.carry_low] = n
+    carries: Dict[int, Optional[np.ndarray]] = {}   # None: carry 0
+    out = np.empty((n + 1,) + a.shape[1:], dtype=a.dtype)
+    for i in range(n):
+        if i in last_read:     # a window [i, ...] starts with carry 0
+            carries[i] = None
+        carry = carries[spec.lows[i]]
+        out[i] = propagate[i] if carry is None else propagate[i] ^ carry
+        for low in list(carries):
+            if last_read[low] == i:
+                del carries[low]
+            else:
+                c = carries[low]
+                carries[low] = (generate[i] if c is None
+                                else generate[i] | (propagate[i] & c))
+    carry = carries[spec.carry_low]
+    out[n] = np.zeros_like(a[0]) if carry is None else carry
+    return out
+
+
 def windowed_add_array(
     spec: WindowedAdderSpec, a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
     """Vectorised :func:`windowed_add` over NumPy int64 arrays
-    (broadcasting allowed)."""
+    (broadcasting allowed): a thin wrapper that sends the operands
+    through :func:`windowed_add_planes`."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     n = spec.width
     if (a < 0).any() or (b < 0).any() or (a >= 1 << n).any() \
             or (b >= 1 << n).any():
         raise AnalysisError(f"operands must be in [0, 2^{n})")
-    result = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-    for i, low in enumerate(spec.lows):
-        window_mask = (1 << (i - low + 1)) - 1
-        window_sum = ((a >> low) & window_mask) + ((b >> low) & window_mask)
-        result |= ((window_sum >> (i - low)) & 1) << i
-    carry_mask = (1 << (n - spec.carry_low)) - 1
-    carry_sum = ((a >> spec.carry_low) & carry_mask) \
-        + ((b >> spec.carry_low) & carry_mask)
-    return result | (((carry_sum >> (n - spec.carry_low)) & 1) << n)
+    a, b = np.broadcast_arrays(a, b)
+    planes = windowed_add_planes(spec, values_to_planes(a.ravel(), n),
+                                 values_to_planes(b.ravel(), n))
+    return planes_to_values(planes, a.size).reshape(a.shape)
 
 
 # --------------------------------------------------------------------------
@@ -319,7 +358,7 @@ def windowed_error_pmf(
     :class:`~repro.core.exceptions.SupportLimitError` with the stage).
     """
     return fold_sparse(windowed_table(spec, p_a, p_b),
-                       max_entries=max_entries)
+                       max_entries=max_entries).as_dict()
 
 
 def windowed_error_moments(
@@ -356,7 +395,7 @@ def windowed_joint_error_pmf(
     behaviour as :func:`repro.core.magnitude.joint_error_pmf`).
     """
     return fold_sparse(windowed_table(spec, p_a, p_b), joint=True,
-                       max_entries=max_entries)
+                       max_entries=max_entries).as_dict()
 
 
 # --------------------------------------------------------------------------

@@ -42,7 +42,17 @@ the message.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -297,6 +307,37 @@ def fold_law(
 # Fold 2: the sparse-key law
 # --------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class SparseLaw:
+    """:func:`fold_sparse`'s law as arrays, ascending in ``(delta, value)``.
+
+    ``deltas`` (and, for a joint law, the exact sums ``values``) are
+    int64, or Python ints in object arrays past the int64 range;
+    ``probs`` holds the positive float64 masses.  Engines reduce the
+    arrays directly; the public entry points turn them into dicts at the
+    boundary (:meth:`as_dict`).
+    """
+
+    deltas: np.ndarray
+    probs: np.ndarray
+    values: Optional[np.ndarray] = None
+
+    def as_dict(self) -> Dict:
+        """``{delta: prob}``, or ``{(delta, value): prob}`` when joint."""
+        deltas, probs = self.deltas.tolist(), self.probs.tolist()
+        if self.values is None:
+            return dict(zip(deltas, probs))
+        return dict(zip(zip(deltas, self.values.tolist()), probs))
+
+    def marginal(self) -> Dict[int, float]:
+        """``{delta: prob}``: each delta's masses summed one by one in
+        key order (``np.bincount``), ascending."""
+        uniques, inverse = np.unique(self.deltas, return_inverse=True)
+        masses = np.bincount(inverse, weights=self.probs,
+                             minlength=uniques.size)
+        return dict(zip(uniques.tolist(), masses.tolist()))
+
+
 def _quantized(delta: np.ndarray, bits: int) -> np.ndarray:
     """Round every delta toward zero to *bits* significant binary digits."""
     mag = np.abs(delta)
@@ -314,7 +355,7 @@ def fold_sparse(
     joint: bool = False,
     quant_bits: Optional[int] = None,
     max_entries: int = DEFAULT_MAX_ENTRIES,
-) -> Dict:
+) -> SparseLaw:
     """The law of ``D``, or with *joint* of ``(D, exact sum)``, on keys.
 
     One integer key per ``(state, delta[, value])``.  Each stage shifts
@@ -325,8 +366,8 @@ def fold_sparse(
     that many significant bits before the merge: mass is never dropped,
     so the law still sums to 1.
 
-    Returns ``{delta: prob}`` or ``{(delta, value): prob}``, positive
-    mass only, ascending.
+    Returns the positive-mass entries as a :class:`SparseLaw`,
+    ascending in ``(delta, value)``.
     """
     n = table.width
     bias = 1 << (n + 2)                  # |partial delta| < 2^(n+2)
@@ -360,12 +401,10 @@ def fold_sparse(
         _check_support(table, "joint (D, exact)" if joint else "error",
                        int(keys.size), max_entries, min(i, n - 1))
     keep = probs > 0.0
-    keys, masses = keys[keep], probs[keep].tolist()
-    deltas = ((keys >> d_shift) - bias).tolist()
-    if not joint:
-        return dict(zip(deltas, masses))
-    values = (keys & ((1 << d_shift) - 1)).tolist()
-    return dict(zip(zip(deltas, values), masses))
+    keys = keys[keep]
+    return SparseLaw(
+        deltas=(keys >> d_shift) - bias, probs=probs[keep],
+        values=(keys & ((1 << d_shift) - 1)) if joint else None)
 
 
 # --------------------------------------------------------------------------
@@ -584,14 +623,26 @@ def joint_error_pmf(
     Returns ``{(delta, exact_sum): probability}``.
     """
     return fold_sparse(chain_table(cell, width, p_a, p_b, p_cin),
-                       joint=True, max_entries=max_entries)
+                       joint=True, max_entries=max_entries).as_dict()
 
 
 def relative_error_from_joint(
-    joint: Dict[Tuple[int, int], float]
+    joint: Union[SparseLaw, Mapping[Tuple[int, int], float]]
 ) -> float:
-    """MRED ``E[|D| / max(exact, 1)]`` from a :func:`joint_error_pmf`."""
-    return float(sum(
-        abs(delta) / float(max(value, 1)) * prob
-        for (delta, value), prob in joint.items()
-    ))
+    """MRED ``E[|D| / max(exact, 1)]`` from a joint law: the fold's
+    :class:`SparseLaw` or a :func:`joint_error_pmf` dict.
+
+    The terms ``|d| / max(v, 1) * p`` are summed one by one in key
+    order (``np.cumsum``), the order of a plain loop over the dict.
+    """
+    if not isinstance(joint, SparseLaw):
+        keys = list(joint)
+        joint = SparseLaw(
+            deltas=np.array([d for d, _ in keys]),
+            values=np.array([v for _, v in keys]),
+            probs=np.array(list(joint.values()), dtype=np.float64))
+    if not joint.probs.size:
+        return 0.0
+    terms = (np.abs(joint.deltas).astype(np.float64)
+             / np.maximum(joint.values, 1).astype(np.float64) * joint.probs)
+    return float(np.cumsum(terms)[-1])

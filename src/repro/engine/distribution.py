@@ -53,6 +53,7 @@ import numpy as np
 from ..core.exceptions import AnalysisError
 from ..core.magnitude import (
     ErrorLaw,
+    SparseLaw,
     chain_table,
     fold_extremes,
     fold_law,
@@ -163,15 +164,38 @@ def _pmf_fields(
 
 
 def _joint_fields(
-    joint: Dict[Tuple[int, int], float], request: AnalysisRequest
+    joint: SparseLaw, request: AnalysisRequest
 ) -> Tuple[Dict[str, object], float]:
-    """:func:`_pmf_fields` plus MRED from a joint ``(delta, exact)`` law."""
-    pmf: Dict[int, float] = {}
-    for (delta, _value), prob in joint.items():
-        pmf[delta] = pmf.get(delta, 0.0) + prob
-    fields, error_rate = _pmf_fields(pmf, request)
+    """:func:`_pmf_fields` plus MRED from the fold's joint
+    ``(delta, exact)`` arrays: the marginal PMF is one ``np.bincount``
+    and MRED one vectorised sum, no loop over the joint entries."""
+    fields, error_rate = _pmf_fields(joint.marginal(), request)
     fields["mred"] = relative_error_from_joint(joint)
     return fields, error_rate
+
+
+#: Kinds an error-free adder answers with exact zeros, without a fold:
+#: their DP supports grow with width (``wce`` is linear already).
+ZERO_KINDS = (KIND_ERROR_DISTRIBUTION, KIND_MED, KIND_MRED)
+
+
+def _zero_answer(request: AnalysisRequest) -> bool:
+    """The DP rung answers *request* with exact zeros, no fold."""
+    return request.kind in ZERO_KINDS and request.is_error_free
+
+
+def _error_free_result(
+    request: AnalysisRequest, engine: str
+) -> AnalysisResult:
+    """The exact answer for an error-free adder: ``D = 0`` surely."""
+    fields: Dict[str, object] = {
+        "med": 0.0, "nmed": 0.0, "mse": 0.0, "wce": 0, "bias": 0.0,
+    }
+    if request.kind == KIND_MRED:
+        fields["mred"] = 0.0
+    if request.kind == KIND_ERROR_DISTRIBUTION:
+        fields["distribution"] = ((0, 1.0),)
+    return _result(request, engine, True, 0.0, **fields)
 
 
 def _law_fields(
@@ -197,11 +221,16 @@ def run_distribution_dp(
 ) -> AnalysisResult:
     """Exact error-magnitude DP (full PMF / joint MRED / interval WCE).
 
-    Raises :class:`~repro.core.exceptions.SupportLimitError` when the
+    An error-free chain (every cell accurate) answers ``med``, ``mred``
+    and ``error_distribution`` with exact zeros at any width, no fold.
+    Otherwise it raises
+    :class:`~repro.core.exceptions.SupportLimitError` when the
     requested kind's DP support outgrows its guard -- the ladder's
     ``width_limits`` (:func:`repro.engine.executor.select_engine`) exist
     so un-forced callers never see that.
     """
+    if _zero_answer(request):
+        return _error_free_result(request, "distribution-dp")
     table = chain_table(list(request.cells), None, list(request.p_a),
                         list(request.p_b), request.p_cin)
     if request.kind == KIND_WCE:
@@ -249,7 +278,8 @@ def run_distribution_dp_truncated(
     args = (list(request.cells), None, list(request.p_a),
             list(request.p_b), request.p_cin)
     fields, error_rate = _pmf_fields(
-        fold_sparse(pair_table(*args), quant_bits=QUANT_BITS), request)
+        fold_sparse(pair_table(*args), quant_bits=QUANT_BITS).as_dict(),
+        request)
     # A sum over quantised deltas up to 2^(N+1) cancels inexactly; the
     # linear moments fold gives E[D] exactly.
     fields["bias"] = fold_moments(chain_table(*args)).mean
@@ -378,9 +408,12 @@ def _dp_cost(request: AnalysisRequest) -> float:
     worst LPAA 1-7 timings on a 2-vCPU Xeon: 0.6 ms at width 8, 3 ms at
     12, and at 16 12 ms for ``med`` and 66 ms for
     ``error_distribution`` (estimate: 2.2, 7 and 70 ms).  The joint
-    MRED DP is far costlier per width and is not modelled here.
+    MRED DP is far costlier per width and is not modelled here.  An
+    error-free chain's zero answer is linear.
     """
     width = request.width
+    if _zero_answer(request):
+        return float(width)     # one structural check per bit
     return 500.0 * width + 2.0 * min(2.0 ** width, 2.0e6)
 
 

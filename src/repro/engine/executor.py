@@ -95,7 +95,8 @@ def _misfit(
     if not info.accepts(request):
         return "cannot serve this request"
     limit = info.width_limits.get(request.kind)
-    if limit is not None and request.width > limit:
+    if limit is not None and request.width > limit \
+            and not request.is_error_free:
         return f"width {request.width} exceeds its support guard ({limit})"
     cost = info.cost_estimate(request)
     if info.block_cases is not None and cost > info.block_cases:
@@ -129,7 +130,9 @@ def select_engine(
     none, the cheapest exact engine of any family).  From there it
     follows ``EngineInfo.degrades_to[kind]`` while the rung does not
     fit: it refuses the request, the width passes its
-    ``width_limits[kind]``, its cost passes ``block_cases``, an exact
+    ``width_limits[kind]`` (which bound a DP's support, so an
+    error-free adder, whose support is ``{0}``, passes them at any
+    width), its cost passes ``block_cases``, an exact
     simulation's cost passes the budget's ``max_cases``, or the cost
     passes ``deadline_s * OPS_PER_SECOND``.
     A rung without a ``degrades_to`` entry for the kind is final.

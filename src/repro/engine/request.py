@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Tuple, Union
 
 from ..core.exceptions import AnalysisError
-from ..core.truth_table import FullAdderTruthTable
+from ..core.truth_table import ACCURATE, FullAdderTruthTable
 
 #: Request kinds understood by the registry.
 KIND_CHAIN = "chain"
@@ -94,6 +94,16 @@ class AnalysisRequest:
         if self.kind == KIND_CHAIN or self.kind in DISTRIBUTION_KINDS:
             return len(self.cells)
         return len(self.operands[0]) if self.operands else 0
+
+    @property
+    def is_error_free(self) -> bool:
+        """The adder is exact by structure: a block whose every window
+        reaches bit 0 (``WindowedAdderSpec.is_exact``), or a chain whose
+        every cell has the accurate truth table."""
+        if self.block is not None:
+            return bool(self.block.is_exact)  # type: ignore[attr-defined]
+        return bool(self.cells) and all(
+            table.rows == ACCURATE.rows for table in self.cells)
 
     @property
     def cell_names(self) -> Tuple[str, ...]:

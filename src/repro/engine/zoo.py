@@ -23,8 +23,9 @@ built on the monotone-carry-cut DP of :mod:`repro.core.adder_zoo`:
   (:func:`~repro.simulation.exhaustive.windowed_exhaustive_quality`,
   the chain oracle's enumerator without a carry-in axis),
   width-guarded.
-* ``zoo-mc`` -- seeded operand sampling through
-  :func:`~repro.core.adder_zoo.windowed_add_array`; its results come
+* ``zoo-mc`` -- seeded operand sampling: the Boolean draws go straight
+  to bit planes and through
+  :func:`~repro.core.adder_zoo.windowed_add_planes`; its results come
   from ``distribution-mc``'s builder, intervals included.
 
 Engine selection walks the same ladder as every other request
@@ -42,9 +43,10 @@ import numpy as np
 
 from ..core.adder_zoo import (
     WindowedAdderSpec,
-    windowed_add_array,
+    windowed_add_planes,
     windowed_table,
 )
+from ..core.bitplanes import bits_to_planes, planes_to_values
 from ..core.exceptions import AnalysisError
 from ..core.magnitude import (
     fold_extremes,
@@ -55,11 +57,13 @@ from ..core.magnitude import (
 from .distribution import (
     MC_DEFAULT_SAMPLES,
     QUANT_BITS,
+    _error_free_result,
     _exhaustive_result,
     _joint_fields,
     _pmf_fields,
     _result,
     _sampled_result,
+    _zero_answer,
 )
 from .registry import (
     FAMILY_ANALYTICAL,
@@ -110,10 +114,15 @@ def run_zoo_dp(
 ) -> AnalysisResult:
     """Exact monotone-carry-cut DP over the request's windowed spec.
 
-    Raises :class:`~repro.core.exceptions.SupportLimitError` when the
+    An exact spec (``WindowedAdderSpec.is_exact``) answers ``med``,
+    ``mred`` and ``error_distribution`` with exact zeros at any width,
+    no fold.  Otherwise it raises
+    :class:`~repro.core.exceptions.SupportLimitError` when the
     kind's DP support outgrows its guard; the router rungs exist so
     un-forced callers never see that.
     """
+    if _zero_answer(request):
+        return _error_free_result(request, "zoo-dp")
     table = windowed_table(_block(request), request.p_a, request.p_b)
     if request.kind == KIND_CHAIN:
         return _result(request, "zoo-dp", True, 1.0 - fold_success(table))
@@ -127,7 +136,8 @@ def run_zoo_dp(
         fields, error_rate = _joint_fields(
             fold_sparse(table, joint=True), request)
     else:
-        fields, error_rate = _pmf_fields(fold_sparse(table), request)
+        fields, error_rate = _pmf_fields(fold_sparse(table).as_dict(),
+                                         request)
     return _result(request, "zoo-dp", True, error_rate, **fields)
 
 
@@ -152,7 +162,7 @@ def run_zoo_dp_truncated(
         return run_zoo_dp(request, **options)
     table = windowed_table(_block(request), request.p_a, request.p_b)
     fields, error_rate = _pmf_fields(
-        fold_sparse(table, quant_bits=QUANT_BITS), request)
+        fold_sparse(table, quant_bits=QUANT_BITS).as_dict(), request)
     fields["bias"] = fold_moments(table).mean
     return _result(request, "zoo-dp-truncated", False, error_rate,
                    **fields)
@@ -173,10 +183,14 @@ def run_zoo_exhaustive(
 def _sample_operands(
     probs: Tuple[float, ...], samples: int, rng: np.random.Generator
 ) -> np.ndarray:
-    values = np.zeros(samples, dtype=np.int64)
+    """Operand bit planes from N per-bit ``rng.random(samples)`` draws
+    in turn (bit-major), each compared into its row of one Boolean
+    matrix through one reused draw buffer."""
+    bits = np.empty((len(probs), samples), dtype=bool)
+    draw = np.empty(samples)
     for i, p in enumerate(probs):
-        values |= (rng.random(samples) < p).astype(np.int64) << i
-    return values
+        np.less(rng.random(out=draw), p, out=bits[i])
+    return bits_to_planes(bits)
 
 
 def run_zoo_mc(
@@ -194,8 +208,19 @@ def run_zoo_mc(
     rng = np.random.default_rng(int(options.get("seed", 0)))  # type: ignore[arg-type]
     a = _sample_operands(request.p_a, samples, rng)
     b = _sample_operands(request.p_b, samples, rng)
-    return _sampled_result(request, "zoo-mc", windowed_add_array(spec, a, b),
-                           a + b)
+    approx = planes_to_values(windowed_add_planes(spec, a, b), samples)
+    return _sampled_result(
+        request, "zoo-mc", approx,
+        planes_to_values(a, samples) + planes_to_values(b, samples))
+
+
+def _dp_cost(request: AnalysisRequest) -> float:
+    """``zoo-dp`` work: the cut DP's support grows like ``2^width``,
+    except for an exact spec's zero answer, which is linear."""
+    width = request.width
+    if _zero_answer(request):
+        return float(width)     # one structural check per bit
+    return 8.0 * width * min(2.0 ** width, 4.0e6)
 
 
 def register_zoo_engines() -> None:
@@ -206,8 +231,7 @@ def register_zoo_engines() -> None:
         name="zoo-dp", family=FAMILY_ANALYTICAL,
         request_kinds=ZOO_KINDS, exact=True, deterministic=True,
         run=run_zoo_dp, supports_block=True,
-        cost_estimate=lambda request: (
-            8.0 * request.width * min(2.0 ** request.width, 4.0e6)),
+        cost_estimate=_dp_cost,
         # ``chain`` and ``wce`` have no entry: their DPs are linear-time
         # exact at any width.  ``mred`` skips the truncated rung.
         width_limits={KIND_ERROR_DISTRIBUTION: ZOO_EXACT_MAX_WIDTH,
@@ -246,5 +270,5 @@ def register_zoo_engines() -> None:
         max_width=ZOO_MC_MAX_WIDTH, default_samples=MC_DEFAULT_SAMPLES,
         cost_estimate=lambda request: float(MC_DEFAULT_SAMPLES),
         description="seeded operand sampling through "
-                    "windowed_add_array with Wilson/normal intervals",
+                    "windowed_add_planes with Wilson/normal intervals",
     ))

@@ -25,9 +25,11 @@ Engine dispatch is additionally wrapped in a
 :class:`~repro.runtime.breaker.CircuitBreaker` (``breaker_failures``
 consecutive dispatch failures open it; 503 + ``Retry-After`` upstream
 while open; a ``SupportLimitError`` is a typed refusal, not a failure)
-and a failed *multi-request* batch is isolated: each member re-runs
-alone, so one poisoned request costs only its own client its answer
-instead of failing every batch-mate.
+and a failed batch is isolated: each member re-runs alone once, so one
+poisoned request costs only its own client its answer instead of
+failing every batch-mate, and a transient fault does not fail a request
+that was dispatched alone.  A solo batch refused with
+``SupportLimitError`` is deterministic and goes straight to its 422.
 
 Obs metrics: ``serve.enqueued`` / ``serve.shed`` / ``serve.expired`` /
 ``serve.batches`` / ``serve.batched_requests`` /
@@ -465,15 +467,19 @@ class AnalysisService:
             with _metrics.timed("serve.batch_seconds"):
                 results = await loop.run_in_executor(None, runner)
         except Exception as exc:  # engine bug: fail the batch, not the server
-            self._record_error(exc)
             log_event(_logger, "serve.batch.failed",
                       size=len(live), error=repr(exc))
+            if len(live) == 1 and isinstance(exc, SupportLimitError):
+                # Deterministic: a re-run would refuse it again (422).
+                self._record_error(exc)
+                if not live[0].future.done():
+                    live[0].future.set_exception(exc)
+                return
             if len(live) > 1:
-                await self._isolate_batch(live)
-            else:
-                for pending in live:
-                    if not pending.future.done():
-                        pending.future.set_exception(exc)
+                # A solo batch's outcome is its re-run's, recorded there,
+                # so one request does not count twice against the breaker.
+                self._record_error(exc)
+            await self._isolate_batch(live)
             return
         if any(result is not None for result in results):
             self.breaker.record_success()
@@ -515,11 +521,13 @@ class AnalysisService:
             self.breaker.record_failure()
 
     async def _isolate_batch(self, live: List[_Pending]) -> None:
-        """Re-run each member of a failed multi-request batch alone.
+        """Re-run each member of a failed batch alone.
 
         One poisoned request must cost exactly one client its request;
         batch-mates that happened to share the micro-batch get their
-        answers from a solo re-dispatch.  Each re-run records its own
+        answers from a solo re-dispatch, and so does the member of a
+        failed solo batch, so a transient fault does not fail a request
+        that happened to arrive alone.  Each re-run records its own
         breaker outcome, so a genuinely sick engine still accumulates a
         failure streak while a single bad request does not.
         """

@@ -23,7 +23,12 @@ from .exhaustive import (
     exhaustive_report,
     windowed_exhaustive_quality,
 )
-from .functional import exact_add, ripple_add, ripple_add_array
+from .functional import (
+    exact_add,
+    ripple_add,
+    ripple_add_array,
+    ripple_add_planes,
+)
 from .montecarlo import (
     PAPER_SAMPLE_COUNT,
     MonteCarloResult,
@@ -34,6 +39,7 @@ from .montecarlo import (
 __all__ = [
     "ripple_add",
     "ripple_add_array",
+    "ripple_add_planes",
     "exact_add",
     "exhaustive_error_probability",
     "exhaustive_error_count",

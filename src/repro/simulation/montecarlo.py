@@ -33,9 +33,11 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.exceptions import AnalysisError
+from ..core.bitplanes import bits_to_planes, planes_to_values
+from ..core.exceptions import AnalysisError, ChainLengthError
 from ..core.probability import float_probability_vector
 from ..core.recursive import CellSpec, resolve_chain
+from ..core.truth_table import ACCURATE
 from ..core.types import Probability, validate_probability
 from ..obs import metrics as _metrics
 from ..obs.log import Progress, ProgressCallback, get_logger, log_event
@@ -51,7 +53,7 @@ from ..runtime.checkpoint import (
     rng_state_to_jsonable,
     save_checkpoint,
 )
-from .functional import ripple_add_array
+from .functional import ripple_add_planes
 
 #: Sample count used throughout the paper's inequiprobable validation.
 PAPER_SAMPLE_COUNT = 1_000_000
@@ -80,16 +82,20 @@ def _sample_operands(
     probs: Sequence[float],
     samples: int,
 ) -> np.ndarray:
-    """Draw operand values with independent per-bit one-probabilities.
+    """Draw operands with independent per-bit one-probabilities, as planes.
 
     One ``(samples, nbits)`` uniform draw compared against the per-bit
-    probabilities, then packed into integers with a bit-weight matmul --
-    no Python-level per-bit loop.
+    probabilities; its contiguous transpose packs to the bit planes
+    :func:`~repro.simulation.functional.ripple_add_planes` reads.
     """
     p = np.asarray(probs, dtype=np.float64)
-    bits = rng.random((samples, p.size)) < p
-    weights = np.left_shift(np.int64(1), np.arange(p.size, dtype=np.int64))
-    return bits @ weights
+    return bits_to_planes((rng.random((samples, p.size)) < p).T)
+
+
+def _sample_carry(rng: np.random.Generator, pc: float,
+                  samples: int) -> np.ndarray:
+    """One carry-in draw per sample, as a single plane."""
+    return bits_to_planes((rng.random(samples) < pc)[None, :])[0]
 
 
 def wilson_interval(p: float, n: int, z: float = 1.96) -> Tuple[float, float]:
@@ -171,10 +177,17 @@ def simulate_samples(
 
     Sampling is batched so arbitrarily large *samples* keep bounded
     memory; *progress* (``callback(done, total, label)``) and the INFO
-    log report batch completion at decile boundaries.
+    log report batch completion at decile boundaries.  The results are
+    int64 words, so the width is at most 62 (a wider chain raises
+    :class:`~repro.core.exceptions.ChainLengthError` rather than return
+    wrapped sums).
     """
     cells = resolve_chain(cell, width)
     n = len(cells)
+    if n > 62:
+        raise ChainLengthError(
+            f"sampled sums of a {n}-bit chain do not fit int64 words "
+            "(at most 62 bits)", length=n)
     if samples < 1:
         raise AnalysisError(f"samples must be >= 1, got {samples}")
     pa = float_probability_vector(p_a, n, "p_a")
@@ -195,9 +208,12 @@ def simulate_samples(
             with _metrics.timed("simulation.montecarlo.batch"):
                 a = _sample_operands(rng, pa, chunk)
                 b = _sample_operands(rng, pb, chunk)
-                cin = (rng.random(chunk) < pc).astype(np.int64)
-                approx_parts.append(ripple_add_array(cells, a, b, cin))
-                exact_parts.append(a + b + cin)
+                cin = _sample_carry(rng, pc, chunk)
+                approx = ripple_add_planes(cells, a, b, cin)
+                approx_parts.append(planes_to_values(approx, chunk))
+                exact_parts.append(
+                    planes_to_values(a, chunk) + planes_to_values(b, chunk)
+                    + planes_to_values(cin[None, :], chunk))
             remaining -= chunk
             reporter.update(chunk)
     reporter.finish()
@@ -264,6 +280,7 @@ def simulate_error_probability(
     pb = float_probability_vector(p_b, n, "p_b")
     pc = float(validate_probability(p_cin, "p_cin"))
 
+    exact_cells = [ACCURATE] * n
     eff_batch = _effective_batch_size(batch_size, n, budget)
     fingerprint = config_fingerprint(
         kind="montecarlo", cells=[t.name for t in cells], seed=seed,
@@ -328,9 +345,12 @@ def simulate_error_probability(
                 with _metrics.timed("simulation.montecarlo.batch"):
                     a = _sample_operands(rng, pa, chunk)
                     b = _sample_operands(rng, pb, chunk)
-                    cin = (rng.random(chunk) < pc).astype(np.int64)
-                    approx = ripple_add_array(cells, a, b, cin)
-                    errors += int((approx != (a + b + cin)).sum())
+                    cin = _sample_carry(rng, pc, chunk)
+                    wrong = np.bitwise_or.reduce(
+                        ripple_add_planes(cells, a, b, cin)
+                        ^ ripple_add_planes(exact_cells, a, b, cin), axis=0)
+                    errors += int(np.unpackbits(
+                        wrong, count=chunk, bitorder="little").sum())
                 done += chunk
                 progressed = True
                 meter.charge(samples=chunk)

@@ -9,7 +9,9 @@ questions through it, so failed micro-batches go through the service's
 solo re-dispatch as they do under real concurrent load.  Every answer
 a client accepts must be bit-identical to the answer of a chaos-free
 server, and after the clients' retries the residual error rate must
-stay under 10%.
+stay under 10%.  One sequential client, whose every micro-batch is a
+batch of one, must see no failure at all: a failed solo batch gets the
+same one re-run as batch-mates do.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ def _docs():
     return [pool[k % len(pool)] for k in range(REQUESTS)]
 
 
-def _answers(config, docs, client_kwargs):
+def _answers(config, docs, client_kwargs, threads=CLIENT_THREADS):
     """Per doc: the accepted answer document, or ``None`` on failure."""
     server = AnalysisServer(config)
     base_url = server.start()
@@ -64,10 +66,9 @@ def _answers(config, docs, client_kwargs):
                     answers[index] = None
         return answers
 
-    shards = [range(k, len(docs), CLIENT_THREADS)
-              for k in range(CLIENT_THREADS)]
+    shards = [range(k, len(docs), threads) for k in range(threads)]
     try:
-        with ThreadPoolExecutor(CLIENT_THREADS) as pool:
+        with ThreadPoolExecutor(threads) as pool:
             merged = {}
             for answers in pool.map(ask, shards):
                 merged.update(answers)
@@ -99,3 +100,15 @@ def test_accepted_answers_match_a_chaos_free_server(tmp_path):
         assert answer == expected
     failed = len(docs) - len(accepted)
     assert failed / len(docs) < 0.10
+
+
+def test_a_lone_client_loses_no_request_to_transient_faults():
+    # Every batch is a batch of one; each failed dispatch must be
+    # re-run by the service, never surface as a (non-retried) 500.
+    docs = _docs()
+    shim = ChaosShim(engine_fail_every=7)
+    with install_chaos(shim):
+        answers = _answers(ServeConfig(port=0), docs,
+                           {"total_deadline_s": 10.0}, threads=1)
+    assert shim.engine_faults_injected > 0
+    assert sum(answer is None for answer in answers) == 0
