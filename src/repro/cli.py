@@ -987,12 +987,16 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["error_distribution", "med", "mred", "wce"],
         help="which view of the error law to compute (default med)",
     )
+    magnitude = [info for info in map(engine.REGISTRY.get,
+                                      engine.REGISTRY.names())
+                 if engine.KIND_MED in info.request_kinds]
+    chains, blocks = (
+        ", ".join(info.name for info in magnitude
+                  if info.supports_block == block)
+        for block in (False, True))
     p.add_argument(
         "--engine", default=None,
-        help="force a backend: distribution-dp, "
-             "distribution-dp-truncated, distribution-exhaustive, "
-             "distribution-mc, or for --adder blocks zoo-dp, "
-             "zoo-dp-truncated, zoo-exhaustive, zoo-mc "
+        help=f"force a backend: {chains}, or for --adder blocks {blocks} "
              "(default: routed)",
     )
     p.add_argument("--samples", type=int, default=None,

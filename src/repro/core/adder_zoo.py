@@ -46,8 +46,9 @@ code change:
 
 Chain-shaped members (LOA and friends) build plain cell tuples and ride
 the existing engines, caches and batch executor untouched; windowed
-members are served by the ``zoo-*`` engine family
-(:mod:`repro.engine.zoo`).  Every zoo adder adds with carry-in 0 (the
+members are served by the error-magnitude ladder the chains use, under
+its ``zoo-*`` engine names (:mod:`repro.engine.distribution`).  Every
+zoo adder adds with carry-in 0 (the
 reference is ``a + b``), matching the published designs.
 
 Layering: this module sits in ``core`` and never imports the engine.

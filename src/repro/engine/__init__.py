@@ -86,18 +86,12 @@ from .backends import register_builtin_engines
 from .distribution import (
     DIST_EXACT_MAX_WIDTH,
     DIST_TRUNCATED_MAX_WIDTH,
+    MC_MAX_WIDTH,
     MRED_EXACT_MAX_WIDTH,
     QUANT_BITS,
     register_distribution_engines,
 )
 from .executor import error_curves, run, run_batch, select_engine
-from .zoo import (
-    ZOO_EXACT_MAX_WIDTH,
-    ZOO_MC_MAX_WIDTH,
-    ZOO_MRED_EXACT_MAX_WIDTH,
-    ZOO_TRUNCATED_MAX_WIDTH,
-    register_zoo_engines,
-)
 
 __all__ = [
     "AnalysisRequest",
@@ -121,6 +115,7 @@ __all__ = [
     "DISTRIBUTION_KINDS",
     "DIST_EXACT_MAX_WIDTH",
     "DIST_TRUNCATED_MAX_WIDTH",
+    "MC_MAX_WIDTH",
     "MRED_EXACT_MAX_WIDTH",
     "QUANT_BITS",
     "KIND_CHAIN",
@@ -138,12 +133,7 @@ __all__ = [
     "METRIC_P_ERROR",
     "METRIC_P_SUCCESS",
     "METRIC_WCE",
-    "ZOO_EXACT_MAX_WIDTH",
-    "ZOO_MC_MAX_WIDTH",
-    "ZOO_MRED_EXACT_MAX_WIDTH",
-    "ZOO_TRUNCATED_MAX_WIDTH",
     "register_distribution_engines",
-    "register_zoo_engines",
     "REGISTRY",
     "clear_cache",
     "error_curves",

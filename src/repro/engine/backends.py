@@ -408,12 +408,10 @@ def register_builtin_engines() -> None:
         cost_estimate=lambda request: 200_000.0,
         description="Monte-Carlo over the functional CSA-tree model",
     ))
-    # The error-magnitude and zoo families live in their own modules;
-    # registering them here keeps "import repro.engine" the single
-    # activation point.
+    # The error-magnitude ladder (chains and windowed blocks) lives in
+    # its own module; registering it here keeps "import repro.engine"
+    # the single activation point.
     from .distribution import register_distribution_engines
-    from .zoo import register_zoo_engines
 
     register_distribution_engines()
-    register_zoo_engines()
     _REGISTERED = True

@@ -1,4 +1,4 @@
-"""Error-magnitude engines: the distribution kinds' backend family.
+"""Error-magnitude engines: one ladder over two adder shapes.
 
 The paper's engines answer one question -- word-level ``P(error)``.
 This module registers the backends that answer *how wrong* the sum is,
@@ -7,51 +7,65 @@ for the :data:`~repro.engine.request.DISTRIBUTION_KINDS` request kinds
 et al.'s block-based error statistics and Roy & Dhar's fast
 mean-error-distance analysis (PAPERS.md): propagate the error-value law
 ``D = approx - exact = sum_i e_i 2^i`` stage by stage over the
-approximate carry, ``e_i`` being each cell's local error
+approximate carry, ``e_i`` being each stage's local error
 (:mod:`repro.core.magnitude`).
 
-Four engines; the first, second and fourth are rungs of the engine
-ladder (:func:`repro.engine.executor.select_engine`), their per-kind
-``width_limits`` and ``degrades_to`` registered below:
+Both adder shapes compile to that one carry automaton: a cell chain
+(``request.cells``) through :func:`~repro.core.magnitude.chain_table`,
+a windowed block (ACA, ETA, GDA, GeAr, truncated prefix graphs; a
+:class:`~repro.core.adder_zoo.WindowedAdderSpec` in ``request.block``)
+through :func:`~repro.core.adder_zoo.windowed_table`.  So there is one
+ladder of four rungs, written once and registered under two name
+prefixes -- ``distribution-*`` for chains, ``zoo-*`` for blocks (which
+also answer the plain ``chain`` kind).  What differs by shape lives in
+one private :class:`_Shape` record per shape:
 
-* ``distribution-dp`` -- exact folds over the chain's carry table
-  (:mod:`repro.core.magnitude`): the dense law (to
-  :data:`DIST_EXACT_MAX_WIDTH` bits; MED/MSE/WCE/bias/ER come from
-  array reductions over it), the sparse joint ``(D, exact)`` law for
-  MRED (to :data:`MRED_EXACT_MAX_WIDTH` bits), and for the ``wce`` kind
-  the moments and extremes folds, exact at *any* width.
-* ``distribution-dp-truncated`` -- past the exact guard: the sparse
-  fold over the ``(approximate, exact)`` carry-pair table with every
+* ``dp`` -- exact folds over the carry table: the error PMF (to
+  :data:`DIST_EXACT_MAX_WIDTH` bits; MED/MSE/WCE/bias/ER come from it),
+  the sparse joint ``(D, exact)`` law for MRED (to
+  :data:`MRED_EXACT_MAX_WIDTH` bits), and for ``wce`` (and a block's
+  ``chain``) the moments, extremes and success folds, exact at *any*
+  width.  An error-free adder answers ``med``, ``mred`` and
+  ``error_distribution`` with exact zeros at any width, no fold.
+* ``dp-truncated`` -- past the exact guard: the sparse fold with every
   partial delta rounded to :data:`QUANT_BITS` significant bits
   (mass-preserving, bounded support at any width).  ``P(error)`` stays
-  exact (a wrong lower bit keeps the partial delta nonzero), and so
-  is ``bias`` (the chain table's moments fold, linear at any width);
-  MED/MSE/WCE drift by at most ``~width * 2^(1-QUANT_BITS)``
-  relative, so results are flagged ``exact=False``.
-* ``distribution-exhaustive`` -- the oracle: one weighted enumeration
-  pass (:func:`repro.simulation.exhaustive.exhaustive_quality`)
+  exact (a wrong lower bit keeps the partial delta nonzero; chains fold
+  the ``(approximate, exact)`` carry-pair table for that), and so is
+  ``bias`` (the moments fold, linear at any width); MED/MSE/WCE drift
+  by at most ``~width * 2^(1-QUANT_BITS)`` relative, so results are
+  flagged ``exact=False``.  MRED is not served (the joint law has no
+  mass-preserving truncation).
+* ``exhaustive`` -- the oracle: one weighted enumeration pass
+  (:func:`~repro.simulation.exhaustive.exhaustive_quality` /
+  :func:`~repro.simulation.exhaustive.windowed_exhaustive_quality`)
   reporting the PMF, MRED and bias, width-guarded like every
   exhaustive path.
-* ``distribution-mc`` -- seeded sampling
-  (:func:`repro.simulation.montecarlo.simulate_samples` +
-  :func:`repro.core.metrics.metrics_from_samples`) with a Wilson
-  interval on ER and normal-approximation intervals on MED/MRED.
+* ``mc`` -- seeded sampling through the bit-true functional model with
+  a Wilson interval on ER and normal-approximation intervals on
+  MED/MRED, to :data:`MC_MAX_WIDTH` bits.
 
-All results land in the protocol's error-magnitude fields
-(``med``/``nmed``/``mse``/``wce``/``mred``/``bias`` and, for
-``error_distribution`` requests, the full ``distribution`` PMF), so
-serve, the CLI and the result cache carry them without special cases.
+Engine selection (:func:`repro.engine.executor.select_engine`) walks the
+``width_limits`` and ``degrades_to`` registered below.  All results land
+in the protocol's error-magnitude fields (``med``/``nmed``/``mse``/
+``wce``/``mred``/``bias`` and, for ``error_distribution`` requests, the
+full ``distribution`` PMF), so serve, the CLI and the result cache carry
+them without special cases.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
+from ..core.adder_zoo import windowed_add_planes, windowed_table
+from ..core.bitplanes import bits_to_planes, planes_to_values
 from ..core.exceptions import AnalysisError
 from ..core.magnitude import (
+    CarryTable,
     ErrorLaw,
     SparseLaw,
     chain_table,
@@ -59,6 +73,7 @@ from ..core.magnitude import (
     fold_law,
     fold_moments,
     fold_sparse,
+    fold_success,
     pair_table,
     relative_error_from_joint,
 )
@@ -104,26 +119,23 @@ MRED_EXACT_MAX_WIDTH = 12
 #: width, but past ~32 bits Monte-Carlo answers faster than the DP.
 DIST_TRUNCATED_MAX_WIDTH = 32
 
+#: Sampling rungs' width guard: sampled sums are int64 words, so the
+#: operands hold at most 62 bits.  A wider magnitude question has no
+#: rung left and the router refuses it with a ``SupportLimitError``.
+MC_MAX_WIDTH = 62
+
 #: Significant bits kept per partial delta by the truncated rungs.  Mass
 #: is never dropped -- nearby deltas merge -- so the PMF still sums to
 #: 1 and ER stays exact; magnitude metrics drift by at most
 #: ``~width * 2^(1-QUANT_BITS)`` relative.
 QUANT_BITS = 12
 
-#: Default sample count of ``distribution-mc`` (smaller than the
+#: Default sample count of the ``mc`` rungs (smaller than the
 #: paper's 1M: magnitude metrics converge on means, not tail counts).
 MC_DEFAULT_SAMPLES = 200_000
 
-#: Largest empirical support ``distribution-mc`` reports as a PMF.
+#: Largest empirical support an ``mc`` rung reports as a PMF.
 MC_MAX_SUPPORT = 4096
-
-
-def _chain_error_probability(request: AnalysisRequest) -> float:
-    """Word-level P(error) of the request's chain (the paper's
-    Algorithm 1), bit-identical to the ``recursive`` engine's."""
-    p_success = chain_success(
-        request.cells, request.p_a, request.p_b, request.p_cin)
-    return 1.0 - min(1.0, max(0.0, p_success))
 
 
 def _result(
@@ -216,39 +228,64 @@ def _law_fields(
     return fields, quality.error_rate
 
 
+_Fields = Tuple[Dict[str, object], float]
+
+
+@dataclass(frozen=True)
+class _Shape:
+    """What the four rungs need to know about one adder shape."""
+
+    prefix: str                     # engine names are ``<prefix>-<rung>``
+    block: bool                     # serves ``request.block`` requests
+    kinds: Tuple[str, ...]
+    #: The carry automaton the exact folds run over.
+    table: Callable[[AnalysisRequest], CarryTable]
+    #: The table the truncated fold quantises.
+    truncation_table: Callable[[AnalysisRequest], CarryTable]
+    #: (fields, error rate) of the exact PMF fold over ``table``.
+    pmf_fields: Callable[[CarryTable, AnalysisRequest], _Fields]
+    #: (``p_error``, extra fields) for the linear-time kinds.
+    p_error: Callable[[AnalysisRequest, CarryTable],
+                      Tuple[float, Dict[str, object]]]
+    #: Seeded ``(approx, exact)`` sums: (request, samples, options).
+    sample: Callable[[AnalysisRequest, int, Mapping[str, object]],
+                     Tuple[np.ndarray, np.ndarray]]
+    #: The enumeration oracle: (request, progress callback).
+    oracle: Callable[[AnalysisRequest, object], "ExhaustiveQuality"]
+    dp_cost: Callable[[AnalysisRequest], float]
+
+
 def run_distribution_dp(
     request: AnalysisRequest, **options: object
 ) -> AnalysisResult:
     """Exact error-magnitude DP (full PMF / joint MRED / interval WCE).
 
-    An error-free chain (every cell accurate) answers ``med``, ``mred``
-    and ``error_distribution`` with exact zeros at any width, no fold.
-    Otherwise it raises
+    An error-free adder (every cell accurate, or an exact block) answers
+    ``med``, ``mred`` and ``error_distribution`` with exact zeros at any
+    width, no fold.  Otherwise it raises
     :class:`~repro.core.exceptions.SupportLimitError` when the
     requested kind's DP support outgrows its guard -- the ladder's
     ``width_limits`` (:func:`repro.engine.executor.select_engine`) exist
     so un-forced callers never see that.
     """
+    shape = _shape(request)
+    engine = f"{shape.prefix}-dp"
     if _zero_answer(request):
-        return _error_free_result(request, "distribution-dp")
-    table = chain_table(list(request.cells), None, list(request.p_a),
-                        list(request.p_b), request.p_cin)
-    if request.kind == KIND_WCE:
-        moments, worst = fold_moments(table), fold_extremes(table)
-        from .backends import _chain_is_upper_bound
-
-        return _result(
-            request, "distribution-dp", True,
-            _chain_error_probability(request),
-            wce=worst.wce, mse=moments.second_moment, bias=moments.mean,
-            is_upper_bound=_chain_is_upper_bound(request),
-        )
+        return _error_free_result(request, engine)
+    table = shape.table(request)
+    if request.kind in (KIND_CHAIN, KIND_WCE):
+        p_error, fields = shape.p_error(request, table)
+        if request.kind == KIND_WCE:
+            moments, worst = fold_moments(table), fold_extremes(table)
+            fields.update(wce=worst.wce, mse=moments.second_moment,
+                          bias=moments.mean)
+        return _result(request, engine, True, p_error, **fields)
     if request.kind == KIND_MRED:
         fields, error_rate = _joint_fields(
             fold_sparse(table, joint=True), request)
     else:
-        fields, error_rate = _law_fields(fold_law(table), request)
-    return _result(request, "distribution-dp", True, error_rate, **fields)
+        fields, error_rate = shape.pmf_fields(table, request)
+    return _result(request, engine, True, error_rate, **fields)
 
 
 def run_distribution_dp_truncated(
@@ -256,34 +293,32 @@ def run_distribution_dp_truncated(
 ) -> AnalysisResult:
     """Truncated-support DP: bounded support at any width.
 
-    The carry-pair table's partial deltas are kept at
-    :data:`QUANT_BITS` significant bits, merging (never dropping)
-    nearby values, so the PMF sums to 1 and ``p_error`` is still exact.
-    ``bias`` is the exact E[D] from the chain table's moments fold;
-    MED/MSE/WCE carry a bounded relative drift and the result is
-    flagged ``exact=False``.  MRED is not served here (the joint law has
-    no mass-preserving truncation); the router sends wide MRED
-    questions to Monte-Carlo instead.
+    The partial deltas are kept at :data:`QUANT_BITS` significant bits,
+    merging (never dropping) nearby values, so the PMF sums to 1 and
+    ``p_error`` is still exact.  ``bias`` is the exact E[D] from the
+    moments fold; MED/MSE/WCE carry a bounded relative drift and the
+    result is flagged ``exact=False``.  MRED is not served here (the
+    joint law has no mass-preserving truncation); the router sends wide
+    MRED questions to Monte-Carlo instead.
     """
+    shape = _shape(request)
     if request.kind == KIND_MRED:
         raise AnalysisError(
-            "distribution-dp-truncated cannot answer 'mred' (the joint "
+            f"{shape.prefix}-dp-truncated cannot answer 'mred' (the joint "
             "(delta, exact) support has no mass-preserving truncation); "
-            "use distribution-mc"
+            f"use {shape.prefix}-mc"
         )
-    if request.kind == KIND_WCE:
-        # The exact interval DP is linear-time at any width; truncation
-        # would only make the answer worse.
+    if request.kind in (KIND_CHAIN, KIND_WCE):
+        # Linear-time exact DPs at any width; truncation only hurts.
         return run_distribution_dp(request, **options)
-    args = (list(request.cells), None, list(request.p_a),
-            list(request.p_b), request.p_cin)
     fields, error_rate = _pmf_fields(
-        fold_sparse(pair_table(*args), quant_bits=QUANT_BITS).as_dict(),
+        fold_sparse(shape.truncation_table(request),
+                    quant_bits=QUANT_BITS).as_dict(),
         request)
     # A sum over quantised deltas up to 2^(N+1) cancels inexactly; the
     # linear moments fold gives E[D] exactly.
-    fields["bias"] = fold_moments(chain_table(*args)).mean
-    return _result(request, "distribution-dp-truncated", False,
+    fields["bias"] = fold_moments(shape.table(request)).mean
+    return _result(request, f"{shape.prefix}-dp-truncated", False,
                    error_rate, **fields)
 
 
@@ -307,14 +342,10 @@ def run_distribution_exhaustive(
     request: AnalysisRequest, **options: object
 ) -> AnalysisResult:
     """The oracle: weighted enumeration of every input combination."""
-    from ..simulation.exhaustive import exhaustive_quality
-
-    report = exhaustive_quality(
-        list(request.cells), None,
-        list(request.p_a), list(request.p_b), request.p_cin,
-        progress=options.get("progress"),
-    )
-    return _exhaustive_result(request, "distribution-exhaustive", report)
+    shape = _shape(request)
+    report = shape.oracle(request, options.get("progress"))
+    return _exhaustive_result(request, f"{shape.prefix}-exhaustive",
+                              report)
 
 
 def _mean_interval(
@@ -387,19 +418,57 @@ def run_distribution_mc(
 
     The result and its intervals come from :func:`_sampled_result`.
     """
+    shape = _shape(request)
+    samples = int(options.get("samples") or MC_DEFAULT_SAMPLES)  # type: ignore[arg-type]
+    approx, exact_sums = shape.sample(request, samples, options)
+    return _sampled_result(request, f"{shape.prefix}-mc", approx,
+                           exact_sums)
+
+
+# -- cell chains ------------------------------------------------------
+
+
+def _chain_args(request: AnalysisRequest) -> tuple:
+    return (list(request.cells), None, list(request.p_a),
+            list(request.p_b), request.p_cin)
+
+
+def _chain_p_error(
+    request: AnalysisRequest, table: CarryTable
+) -> Tuple[float, Dict[str, object]]:
+    """Word-level P(error) of the chain (the paper's Algorithm 1),
+    bit-identical to the ``recursive`` engine's and flagged an upper
+    bound where the chain masks errors."""
+    from .backends import _chain_is_upper_bound
+
+    p_success = chain_success(
+        request.cells, request.p_a, request.p_b, request.p_cin)
+    return 1.0 - min(1.0, max(0.0, p_success)), {
+        "is_upper_bound": _chain_is_upper_bound(request)}
+
+
+def _chain_samples(
+    request: AnalysisRequest, samples: int, options: Mapping[str, object]
+) -> Tuple[np.ndarray, np.ndarray]:
     from ..simulation.montecarlo import simulate_samples
 
-    samples = int(options.get("samples") or MC_DEFAULT_SAMPLES)  # type: ignore[arg-type]
-    approx, exact_sums = simulate_samples(
-        list(request.cells), None,
-        list(request.p_a), list(request.p_b), request.p_cin,
+    return simulate_samples(
+        *_chain_args(request),
         samples=samples, seed=options.get("seed", 0),  # type: ignore[arg-type]
-        progress=options.get("progress"),
+        progress=options.get("progress"),  # type: ignore[arg-type]
     )
-    return _sampled_result(request, "distribution-mc", approx, exact_sums)
 
 
-def _dp_cost(request: AnalysisRequest) -> float:
+def _chain_oracle(
+    request: AnalysisRequest, progress: object
+) -> "ExhaustiveQuality":
+    from ..simulation.exhaustive import exhaustive_quality
+
+    return exhaustive_quality(*_chain_args(request),
+                              progress=progress)  # type: ignore[arg-type]
+
+
+def _chain_dp_cost(request: AnalysisRequest) -> float:
     """``distribution-dp`` work in ops at the registry's 2M ops/s.
 
     The dense kernel's delta windows span about ``2^(w+2)`` entries,
@@ -417,56 +486,163 @@ def _dp_cost(request: AnalysisRequest) -> float:
     return 500.0 * width + 2.0 * min(2.0 ** width, 2.0e6)
 
 
+_CHAINS = _Shape(
+    prefix="distribution", block=False, kinds=DISTRIBUTION_KINDS,
+    table=lambda request: chain_table(*_chain_args(request)),
+    # The carry-pair table keeps P(error) exact under quantisation; the
+    # chain table's rounded local-error sums can cancel later.
+    truncation_table=lambda request: pair_table(*_chain_args(request)),
+    pmf_fields=lambda table, request: _law_fields(fold_law(table),
+                                                  request),
+    p_error=_chain_p_error,
+    sample=_chain_samples,
+    oracle=_chain_oracle,
+    dp_cost=_chain_dp_cost,
+)
+
+
+# -- windowed blocks --------------------------------------------------
+
+
+def _block_table(request: AnalysisRequest) -> CarryTable:
+    return windowed_table(request.block, request.p_a,  # type: ignore[arg-type]
+                          request.p_b)
+
+
+def _sample_operands(
+    probs: Tuple[float, ...], samples: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Operand bit planes from N per-bit ``rng.random(samples)`` draws
+    in turn (bit-major), each compared into its row of one Boolean
+    matrix through one reused draw buffer."""
+    bits = np.empty((len(probs), samples), dtype=bool)
+    draw = np.empty(samples)
+    for i, p in enumerate(probs):
+        np.less(rng.random(out=draw), p, out=bits[i])
+    return bits_to_planes(bits)
+
+
+def _block_samples(
+    request: AnalysisRequest, samples: int, options: Mapping[str, object]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Seeded operand planes through the bit-true windowed model."""
+    if samples < 1:
+        raise AnalysisError(f"samples must be >= 1, got {samples}")
+    rng = np.random.default_rng(int(options.get("seed", 0)))  # type: ignore[arg-type]
+    a = _sample_operands(request.p_a, samples, rng)
+    b = _sample_operands(request.p_b, samples, rng)
+    approx = planes_to_values(
+        windowed_add_planes(request.block, a, b),  # type: ignore[arg-type]
+        samples)
+    return approx, (planes_to_values(a, samples)
+                    + planes_to_values(b, samples))
+
+
+def _block_oracle(
+    request: AnalysisRequest, progress: object
+) -> "ExhaustiveQuality":
+    from ..simulation.exhaustive import windowed_exhaustive_quality
+
+    return windowed_exhaustive_quality(
+        request.block, request.p_a, request.p_b)  # type: ignore[arg-type]
+
+
+def _block_dp_cost(request: AnalysisRequest) -> float:
+    """``zoo-dp`` work: the cut DP's support grows like ``2^width``,
+    except for an exact spec's zero answer, which is linear."""
+    width = request.width
+    if _zero_answer(request):
+        return float(width)     # one structural check per bit
+    return 8.0 * width * min(2.0 ** width, 4.0e6)
+
+
+_BLOCKS = _Shape(
+    prefix="zoo", block=True, kinds=(KIND_CHAIN,) + DISTRIBUTION_KINDS,
+    table=_block_table,
+    truncation_table=_block_table,
+    pmf_fields=lambda table, request: _pmf_fields(
+        fold_sparse(table).as_dict(), request),
+    p_error=lambda request, table: (1.0 - fold_success(table), {}),
+    sample=_block_samples,
+    oracle=_block_oracle,
+    dp_cost=_block_dp_cost,
+)
+
+
+def _shape(request: AnalysisRequest) -> _Shape:
+    return _CHAINS if request.block is None else _BLOCKS
+
+
+_DESCRIPTIONS = {
+    "distribution-dp": "exact carry DP: dense error PMF, joint MRED, "
+                       "interval WCE",
+    "distribution-dp-truncated": f"error-PMF DP at {QUANT_BITS} "
+                                 "significant delta bits "
+                                 "(mass-preserving, bounded support)",
+    "distribution-exhaustive": "weighted enumeration oracle: PMF, MRED "
+                               "and bias in one pass",
+    "distribution-mc": "seeded sampling: Wilson-bounded ER, "
+                       "normal-approximation MED/MRED intervals",
+    "zoo-dp": "exact monotone-carry-cut DP over windowed block adders: "
+              "ER, error PMF, joint MRED, interval WCE",
+    "zoo-dp-truncated": "cut DP with mass-preserving delta quantisation "
+                        "(bounded support at any width)",
+    "zoo-exhaustive": "weighted enumeration oracle through the bit-true "
+                      "windowed functional model",
+    "zoo-mc": "seeded operand sampling through windowed_add_planes with "
+              "Wilson/normal intervals",
+}
+
+
 def register_distribution_engines() -> None:
-    """Register the four distribution engines (idempotent)."""
+    """Register the four magnitude rungs under both shapes' names
+    (idempotent)."""
     if "distribution-dp" in REGISTRY:
         return
     from ..simulation.exhaustive import MAX_EXHAUSTIVE_WIDTH
 
-    REGISTRY.register(EngineInfo(
-        name="distribution-dp", family=FAMILY_ANALYTICAL,
-        request_kinds=DISTRIBUTION_KINDS, exact=True, deterministic=True,
-        run=run_distribution_dp,
-        cost_estimate=_dp_cost,
-        # ``wce`` has no entry: the interval DP is exact at any width.
-        width_limits={KIND_ERROR_DISTRIBUTION: DIST_EXACT_MAX_WIDTH,
-                      KIND_MED: DIST_EXACT_MAX_WIDTH,
-                      KIND_MRED: MRED_EXACT_MAX_WIDTH},
-        # ``mred`` skips the truncated rung: the joint DP has no
-        # mass-preserving truncation.
-        degrades_to={KIND_ERROR_DISTRIBUTION: "distribution-dp-truncated",
-                     KIND_MED: "distribution-dp-truncated",
-                     KIND_MRED: "distribution-mc"},
-        description="exact carry DP: dense error PMF, joint MRED, "
-                    "interval WCE",
-    ))
-    REGISTRY.register(EngineInfo(
-        name="distribution-dp-truncated", family=FAMILY_ANALYTICAL,
-        request_kinds=DISTRIBUTION_KINDS, exact=False, deterministic=True,
-        run=run_distribution_dp_truncated,
-        cost_estimate=lambda request: 3000.0 * request.width ** 2,
-        width_limits={KIND_ERROR_DISTRIBUTION: DIST_TRUNCATED_MAX_WIDTH,
-                      KIND_MED: DIST_TRUNCATED_MAX_WIDTH},
-        degrades_to={KIND_ERROR_DISTRIBUTION: "distribution-mc",
-                     KIND_MED: "distribution-mc"},
-        description=f"error-PMF DP at {QUANT_BITS} significant delta "
-                    "bits (mass-preserving, bounded support)",
-    ))
-    REGISTRY.register(EngineInfo(
-        name="distribution-exhaustive", family=FAMILY_SIMULATION,
-        request_kinds=DISTRIBUTION_KINDS, exact=True, deterministic=True,
-        run=run_distribution_exhaustive,
-        max_width=MAX_EXHAUSTIVE_WIDTH,
-        cost_estimate=lambda request: 2.0 ** (2 * request.width + 1),
-        description="weighted enumeration oracle: PMF, MRED and bias in "
-                    "one pass",
-    ))
-    REGISTRY.register(EngineInfo(
-        name="distribution-mc", family=FAMILY_SIMULATION,
-        request_kinds=DISTRIBUTION_KINDS, exact=False,
-        run=run_distribution_mc,
-        default_samples=MC_DEFAULT_SAMPLES,
-        cost_estimate=lambda request: float(MC_DEFAULT_SAMPLES),
-        description="seeded sampling: Wilson-bounded ER, "
-                    "normal-approximation MED/MRED intervals",
-    ))
+    for shape in (_CHAINS, _BLOCKS):
+        dp, truncated, exhaustive, mc = (
+            f"{shape.prefix}-{rung}"
+            for rung in ("dp", "dp-truncated", "exhaustive", "mc"))
+        shared = dict(request_kinds=shape.kinds, supports_block=shape.block)
+        REGISTRY.register(EngineInfo(
+            name=dp, family=FAMILY_ANALYTICAL, exact=True,
+            deterministic=True, run=run_distribution_dp,
+            cost_estimate=shape.dp_cost,
+            # ``wce`` (and a block's ``chain``) has no entry: its DPs
+            # are linear-time exact at any width.
+            width_limits={KIND_ERROR_DISTRIBUTION: DIST_EXACT_MAX_WIDTH,
+                          KIND_MED: DIST_EXACT_MAX_WIDTH,
+                          KIND_MRED: MRED_EXACT_MAX_WIDTH},
+            # ``mred`` skips the truncated rung: the joint DP has no
+            # mass-preserving truncation.
+            degrades_to={KIND_ERROR_DISTRIBUTION: truncated,
+                         KIND_MED: truncated, KIND_MRED: mc},
+            description=_DESCRIPTIONS[dp], **shared,  # type: ignore[arg-type]
+        ))
+        REGISTRY.register(EngineInfo(
+            name=truncated, family=FAMILY_ANALYTICAL, exact=False,
+            deterministic=True, run=run_distribution_dp_truncated,
+            cost_estimate=lambda request: 3000.0 * request.width ** 2,
+            width_limits={KIND_ERROR_DISTRIBUTION: DIST_TRUNCATED_MAX_WIDTH,
+                          KIND_MED: DIST_TRUNCATED_MAX_WIDTH},
+            degrades_to={KIND_ERROR_DISTRIBUTION: mc, KIND_MED: mc},
+            description=_DESCRIPTIONS[truncated],
+            **shared,  # type: ignore[arg-type]
+        ))
+        REGISTRY.register(EngineInfo(
+            name=exhaustive, family=FAMILY_SIMULATION, exact=True,
+            deterministic=True, run=run_distribution_exhaustive,
+            max_width=MAX_EXHAUSTIVE_WIDTH,
+            cost_estimate=lambda request: 2.0 ** (2 * request.width + 1),
+            description=_DESCRIPTIONS[exhaustive],
+            **shared,  # type: ignore[arg-type]
+        ))
+        REGISTRY.register(EngineInfo(
+            name=mc, family=FAMILY_SIMULATION, exact=False,
+            run=run_distribution_mc,
+            max_width=MC_MAX_WIDTH, default_samples=MC_DEFAULT_SAMPLES,
+            cost_estimate=lambda request: float(MC_DEFAULT_SAMPLES),
+            description=_DESCRIPTIONS[mc], **shared,  # type: ignore[arg-type]
+        ))

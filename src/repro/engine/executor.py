@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.exceptions import AnalysisError
+from ..core.exceptions import AnalysisError, SupportLimitError
 from ..obs import metrics as _metrics
 from ..obs.log import get_logger, log_event
 from ..obs.tracing import trace_span
@@ -135,7 +135,11 @@ def select_engine(
     width), its cost passes ``block_cases``, an exact
     simulation's cost passes the budget's ``max_cases``, or the cost
     passes ``deadline_s * OPS_PER_SECOND``.
-    A rung without a ``degrades_to`` entry for the kind is final.
+    A rung without a ``degrades_to`` entry for the kind is final; when
+    the request is wider than the final rung's ``max_width`` (a
+    magnitude question past the samplers' 62 bits), the walk raises
+    :class:`~repro.core.exceptions.SupportLimitError` with the width
+    and that limit, before any work.
     ``degraded_from`` names the rung directly above the chosen one, and
     a sampling rung's *samples* are clamped to ``max_samples``.
     """
@@ -153,6 +157,13 @@ def select_engine(
             break
         degraded_from, reason = rung.name, f"{rung.name}: {why}"
         rung = REGISTRY.get(fallback)
+    if rung.max_width is not None and request.width > rung.max_width:
+        raise SupportLimitError(
+            f"no engine answers a width-{request.width} {request.kind!r} "
+            f"request: the ladder ends at {rung.name!r}, which is "
+            f"limited to {rung.max_width} bits",
+            width=request.width, limit=rung.max_width,
+        )
     if rung.default_samples is not None:
         samples = rung.default_samples if samples is None else samples
         if budget is not None and budget.max_samples is not None:

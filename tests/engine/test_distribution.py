@@ -1,10 +1,11 @@
 """The error-magnitude request kinds, end to end.
 
 Cross-validates every distribution engine against the exhaustive
-oracle over the full cell zoo, pins the engine ladder's distribution
+oracle over the full cell zoo, pins the engine ladder's magnitude
 rungs (exact DP -> truncated DP -> Monte-Carlo, with the WCE and MRED
-exceptions), and exercises the kinds through run()/run_batch(), the
-result cache and the serving layer.
+exceptions; the rung behaviours both adder shapes share are tested
+once per shape), and exercises the kinds through run()/run_batch(),
+the result cache and the serving layer.
 """
 
 import json
@@ -96,28 +97,43 @@ class TestAnalyticalMatchesExhaustive:
         assert trunc.exact is False and exact.exact is True
 
 
+#: The two adder shapes, by their engine-name prefix.
+SHAPES = [pytest.param("distribution", id="chain"),
+          pytest.param("zoo", id="block")]
+
+
+def _truncation_requests(prefix):
+    """Hybrid chains at widths 14-16, or every windowed width-16 block."""
+    if prefix == "zoo":
+        return [AnalysisRequest.zoo(adder, kind=KIND_ERROR_DISTRIBUTION)
+                for adder in named_zoo(16)
+                if adder.representation == "windowed"]
+    rng = random.Random(14)
+    lpaa = [f"LPAA {i}" for i in range(1, 8)]
+    chains = [["LPAA 6"] * 14 + ["LPAA 4"] * 2]
+    for _ in range(20):
+        width = rng.randint(14, 16)
+        low, high = rng.sample(lpaa, 2)
+        cut = rng.randint(1, width - 1)
+        chains.append([low] * cut + [high] * (width - cut))
+    return [AnalysisRequest.distribution(cells,
+                                         kind=KIND_ERROR_DISTRIBUTION)
+            for cells in chains]
+
+
 class TestTruncatedErrorRate:
     """Past width 12 quantisation moves deltas, and the truncated rung's
-    ``p_error`` must still be the exact rung's error rate.  Rounding the
-    local-error sums breaks this (they can cancel later; the first
-    hybrid below is one such case), the carry-pair table does not."""
+    ``p_error`` must still be the exact rung's error rate.  Rounding a
+    chain's local-error sums breaks this (they can cancel later; the
+    first hybrid is one such case), the carry-pair table does not."""
 
-    def test_hybrid_chains_keep_the_exact_error_rate(self):
-        rng = random.Random(14)
-        lpaa = [f"LPAA {i}" for i in range(1, 8)]
-        chains = [["LPAA 6"] * 14 + ["LPAA 4"] * 2]
-        for _ in range(20):
-            width = rng.randint(14, 16)
-            low, high = rng.sample(lpaa, 2)
-            cut = rng.randint(1, width - 1)
-            chains.append([low] * cut + [high] * (width - cut))
-        for cells in chains:
-            request = AnalysisRequest.distribution(
-                cells, kind=KIND_ERROR_DISTRIBUTION)
-            exact = engine.run(request, engine="distribution-dp")
-            trunc = engine.run(request, engine="distribution-dp-truncated")
+    @pytest.mark.parametrize("prefix", SHAPES)
+    def test_truncation_keeps_the_error_rate(self, prefix):
+        for request in _truncation_requests(prefix):
+            exact = engine.run(request, engine=f"{prefix}-dp")
+            trunc = engine.run(request, engine=f"{prefix}-dp-truncated")
             assert math.isclose(trunc.p_error, exact.p_error,
-                                rel_tol=1e-12), cells
+                                rel_tol=1e-12), request.cell_names
 
 
 class TestHypothesisCrossValidation:
@@ -202,16 +218,32 @@ class TestRouterLadder:
         assert result.engine == "distribution-dp"
         assert result.exact is True
 
-    def test_truncated_engine_refuses_mred(self):
+    @pytest.mark.parametrize("request_, prefix", [
+        pytest.param(AnalysisRequest.distribution("LPAA 1", 8,
+                                                  kind=KIND_MRED),
+                     "distribution", id="chain"),
+        pytest.param(AnalysisRequest.zoo("aca1:8:4", kind=KIND_MRED),
+                     "zoo", id="block"),
+    ])
+    def test_truncated_engine_refuses_mred(self, request_, prefix):
         with pytest.raises(AnalysisError, match="mass-preserving"):
-            engine.run("LPAA 1", 8, kind=KIND_MRED,
-                       engine="distribution-dp-truncated")
+            engine.run(request_, engine=f"{prefix}-dp-truncated")
 
-    def test_simulate_forces_the_sampling_backend(self):
-        result = engine.run("LPAA 1", 8, kind=KIND_MED, simulate=True,
-                            samples=5_000, seed=1)
-        assert result.engine == "distribution-mc"
-        assert result.samples == 5_000
+    @pytest.mark.parametrize("request_, samples, seed, expected, p_error", [
+        pytest.param(AnalysisRequest.distribution("LPAA 1", 8,
+                                                  kind=KIND_MED),
+                     5_000, 1, "distribution-mc", None, id="chain"),
+        pytest.param(AnalysisRequest.zoo("aca1:8:4"), 20_000, 7, "zoo-mc",
+                     0.125, id="block"),
+    ])
+    def test_simulate_forces_the_sampling_backend(self, request_, samples,
+                                                   seed, expected, p_error):
+        result = engine.run(request_, simulate=True, samples=samples,
+                            seed=seed)
+        assert result.engine == expected
+        assert result.samples == samples
+        if p_error is not None:
+            assert result.p_error == pytest.approx(p_error, abs=0.02)
 
 
 class TestTruncatedBias:

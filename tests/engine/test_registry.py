@@ -54,6 +54,27 @@ class TestBuiltinPopulation:
             REGISTRY.get("quantum-annealer")
 
 
+class TestOneMagnitudeLadder:
+    """Chains (``distribution-*``) and windowed blocks (``zoo-*``) are
+    two name prefixes over one set of magnitude rungs."""
+
+    @pytest.mark.parametrize("rung", ["dp", "dp-truncated", "exhaustive",
+                                      "mc"])
+    def test_both_prefixes_share_the_rung(self, rung):
+        chain = REGISTRY.get(f"distribution-{rung}")
+        block = REGISTRY.get(f"zoo-{rung}")
+        assert chain.run is block.run
+        for attr in ("family", "exact", "deterministic", "default_samples",
+                     "width_limits"):
+            assert getattr(chain, attr) == getattr(block, attr), attr
+        assert not chain.supports_block and block.supports_block
+        assert all(target.startswith("zoo-")
+                   for target in block.degrades_to.values())
+        assert chain.degrades_to == {
+            kind: target.replace("zoo-", "distribution-", 1)
+            for kind, target in block.degrades_to.items()}
+
+
 class TestCapabilities:
     def test_exhaustive_rejects_wide_requests(self):
         info = REGISTRY.get("exhaustive")

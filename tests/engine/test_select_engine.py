@@ -6,14 +6,15 @@ the decision's reason must contain.  The rows cover every request shape
 (chain, hybrid, trace, joints, the distribution kinds, the zoo kinds
 with GeAr among them, multi-operand) and every reason a rung can fail
 to fit: a width limit, a support guard, one enumeration block,
-``max_cases`` and a deadline.
+``max_cases`` and a deadline -- and the typed refusal of a question
+wider than the ladder's final rung.
 """
 
 import pytest
 
 from repro import engine
 from repro.core.correlated import JointBitDistribution
-from repro.core.exceptions import AnalysisError
+from repro.core.exceptions import AnalysisError, SupportLimitError
 from repro.engine import AnalysisRequest, select_engine
 from repro.runtime import RunBudget
 
@@ -35,6 +36,10 @@ def zoo(width, kind="med"):
 
 def multiop(operands, width):
     return AnalysisRequest.for_multiop([[0.5] * width] * operands, width)
+
+
+#: Expected outcome of a question too wide for every rung.
+TOO_WIDE = SupportLimitError
 
 
 def row(case_id, request, expected, budget=None, samples=None,
@@ -143,6 +148,30 @@ ROWS = [
         ("zoo-mc", None, 1_000, None),
         budget=RunBudget(max_samples=1_000), simulate=True),
 
+    # Past the samplers' 62 bits a magnitude question has no rung left:
+    # a typed refusal, not an engine failure.  WCE, a block's ``chain``
+    # and error-free adders keep their linear-time exact answers.
+    row("med-w62-mc", dist(62),
+        ("distribution-mc", "distribution-dp-truncated", DIST_MC, None)),
+    row("med-w63-refused", dist(63), TOO_WIDE),
+    row("mred-w64-refused", dist(64, "mred"), TOO_WIDE),
+    row("error-distribution-w64-refused", dist(64, "error_distribution"),
+        TOO_WIDE),
+    row("med-sim-w63-refused", dist(63), TOO_WIDE, simulate=True),
+    row("zoo-med-w62-mc", zoo(62),
+        ("zoo-mc", "zoo-dp-truncated", DIST_MC, None)),
+    row("zoo-med-w63-refused", zoo(63), TOO_WIDE),
+    row("zoo-mred-w64-refused", zoo(64, "mred"), TOO_WIDE),
+    row("zoo-chain-sim-w64-refused", zoo(64, "chain"), TOO_WIDE,
+        simulate=True),
+    row("zoo-chain-w64", zoo(64, "chain"), ("zoo-dp", None, None, None)),
+    row("zoo-wce-w63", zoo(63, "wce"), ("zoo-dp", None, None, None)),
+    row("rca-mred-w64-error-free", AnalysisRequest.zoo("rca:64", kind="mred"),
+        ("distribution-dp", None, None, None)),
+    row("exact-block-med-w64-error-free",
+        AnalysisRequest.zoo("axppa-ks:64:6", kind="med"),
+        ("zoo-dp", None, None, None)),
+
     # Multi-operand: no analytical engine, so the exact enumerator heads.
     row("multiop-2x4-exact", multiop(2, 4),
         ("multiop-exact", None, None, 1 << 8)),
@@ -166,6 +195,12 @@ ROWS = [
     "request_, budget, samples, simulate, expected, reason", ROWS)
 def test_decision_table(request_, budget, samples, simulate, expected,
                         reason):
+    if expected is TOO_WIDE:
+        with pytest.raises(SupportLimitError) as refused:
+            select_engine(request_, budget, samples, simulate=simulate)
+        assert (refused.value.width, refused.value.limit) \
+            == (request_.width, 62)
+        return
     decision = select_engine(request_, budget, samples, simulate=simulate)
     assert (decision.engine, decision.degraded_from, decision.samples,
             decision.estimated_cases) == expected

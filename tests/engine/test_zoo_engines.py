@@ -1,12 +1,14 @@
-"""The zoo engines, end to end.
+"""The ``zoo-*`` engines (the magnitude ladder on windowed blocks), end
+to end.
 
 Cross-validates every windowed zoo member against weighted enumeration
 for every request kind (bit-identical at dyadic probabilities), pins
 the zoo rungs' registry width limits (the routing decisions themselves
-are rows of ``test_select_engine.py``), and exercises block
-requests through ``run()``/``run_batch()``, the two-way
-``supports_block`` capability gate, the persistent result cache and
-the Monte-Carlo fallback.
+are rows of ``test_select_engine.py``; rung behaviours both adder
+shapes share are tested once per shape in ``test_distribution.py``),
+and exercises block requests through ``run()``/``run_batch()``, the
+two-way ``supports_block`` capability gate, the persistent result cache
+and the Monte-Carlo fallback.
 """
 
 import math
@@ -23,7 +25,10 @@ from repro.engine.diskcache import (
     result_from_payload,
 )
 from repro.engine.request import AnalysisRequest, DISTRIBUTION_KINDS
-from repro.engine.zoo import ZOO_EXACT_MAX_WIDTH, ZOO_MRED_EXACT_MAX_WIDTH
+from repro.engine.distribution import (
+    DIST_EXACT_MAX_WIDTH,
+    MRED_EXACT_MAX_WIDTH,
+)
 from repro.engine.registry import REGISTRY
 
 WIDTH = 8
@@ -74,24 +79,13 @@ class TestCrossValidationMatrix:
                 engine.run(request, engine="zoo-dp").med
 
 
-class TestTruncatedErrorRate:
-    def test_truncated_rung_keeps_the_exact_error_rate_at_width_16(self):
-        for adder in _windowed(16):
-            request = AnalysisRequest.zoo(adder,
-                                          kind="error_distribution")
-            exact = engine.run(request, engine="zoo-dp")
-            trunc = engine.run(request, engine="zoo-dp-truncated")
-            assert math.isclose(trunc.p_error, exact.p_error,
-                                rel_tol=1e-12), adder.config_string
-
-
 class TestRouterLadder:
     def test_exact_width_limits(self):
         dp = REGISTRY.get("zoo-dp")
         assert "chain" not in dp.width_limits
         assert "wce" not in dp.width_limits
-        assert dp.width_limits["mred"] == ZOO_MRED_EXACT_MAX_WIDTH
-        assert dp.width_limits["med"] == ZOO_EXACT_MAX_WIDTH
+        assert dp.width_limits["mred"] == MRED_EXACT_MAX_WIDTH
+        assert dp.width_limits["med"] == DIST_EXACT_MAX_WIDTH
 
 
 class TestCapabilityGate:
@@ -131,12 +125,6 @@ class TestExecutorIntegration:
         assert results[2].p_error == 0.68359375
         assert results[3].med == 1.5
 
-    def test_simulate_forces_the_sampling_backend(self):
-        result = engine.run(AnalysisRequest.zoo("aca1:8:4"),
-                            simulate=True, samples=20_000, seed=7)
-        assert result.engine == "zoo-mc"
-        assert result.p_error == pytest.approx(0.125, abs=0.02)
-
     def test_zoo_mc_is_seeded_and_converges(self):
         request = AnalysisRequest.zoo("gda:8:2:2", kind="med")
         a = engine.run(request, engine="zoo-mc", samples=50_000, seed=3)
@@ -144,11 +132,6 @@ class TestExecutorIntegration:
         assert a.p_error == b.p_error and a.med == b.med
         assert a.med == pytest.approx(1.5, rel=0.1)
         assert a.interval is not None and not a.exact
-
-    def test_truncated_engine_refuses_mred(self):
-        with pytest.raises(AnalysisError):
-            engine.run(AnalysisRequest.zoo("aca1:8:4", kind="mred"),
-                       engine="zoo-dp-truncated")
 
     def test_zoo_requests_use_the_result_cache(self, tmp_path):
         engine.configure_result_cache(tmp_path / "cache")

@@ -272,6 +272,37 @@ class TestSupportLimitOverHttp:
         finally:
             server.stop()
 
+    def test_too_wide_for_every_rung_is_422(self):
+        # No patching: the router itself refuses a magnitude question
+        # wider than the samplers' 62 bits, before any work.
+        wide = [{"cell": "LPAA 1", "width": 63, "kind": "mred"},
+                {"cell": "LPAA 1", "width": 64, "kind": "med"},
+                {"adder": "loa:63:8", "kind": "med"},
+                {"adder": "axppa-bk:64:3", "kind": "mred"}]
+        server = _start(ServeConfig(port=0, batch_window_s=0.002))
+        try:
+            conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                              timeout=30)
+            for doc in wide:
+                response, body = _post(conn, "/v1/analyze", doc)
+                assert response.status == 422, doc
+                error = body["error"]
+                assert (error["code"], error["limit"]) == (422, 62), doc
+                assert error["width"] in (63, 64), doc
+            response, body = _post(conn, "/v1/analyze_batch", {"requests": [
+                {"cell": "LPAA 1", "width": 4}, wide[0],
+                {"adder": "rca:64", "kind": "mred"},
+            ]})
+            assert response.status == 200
+            good, bad, error_free = body["results"]
+            assert "p_error" in good
+            assert (bad["error"]["code"], bad["error"]["width"],
+                    bad["error"]["limit"]) == (422, 63, 62)
+            assert error_free["mred"] == 0.0
+            conn.close()
+        finally:
+            server.stop()
+
     def test_does_not_count_toward_the_breaker(self, guarded_engine):
         server = _start(ServeConfig(port=0, batch_window_s=0.002,
                                     breaker_failures=2))
