@@ -141,6 +141,17 @@ def metrics_from_samples(
         raise AnalysisError("empty sample arrays")
     delta = approx - exact
     abs_delta = np.abs(delta)
+    return metrics_from_errors(delta, abs_delta,
+                               abs_delta / np.maximum(exact, 1), width)
+
+
+def metrics_from_errors(
+    delta: np.ndarray, abs_delta: np.ndarray, relative: np.ndarray,
+    width: int
+) -> QualityMetrics:
+    """:func:`metrics_from_samples` off its per-sample arrays, for callers
+    that reuse them: the int64 ``delta = approx - exact``, its absolute
+    value, and the float64 ``abs_delta / max(exact, 1)``."""
     med = float(abs_delta.mean())
     return QualityMetrics(
         error_rate=float((delta != 0).mean()),
@@ -148,5 +159,5 @@ def metrics_from_samples(
         nmed=med / max_exact_output(width),
         mse=float((delta.astype(np.float64) ** 2).mean()),
         wce=int(abs_delta.max()),
-        mred=float((abs_delta / np.maximum(exact, 1)).mean()),
+        mred=float(relative.mean()),
     )

@@ -61,8 +61,12 @@ from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..core.adder_zoo import windowed_add_planes, windowed_table
-from ..core.bitplanes import bits_to_planes, planes_to_values
+from ..core.adder_zoo import (
+    WindowedAdderSpec,
+    windowed_add_planes,
+    windowed_table,
+)
+from ..core.bitplanes import bernoulli_planes, planes_to_values
 from ..core.exceptions import AnalysisError
 from ..core.magnitude import (
     CarryTable,
@@ -80,7 +84,7 @@ from ..core.magnitude import (
 from ..core.metrics import (
     metrics_from_law,
     metrics_from_pmf,
-    metrics_from_samples,
+    metrics_from_errors,
 )
 from ..core.vectorized import chain_success
 from ..simulation.montecarlo import wilson_interval
@@ -254,6 +258,11 @@ class _Shape:
     oracle: Callable[[AnalysisRequest, object], "ExhaustiveQuality"]
     dp_cost: Callable[[AnalysisRequest], float]
 
+    @property
+    def mc(self) -> str:
+        """The sampling rung's engine name."""
+        return f"{self.prefix}-mc"
+
 
 def run_distribution_dp(
     request: AnalysisRequest, **options: object
@@ -371,7 +380,8 @@ def _sampled_result(
     metric: Wilson on ER for ``chain`` and ``error_distribution``, a
     normal approximation on the MED/MRED sample mean, nothing for WCE
     (the observed maximum is only a lower bound; ``exact=False`` says
-    so).
+    so).  ``delta``, ``|delta|`` and ``|delta| / max(exact, 1)`` are
+    each computed once; every field and interval reads off them.
     """
     samples = int(approx.size)
     delta = approx - exact_sums
@@ -380,13 +390,14 @@ def _sampled_result(
         return _result(request, engine, False, error_rate,
                        samples=samples,
                        interval=wilson_interval(error_rate, samples))
-    quality = metrics_from_samples(approx, exact_sums, request.width)
-    abs_delta = np.abs(delta).astype(np.float64)
+    abs_delta = np.abs(delta)
+    relative = abs_delta / np.maximum(exact_sums, 1)
+    quality = metrics_from_errors(delta, abs_delta, relative, request.width)
     interval: Optional[Tuple[float, float]]
     if request.kind == KIND_MED:
-        interval = _mean_interval(abs_delta)
+        interval = _mean_interval(abs_delta.astype(np.float64))
     elif request.kind == KIND_MRED:
-        interval = _mean_interval(abs_delta / np.maximum(exact_sums, 1))
+        interval = _mean_interval(relative)
     elif request.kind == KIND_ERROR_DISTRIBUTION:
         interval = wilson_interval(quality.error_rate, samples)
     else:
@@ -421,8 +432,7 @@ def run_distribution_mc(
     shape = _shape(request)
     samples = int(options.get("samples") or MC_DEFAULT_SAMPLES)  # type: ignore[arg-type]
     approx, exact_sums = shape.sample(request, samples, options)
-    return _sampled_result(request, f"{shape.prefix}-mc", approx,
-                           exact_sums)
+    return _sampled_result(request, shape.mc, approx, exact_sums)
 
 
 # -- cell chains ------------------------------------------------------
@@ -509,33 +519,24 @@ def _block_table(request: AnalysisRequest) -> CarryTable:
                           request.p_b)
 
 
-def _sample_operands(
-    probs: Tuple[float, ...], samples: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Operand bit planes from N per-bit ``rng.random(samples)`` draws
-    in turn (bit-major), each compared into its row of one Boolean
-    matrix through one reused draw buffer."""
-    bits = np.empty((len(probs), samples), dtype=bool)
-    draw = np.empty(samples)
-    for i, p in enumerate(probs):
-        np.less(rng.random(out=draw), p, out=bits[i])
-    return bits_to_planes(bits)
-
-
 def _block_samples(
     request: AnalysisRequest, samples: int, options: Mapping[str, object]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Seeded operand planes through the bit-true windowed model."""
+    """Seeded ``(approx, exact)`` sums through the bit-true windowed
+    model and the exact adder, from one
+    :func:`~repro.core.bitplanes.bernoulli_planes` draw of ``p_a``'s
+    planes followed by ``p_b``'s.  A ``seed`` of ``None`` is an unseeded
+    stream; an absent one is 0."""
     if samples < 1:
         raise AnalysisError(f"samples must be >= 1, got {samples}")
-    rng = np.random.default_rng(int(options.get("seed", 0)))  # type: ignore[arg-type]
-    a = _sample_operands(request.p_a, samples, rng)
-    b = _sample_operands(request.p_b, samples, rng)
-    approx = planes_to_values(
-        windowed_add_planes(request.block, a, b),  # type: ignore[arg-type]
-        samples)
-    return approx, (planes_to_values(a, samples)
-                    + planes_to_values(b, samples))
+    seed = options.get("seed", 0)
+    rng = np.random.default_rng(None if seed is None else int(seed))  # type: ignore[arg-type]
+    planes = bernoulli_planes(rng, request.p_a + request.p_b, samples)
+    a, b = planes[:request.width], planes[request.width:]
+    approx = windowed_add_planes(request.block, a, b)  # type: ignore[arg-type]
+    exact = windowed_add_planes(
+        WindowedAdderSpec("exact", (0,) * request.width, 0), a, b)
+    return planes_to_values(approx, samples), planes_to_values(exact, samples)
 
 
 def _block_oracle(
@@ -573,6 +574,16 @@ def _shape(request: AnalysisRequest) -> _Shape:
     return _CHAINS if request.block is None else _BLOCKS
 
 
+def sampling_engine(request: AnalysisRequest) -> Optional[str]:
+    """The sampling engine of *request*'s shape, or ``None``.
+
+    ``None`` when that shape's ladder does not serve ``request.kind`` (a
+    chain's ``chain`` question, or a kind no magnitude engine answers);
+    ``select_engine(simulate=True)`` starts its walk here."""
+    shape = _shape(request)
+    return shape.mc if request.kind in shape.kinds else None
+
+
 _DESCRIPTIONS = {
     "distribution-dp": "exact carry DP: dense error PMF, joint MRED, "
                        "interval WCE",
@@ -602,9 +613,10 @@ def register_distribution_engines() -> None:
     from ..simulation.exhaustive import MAX_EXHAUSTIVE_WIDTH
 
     for shape in (_CHAINS, _BLOCKS):
-        dp, truncated, exhaustive, mc = (
+        dp, truncated, exhaustive = (
             f"{shape.prefix}-{rung}"
-            for rung in ("dp", "dp-truncated", "exhaustive", "mc"))
+            for rung in ("dp", "dp-truncated", "exhaustive"))
+        mc = shape.mc
         shared = dict(request_kinds=shape.kinds, supports_block=shape.block)
         REGISTRY.register(EngineInfo(
             name=dp, family=FAMILY_ANALYTICAL, exact=True,

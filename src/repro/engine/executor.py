@@ -32,6 +32,7 @@ from ..runtime.budget import RunBudget, make_meter
 from ..runtime.router import ENGINE_EXHAUSTIVE, EngineDecision, record_decision
 from . import backends
 from . import diskcache as _diskcache
+from .distribution import sampling_engine
 from .registry import (
     FAMILY_ANALYTICAL,
     FAMILY_SIMULATION,
@@ -58,16 +59,13 @@ backends.register_builtin_engines()
 def _head(request: AnalysisRequest, simulate: bool) -> Tuple[EngineInfo, str]:
     """The rung the engine walk starts from, and why."""
     if simulate:
-        if request.block is not None:
-            name = "zoo-mc"
-        elif request.kind in DISTRIBUTION_KINDS:
-            name = "distribution-mc"
-        elif request.kind == KIND_CHAIN:
+        name = sampling_engine(request)
+        if name is None:
+            if request.kind != KIND_CHAIN:
+                raise AnalysisError(
+                    "simulate=True routing applies to chain requests only"
+                )
             name = ENGINE_EXHAUSTIVE
-        else:
-            raise AnalysisError(
-                "simulate=True routing applies to chain requests only"
-            )
         return REGISTRY.get(name), "simulate=True asks for a simulation"
     candidates = (
         REGISTRY.for_request(request, family=FAMILY_ANALYTICAL, exact=True)

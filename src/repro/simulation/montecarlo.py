@@ -77,6 +77,13 @@ def _effective_batch_size(
     return max(1, min(batch_size, cap))
 
 
+#: Bytes of one chunk of the chain samplers' float64 operand draw: the
+#: ``(samples, nbits)`` draw is made in sample-major row chunks of about
+#: this size into one reused buffer, so its memory stays bounded at any
+#: batch size.
+_DRAW_CHUNK_BYTES = 1 << 20
+
+
 def _sample_operands(
     rng: np.random.Generator,
     probs: Sequence[float],
@@ -84,12 +91,25 @@ def _sample_operands(
 ) -> np.ndarray:
     """Draw operands with independent per-bit one-probabilities, as planes.
 
-    One ``(samples, nbits)`` uniform draw compared against the per-bit
-    probabilities; its contiguous transpose packs to the bit planes
-    :func:`~repro.simulation.functional.ripple_add_planes` reads.
+    A ``(samples, nbits)`` uniform draw compared against the per-bit
+    probabilities, packed to the bit planes
+    :func:`~repro.simulation.functional.ripple_add_planes` reads.  The
+    draw is made in row chunks (a multiple of 8 rows, so each chunk
+    packs into its own byte range) through one reused buffer;
+    consecutive ``rng.random`` calls yield the values of one big call,
+    so the stream is that of a single ``rng.random((samples, nbits))``.
     """
     p = np.asarray(probs, dtype=np.float64)
-    return bits_to_planes((rng.random((samples, p.size)) < p).T)
+    rows = min(samples, max(8, _DRAW_CHUNK_BYTES // (8 * p.size) // 8 * 8))
+    draw = np.empty((rows, p.size))
+    bits = np.empty((rows, p.size), dtype=bool)
+    planes = np.empty((p.size, (samples + 7) // 8), dtype=np.uint8)
+    for start in range(0, samples, rows):
+        count = min(rows, samples - start)
+        np.less(rng.random(out=draw[:count]), p, out=bits[:count])
+        planes[:, start // 8:(start + count + 7) // 8] = \
+            bits_to_planes(bits[:count].T)
+    return planes
 
 
 def _sample_carry(rng: np.random.Generator, pc: float,

@@ -245,6 +245,23 @@ class TestRouterLadder:
         if p_error is not None:
             assert result.p_error == pytest.approx(p_error, abs=0.02)
 
+    @pytest.mark.parametrize("request_, sampler", [
+        pytest.param(AnalysisRequest.distribution("LPAA 1", 8,
+                                                  kind=KIND_MED),
+                     "distribution-mc", id="chain"),
+        pytest.param(AnalysisRequest.zoo("aca1:8:4", kind=KIND_MED),
+                     "zoo-mc", id="block"),
+    ])
+    def test_seed_none_is_an_unseeded_stream(self, request_, sampler):
+        forced = engine.run(request_, engine=sampler, samples=2_000,
+                            seed=None)
+        routed = engine.run(request_, simulate=True, samples=2_000,
+                            seed=None)
+        for result in (forced, routed):
+            assert result.engine == sampler
+            assert result.samples == 2_000
+            assert result.med >= 0.0
+
 
 class TestTruncatedBias:
     """The truncated rungs report the exact E[D] as ``bias``: the

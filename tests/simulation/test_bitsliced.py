@@ -3,8 +3,9 @@
 ``ripple_add_planes`` and ``windowed_add_planes`` must equal the scalar
 models lane by lane, at lane counts that exercise ``packbits`` padding.
 Frozen copies of the integer models and operand samplers they replaced
-pin every seeded ``zoo-mc``, ``distribution-mc`` and ``montecarlo``
-answer bit for bit.
+pin every seeded ``distribution-mc`` and ``montecarlo`` answer bit for
+bit; a lane-by-lane reference of the packed Bernoulli draw pins every
+seeded ``zoo-mc`` answer.
 """
 
 from __future__ import annotations
@@ -183,12 +184,50 @@ def _frozen_chain_operands(rng, probs, samples):
     return bits @ weights
 
 
-def _frozen_zoo_operands(probs, samples, rng):
-    """``zoo-mc``'s draw: bit-major, one ``rng.random`` per bit."""
-    values = np.zeros(samples, dtype=np.int64)
-    for i, p in enumerate(probs):
-        values |= (rng.random(samples) < p).astype(np.int64) << i
-    return values
+def _reference_zoo_operands(probs, samples, rng):
+    """``zoo-mc``'s draw, lane by lane: a bit-major ``(len(probs),
+    samples)`` Boolean array from the schedule of
+    ``bernoulli_planes``, decided per lane as ``U < p`` one binary digit
+    of ``U`` a round."""
+    n, words = len(probs), -(-samples // 64)
+    digits, last = [], []
+    for p in probs:
+        num, den = float(p).as_integer_ratio()
+        e = den.bit_length() - 1
+        digits.append([(num >> (e - k)) & 1 for k in range(1, e + 1)])
+        last.append(e if 0.0 < p < 1.0 else 0)
+    last = np.array(last)
+    value = np.zeros((n, words * 64), dtype=bool)
+    value[[p == 1.0 for p in probs], :samples] = True
+    undecided = np.zeros((n, words * 64), dtype=bool)
+    undecided[last > 0, :samples] = True
+    # Per-word views of the same lanes: lane 64 w + j is [:, w, j].
+    word_value = value.reshape(n, words, 64)
+    word_undecided = undecided.reshape(n, words, 64)
+    shifts = np.arange(64, dtype=np.uint64)
+    k = 0
+    while undecided.any() or (k < 8 and (last > k).any()):
+        k += 1
+        # (plane, word) pairs drawn this round, plane-major.
+        live = (last >= k)[:, None] & (word_undecided.any(axis=2) | (k <= 8))
+        plane, word = np.nonzero(live)
+        drawn = rng.integers(0, 2 ** 64 - 1, plane.size, dtype=np.uint64,
+                             endpoint=True)
+        u = ((drawn[:, None] >> shifts) & np.uint64(1)).astype(bool)
+        digit = np.array([bool(digits[i][k - 1]) for i in plane],
+                         dtype=bool)[:, None]
+        decided = word_undecided[plane, word] & (u != digit)
+        word_value[plane, word] |= decided & digit
+        word_undecided[plane, word] &= ~decided
+        undecided[last == k] = False
+    return value[:, :samples]
+
+
+def _lane_values(bits):
+    """The int64 word of each lane of a bit-major Boolean array."""
+    weights = np.left_shift(np.int64(1),
+                            np.arange(bits.shape[0], dtype=np.int64))
+    return weights @ bits
 
 
 def _frozen_batches(cells, pa, pb, pc, samples, seed, batch_size):
@@ -243,9 +282,11 @@ class TestSeededSamplersAreFrozen:
                                            approx, exact)
                 engine = "distribution-mc"
             else:
-                draw = np.random.default_rng(seed)
-                a = _frozen_zoo_operands(request.p_a, self.SAMPLES, draw)
-                b = _frozen_zoo_operands(request.p_b, self.SAMPLES, draw)
+                bits = _reference_zoo_operands(
+                    request.p_a + request.p_b, self.SAMPLES,
+                    np.random.default_rng(seed))
+                a = _lane_values(bits[:request.width])
+                b = _lane_values(bits[request.width:])
                 expected = _sampled_result(
                     request, "zoo-mc",
                     _frozen_windowed_add_array(request.block, a, b), a + b)
