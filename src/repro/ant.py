@@ -27,6 +27,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .core.bitplanes import bernoulli_planes, planes_to_values
 from .core.exceptions import AnalysisError, ChainLengthError
 from .core.metrics import QualityMetrics, metrics_from_samples
 from .core.recursive import CellSpec, resolve_chain
@@ -161,12 +162,10 @@ def ant_quality_experiment(
     if not 0.0 <= p <= 1.0:
         raise AnalysisError(f"p must be in [0, 1], got {p}")
     adder = AntAdder(width, main_cell, truncation_bits, threshold=threshold)
-    rng = np.random.default_rng(seed)
-    a = np.zeros(samples, dtype=np.int64)
-    b = np.zeros(samples, dtype=np.int64)
-    for i in range(width):
-        a |= (rng.random(samples) < p).astype(np.int64) << i
-        b |= (rng.random(samples) < p).astype(np.int64) << i
+    planes = bernoulli_planes(np.random.default_rng(seed), [p] * (2 * width),
+                              samples)
+    a = planes_to_values(planes[:width], samples)
+    b = planes_to_values(planes[width:], samples)
     exact = a + b
     main = ripple_add_array(adder._cells, a, b, 0, width)
     protected, used = adder.add_array(a, b)

@@ -17,7 +17,6 @@ one 8x8 bit-matrix transpose per byte of words (three delta swaps on
 uint64) between two byte shuffles, each a long strided copy per plane
 and per byte of the words:
 
-* :func:`bits_to_planes` -- a bit-major ``(n, S)`` Boolean draw;
 * :func:`planes_to_values` -- planes to int64 words (bits past 63 are
   dropped, as int64 shifts drop them);
 * :func:`values_to_planes` -- int64 words to planes.
@@ -25,7 +24,9 @@ and per byte of the words:
 Random operands are drawn straight into planes by
 :func:`bernoulli_planes`: an exact bit-serial comparison of uniform
 random words against each bit's probability, 64 lanes per word, with no
-float draw per lane.
+float draw per lane.  It is the library's one per-bit operand draw:
+every sampler (chain and block Monte-Carlo, multi-operand, ANT, MAC)
+makes its operands with it.
 """
 
 from __future__ import annotations
@@ -56,12 +57,6 @@ def _transpose8(x: np.ndarray) -> np.ndarray:
         t <<= s
         x ^= t
     return x
-
-
-def bits_to_planes(bits: np.ndarray) -> np.ndarray:
-    """Planes of a bit-major ``(n, S)`` Boolean array."""
-    return np.packbits(np.ascontiguousarray(bits, dtype=bool), axis=1,
-                       bitorder="little")
 
 
 def planes_to_values(planes: np.ndarray, count: int) -> np.ndarray:

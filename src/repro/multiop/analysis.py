@@ -26,6 +26,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
+from ..core.bitplanes import bernoulli_planes, planes_to_values
 from ..core.exceptions import AnalysisError
 from ..core.matrices import derive_matrices
 from ..core.probability import float_probability_vector
@@ -138,13 +139,10 @@ def multi_operand_error_probability_mc(
         float_probability_vector(row, width, "operand")
         for row in operand_probabilities
     ]
-    rng = np.random.default_rng(seed)
-    operands = []
-    for row in rows:
-        word = np.zeros(samples, dtype=np.int64)
-        for i, p in enumerate(row):
-            word |= (rng.random(samples) < p).astype(np.int64) << i
-        operands.append(word)
+    planes = bernoulli_planes(np.random.default_rng(seed),
+                              [p for row in rows for p in row], samples)
+    operands = [planes_to_values(planes[k * width:(k + 1) * width], samples)
+                for k in range(len(rows))]
     exact = sum(operands)
     approx = multi_operand_add_array(
         operands, width, compress_cell=compress_cell, final_adder=final_adder

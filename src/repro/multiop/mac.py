@@ -19,6 +19,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from ..core.bitplanes import bernoulli_planes, planes_to_values
 from ..core.exceptions import AnalysisError, ChainLengthError
 from ..core.recursive import CellSpec
 from ..simulation.functional import ripple_add
@@ -154,12 +155,13 @@ def mean_accumulator_drift(
     """
     if steps < 1 or trials < 1:
         raise AnalysisError("steps and trials must be >= 1")
+    if not 0.0 <= p_input <= 1.0:
+        raise AnalysisError(f"p_input must be in [0, 1], got {p_input}")
     rng = np.random.default_rng(seed)
     totals = np.zeros(steps, dtype=np.float64)
     for _ in range(trials):
-        stream = np.zeros(steps, dtype=np.int64)
-        for i in range(width):
-            stream |= (rng.random(steps) < p_input).astype(np.int64) << i
+        stream = planes_to_values(
+            bernoulli_planes(rng, [p_input] * width, steps), steps)
         drifts = accumulator_drift_profile(width, cell, stream)
         totals += np.abs(drifts)
     return totals / trials

@@ -429,7 +429,8 @@ class ExhaustiveQuality:
 def _quality(cases: _Cases, span: str,
              progress: Optional[ProgressCallback]) -> ExhaustiveQuality:
     """The quality fold: each block's PMF is binned with one
-    ``np.unique`` + ``np.bincount``, not one masked sum per delta."""
+    ``np.bincount`` over ``delta - delta.min()`` (no sort; each bin sums
+    its cases in case order), not one masked sum per delta."""
     pmf: Dict[int, float] = {}
     mred = 0.0
     bias = 0.0
@@ -437,12 +438,11 @@ def _quality(cases: _Cases, span: str,
     def fold(delta: np.ndarray, exact: np.ndarray,
              weights: np.ndarray) -> None:
         nonlocal mred, bias
-        uniques, inverse = np.unique(delta, return_inverse=True)
-        sums = np.bincount(inverse.ravel(), weights=weights,
-                           minlength=uniques.size)
-        for d, mass in zip(uniques.tolist(), sums.tolist()):
-            if mass > 0.0:
-                pmf[d] = pmf.get(d, 0.0) + mass
+        low = int(delta.min())
+        sums = np.bincount(delta - low, weights=weights)
+        for offset in np.flatnonzero(sums > 0.0).tolist():
+            d = low + offset
+            pmf[d] = pmf.get(d, 0.0) + float(sums[offset])
         abs_delta = np.abs(delta).astype(np.float64)
         mred += float((weights * abs_delta / np.maximum(exact, 1)).sum())
         bias += float((weights * delta).sum())

@@ -3,7 +3,10 @@
 For non-equiprobable inputs the paper could not enumerate exhaustively
 and instead averaged 1 million random cases ("can be increased for
 better precision match").  This module reproduces that estimator with a
-vectorised, seeded sampler:
+vectorised, seeded sampler: each batch draws its operand and carry-in
+bits straight into packed planes with one
+:func:`~repro.core.bitplanes.bernoulli_planes` call and runs them
+through the bit-sliced ripple kernel.
 
 * :func:`simulate_error_probability` -- the Table 7 "Sim." column;
 * :func:`simulate_samples` -- raw (approx, exact) sample arrays for
@@ -33,7 +36,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.bitplanes import bits_to_planes, planes_to_values
+from ..core.bitplanes import bernoulli_planes, planes_to_values
 from ..core.exceptions import AnalysisError, ChainLengthError
 from ..core.probability import float_probability_vector
 from ..core.recursive import CellSpec, resolve_chain
@@ -58,9 +61,11 @@ from .functional import ripple_add_planes
 #: Sample count used throughout the paper's inequiprobable validation.
 PAPER_SAMPLE_COUNT = 1_000_000
 
-#: Rough per-sample peak footprint of one batch (operand/result int64
-#: arrays plus the per-bit boolean draw), used with a budget's
-#: ``memory_hint_mb`` to clamp the batch size.
+#: Rough per-sample peak footprint of one batch: the int64 result words
+#: and their plane conversions.  :func:`_effective_batch_size` adds
+#: ``2 * width`` bytes for the packed draw, whose few uint64 work arrays
+#: over ``2 * width + 1`` planes hold about ``width`` bytes per sample.
+#: Used with a budget's ``memory_hint_mb`` to clamp the batch size.
 _BYTES_PER_SAMPLE_BASE = 6 * 8
 
 _logger = get_logger("simulation.montecarlo")
@@ -75,47 +80,6 @@ def _effective_batch_size(
     per_sample = _BYTES_PER_SAMPLE_BASE + 2 * width
     cap = int(budget.memory_hint_mb * 1_000_000 / per_sample)
     return max(1, min(batch_size, cap))
-
-
-#: Bytes of one chunk of the chain samplers' float64 operand draw: the
-#: ``(samples, nbits)`` draw is made in sample-major row chunks of about
-#: this size into one reused buffer, so its memory stays bounded at any
-#: batch size.
-_DRAW_CHUNK_BYTES = 1 << 20
-
-
-def _sample_operands(
-    rng: np.random.Generator,
-    probs: Sequence[float],
-    samples: int,
-) -> np.ndarray:
-    """Draw operands with independent per-bit one-probabilities, as planes.
-
-    A ``(samples, nbits)`` uniform draw compared against the per-bit
-    probabilities, packed to the bit planes
-    :func:`~repro.simulation.functional.ripple_add_planes` reads.  The
-    draw is made in row chunks (a multiple of 8 rows, so each chunk
-    packs into its own byte range) through one reused buffer;
-    consecutive ``rng.random`` calls yield the values of one big call,
-    so the stream is that of a single ``rng.random((samples, nbits))``.
-    """
-    p = np.asarray(probs, dtype=np.float64)
-    rows = min(samples, max(8, _DRAW_CHUNK_BYTES // (8 * p.size) // 8 * 8))
-    draw = np.empty((rows, p.size))
-    bits = np.empty((rows, p.size), dtype=bool)
-    planes = np.empty((p.size, (samples + 7) // 8), dtype=np.uint8)
-    for start in range(0, samples, rows):
-        count = min(rows, samples - start)
-        np.less(rng.random(out=draw[:count]), p, out=bits[:count])
-        planes[:, start // 8:(start + count + 7) // 8] = \
-            bits_to_planes(bits[:count].T)
-    return planes
-
-
-def _sample_carry(rng: np.random.Generator, pc: float,
-                  samples: int) -> np.ndarray:
-    """One carry-in draw per sample, as a single plane."""
-    return bits_to_planes((rng.random(samples) < pc)[None, :])[0]
 
 
 def wilson_interval(p: float, n: int, z: float = 1.96) -> Tuple[float, float]:
@@ -214,6 +178,7 @@ def simulate_samples(
     pb = float_probability_vector(p_b, n, "p_b")
     pc = float(validate_probability(p_cin, "p_cin"))
 
+    exact_cells = [ACCURATE] * n
     rng = np.random.default_rng(seed)
     approx_parts = []
     exact_parts = []
@@ -226,14 +191,12 @@ def simulate_samples(
         while remaining > 0:
             chunk = min(remaining, batch_size)
             with _metrics.timed("simulation.montecarlo.batch"):
-                a = _sample_operands(rng, pa, chunk)
-                b = _sample_operands(rng, pb, chunk)
-                cin = _sample_carry(rng, pc, chunk)
-                approx = ripple_add_planes(cells, a, b, cin)
-                approx_parts.append(planes_to_values(approx, chunk))
-                exact_parts.append(
-                    planes_to_values(a, chunk) + planes_to_values(b, chunk)
-                    + planes_to_values(cin[None, :], chunk))
+                planes = bernoulli_planes(rng, pa + pb + [pc], chunk)
+                a, b, cin = planes[:n], planes[n:2 * n], planes[2 * n]
+                approx_parts.append(planes_to_values(
+                    ripple_add_planes(cells, a, b, cin), chunk))
+                exact_parts.append(planes_to_values(
+                    ripple_add_planes(exact_cells, a, b, cin), chunk))
             remaining -= chunk
             reporter.update(chunk)
     reporter.finish()
@@ -302,9 +265,12 @@ def simulate_error_probability(
 
     exact_cells = [ACCURATE] * n
     eff_batch = _effective_batch_size(batch_size, n, budget)
+    # ``draw`` names the operand stream, so a checkpoint written under
+    # another draw is refused, not spliced onto this one.
     fingerprint = config_fingerprint(
         kind="montecarlo", cells=[t.name for t in cells], seed=seed,
         samples=samples, p_a=pa, p_b=pb, p_cin=pc, batch_size=eff_batch,
+        draw="bernoulli-planes",
     )
     rng = np.random.default_rng(seed)
     done = 0
@@ -363,9 +329,8 @@ def simulate_error_probability(
                     stop_reason = meter.stop_reason() or STOP_MAX_SAMPLES
                     break
                 with _metrics.timed("simulation.montecarlo.batch"):
-                    a = _sample_operands(rng, pa, chunk)
-                    b = _sample_operands(rng, pb, chunk)
-                    cin = _sample_carry(rng, pc, chunk)
+                    planes = bernoulli_planes(rng, pa + pb + [pc], chunk)
+                    a, b, cin = planes[:n], planes[n:2 * n], planes[2 * n]
                     wrong = np.bitwise_or.reduce(
                         ripple_add_planes(cells, a, b, cin)
                         ^ ripple_add_planes(exact_cells, a, b, cin), axis=0)

@@ -124,3 +124,8 @@ class TestMeanDrift:
     def test_validation(self):
         with pytest.raises(AnalysisError):
             mean_accumulator_drift(8, "accurate", steps=0)
+
+    @pytest.mark.parametrize("p_input", [-0.1, 1.5, float("nan")])
+    def test_p_input_out_of_range_raises(self, p_input):
+        with pytest.raises(AnalysisError, match="p_input"):
+            mean_accumulator_drift(8, "LPAA 5", steps=4, p_input=p_input)

@@ -2,10 +2,10 @@
 
 ``ripple_add_planes`` and ``windowed_add_planes`` must equal the scalar
 models lane by lane, at lane counts that exercise ``packbits`` padding.
-Frozen copies of the integer models and operand samplers they replaced
-pin every seeded ``distribution-mc`` and ``montecarlo`` answer bit for
-bit; a lane-by-lane reference of the packed Bernoulli draw pins every
-seeded ``zoo-mc`` answer.
+Frozen copies of the integer models they replaced, fed by a lane-by-lane
+reference of the packed Bernoulli draw that every sampler makes, pin
+every seeded ``distribution-mc``, ``montecarlo`` and ``zoo-mc`` answer
+bit for bit.
 """
 
 from __future__ import annotations
@@ -22,11 +22,7 @@ from repro.core.adder_zoo import (
     windowed_add_array,
     windowed_add_planes,
 )
-from repro.core.bitplanes import (
-    bits_to_planes,
-    planes_to_values,
-    values_to_planes,
-)
+from repro.core.bitplanes import planes_to_values, values_to_planes
 from repro.core.exceptions import ChainLengthError
 from repro.core.recursive import resolve_chain
 from repro.engine import AnalysisRequest, run
@@ -88,8 +84,9 @@ class TestRipplePlanes:
         b_bits = _operand_bits(rng, n, count, p_b)
         c_bits = _operand_bits(rng, 1, count, p_cin)
         planes = ripple_add_planes(
-            cells, bits_to_planes(a_bits), bits_to_planes(b_bits),
-            bits_to_planes(c_bits)[0])
+            cells, np.packbits(a_bits, axis=1, bitorder="little"),
+            np.packbits(b_bits, axis=1, bitorder="little"),
+            np.packbits(c_bits, axis=1, bitorder="little")[0])
         got = planes_to_values(planes, count).tolist()
         chain = resolve_chain(cells, None)
         for k, (a, b, c) in enumerate(zip(_lanes(a_bits), _lanes(b_bits),
@@ -114,8 +111,9 @@ class TestWindowedPlanes:
         rng = np.random.default_rng(seed)
         a_bits = _operand_bits(rng, spec.width, count, p_a)
         b_bits = _operand_bits(rng, spec.width, count, p_b)
-        planes = windowed_add_planes(spec, bits_to_planes(a_bits),
-                                     bits_to_planes(b_bits))
+        planes = windowed_add_planes(
+            spec, np.packbits(a_bits, axis=1, bitorder="little"),
+            np.packbits(b_bits, axis=1, bitorder="little"))
         got = planes_to_values(planes, count).tolist()
         for k, (a, b) in enumerate(zip(_lanes(a_bits), _lanes(b_bits))):
             assert got[k] == windowed_add(spec, a, b)
@@ -146,7 +144,7 @@ class TestPlaneConversions:
         assert bits.tolist() == [[1, 0, 1], [0, 0, 1], [1, 0, 0]]
 
 
-# -- frozen copies of the replaced integer models and samplers --------------
+# -- frozen copies of the replaced integer models, and the draw ------------
 
 
 def _frozen_ripple_add_array(cells, a, b, cin):
@@ -176,16 +174,8 @@ def _frozen_windowed_add_array(spec, a, b):
     return result | (((carry_sum >> (n - spec.carry_low)) & 1) << n)
 
 
-def _frozen_chain_operands(rng, probs, samples):
-    """The chain samplers' draw: sample-major, packed by a matmul."""
-    p = np.asarray(probs, dtype=np.float64)
-    bits = rng.random((samples, p.size)) < p
-    weights = np.left_shift(np.int64(1), np.arange(p.size, dtype=np.int64))
-    return bits @ weights
-
-
-def _reference_zoo_operands(probs, samples, rng):
-    """``zoo-mc``'s draw, lane by lane: a bit-major ``(len(probs),
+def _reference_operands(probs, samples, rng):
+    """The samplers' draw, lane by lane: a bit-major ``(len(probs),
     samples)`` Boolean array from the schedule of
     ``bernoulli_planes``, decided per lane as ``U < p`` one binary digit
     of ``U`` a round."""
@@ -230,15 +220,18 @@ def _lane_values(bits):
     return weights @ bits
 
 
-def _frozen_batches(cells, pa, pb, pc, samples, seed, batch_size):
-    """Yield ``(approx, exact)`` per batch as the chain samplers did."""
+def _reference_batches(cells, pa, pb, pc, samples, seed, batch_size):
+    """Yield ``(approx, exact)`` per batch as the chain samplers do: one
+    draw over ``pa + pb + [pc]`` per batch."""
     rng = np.random.default_rng(seed)
+    n = len(pa)
     remaining = samples
     while remaining > 0:
         chunk = min(remaining, batch_size)
-        a = _frozen_chain_operands(rng, pa, chunk)
-        b = _frozen_chain_operands(rng, pb, chunk)
-        cin = (rng.random(chunk) < pc).astype(np.int64)
+        bits = _reference_operands([*pa, *pb, pc], chunk, rng)
+        a = _lane_values(bits[:n])
+        b = _lane_values(bits[n:2 * n])
+        cin = bits[2 * n].astype(np.int64)
         yield _frozen_ripple_add_array(cells, a, b, cin), a + b + cin
         remaining -= chunk
 
@@ -275,14 +268,14 @@ class TestSeededSamplersAreFrozen:
         for seed, request in enumerate(_zoo_requests(rng)):
             if request.block is None:   # chain-shaped: distribution-mc
                 approx, exact = (np.concatenate(part) for part in zip(
-                    *_frozen_batches(request.cells, request.p_a,
-                                     request.p_b, request.p_cin,
-                                     self.SAMPLES, seed, 1 << 20)))
+                    *_reference_batches(request.cells, request.p_a,
+                                        request.p_b, request.p_cin,
+                                        self.SAMPLES, seed, 1 << 20)))
                 expected = _sampled_result(request, "distribution-mc",
                                            approx, exact)
                 engine = "distribution-mc"
             else:
-                bits = _reference_zoo_operands(
+                bits = _reference_operands(
                     request.p_a + request.p_b, self.SAMPLES,
                     np.random.default_rng(seed))
                 a = _lane_values(bits[:request.width])
@@ -303,8 +296,8 @@ class TestSeededSamplersAreFrozen:
                 pa, pb = _profile(rng, n), _profile(rng, n)
                 pc = float(rng.choice([0.0, 1.0, 0.3]))
                 approx, exact = (np.concatenate(part) for part in zip(
-                    *_frozen_batches(cells, pa, pb, pc, 3001, i,
-                                     batch_size)))
+                    *_reference_batches(cells, pa, pb, pc, 3001, i,
+                                        batch_size)))
                 got = simulate_samples(cells, None, pa, pb, pc,
                                        samples=3001, seed=i,
                                        batch_size=batch_size)
@@ -325,8 +318,8 @@ class TestSeededSamplersAreFrozen:
             pa, pb = _profile(rng, n), _profile(rng, n)
             errors = sum(
                 int((approx != exact).sum()) for approx, exact in
-                _frozen_batches(cells, pa, pb, 0.4, self.SAMPLES, n,
-                                batch_size))
+                _reference_batches(cells, pa, pb, 0.4, self.SAMPLES, n,
+                                   batch_size))
             got = simulate_error_probability(
                 cells, None, pa, pb, 0.4, samples=self.SAMPLES, seed=n,
                 batch_size=batch_size)

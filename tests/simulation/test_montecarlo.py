@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core.exceptions import AnalysisError
+from repro.core.exceptions import AnalysisError, CheckpointError
 from repro.core.recursive import analyze_chain
+from repro.runtime.checkpoint import (
+    Checkpoint,
+    config_fingerprint,
+    rng_state_to_jsonable,
+    save_checkpoint,
+)
 from repro.simulation.montecarlo import (
     MonteCarloResult,
     simulate_error_probability,
@@ -143,6 +149,30 @@ class TestManifest:
         c = simulate_error_probability("LPAA 1", 4, samples=1_000, seed=10)
         assert a.manifest.fingerprint() == b.manifest.fingerprint()
         assert a.manifest.fingerprint() != c.manifest.fingerprint()
+
+
+class TestCheckpointIdentity:
+    def test_checkpoint_of_the_float_draw_is_refused(self, tmp_path):
+        # A checkpoint written under the earlier per-bit float draw has
+        # the same cells, seed, samples, p's and batch size; resuming it
+        # would splice two operand streams into one estimate.
+        ckpt = tmp_path / "mc.ckpt"
+        float_draw_identity = dict(
+            kind="montecarlo", cells=["LPAA 1"] * 4, seed=11,
+            samples=16_384, p_a=[0.3] * 4, p_b=[0.7] * 4, p_cin=0.5,
+            batch_size=8_192)
+        rng = np.random.default_rng(11)
+        save_checkpoint(ckpt, Checkpoint(
+            kind="montecarlo",
+            fingerprint=config_fingerprint(**float_draw_identity),
+            payload={"samples_done": 8_192, "errors": 0,
+                     "rng_state": rng_state_to_jsonable(
+                         rng.bit_generator.state)},
+            sequence=1))
+        with pytest.raises(CheckpointError, match="different run"):
+            simulate_error_probability(
+                "LPAA 1", 4, 0.3, 0.7, 0.5, samples=16_384, seed=11,
+                batch_size=8_192, checkpoint_path=str(ckpt), resume=True)
 
 
 class TestProgressReporting:
