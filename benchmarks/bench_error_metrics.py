@@ -8,8 +8,9 @@ is computable.  The full-PMF path is ``error_pmf`` plus a Python MED
 sum; its O(2^N) gap is gated at width 20 (past the exact guard,
 ``max_entries`` raised explicitly), where it dominates the per-call
 overhead.  At width 16 the same path is recorded as ``full_pmf_s``, and
-the dense kernel with its array metrics (what ``distribution-dp``
-serves) as ``pmf_kernel_s``; each time is the best of three calls.  The
+a ``distribution-dp`` ``error_distribution`` answer (the dense kernel's
+PMF arrays plus the linear-fold metrics) as ``pmf_kernel_s``; each time
+is the best of three calls.  The
 truncated rung is timed at width 32 with its MED drift against the
 exact O(N) moments, pinning the documented "bounded drift" claim with a
 number.
@@ -25,12 +26,10 @@ import time
 
 from repro import engine
 from repro.core.magnitude import (
-    error_law,
     error_moments,
     error_pmf,
     worst_case_error,
 )
-from repro.core.metrics import metrics_from_law
 from repro.engine.request import AnalysisRequest
 from repro.reporting import ascii_table
 
@@ -80,8 +79,10 @@ def _full_pmf(width, **kwargs):
 
 
 def _kernel(width):
-    law = error_law(PMF_CELL, width, 0.5, 0.5, 0.5)
-    return law, metrics_from_law(law, width)
+    request = AnalysisRequest.distribution(PMF_CELL, width,
+                                           kind="error_distribution")
+    result = engine.run(request, engine="distribution-dp")
+    return result.distribution, result
 
 
 def _linear(width):
@@ -92,12 +93,14 @@ def _linear(width):
 def test_linear_metrics_vs_full_pmf(benchmark):
     """MED/MSE/WCE without the PMF: >= 25x at width 20."""
     pmf_s, (pmf, pmf_med) = _best_of(3, lambda: _full_pmf(PMF_WIDTH))
-    kernel_s, (law, quality) = _best_of(3, lambda: _kernel(PMF_WIDTH))
+    kernel_s, (kernel_pmf, quality) = _best_of(
+        3, lambda: _kernel(PMF_WIDTH))
     linear_s, (mom, wce) = _best_of(3, lambda: _linear(PMF_WIDTH))
     assert abs(mom.second_moment
                - sum(d * d * p for d, p in pmf.items())) < 1e-3
     assert abs(quality.med - pmf_med) < 1e-9 * pmf_med
     assert wce.wce == quality.wce == max(abs(d) for d in pmf)
+    assert dict(kernel_pmf) == pmf
 
     gate_pmf_s, (gate_pmf, gate_med) = _best_of(3, lambda: _full_pmf(
         GATE_WIDTH, max_entries=GATE_MAX_ENTRIES))
@@ -126,7 +129,7 @@ def test_linear_metrics_vs_full_pmf(benchmark):
         ["path", "seconds", "answers"],
         [[f"full PMF DP (width {PMF_WIDTH}, {len(pmf)} deltas)",
           f"{pmf_s:.4f}", f"MED={pmf_med:.2f}"],
-         [f"dense kernel + array metrics (width {PMF_WIDTH})",
+         [f"distribution-dp PMF answer (width {PMF_WIDTH})",
           f"{kernel_s:.4f}", f"MED={quality.med:.2f}"],
          [f"O(N) moments + interval DP (width {PMF_WIDTH})",
           f"{linear_s:.5f}",

@@ -4,17 +4,23 @@ The paper reports error probability only; applications also need
 magnitude.  This bench regenerates, at the Table 7 operating point
 (p = 0.1, N = 8), the exact error PMF, the derived MED/NMED/MSE/WCE
 metrics and the per-bit error marginals -- all analytical -- and
-cross-validates against a million-sample simulation.
+cross-validates against a million-sample simulation.  The exact DP
+rung's ``med`` answer (linear folds, no PMF) must equal the PMF-derived
+MED within 1e-12 relative and agree with the simulation.
 """
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+from repro import engine
 from repro.core.adders import PAPER_LPAAS
 from repro.core.magnitude import error_moments, error_pmf
 from repro.core.metrics import metrics_from_pmf, metrics_from_samples
 from repro.core.sum_analysis import bit_error_probabilities
+from repro.engine import AnalysisRequest
 from repro.reporting import ascii_table
 from repro.simulation.montecarlo import simulate_samples
 
@@ -24,12 +30,22 @@ P = 0.1
 WIDTH = 8
 
 
+def _dp_med(cell):
+    """The ``distribution-dp`` rung's ``med`` answer at the operating
+    point."""
+    request = AnalysisRequest.distribution(cell, WIDTH, P, P, P, kind="med")
+    return engine.run(request=request, engine="distribution-dp")
+
+
 def test_ext_magnitude_metrics_table(benchmark):
     rows = []
     for cell in PAPER_LPAAS:
         pmf = error_pmf(cell, WIDTH, P, P, P)
         metrics = metrics_from_pmf(pmf, WIDTH)
         moments = error_moments(cell, WIDTH, P, P, P)
+        dp = _dp_med(cell)
+        assert math.isclose(dp.med, metrics.med, rel_tol=1e-12), cell.name
+        assert math.isclose(dp.p_error, metrics.error_rate, rel_tol=1e-12)
         rows.append([
             cell.name, metrics.error_rate, metrics.med, metrics.nmed,
             moments.rms, metrics.wce,
@@ -61,8 +77,12 @@ def test_ext_magnitude_vs_simulation(benchmark):
     approx, exact = simulate_samples(cell, WIDTH, P, P, P,
                                      samples=1_000_000, seed=5)
     sampled = metrics_from_samples(approx, exact, WIDTH)
-    emit(f"Ext: {cell} MED analytic {analytic.med:.5f} vs sampled "
-         f"{sampled.med:.5f}; MSE {analytic.mse:.4f} vs {sampled.mse:.4f}")
+    dp = _dp_med(cell)
+    emit(f"Ext: {cell} MED analytic {analytic.med:.5f} (linear DP "
+         f"{dp.med:.5f}) vs sampled {sampled.med:.5f}; MSE "
+         f"{analytic.mse:.4f} vs {sampled.mse:.4f}")
+    assert math.isclose(dp.med, analytic.med, rel_tol=1e-12)
+    assert sampled.med == pytest.approx(dp.med, rel=0.02)
     assert sampled.error_rate == pytest.approx(analytic.error_rate, abs=2e-3)
     assert sampled.med == pytest.approx(analytic.med, rel=0.02)
     assert sampled.mse == pytest.approx(analytic.mse, rel=0.05)

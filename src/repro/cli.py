@@ -266,14 +266,17 @@ def _cmd_distribution(args) -> int:
         lo, hi = result.interval
         print(f"95% interval: [{lo:.6g}, {hi:.6g}] "
               f"({result.samples} samples)")
-    if result.distribution is not None:
-        top = sorted(result.distribution, key=lambda dp: -dp[1])
-        top = top[: args.top]
+    pmf = result.distribution
+    if pmf is not None:
+        import numpy as np
+
+        # The most probable deltas (ties: lower delta first), ascending.
+        top = np.sort(np.argsort(-pmf.probs, kind="stable")[:args.top])
         print(ascii_table(
             ["Delta", "Probability"],
-            [[str(d), f"{p:.6g}"] for d, p in sorted(top)],
-            title=f"top {len(top)} of {len(result.distribution)} "
-                  "support points",
+            [[str(d), f"{p:.6g}"] for d, p in zip(
+                pmf.deltas[top].tolist(), pmf.probs[top].tolist())],
+            title=f"top {top.size} of {len(pmf)} support points",
         ))
     return 0
 

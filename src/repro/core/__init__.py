@@ -79,6 +79,7 @@ from .hybrid import HybridChain
 from .magnitude import (
     ErrorLaw,
     ErrorMoments,
+    ErrorPMF,
     WorstCaseError,
     error_law,
     error_moments,
@@ -97,7 +98,6 @@ from .matrices import (
 )
 from .metrics import (
     QualityMetrics,
-    metrics_from_law,
     metrics_from_pmf,
     metrics_from_samples,
 )
@@ -196,6 +196,7 @@ __all__ = [
     "error_pmf",
     "error_law",
     "ErrorLaw",
+    "ErrorPMF",
     "error_moments",
     "ErrorMoments",
     "WorstCaseError",
@@ -204,7 +205,6 @@ __all__ = [
     "relative_error_from_joint",
     "QualityMetrics",
     "metrics_from_pmf",
-    "metrics_from_law",
     "metrics_from_samples",
     "Polynomial",
     "symbolic_error_probability",

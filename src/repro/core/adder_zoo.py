@@ -79,7 +79,7 @@ from .magnitude import (
     fold_extremes,
     fold_moments,
     fold_sparse,
-    fold_success,
+    fold_nonzero,
     operand_values,
 )
 from .truth_table import ACCURATE, FullAdderTruthTable
@@ -339,11 +339,10 @@ def windowed_error_probability(
     Output bit i errs exactly when the exact carry and the window's
     carry disagree (windowed adders only ever drop carries, so the
     disagreement is one-sided), and likewise for the carry-out: the
-    success mass is that of the all-zero-increment paths
-    (:func:`~repro.core.magnitude.fold_success`).
+    error mass is that of the paths with a nonzero increment
+    (:func:`~repro.core.magnitude.fold_nonzero`).
     """
-    p_success = fold_success(windowed_table(spec, p_a, p_b))
-    return 1.0 - min(1.0, max(0.0, p_success))
+    return min(1.0, fold_nonzero(windowed_table(spec, p_a, p_b)))
 
 
 def windowed_error_pmf(

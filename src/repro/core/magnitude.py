@@ -14,7 +14,7 @@ its approximate carry, ``d`` the cell's *local error* ``e`` in
 ``D = sum_i e_i 2^i``), :func:`pair_table` (the chain over
 ``(approximate, exact)`` carry pairs, ``d`` the sum-bit difference) and
 :func:`repro.core.adder_zoo.windowed_table` (a block adder over its
-monotone carry cut).  Five folds answer every question:
+monotone carry cut).  Six folds answer every question:
 
 * :func:`fold_law` -- the law of ``D`` as one dense window per state
   (chains: :func:`error_law`, :func:`error_pmf`); accurate stages add
@@ -29,9 +29,17 @@ monotone carry cut).  Five folds answer every question:
 * :func:`fold_moments` -- exact ``E[D]`` and ``E[D^2]`` in linear time.
 * :func:`fold_extremes` -- the reachable ``[min, max]`` of ``D`` (the
   WCE) in exact integers at any width.
-* :func:`fold_success` -- the mass of the all-zero-increment paths, the
-  windowed ``P(no error)`` (chain ``P(error)`` is the paper's recursion,
+* :func:`fold_nonzero` -- the mass of the paths with a nonzero
+  increment, summed without cancellation: ``P(error)`` over the pair
+  and windowed tables (the paper's chain ``P(error)`` is its recursion,
   :mod:`repro.core.vectorized`).
+* :func:`fold_med` -- exact ``E|D|`` (the MED) in linear time, one
+  forward pass of non-negative terms (no cancellation), for tables
+  whose every ``d`` is an output-bit difference (the pair and windowed
+  tables).
+
+Engines hand a law to their callers as an :class:`ErrorPMF`: two
+read-only arrays that iterate as ``(delta, prob)`` pairs.
 
 The guarded folds raise :class:`~repro.core.exceptions.SupportLimitError`
 with the width, support size and stage once the support outgrows
@@ -46,6 +54,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -56,11 +65,12 @@ from typing import (
 
 import numpy as np
 
-from .exceptions import SupportLimitError
+from .exceptions import AnalysisError, SupportLimitError
 from .recursive import CellSpec, resolve_chain
 from .truth_table import FullAdderTruthTable
 from .types import (
     Probability,
+    row_index,
     validate_probability,
     validate_probability_vector,
 )
@@ -123,10 +133,11 @@ def _transitions(
     """One stage's rows over the approximate carry: ``d`` is the local
     error ``e``, ``v`` is ``a + b``."""
     rows: List[Row] = []
+    outputs = table.rows        # bits from operand_values need no check
     for a, wa in operand_values(p_a):
         for b, wb in operand_values(p_b):
             for c in (0, 1):
-                s, c_next = table.evaluate(a, b, c)
+                s, c_next = outputs[row_index(a, b, c)]
                 rows.append(
                     (c, c_next, s + 2 * c_next - a - b - c, a + b, wa * wb))
     return tuple(rows)
@@ -167,30 +178,36 @@ def pair_table(
     p_b: Union[Probability, Sequence[Probability]] = 0.5,
     p_cin: Probability = 0.5,
 ) -> CarryTable:
-    """The chain over ``(approximate carry, exact carry)`` pairs.
+    """The chain over ``(approximate carry, exact carry)`` pairs:
+    :func:`pair_form` of :func:`chain_table`."""
+    return pair_form(chain_table(cell, width, p_a, p_b, p_cin))
+
+
+def pair_form(chain: CarryTable) -> CarryTable:
+    """A :func:`chain_table` over ``(approximate carry, exact carry)``
+    pairs.
 
     The state is ``2 * approx + exact``; ``d`` is the sum-bit
     difference, ``v`` the exact sum bit, and the final term the
-    carry-out difference.
-
-    Built from :func:`chain_table`'s rows: the accurate cell's sum and
-    carry depend on ``a + b + c`` alone, and the approximate sum bit is
+    carry-out difference.  The accurate cell's sum and carry depend on
+    ``a + b + c`` alone, and the approximate sum bit is
     ``e + a + b + c - 2 c'``.
     """
-    chain = chain_table(cell, width, p_a, p_b, p_cin)
-    stages = []
-    for rows in chain.stages:
-        pairs = []
+    def pairs(rows: Tuple[Row, ...]) -> Tuple[Row, ...]:
+        out = []
         for ca, ca_next, e, ab, w in rows:
             for ce in (0, 1):
                 se, ce_next = (ab + ce) & 1, (ab + ce) >> 1
-                pairs.append((2 * ca + ce, 2 * ca_next + ce_next,
-                              e + ab + ca - 2 * ca_next - se, se, w))
-        stages.append(tuple(pairs))
+                out.append((2 * ca + ce, 2 * ca_next + ce_next,
+                            e + ab + ca - 2 * ca_next - se, se, w))
+        return tuple(out)
+
+    # Stages that share one row tuple share its pair rows.
+    memo = {rows: pairs(rows) for rows in set(chain.stages)}
     return CarryTable(
         label=chain.label, states=4,
         start=tuple((3 * c, m, v) for c, m, v in chain.start),
-        stages=tuple(stages),
+        stages=tuple(memo[rows] for rows in chain.stages),
         final=tuple(((s >> 1) - (s & 1), s & 1) for s in range(4)),
     )
 
@@ -206,6 +223,63 @@ def _check_support(
             "for wide adders",
             width=table.width, entries=size, limit=max_entries, stage=stage,
         )
+
+
+@dataclass(frozen=True, eq=False)
+class ErrorPMF:
+    """A law of ``D`` as two read-only arrays, deltas and probs.
+
+    ``deltas`` are strictly ascending int64, or exact Python ints in an
+    object array once one passes the int64 range (a width-63 or wider
+    adder whose top stages err); ``probs`` are float64.  Both are copied
+    on construction.  It iterates as ``(delta, prob)`` pairs of
+    Python numbers and equals another :class:`ErrorPMF` with the same
+    arrays, or a sequence of the same pairs.  :meth:`to_lists` is the
+    ``[[delta, prob], ...]`` JSON form.
+    """
+
+    deltas: np.ndarray
+    probs: np.ndarray
+
+    def __post_init__(self) -> None:
+        try:
+            deltas = np.array(self.deltas, dtype=np.int64)
+        except OverflowError:   # past int64: exact Python ints
+            deltas = np.array([int(d) for d in self.deltas], dtype=object)
+        probs = np.array(self.probs, dtype=np.float64)
+        if deltas.ndim != 1 or deltas.shape != probs.shape:
+            raise AnalysisError(
+                f"PMF arrays must be equal-length 1-D, got {deltas.shape} "
+                f"and {probs.shape}")
+        if np.any(deltas[1:] <= deltas[:-1]):
+            raise AnalysisError("PMF deltas must be strictly ascending")
+        deltas.flags.writeable = probs.flags.writeable = False
+        object.__setattr__(self, "deltas", deltas)
+        object.__setattr__(self, "probs", probs)
+
+    def __iter__(self) -> Iterator[Tuple[int, float]]:
+        return zip(self.deltas.tolist(), self.probs.tolist())
+
+    def __len__(self) -> int:
+        return int(self.deltas.size)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ErrorPMF):
+            return bool(np.array_equal(self.deltas, other.deltas)
+                        and np.array_equal(self.probs, other.probs))
+        if isinstance(other, (tuple, list)):
+            return len(other) == len(self) and all(
+                isinstance(pair, (tuple, list)) and tuple(pair) == mine
+                for pair, mine in zip(other, self))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))     # as the equal tuple of pairs
+
+    def to_lists(self) -> List[List[Union[int, float]]]:
+        """``[[delta, prob], ...]``: the JSON pair list."""
+        return [[d, p] for d, p in zip(self.deltas.tolist(),
+                                        self.probs.tolist())]
 
 
 # --------------------------------------------------------------------------
@@ -227,42 +301,24 @@ class ErrorLaw:
     probs: np.ndarray
     width: int
 
-    def deltas(self) -> np.ndarray:
-        """Every window entry's delta as float64 (exact below 2^53)."""
-        return float(self.lo) + float(self.step) * np.arange(
-            self.probs.size, dtype=np.float64)
+    def support(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Positive-mass ``(deltas, probs)`` arrays, ascending.
 
-    def support(self) -> Tuple[List[int], List[float]]:
-        """Positive-mass ``(deltas, probs)``, ascending; exact int deltas."""
+        Deltas are int64, or exact Python ints in an object array past
+        the int64 range.
+        """
         index = np.flatnonzero(self.probs > 0.0)
         if abs(self.lo) + self.step * self.probs.size < 1 << 62:
-            deltas = (index * self.step + self.lo).tolist()
+            deltas = index * self.step + self.lo
         else:  # past int64: exact Python-int arithmetic
-            deltas = [self.lo + self.step * k for k in index.tolist()]
-        return deltas, self.probs[index].tolist()
+            deltas = np.array([self.lo + self.step * k
+                               for k in index.tolist()], dtype=object)
+        return deltas, self.probs[index]
 
     def as_dict(self) -> Dict[int, float]:
         """The ``{delta: prob}`` view (positive mass only)."""
         deltas, probs = self.support()
-        return dict(zip(deltas, probs))
-
-    @property
-    def error_rate(self) -> float:
-        """``P(D != 0)``, summed without the zero entry (not ``1 - P(0)``,
-        which would lose a tiny rate to cancellation)."""
-        zero, rem = divmod(-self.lo, self.step)
-        if rem or not 0 <= zero < self.probs.size:
-            return float(self.probs.sum())
-        return float(self.probs[:zero].sum() + self.probs[zero + 1:].sum())
-
-    @property
-    def wce(self) -> int:
-        """``max |D|`` over the positive-mass entries (0 if none)."""
-        index = np.flatnonzero(self.probs > 0.0)
-        if not index.size:
-            return 0
-        return max(abs(self.lo + self.step * int(index[0])),
-                   abs(self.lo + self.step * int(index[-1])))
+        return dict(zip(deltas.tolist(), probs.tolist()))
 
 
 def fold_law(
@@ -408,7 +464,7 @@ def fold_sparse(
 
 
 # --------------------------------------------------------------------------
-# Folds 3-5 along paths: moments, extremes, zero-increment mass
+# Folds 3-5 along paths: moments, extremes, nonzero-increment mass
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -521,18 +577,104 @@ def fold_extremes(table: CarryTable) -> WorstCaseError:
     return WorstCaseError(min_delta=lo, max_delta=hi, width=table.width)
 
 
-def fold_success(table: CarryTable) -> float:
-    """Mass of the paths whose every increment is zero.
+def fold_nonzero(table: CarryTable) -> float:
+    """Mass of the paths with some nonzero increment.
 
-    Every ``d``, the final term's included, must be zero.  This is
-    ``P(no error)`` when ``d`` is an output-bit difference (the windowed
-    and pair tables), not for the local errors of :func:`chain_table`,
-    which can cancel.
+    The final term counts.  This is ``P(error)`` when ``d`` is an
+    output-bit difference (the windowed and pair tables), not for the
+    local errors of :func:`chain_table`, which can cancel.  Per state
+    the fold carries the mass of the paths still all-zero and of the
+    rest; every term is non-negative, so a tiny rate keeps its relative
+    precision, which ``1 - P(all zero)`` would lose to cancellation.
     """
-    return _path_fold(
-        table, lambda m: m,
-        lambda mass, inc, w: None if inc else mass * w,
-        lambda x, y: x + y) or 0.0
+    k = table.states
+    clean, hit = [0.0] * k, [0.0] * k
+    for s, m, _ in table.start:
+        clean[s] = m
+    final = tuple((s, 0, d, v, 1.0) for s, (d, v) in enumerate(table.final))
+    for rows in table.stages + (final,):
+        now_clean, now_hit = [0.0] * k, [0.0] * k
+        for s, s_next, d, _, w in rows:
+            now_hit[s_next] += hit[s] * w
+            if d:
+                now_hit[s_next] += clean[s] * w
+            else:
+                now_clean[s_next] += clean[s] * w
+        clean, hit = now_clean, now_hit
+    return hit[0]
+
+
+# --------------------------------------------------------------------------
+# Fold 6: the mean error distance
+# --------------------------------------------------------------------------
+
+def fold_med(table: CarryTable) -> float:
+    """Exact ``E|D|`` (the MED) in O(width * rows), free of cancellation.
+
+    Valid where every ``d`` is in {-1, 0, 1}, as for the output-bit
+    differences of :func:`pair_table` and
+    :func:`~repro.core.adder_zoo.windowed_table`: then before bit ``i``
+    the partial ``|D|`` is below ``2^i``, so a nonzero ``d`` sets the
+    sign of ``D``.  One forward pass carries, per state, the mass of
+    the paths with ``D = 0`` and, for ``D > 0`` and ``D < 0`` apart,
+    their mass ``m``, ``u = E[|D| 1]`` and ``c = E[(2^i - |D|) 1]``.
+    At bit ``i`` (``t = 2^i``) a row with
+
+    * ``d = 0`` keeps ``u`` and makes ``c + t m``;
+    * ``d`` of ``D``'s sign makes ``u + t m`` and keeps ``c``; from
+      ``D = 0`` it makes ``u = c = t m``;
+    * ``d`` against ``D``'s sign flips it and swaps: ``u' = c``,
+      ``c' = u + t m``.
+
+    Every term is a product or sum of non-negative numbers, so the
+    MED keeps its relative precision when a long carry mismatch makes
+    ``D = 2^(j+L) - 2^(j+L-1) - ... - 2^j`` -- summing the signed
+    ``d_i 2^i sign(D)`` instead loses ``eps * 2^(j+L)`` to the
+    cancellation.
+
+    Raises :class:`~repro.core.exceptions.AnalysisError` for a table
+    with some ``|d| > 1``, where a lower increment can outweigh a higher
+    one, as a :func:`chain_table`'s local errors can (LPAA 6's reach
+    +-2).
+    """
+    incs = {row[2] for rows in table.stages for row in rows}
+    incs.update(d for d, _ in table.final)
+    if not incs <= {-1, 0, 1}:
+        raise AnalysisError(
+            f"fold_med needs every increment in {{-1, 0, 1}}, but "
+            f"{table.label} has d = {max(incs, key=abs)}; fold the "
+            "output-bit differences (pair_table for a chain)")
+    k = table.states
+    final = tuple((s, 0, d, 0, 1.0) for s, (d, _) in enumerate(table.final))
+    # Per state: (zero mass, then m, u, c for D > 0, then for D < 0).
+    values = [(0.0,) * 7] * k
+    for s, m, _ in table.start:
+        values[s] = (m,) + (0.0,) * 6
+    for i, rows in enumerate(table.stages + (final,)):
+        t = 2.0 ** i
+        nxt = [[0.0] * 7 for _ in range(k)]
+        for s, s_next, d, _, w in rows:
+            if w == 0.0:
+                continue
+            z, pm, pu, pc, nm, nu, nc = values[s]
+            out = nxt[s_next]
+            if not d:
+                out[0] += w * z
+                out[1] += w * pm
+                out[2] += w * pu
+                out[3] += w * (pc + t * pm)
+                out[4] += w * nm
+                out[5] += w * nu
+                out[6] += w * (nc + t * nm)
+                continue
+            if d < 0:       # mirror: D < 0 plays the role of D > 0
+                pm, pu, pc, nm, nu, nc = nm, nu, nc, pm, pu, pc
+            j = 1 if d > 0 else 4
+            out[j] += w * (z + pm + nm)
+            out[j + 1] += w * (t * (z + pm) + pu + nc)
+            out[j + 2] += w * (t * (z + nm) + pc + nu)
+        values = nxt
+    return values[0][2] + values[0][5]
 
 
 # --------------------------------------------------------------------------

@@ -2,10 +2,9 @@
 
 Computes the metrics commonly reported alongside error probability in
 the approximate-adder literature, either from an exact error PMF
-(:func:`metrics_from_pmf`, fed by :func:`repro.core.magnitude.error_pmf`;
-:func:`metrics_from_law`, its array form over the dense
-:class:`~repro.core.magnitude.ErrorLaw`) or from paired sample arrays
-(:func:`metrics_from_samples`, fed by the simulators):
+(:func:`metrics_from_pmf`, fed by :func:`repro.core.magnitude.error_pmf`)
+or from paired sample arrays (:func:`metrics_from_samples`, fed by the
+simulators):
 
 * **ER** -- error rate, ``P(D != 0)`` (the paper's ``P(Error)``);
 * **MED** -- mean error distance, ``E[|D|]``;
@@ -14,19 +13,20 @@ the approximate-adder literature, either from an exact error PMF
 * **WCE** -- worst-case error, ``max |D|`` over the support;
 * **MRED** -- mean relative error distance, ``E[|D| / max(exact, 1)]``
   (samples only, since it needs the exact value, not just ``D``).
+
+The exact DP engines need no PMF for these: they take MED, MSE, bias
+and WCE from the linear folds of :mod:`repro.core.magnitude`
+(``fold_med``, ``fold_moments``, ``fold_extremes``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
 from .exceptions import AnalysisError
-
-if TYPE_CHECKING:
-    from .magnitude import ErrorLaw
 
 
 @dataclass(frozen=True)
@@ -93,26 +93,6 @@ def metrics_from_pmf(pmf: Mapping[int, float], width: int) -> QualityMetrics:
         nmed=med / max_exact_output(width),
         mse=mse,
         wce=int(wce),
-        mred=None,
-    )
-
-
-def metrics_from_law(law: "ErrorLaw", width: int) -> QualityMetrics:
-    """:func:`metrics_from_pmf` over a dense
-    :class:`~repro.core.magnitude.ErrorLaw`: the same checks and
-    metrics, as array reductions (WCE stays an exact int)."""
-    probs = law.probs
-    if not np.any(probs > 0.0):
-        raise AnalysisError("empty PMF")
-    _check_total(float(probs.sum()))
-    deltas = law.deltas()
-    med = float(np.abs(deltas) @ probs)
-    return QualityMetrics(
-        error_rate=law.error_rate,
-        med=med,
-        nmed=med / max_exact_output(width),
-        mse=float((deltas * deltas) @ probs),
-        wce=law.wce,
         mred=None,
     )
 

@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Union
 
+from ..core.magnitude import ErrorPMF
 from ..core.transfer import KEY_QUANT_DIGITS
 from ..obs import metrics as _metrics
 from ..runtime import chaos as _chaos
@@ -140,9 +141,7 @@ def payload_from_result(result: AnalysisResult) -> Dict[str, object]:
         if value is not None:
             payload[name] = value
     if result.distribution is not None:
-        payload["distribution"] = [
-            [delta, prob] for delta, prob in result.distribution
-        ]
+        payload["distribution"] = result.distribution.to_lists()
     return payload
 
 
@@ -155,9 +154,9 @@ def result_from_payload(payload: Dict[str, object]) -> AnalysisResult:
             magnitude[name] = float(value)  # type: ignore[arg-type]
     pairs = payload.get("distribution")
     if pairs is not None:
-        magnitude["distribution"] = tuple(
-            (int(delta), float(prob)) for delta, prob in pairs  # type: ignore[union-attr]
-        )
+        magnitude["distribution"] = ErrorPMF(
+            [delta for delta, _ in pairs],  # type: ignore[union-attr]
+            [prob for _, prob in pairs])  # type: ignore[union-attr]
     return AnalysisResult(
         p_error=float(payload["p_error"]),          # type: ignore[arg-type]
         p_success=float(payload["p_success"]),      # type: ignore[arg-type]
@@ -194,6 +193,10 @@ def _validate_payload(payload: object) -> Dict[str, object]:
             for pair in pairs
         ):
             raise ValueError("payload distribution is not a PMF pair list")
+        deltas = [pair[0] for pair in pairs]
+        if any(b <= a for a, b in zip(deltas, deltas[1:])):
+            raise ValueError("payload distribution deltas are not "
+                             "ascending")
     return payload
 
 

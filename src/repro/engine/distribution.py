@@ -20,13 +20,18 @@ prefixes -- ``distribution-*`` for chains, ``zoo-*`` for blocks (which
 also answer the plain ``chain`` kind).  What differs by shape lives in
 one private :class:`_Shape` record per shape:
 
-* ``dp`` -- exact folds over the carry table: the error PMF (to
-  :data:`DIST_EXACT_MAX_WIDTH` bits; MED/MSE/WCE/bias/ER come from it),
-  the sparse joint ``(D, exact)`` law for MRED (to
-  :data:`MRED_EXACT_MAX_WIDTH` bits), and for ``wce`` (and a block's
-  ``chain``) the moments, extremes and success folds, exact at *any*
-  width.  An error-free adder answers ``med``, ``mred`` and
-  ``error_distribution`` with exact zeros at any width, no fold.
+* ``dp`` -- exact folds over the carry table.  ``med`` (and the
+  scalars of ``error_distribution``) come from four linear folds:
+  :func:`~repro.core.magnitude.fold_med` and
+  :func:`~repro.core.magnitude.fold_nonzero` over the output-difference
+  table, the moments and extremes over the carry table.  The PMF of
+  ``error_distribution`` is the dense or sparse law fold (to
+  :data:`DIST_EXACT_MAX_WIDTH` bits), the sparse joint ``(D, exact)``
+  law answers MRED (to :data:`MRED_EXACT_MAX_WIDTH` bits), and ``wce``
+  (and a block's ``chain``) reads the moments, extremes and
+  nonzero-mass folds, exact at *any* width.  An error-free adder answers ``med``,
+  ``mred`` and ``error_distribution`` with exact zeros at any width, no
+  fold.
 * ``dp-truncated`` -- past the exact guard: the sparse fold with every
   partial delta rounded to :data:`QUANT_BITS` significant bits
   (mass-preserving, bounded support at any width).  ``P(error)`` stays
@@ -70,19 +75,20 @@ from ..core.bitplanes import bernoulli_planes, planes_to_values
 from ..core.exceptions import AnalysisError
 from ..core.magnitude import (
     CarryTable,
-    ErrorLaw,
+    ErrorPMF,
     SparseLaw,
     chain_table,
     fold_extremes,
     fold_law,
+    fold_med,
     fold_moments,
     fold_sparse,
-    fold_success,
-    pair_table,
+    fold_nonzero,
+    pair_form,
     relative_error_from_joint,
 )
 from ..core.metrics import (
-    metrics_from_law,
+    max_exact_output,
     metrics_from_pmf,
     metrics_from_errors,
 )
@@ -162,10 +168,12 @@ def _result(
     )
 
 
-def _pmf_fields(
-    pmf: Dict[int, float], request: AnalysisRequest
-) -> Tuple[Dict[str, object], float]:
-    """(MED/NMED/MSE/WCE/bias fields, error rate) from a delta law."""
+_Fields = Tuple[Dict[str, object], float]
+
+
+def _pmf_fields(pmf: Dict[int, float], request: AnalysisRequest) -> _Fields:
+    """(MED/NMED/MSE/WCE/bias fields, error rate) from a delta law in
+    ascending delta order."""
     quality = metrics_from_pmf(pmf, request.width)
     fields: Dict[str, object] = {
         "med": quality.med,
@@ -175,13 +183,11 @@ def _pmf_fields(
         "bias": float(sum(d * p for d, p in pmf.items())),
     }
     if request.kind == KIND_ERROR_DISTRIBUTION:
-        fields["distribution"] = tuple(sorted(pmf.items()))
+        fields["distribution"] = ErrorPMF(list(pmf), list(pmf.values()))
     return fields, quality.error_rate
 
 
-def _joint_fields(
-    joint: SparseLaw, request: AnalysisRequest
-) -> Tuple[Dict[str, object], float]:
+def _joint_fields(joint: SparseLaw, request: AnalysisRequest) -> _Fields:
     """:func:`_pmf_fields` plus MRED from the fold's joint
     ``(delta, exact)`` arrays: the marginal PMF is one ``np.bincount``
     and MRED one vectorised sum, no loop over the joint entries."""
@@ -191,13 +197,17 @@ def _joint_fields(
 
 
 #: Kinds an error-free adder answers with exact zeros, without a fold:
-#: their DP supports grow with width (``wce`` is linear already).
+#: the width-guarded kinds (``wce`` has no guard).
 ZERO_KINDS = (KIND_ERROR_DISTRIBUTION, KIND_MED, KIND_MRED)
 
 
 def _zero_answer(request: AnalysisRequest) -> bool:
     """The DP rung answers *request* with exact zeros, no fold."""
     return request.kind in ZERO_KINDS and request.is_error_free
+
+
+#: The law of an error-free adder's ``D``.
+_ZERO_PMF = ErrorPMF([0], [1.0])
 
 
 def _error_free_result(
@@ -210,29 +220,26 @@ def _error_free_result(
     if request.kind == KIND_MRED:
         fields["mred"] = 0.0
     if request.kind == KIND_ERROR_DISTRIBUTION:
-        fields["distribution"] = ((0, 1.0),)
+        fields["distribution"] = _ZERO_PMF
     return _result(request, engine, True, 0.0, **fields)
 
 
-def _law_fields(
-    law: ErrorLaw, request: AnalysisRequest
-) -> Tuple[Dict[str, object], float]:
-    """:func:`_pmf_fields` off a dense law's arrays; the
-    ``distribution`` tuple is built only when the kind carries it."""
-    quality = metrics_from_law(law, request.width)
+def _linear_fields(
+    table: CarryTable, difference: CarryTable, request: AnalysisRequest
+) -> _Fields:
+    """(MED/NMED/MSE/WCE/bias fields, error rate) from four linear
+    folds: MED and the error rate over the output-difference table, the
+    moments and the reachable extremes over the carry table."""
+    med = fold_med(difference)
+    moments, worst = fold_moments(table), fold_extremes(table)
     fields: Dict[str, object] = {
-        "med": quality.med,
-        "nmed": quality.nmed,
-        "mse": quality.mse,
-        "wce": quality.wce,
-        "bias": float(law.deltas() @ law.probs),
+        "med": med,
+        "nmed": med / max_exact_output(request.width),
+        "mse": moments.second_moment,
+        "wce": worst.wce,
+        "bias": moments.mean,
     }
-    if request.kind == KIND_ERROR_DISTRIBUTION:
-        fields["distribution"] = tuple(zip(*law.support()))
-    return fields, quality.error_rate
-
-
-_Fields = Tuple[Dict[str, object], float]
+    return fields, fold_nonzero(difference)
 
 
 @dataclass(frozen=True)
@@ -244,10 +251,11 @@ class _Shape:
     kinds: Tuple[str, ...]
     #: The carry automaton the exact folds run over.
     table: Callable[[AnalysisRequest], CarryTable]
-    #: The table the truncated fold quantises.
-    truncation_table: Callable[[AnalysisRequest], CarryTable]
-    #: (fields, error rate) of the exact PMF fold over ``table``.
-    pmf_fields: Callable[[CarryTable, AnalysisRequest], _Fields]
+    #: Its output-difference form (every ``d`` in {-1, 0, 1}), read by
+    #: ``fold_med``, ``fold_nonzero`` and the truncated fold.
+    difference: Callable[[CarryTable], CarryTable]
+    #: The exact PMF over ``table``.
+    pmf: Callable[[CarryTable], ErrorPMF]
     #: (``p_error``, extra fields) for the linear-time kinds.
     p_error: Callable[[AnalysisRequest, CarryTable],
                       Tuple[float, Dict[str, object]]]
@@ -267,13 +275,14 @@ class _Shape:
 def run_distribution_dp(
     request: AnalysisRequest, **options: object
 ) -> AnalysisResult:
-    """Exact error-magnitude DP (full PMF / joint MRED / interval WCE).
+    """Exact error-magnitude DP (linear-fold MED / full PMF / joint MRED
+    / interval WCE).
 
     An error-free adder (every cell accurate, or an exact block) answers
     ``med``, ``mred`` and ``error_distribution`` with exact zeros at any
-    width, no fold.  Otherwise it raises
-    :class:`~repro.core.exceptions.SupportLimitError` when the
-    requested kind's DP support outgrows its guard -- the ladder's
+    width, no fold.  ``med`` runs linear folds only.  The PMF and joint
+    folds raise :class:`~repro.core.exceptions.SupportLimitError` when
+    the support outgrows its guard -- the ladder's
     ``width_limits`` (:func:`repro.engine.executor.select_engine`) exist
     so un-forced callers never see that.
     """
@@ -282,19 +291,22 @@ def run_distribution_dp(
     if _zero_answer(request):
         return _error_free_result(request, engine)
     table = shape.table(request)
-    if request.kind in (KIND_CHAIN, KIND_WCE):
-        p_error, fields = shape.p_error(request, table)
-        if request.kind == KIND_WCE:
-            moments, worst = fold_moments(table), fold_extremes(table)
-            fields.update(wce=worst.wce, mse=moments.second_moment,
-                          bias=moments.mean)
-        return _result(request, engine, True, p_error, **fields)
+    if request.kind in (KIND_MED, KIND_ERROR_DISTRIBUTION):
+        fields, error_rate = _linear_fields(
+            table, shape.difference(table), request)
+        if request.kind == KIND_ERROR_DISTRIBUTION:
+            fields["distribution"] = shape.pmf(table)
+        return _result(request, engine, True, error_rate, **fields)
     if request.kind == KIND_MRED:
         fields, error_rate = _joint_fields(
             fold_sparse(table, joint=True), request)
-    else:
-        fields, error_rate = shape.pmf_fields(table, request)
-    return _result(request, engine, True, error_rate, **fields)
+        return _result(request, engine, True, error_rate, **fields)
+    p_error, fields = shape.p_error(request, table)
+    if request.kind == KIND_WCE:
+        moments, worst = fold_moments(table), fold_extremes(table)
+        fields.update(wce=worst.wce, mse=moments.second_moment,
+                      bias=moments.mean)
+    return _result(request, engine, True, p_error, **fields)
 
 
 def run_distribution_dp_truncated(
@@ -320,13 +332,13 @@ def run_distribution_dp_truncated(
     if request.kind in (KIND_CHAIN, KIND_WCE):
         # Linear-time exact DPs at any width; truncation only hurts.
         return run_distribution_dp(request, **options)
+    table = shape.table(request)
     fields, error_rate = _pmf_fields(
-        fold_sparse(shape.truncation_table(request),
-                    quant_bits=QUANT_BITS).as_dict(),
+        fold_sparse(shape.difference(table), quant_bits=QUANT_BITS).as_dict(),
         request)
     # A sum over quantised deltas up to 2^(N+1) cancels inexactly; the
     # linear moments fold gives E[D] exactly.
-    fields["bias"] = fold_moments(shape.table(request)).mean
+    fields["bias"] = fold_moments(table).mean
     return _result(request, f"{shape.prefix}-dp-truncated", False,
                    error_rate, **fields)
 
@@ -415,10 +427,7 @@ def _sampled_result(
     if request.kind == KIND_ERROR_DISTRIBUTION:
         uniques, counts = np.unique(delta, return_counts=True)
         if uniques.size <= MC_MAX_SUPPORT:
-            fields["distribution"] = tuple(
-                (int(d), float(c) / samples)
-                for d, c in zip(uniques, counts)
-            )
+            fields["distribution"] = ErrorPMF(uniques, counts / samples)
     return _result(request, engine, False, quality.error_rate, **fields)
 
 
@@ -478,32 +487,41 @@ def _chain_oracle(
                               progress=progress)  # type: ignore[arg-type]
 
 
+#: Kinds the ``dp`` rungs answer from linear folds alone.
+_LINEAR_KINDS = (KIND_CHAIN, KIND_MED, KIND_WCE)
+
+
 def _chain_dp_cost(request: AnalysisRequest) -> float:
     """``distribution-dp`` work in ops at the registry's 2M ops/s.
 
-    The dense kernel's delta windows span about ``2^(w+2)`` entries,
-    capped by ``max_entries``; an ``error_distribution`` answer then
-    turns up to ``2^(w+1)`` of them into Python pairs.  Fitted to the
-    worst LPAA 1-7 timings on a 2-vCPU Xeon: 0.6 ms at width 8, 3 ms at
-    12, and at 16 12 ms for ``med`` and 66 ms for
-    ``error_distribution`` (estimate: 2.2, 7 and 70 ms).  The joint
-    MRED DP is far costlier per width and is not modelled here.  An
-    error-free chain's zero answer is linear.
+    ``med`` (like ``wce``) is linear folds: 200 ops a bit, fitted to
+    the worst LPAA 1-7 answers under jittered operand profiles on a
+    2-vCPU Xeon (0.45, 0.75, 1.0 and 1.4 ms at widths 4, 8, 12 and 16;
+    modelled 0.4, 0.8, 1.2 and 1.6 ms).  ``error_distribution`` adds
+    the dense PMF fold, whose delta windows span about ``2^(w+2)``
+    entries, capped by ``max_entries``: 1.7 ms at width 12 and 11 ms at
+    16 (modelled 1.8 and 11.4 ms).  The joint MRED DP is far costlier
+    per width and is not modelled here.  An error-free chain's zero
+    answer is linear.
     """
     width = request.width
     if _zero_answer(request):
         return float(width)     # one structural check per bit
+    if request.kind in _LINEAR_KINDS:
+        return 200.0 * width
+    if request.kind == KIND_ERROR_DISTRIBUTION:
+        return 200.0 * width + 0.3 * min(2.0 ** width, 2.0e6)
     return 500.0 * width + 2.0 * min(2.0 ** width, 2.0e6)
 
 
 _CHAINS = _Shape(
     prefix="distribution", block=False, kinds=DISTRIBUTION_KINDS,
     table=lambda request: chain_table(*_chain_args(request)),
-    # The carry-pair table keeps P(error) exact under quantisation; the
-    # chain table's rounded local-error sums can cancel later.
-    truncation_table=lambda request: pair_table(*_chain_args(request)),
-    pmf_fields=lambda table, request: _law_fields(fold_law(table),
-                                                  request),
+    # The carry-pair table's sum-bit differences: its MED fold is exact,
+    # and its P(error) stays exact under quantisation; the chain table's
+    # rounded local-error sums can cancel later.
+    difference=pair_form,
+    pmf=lambda table: ErrorPMF(*fold_law(table).support()),
     p_error=_chain_p_error,
     sample=_chain_samples,
     oracle=_chain_oracle,
@@ -517,6 +535,11 @@ _CHAINS = _Shape(
 def _block_table(request: AnalysisRequest) -> CarryTable:
     return windowed_table(request.block, request.p_a,  # type: ignore[arg-type]
                           request.p_b)
+
+
+def _block_pmf(table: CarryTable) -> ErrorPMF:
+    law = fold_sparse(table)
+    return ErrorPMF(law.deltas, law.probs)
 
 
 def _block_samples(
@@ -549,21 +572,30 @@ def _block_oracle(
 
 
 def _block_dp_cost(request: AnalysisRequest) -> float:
-    """``zoo-dp`` work: the cut DP's support grows like ``2^width``,
-    except for an exact spec's zero answer, which is linear."""
+    """``zoo-dp`` work in ops at the registry's 2M ops/s.
+
+    ``med``, ``wce`` and ``chain`` are linear folds over the cut table:
+    200 ops a bit covers the worst ``named_zoo(16)`` ``med`` answer
+    (1.4 ms at width 16 on a 2-vCPU Xeon).  Blocks with many windows
+    cost more per bit (``aca1:62:31``: 15 ms), but the router sends no
+    block ``med`` wider than 16 bits here.  The PMF and joint folds'
+    support grows like ``2^width``.  An exact spec's zero answer is
+    linear.
+    """
     width = request.width
     if _zero_answer(request):
         return float(width)     # one structural check per bit
+    if request.kind in _LINEAR_KINDS:
+        return 200.0 * width
     return 8.0 * width * min(2.0 ** width, 4.0e6)
 
 
 _BLOCKS = _Shape(
     prefix="zoo", block=True, kinds=(KIND_CHAIN,) + DISTRIBUTION_KINDS,
     table=_block_table,
-    truncation_table=_block_table,
-    pmf_fields=lambda table, request: _pmf_fields(
-        fold_sparse(table).as_dict(), request),
-    p_error=lambda request, table: (1.0 - fold_success(table), {}),
+    difference=lambda table: table,
+    pmf=_block_pmf,
+    p_error=lambda request, table: (fold_nonzero(table), {}),
     sample=_block_samples,
     oracle=_block_oracle,
     dp_cost=_block_dp_cost,
@@ -585,8 +617,8 @@ def sampling_engine(request: AnalysisRequest) -> Optional[str]:
 
 
 _DESCRIPTIONS = {
-    "distribution-dp": "exact carry DP: dense error PMF, joint MRED, "
-                       "interval WCE",
+    "distribution-dp": "exact carry DP: linear-fold MED, dense error PMF, "
+                       "joint MRED, interval WCE",
     "distribution-dp-truncated": f"error-PMF DP at {QUANT_BITS} "
                                  "significant delta bits "
                                  "(mass-preserving, bounded support)",
@@ -595,7 +627,7 @@ _DESCRIPTIONS = {
     "distribution-mc": "seeded sampling: Wilson-bounded ER, "
                        "normal-approximation MED/MRED intervals",
     "zoo-dp": "exact monotone-carry-cut DP over windowed block adders: "
-              "ER, error PMF, joint MRED, interval WCE",
+              "ER, linear-fold MED, error PMF, joint MRED, interval WCE",
     "zoo-dp-truncated": "cut DP with mass-preserving delta quantisation "
                         "(bounded support at any width)",
     "zoo-exhaustive": "weighted enumeration oracle through the bit-true "

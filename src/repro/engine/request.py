@@ -16,10 +16,13 @@ scalar primitive's domain (:func:`repro.core.recursive.analyze_chain`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
 
 from ..core.exceptions import AnalysisError
 from ..core.truth_table import ACCURATE, FullAdderTruthTable
+
+if TYPE_CHECKING:
+    from ..core.magnitude import ErrorPMF
 
 #: Request kinds understood by the registry.
 KIND_CHAIN = "chain"
@@ -322,9 +325,10 @@ class AnalysisResult:
     The error-magnitude fields (``med``/``nmed``/``mse``/``wce``/
     ``mred``/``bias``) are populated by the distribution engines
     (:data:`DISTRIBUTION_KINDS` requests) and ``None`` for plain
-    P(error) answers; ``distribution`` carries the full
-    ``((delta, probability), ...)`` PMF for ``error_distribution``
-    requests (sorted by delta).
+    P(error) answers; ``distribution`` carries the full PMF for
+    ``error_distribution`` requests as an
+    :class:`~repro.core.magnitude.ErrorPMF` (ascending deltas, iterated
+    as ``(delta, probability)`` pairs).
     """
 
     p_error: float
@@ -348,7 +352,7 @@ class AnalysisResult:
     wce: Optional[float] = None
     mred: Optional[float] = None
     bias: Optional[float] = None
-    distribution: Optional[Tuple[Tuple[int, float], ...]] = None
+    distribution: Optional["ErrorPMF"] = None
     trace: Tuple = ()
     raw: object = field(default=None, repr=False, compare=False)
 

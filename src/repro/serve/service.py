@@ -229,9 +229,7 @@ def result_to_doc(result: AnalysisResult) -> Dict[str, object]:
             if value is not None:
                 doc[name] = value
         if result.distribution is not None:
-            doc["distribution"] = [
-                [delta, prob] for delta, prob in result.distribution
-            ]
+            doc["distribution"] = result.distribution.to_lists()
         if result.interval is not None:
             doc["interval"] = list(result.interval)
         if result.samples is not None:

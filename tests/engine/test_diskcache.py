@@ -104,6 +104,21 @@ class TestCacheability:
         assert restored.engine == result.engine
         assert restored.cell_names == result.cell_names
 
+    def test_pmf_past_int64_roundtrips_as_exact_ints(self, tmp_path):
+        # Only the top stage of a width-64 chain errs: deltas +-2^63.
+        request = AnalysisRequest.distribution(
+            ["accurate"] * 63 + ["LPAA 5"], None, kind="error_distribution")
+        result = engine.run(request=request, engine="distribution-dp")
+        assert result.distribution == ((-(1 << 63), 0.25), (0, 0.5),
+                                       (1 << 63, 0.25))
+        store = DiskResultStore(tmp_path)
+        key = request_key(request)
+        store.put(key, payload_from_result(result))
+        restored = result_from_payload(DiskResultStore(tmp_path).get(key))
+        assert restored.distribution == result.distribution
+        assert restored.distribution.to_lists() == [
+            [-(1 << 63), 0.25], [0, 0.5], [1 << 63, 0.25]]
+
 
 class TestDiskResultStore:
     def test_miss_then_hit(self, tmp_path):
@@ -129,6 +144,7 @@ class TestDiskResultStore:
     @pytest.mark.parametrize("damage", [
         "truncate", "garbage", "bad-json", "wrong-format", "wrong-key",
         "payload-missing-field", "payload-out-of-range", "payload-not-dict",
+        "pmf-unsorted",
     ])
     def test_corrupt_entry_reads_as_miss_and_is_rewritten(
         self, tmp_path, damage
@@ -159,6 +175,9 @@ class TestDiskResultStore:
             path.write_text(json.dumps(doc))
         elif damage == "payload-not-dict":
             doc["payload"] = [1, 2, 3]
+            path.write_text(json.dumps(doc))
+        elif damage == "pmf-unsorted":
+            doc["payload"]["distribution"] = [[1, 0.5], [0, 0.5]]
             path.write_text(json.dumps(doc))
 
         assert store.get(key) is None, damage
