@@ -27,44 +27,49 @@ pins this.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .recursive import CellSpec, resolve_chain
-from .truth_table import ACCURATE, ErrorCase, FullAdderTruthTable
+from .truth_table import ACCURATE, ErrorCase
+from .types import RowOutput, row_index
 
 #: Search state: (carry of the approximate chain, carry of the exact
 #: chain, has any stage so far deviated from the accurate adder).
 _State = Tuple[int, int, bool]
 
+#: Both chains share the external carry-in and no stage has run yet.
+_INITIAL_STATES: FrozenSet[_State] = frozenset({(0, 0, False),
+                                                (1, 1, False)})
 
-def _initial_states() -> Set[_State]:
-    # Both chains share the external carry-in and no stage has run yet.
-    return {(0, 0, False), (1, 1, False)}
 
-
-def _correct_output_transitions(
-    table: FullAdderTruthTable, state: _State
-) -> Set[_State]:
-    """All successor states of one stage that keep the output bit correct.
+@lru_cache(maxsize=None)
+def _successors(
+    rows: Tuple[RowOutput, ...], states: FrozenSet[_State]
+) -> FrozenSet[_State]:
+    """All states one stage of a cell with truth table *rows* reaches
+    from *states* while keeping its output bit correct.
 
     A transition exists for each operand pair ``(a, b)`` whose
     approximate sum (computed with the approximate carry) matches the
     exact sum (computed with the exact carry).  The *erred* flag is set
     whenever the stage's behaviour on its own inputs deviates from the
     accurate adder, i.e. the stage is a non-success in the paper's
-    sense.
+    sense.  Memoised per ``(rows, states)``: at most 256 state sets per
+    distinct truth table, so a chain costs one lookup a stage.
     """
-    ca, ce, erred = state
+    exact = ACCURATE.rows
     successors: Set[_State] = set()
-    for a in (0, 1):
-        for b in (0, 1):
-            sum_approx, ca_next = table.evaluate(a, b, ca)
-            sum_exact, ce_next = ACCURATE.evaluate(a, b, ce)
-            if sum_approx != sum_exact:
-                continue  # output bit wrong: path cannot be fully correct
-            stage_ok = table.evaluate(a, b, ca) == ACCURATE.evaluate(a, b, ca)
-            successors.add((ca_next, ce_next, erred or not stage_ok))
-    return successors
+    for ca, ce, erred in states:
+        for a in (0, 1):
+            for b in (0, 1):
+                approx = rows[row_index(a, b, ca)]
+                sum_exact, ce_next = exact[row_index(a, b, ce)]
+                if approx[0] != sum_exact:
+                    continue  # output bit wrong: no fully correct path
+                stage_ok = approx == exact[row_index(a, b, ca)]
+                successors.add((approx[1], ce_next, erred or not stage_ok))
+    return frozenset(successors)
 
 
 def chain_is_exact(
@@ -79,13 +84,9 @@ def chain_is_exact(
     chain is exact when no accepting state (``carry chains converged``
     and ``erred``) is reachable at the end.
     """
-    cells = resolve_chain(cell, width)
-    states = _initial_states()
-    for table in cells:
-        states = {
-            succ for state in states
-            for succ in _correct_output_transitions(table, state)
-        }
+    states = _INITIAL_STATES
+    for table in resolve_chain(cell, width):
+        states = _successors(table.rows, states)
         if not states:
             return True  # no fully-correct path survives at all
     return not any(ca == ce and erred for ca, ce, erred in states)
@@ -124,20 +125,16 @@ def masking_analysis(cell: CellSpec) -> MaskingReport:
     )
 
     seen_frontiers: Set[FrozenSet[_State]] = set()
-    states = _initial_states()
+    states = _INITIAL_STATES
     can_mask = False
     while True:
-        states = {
-            succ for state in states
-            for succ in _correct_output_transitions(table, state)
-        }
+        states = _successors(table.rows, states)
         if any(ca == ce and erred for ca, ce, erred in states):
             can_mask = True
             break
-        frozen = frozenset(states)
-        if frozen in seen_frontiers or not states:
+        if states in seen_frontiers or not states:
             break
-        seen_frontiers.add(frozen)
+        seen_frontiers.add(states)
 
     return MaskingReport(
         cell_name=table.name,

@@ -50,11 +50,6 @@ _VECTOR_OVERHEAD = 400.0
 _TRANSFER_OVERHEAD = 40.0
 _TRANSFER_STAGE_COST = 60.0
 
-# Per-chain masking-exactness memo, keyed on the full stage sequence's
-# truth-table rows: True iff the recursion's P(Error) is exact (not
-# merely an upper bound) for that exact sequence of cells.
-_MASKING_EXACT: Dict[Tuple[Tuple[Tuple[int, int], ...], ...], bool] = {}
-
 
 def _chain_is_upper_bound(request: AnalysisRequest) -> bool:
     if not request.check_masking:
@@ -64,13 +59,8 @@ def _chain_is_upper_bound(request: AnalysisRequest) -> bool:
     # Masking is a property of the whole chain, not of any single cell:
     # one stage's silent carry divergence only becomes a masked error if
     # the *downstream* cells absorb it, so per-cell checks miss hybrid
-    # combinations.  Memoised on the full stage sequence.
-    key = tuple(table.rows for table in request.cells)
-    exact = _MASKING_EXACT.get(key)
-    if exact is None:
-        exact = chain_is_exact(list(request.cells))
-        _MASKING_EXACT[key] = exact
-    return not exact
+    # combinations.  The walk is one memoised lookup a stage.
+    return not chain_is_exact(request.cells)
 
 
 def _non_finite(engine: str) -> AnalysisError:

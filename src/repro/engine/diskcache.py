@@ -29,11 +29,20 @@ that vanishes underneath a ``stat``/``unlink`` (another pruner got
 there first) is tolerated and counted under
 ``engine.cache.disk.races`` -- never raised.
 
+A write costs O(1) in the store's size: create + write + ``fsync`` +
+rename, about 1 ms on a 2-vCPU host.  Each request's key is hashed
+once (:attr:`AnalysisRequest.content_key
+<repro.engine.request.AnalysisRequest.content_key>`) and shared by its
+lookup and its write-back.
+
 Obs metrics:
 ``engine.cache.disk.{hits,misses,writes,corrupt,evictions,races}``
 counters and the ``engine.cache.disk.entries`` gauge for the disk tier;
 ``engine.cache.result.{hits,misses}`` and ``engine.cache.result.size``
-for the in-memory result LRU in front of it.
+for the in-memory result LRU in front of it.  Only the first write and
+``prune`` list the store: the entries gauge is exact after each such
+scan (and after ``clear``) and counts this process's new entries in
+between, so other processes' writes show at the next scan.
 """
 
 from __future__ import annotations
@@ -245,6 +254,10 @@ class DiskResultStore:
         self._corrupt = 0
         self._evictions = 0
         self._races = 0
+        # Entry files on disk: taken from a scan on the first write (or
+        # the first prune), then kept by this process's own creations,
+        # evictions and clears, so no write lists the store.
+        self._entries: Optional[int] = None
 
     def entry_path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
@@ -294,23 +307,43 @@ class DiskResultStore:
         return payload
 
     def put(self, key: str, payload: Dict[str, object]) -> None:
-        """Store *payload* under *key* (atomic whole-file replace)."""
+        """Store *payload* under *key* (atomic whole-file replace).
+
+        O(1) in the store's size: the fan-out directory is made only
+        when the write finds it missing (first use, or removed by
+        another process), and the entry gauge moves by one per new file.
+        """
         from ..io import atomic_write_text
 
+        if self._entries is None:
+            self._set_entries(self.entry_count())
         path = self.entry_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        doc = {"format": STORE_FORMAT, "key": key, "payload": payload}
-        atomic_write_text(path, json.dumps(doc, sort_keys=True) + "\n")
+        text = json.dumps({"format": STORE_FORMAT, "key": key,
+                           "payload": payload}, sort_keys=True) + "\n"
+        created = not path.exists()
+        try:
+            atomic_write_text(path, text)
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            atomic_write_text(path, text)
         self._count("writes")
-        if _metrics.is_enabled():
-            _metrics.set_gauge("engine.cache.disk.entries",
-                               self.entry_count())
+        if created:
+            self._set_entries(1, delta=True)
         if self.max_entries is not None and self._writes % _PRUNE_EVERY == 0:
             self.prune()
 
     def entry_count(self) -> int:
-        """Number of entry files currently on disk."""
+        """Number of entry files currently on disk (lists the store)."""
         return sum(1 for _ in self.root.glob("??/*.json"))
+
+    def _set_entries(self, n: int, delta: bool = False) -> None:
+        """Set (or, with *delta*, move) the entry count and its gauge."""
+        with self._lock:
+            if delta:
+                n += self._entries or 0
+            self._entries = n
+        if _metrics.is_enabled():
+            _metrics.set_gauge("engine.cache.disk.entries", n)
 
     def prune(self, max_entries: Optional[int] = None) -> int:
         """Evict oldest entries (by mtime) beyond *max_entries*.
@@ -334,18 +367,22 @@ class DiskResultStore:
                 continue
         excess = len(entries) - limit
         evicted = 0
+        remaining = len(entries)
         if excess > 0:
             entries.sort(key=lambda item: item[0])
             for _, path in entries[:excess]:
                 try:
                     os.unlink(path)
                     evicted += 1
+                    remaining -= 1
                 except FileNotFoundError:
                     # A concurrent pruner beat us to this entry; its
                     # eviction is already counted in that process.
                     races += 1
+                    remaining -= 1
                 except OSError:
                     continue
+        self._set_entries(remaining)
         if races:
             self._count("races", races)
         if evicted:
@@ -354,11 +391,15 @@ class DiskResultStore:
 
     def clear(self) -> None:
         """Delete every entry (counters are kept: they describe the run)."""
+        remaining = 0
         for path in self.root.glob("??/*.json"):
             try:
                 os.unlink(path)
-            except OSError:
+            except FileNotFoundError:
                 pass
+            except OSError:
+                remaining += 1
+        self._set_entries(remaining)
 
     def stats(self) -> DiskStoreStats:
         with self._lock:
@@ -396,7 +437,7 @@ class ResultCache:
 
     def get_result(self, request: AnalysisRequest) -> Optional[AnalysisResult]:
         """Cached answer for *request*, or ``None``."""
-        key = request_key(request)
+        key = request.content_key
         if key is None:
             return None
         return self.get_by_key(key)
@@ -432,7 +473,7 @@ class ResultCache:
         cacheable subset or answers that must not be replayed: inexact,
         truncated, or produced by a non-deterministic engine.
         """
-        key = request_key(request)
+        key = request.content_key
         if key is None or not cacheable_result(result):
             return False
         self._remember(key, result)

@@ -16,6 +16,7 @@ scalar primitive's domain (:func:`repro.core.recursive.analyze_chain`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
 
 from ..core.exceptions import AnalysisError
@@ -113,6 +114,16 @@ class AnalysisRequest:
         if self.block is not None:
             return (self.block.name,)  # type: ignore[attr-defined]
         return tuple(t.name for t in self.cells)
+
+    @cached_property
+    def content_key(self) -> Optional[str]:
+        """The result tier's content address
+        (:func:`~repro.engine.diskcache.request_key`), derived once per
+        request: a cache miss's lookup and its write-back share one
+        hash of the (frozen) request."""
+        from .diskcache import request_key
+
+        return request_key(self)
 
     @classmethod
     def chain(

@@ -64,7 +64,9 @@ def atomic_write_text(
 
     Transient ``OSError`` during write or commit is retried up to
     *retries* extra times with a short pause; the temp file is always
-    cleaned up on failure.  Returns the destination path.
+    cleaned up on failure.  A missing target directory raises
+    ``FileNotFoundError`` at once (retrying cannot make it appear).
+    Returns the destination path.
     """
     path = Path(path)
     last_error: Optional[OSError] = None
@@ -95,6 +97,10 @@ def atomic_write_text(
                     os.unlink(tmp_name)
                 except OSError:
                     pass
+            elif isinstance(exc, FileNotFoundError):
+                # No temp file because the directory is missing: not
+                # transient, so the caller decides whether to make it.
+                raise
             if attempt < retries:
                 time.sleep(retry_wait_s)
     raise OSError(

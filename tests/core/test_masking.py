@@ -7,6 +7,7 @@ reachability search and by exhaustive functional enumeration.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -117,3 +118,83 @@ class TestMaskingIsDetectable:
         # The concrete witness from the _masking_cell docstring.
         cell = self._masking_cell()
         assert ripple_add(cell, 0b010, 0b001, 1, 3) == 0b010 + 0b001 + 1
+
+
+# -- the memoised state-set walk against the per-state reference walk -------
+
+def _reference_transitions(table, state):
+    """One stage of the per-state walk, evaluated cell call by cell call."""
+    ca, ce, erred = state
+    successors = set()
+    for a in (0, 1):
+        for b in (0, 1):
+            sum_approx, ca_next = table.evaluate(a, b, ca)
+            sum_exact, ce_next = ACCURATE.evaluate(a, b, ce)
+            if sum_approx != sum_exact:
+                continue
+            stage_ok = table.evaluate(a, b, ca) == ACCURATE.evaluate(a, b, ca)
+            successors.add((ca_next, ce_next, erred or not stage_ok))
+    return successors
+
+
+def _reference_step(table, states):
+    return {succ for state in states
+            for succ in _reference_transitions(table, state)}
+
+
+def _reference_chain_is_exact(cells):
+    states = {(0, 0, False), (1, 1, False)}
+    for table in cells:
+        states = _reference_step(table, states)
+        if not states:
+            return True
+    return not any(ca == ce and erred for ca, ce, erred in states)
+
+
+def _reference_can_mask(table):
+    seen = set()
+    states = {(0, 0, False), (1, 1, False)}
+    while True:
+        states = _reference_step(table, states)
+        if any(ca == ce and erred for ca, ce, erred in states):
+            return True
+        frozen = frozenset(states)
+        if frozen in seen or not states:
+            return False
+        seen.add(frozen)
+
+
+_CELLS = tuple(PAPER_LPAAS) + (ACCURATE,)
+
+
+class TestMemoisedWalkMatchesReference:
+    def test_every_chain_up_to_width_4(self):
+        verdicts = []
+        for width in range(1, 5):
+            for chain in itertools.product(_CELLS, repeat=width):
+                expected = _reference_chain_is_exact(chain)
+                assert chain_is_exact(list(chain)) == expected, (
+                    [t.name for t in chain])
+                verdicts.append(expected)
+        assert len(verdicts) == 8 + 8 ** 2 + 8 ** 3 + 8 ** 4
+        # Hybrids of exact cells can still mask: both verdicts occur.
+        assert True in verdicts and False in verdicts
+
+    def test_seeded_random_hybrids_up_to_width_64(self):
+        rng = random.Random(28)
+        verdicts = set()
+        for _ in range(300):
+            chain = [rng.choice(_CELLS) for _ in range(rng.randint(1, 64))]
+            expected = _reference_chain_is_exact(chain)
+            assert chain_is_exact(chain) == expected
+            verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("cell", _CELLS, ids=lambda t: t.name)
+    def test_masking_analysis_reports_are_unchanged(self, cell):
+        report = masking_analysis(cell)
+        assert report.cell_name == cell.name
+        assert report.can_mask_at_some_width == _reference_can_mask(cell)
+        assert report.silent_divergence_cases == tuple(
+            case for case in cell.error_cases()
+            if not case.sum_wrong and case.cout_wrong)

@@ -9,6 +9,7 @@ import os
 import pytest
 
 from repro import engine
+from repro.engine import diskcache
 from repro.engine.diskcache import (
     STORE_FORMAT,
     DiskResultStore,
@@ -19,6 +20,7 @@ from repro.engine.diskcache import (
     result_from_payload,
 )
 from repro.engine.request import AnalysisRequest
+from repro.obs import metrics as _metrics
 
 
 @pytest.fixture(autouse=True)
@@ -35,6 +37,21 @@ def _request(width=4, p_a=0.3, cell="LPAA 1", **kwargs):
 
 def _payload(width=4, p_a=0.3):
     return payload_from_result(engine.run(_request(width, p_a)))
+
+
+@pytest.fixture()
+def metrics_registry():
+    registry = _metrics.MetricsRegistry()
+    _metrics.enable()
+    try:
+        with _metrics.use_registry(registry):
+            yield registry
+    finally:
+        _metrics.disable()
+
+
+def _entries_gauge(registry):
+    return registry.snapshot()["gauges"]["engine.cache.disk.entries"]
 
 
 class TestRequestKey:
@@ -215,6 +232,96 @@ class TestDiskResultStore:
         store.put(request_key(_request()), _payload())
         store.clear()
         assert store.entry_count() == 0
+
+
+class TestO1Writes:
+    def test_put_never_lists_the_store(self, tmp_path, metrics_registry,
+                                       monkeypatch):
+        store = DiskResultStore(tmp_path)
+        payload = _payload()
+        store.put(request_key(_request(width=2)), payload)  # counting scan
+
+        def listing(*args, **kwargs):
+            raise AssertionError("put listed the store")
+
+        monkeypatch.setattr(DiskResultStore, "entry_count", listing)
+        monkeypatch.setattr(type(tmp_path), "glob", listing)
+        for width in range(3, 9):
+            store.put(request_key(_request(width=width)), payload)
+        store.put(request_key(_request(width=3)), payload)  # overwrite
+        assert store.stats().writes == 8
+
+    def test_entries_gauge_tracks_the_disk(self, tmp_path, metrics_registry):
+        store = DiskResultStore(tmp_path, max_entries=3)
+        payload = _payload()
+        keys = [request_key(_request(width=w)) for w in range(2, 8)]
+        for i, key in enumerate(keys):
+            store.put(key, payload)
+            mtime = 1_000_000_000 + i
+            os.utime(store.entry_path(key), (mtime, mtime))
+            assert _entries_gauge(metrics_registry) == store.entry_count()
+        assert _entries_gauge(metrics_registry) == 6
+        store.put(keys[0], payload)  # overwrite: no new file
+        assert _entries_gauge(metrics_registry) == store.entry_count() == 6
+        assert store.prune() == 3
+        assert _entries_gauge(metrics_registry) == store.entry_count() == 3
+        store.clear()
+        assert _entries_gauge(metrics_registry) == store.entry_count() == 0
+
+    def test_first_write_counts_entries_already_on_disk(
+        self, tmp_path, metrics_registry
+    ):
+        payload = _payload()
+        DiskResultStore(tmp_path).put(request_key(_request()), payload)
+        remounted = DiskResultStore(tmp_path)
+        remounted.put(request_key(_request(width=5)), payload)
+        assert _entries_gauge(metrics_registry) == 2
+
+    def test_put_remakes_a_removed_fanout_directory(self, tmp_path):
+        store = DiskResultStore(tmp_path)
+        key = request_key(_request())
+        store.put(key, _payload())
+        path = store.entry_path(key)
+        path.unlink()
+        path.parent.rmdir()
+        store.put(key, _payload())
+        assert store.get(key) == _payload()
+
+    def test_request_key_runs_once_per_request_per_run_batch(
+        self, tmp_path, monkeypatch
+    ):
+        calls = []
+
+        def counting(request):
+            calls.append(request)
+            return request_key(request)
+
+        monkeypatch.setattr(diskcache, "request_key", counting)
+        engine.configure_result_cache(tmp_path)
+        requests = [_request(width=w) for w in (3, 4, 5)]
+        requests.append(_request(width=4, keep_trace=True))
+        # Misses: each request's lookup and write-back share one key;
+        # the uncacheable (traced) request is keyed once, to None.
+        engine.run_batch(requests)
+        assert sorted(map(id, calls)) == sorted(map(id, requests))
+        calls.clear()
+        fresh = [_request(width=w) for w in (3, 4, 5)]
+        engine.run_batch(fresh)  # hits: one lookup each
+        assert sorted(map(id, calls)) == sorted(map(id, fresh))
+
+    def test_request_key_runs_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(request):
+            calls.append(request)
+            return request_key(request)
+
+        monkeypatch.setattr(diskcache, "request_key", counting)
+        engine.configure_result_cache(tmp_path)
+        request = _request(width=6)
+        engine.run(request)  # a miss: lookup + write-back
+        assert calls == [request]
+        assert engine.get_result_cache().stats()["disk"]["writes"] == 1
 
 
 class TestResultCacheTiers:

@@ -48,6 +48,14 @@ class TestAtomicWrite:
                                   retry_wait_s=0.0)
         assert shim.io_failures_injected == 4  # initial try + 3 retries
 
+    def test_missing_directory_raises_at_once(self, tmp_path):
+        # Not transient: no retries, and the caller sees the cause
+        # (a spent retry budget would raise a plain OSError instead).
+        with pytest.raises(FileNotFoundError):
+            atomic_write_text(tmp_path / "absent" / "out.json", "x",
+                              retries=3, retry_wait_s=0.0)
+        assert not (tmp_path / "absent").exists()
+
 
 class TestEngineSurvivesCheckpointFailures:
     def test_montecarlo_completes_despite_dead_checkpoint_disk(self, tmp_path):
