@@ -127,10 +127,15 @@ def selected_rows(table: FullAdderTruthTable) -> SelectedRows:
 
 
 def clear_memos() -> None:
-    """Empty the fingerprint-keyed mask memos (cold starts, tests).
+    """Empty the fingerprint-keyed mask memos and the shared uniform
+    chain tuples of :func:`~repro.core.recursive.chain_cells` (cold
+    starts, tests).
 
     Exported as :func:`repro.engine.clear_cache`.
     """
+    from .recursive import _uniform_cells
+
+    _uniform_cells.cache_clear()
     _MATRICES_MEMO.clear()
     _CARRY_MEMO.clear()
     _SELECTED_MEMO.clear()

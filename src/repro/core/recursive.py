@@ -20,6 +20,7 @@ with NumPy; it is validated against this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple, Union
 
 from ..obs import metrics as _metrics
@@ -70,6 +71,33 @@ def resolve_chain(
             width,
         )
     return cells
+
+
+@lru_cache(maxsize=256)
+def _uniform_cells(
+    name: str, table: FullAdderTruthTable, width: int
+) -> Tuple[FullAdderTruthTable, ...]:
+    # *name* is part of the key because tables compare by rows alone: a
+    # renamed alias must not come back under its original's names.
+    return (table,) * width
+
+
+def chain_cells(
+    cell: Union[CellSpec, Sequence[CellSpec]],
+    width: Optional[int] = None,
+) -> Tuple[FullAdderTruthTable, ...]:
+    """:func:`resolve_chain` as a tuple, shared per uniform chain.
+
+    A single cell plus *width* returns one memoised tuple per resolved
+    table ``(name, rows)`` and width, so a sweep's requests over one
+    uniform chain share their ``cells`` object (the batch executor
+    buckets by that object).  Hybrid cell lists get a fresh tuple.
+    :func:`~repro.core.matrices.clear_memos` empties the memo.
+    """
+    cells = resolve_chain(cell, width)
+    if isinstance(cell, (str, FullAdderTruthTable)):
+        return _uniform_cells(cells[0].name, cells[0], len(cells))
+    return tuple(cells)
 
 
 def build_ipm(

@@ -160,7 +160,10 @@ def result_from_payload(payload: Dict[str, object]) -> AnalysisResult:
     for name in _MAGNITUDE_FIELDS:
         value = payload.get(name)
         if value is not None:
-            magnitude[name] = float(value)  # type: ignore[arg-type]
+            # A JSON integer (an exact DP's ``wce``) stays an ``int``, so
+            # a replay serialises to the bytes of the fresh answer.
+            magnitude[name] = (value if type(value) is int
+                               else float(value))  # type: ignore[arg-type]
     pairs = payload.get("distribution")
     if pairs is not None:
         magnitude["distribution"] = ErrorPMF(

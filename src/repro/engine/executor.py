@@ -14,8 +14,12 @@ sequence are stacked into one ``(batch, width)`` grid, chunked at
 checked between chunks.  Work that depends only on the cell sequence
 (hashing it, its names, its masking verdict, the result template) runs
 once per group or per distinct ``cells`` tuple, not once per request.
-``engine.batch.*`` obs counters report group count and vectorised
-occupancy.
+Repeats of one request object within a call are routed, computed and
+written to the result tier once, by object identity: each chunk runs
+one kernel row per request object it answers first, and every repeated
+position gets that object's (frozen) result.  ``engine.batch.*`` obs
+counters report group count and vectorised occupancy, both counted in
+positions; ``core.vectorized.points`` counts kernel rows.
 """
 
 from __future__ import annotations
@@ -330,10 +334,12 @@ def run_batch(
 
     Chain requests that share a cell sequence (and need no trace or
     correlation handling) are stacked into one ``analyze_batch`` call
-    over a ``(batch, width)`` grid, chunked at :data:`BATCH_CHUNK` rows;
-    the *budget* is charged one config per request at chunk boundaries
-    and a stop reason leaves the remaining entries ``None`` (the
-    positions of completed requests always hold well-formed results).
+    over a ``(batch, width)`` grid, chunked at :data:`BATCH_CHUNK`
+    positions; the *budget* is charged one config per position at chunk
+    boundaries and a stop reason leaves the remaining entries ``None``
+    (the positions of completed requests always hold well-formed
+    results).  A request object asked at several positions is answered
+    once, and each of those positions holds that one result.
     Each grouped answer equals ``run(request, engine="vectorized")``
     field for field; a non-finite kernel output raises
     :class:`~repro.core.exceptions.AnalysisError`.
@@ -370,29 +376,36 @@ def run_batch(
     results: List[Optional[AnalysisResult]] = [None] * len(requests)
     result_cache = _diskcache.get_result_cache()
     cache_hits = 0
-    # Bucket by ``cells`` tuple object first: requests built from one
+    # Each distinct request object is routed once -- to its cached
+    # answer, its bucket or the singles -- and its repeats follow it.
+    # Buckets key on the ``cells`` tuple object: requests built from one
     # cell spec usually share it, so each distinct object is hashed
     # (a Python-level ``__hash__`` per stage) once, not once per request.
     # Buckets then merge into groups by row equality.  Groups run in the
     # order of their first requests, each group's requests in input
     # order, which fixes where a budget stop leaves ``None``.
+    routes: Dict[int, object] = {}
     buckets: Dict[int, List[int]] = {}
     singles: List[int] = []
     for i, request in enumerate(requests):
-        if (request.kind == KIND_CHAIN and request.joints is None
-                and not request.keep_trace and request.block is None):
-            if result_cache is not None:
-                cached = result_cache.get_result(request)
-                if cached is not None:
-                    results[i] = cached
-                    cache_hits += 1
-                    continue
-            bucket = buckets.get(id(request.cells))
-            if bucket is None:
-                bucket = buckets[id(request.cells)] = []
-            bucket.append(i)
+        route = routes.get(id(request))
+        if route is None:
+            if (request.kind == KIND_CHAIN and request.joints is None
+                    and not request.keep_trace and request.block is None):
+                if result_cache is not None:
+                    route = result_cache.get_result(request)
+                if route is None:
+                    route = buckets.get(id(request.cells))
+                    if route is None:
+                        route = buckets[id(request.cells)] = []
+            else:
+                route = singles
+            routes[id(request)] = route
+        if isinstance(route, list):
+            route.append(i)
         else:
-            singles.append(i)
+            results[i] = route  # type: ignore[assignment]
+            cache_hits += 1
     merged: Dict[tuple, List[List[int]]] = {}
     for bucket in buckets.values():
         merged.setdefault(requests[bucket[0]].cells, []).append(bucket)
@@ -407,6 +420,7 @@ def run_batch(
     meter = make_meter(budget)
     stopped = False
     vector_points = 0
+    first: Dict[int, int] = {}  # request object id -> its first position
     with _metrics.timed("engine.run_batch"), \
             trace_span("engine.run_batch", requests=len(requests),
                        groups=len(groups)):
@@ -426,19 +440,27 @@ def run_batch(
                     break
                 chunk = indices[start:start + step]
                 start += len(chunk)
-                chunk_requests = [requests[i] for i in chunk]
-                pa = np.array([r.p_a for r in chunk_requests])
-                pb = np.array([r.p_b for r in chunk_requests])
-                pc = np.array([r.p_cin for r in chunk_requests])
-                with _metrics.timed("engine.vectorized.seconds"):
-                    p_success = analyze_batch(
-                        cell_list, None, pa, pb, pc, batch=len(chunk),
-                    )
-                out.fill(results, chunk, chunk_requests, p_success)
-                vector_points += len(chunk)
-                if result_cache is not None:
+                # One kernel row per request object not yet answered;
+                # a repeated position gets its first position's result.
+                rows = [i for i in chunk
+                        if first.setdefault(id(requests[i]), i) == i]
+                if rows:
+                    row_requests = [requests[i] for i in rows]
+                    pa = np.array([r.p_a for r in row_requests])
+                    pb = np.array([r.p_b for r in row_requests])
+                    pc = np.array([r.p_cin for r in row_requests])
+                    with _metrics.timed("engine.vectorized.seconds"):
+                        p_success = analyze_batch(
+                            cell_list, None, pa, pb, pc, batch=len(rows),
+                        )
+                    out.fill(results, rows, row_requests, p_success)
+                    if result_cache is not None:
+                        for i in rows:
+                            result_cache.put_result(requests[i], results[i])
+                if len(rows) < len(chunk):
                     for i in chunk:
-                        result_cache.put_result(requests[i], results[i])
+                        results[i] = results[first[id(requests[i])]]
+                vector_points += len(chunk)
                 meter.charge(configs=len(chunk))
         for i in singles:
             if meter.stop_reason() is not None:

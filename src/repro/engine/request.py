@@ -72,8 +72,11 @@ class AnalysisRequest:
     ``check_masking=True`` stamps ``is_upper_bound`` on analytical
     results for chains that can mask internal errors.
 
-    Instances are frozen and hashable, so they group and deduplicate
-    naturally in the batch executor.
+    Instances are frozen and hashable.  The batch executor answers
+    repeats of one request object within a call once, by object
+    identity, and buckets chain requests by their ``cells`` object;
+    :meth:`chain` gives every uniform chain of one cell and width the
+    same ``cells`` tuple.
     """
 
     kind: str = KIND_CHAIN
@@ -145,10 +148,10 @@ class AnalysisRequest:
         per-stage sequence of any of those (then *width* is optional).
         """
         from ..core.probability import float_probability_vector
-        from ..core.recursive import resolve_chain
+        from ..core.recursive import chain_cells
         from ..core.types import validate_probability
 
-        cells = tuple(resolve_chain(_unwrap_chain(cell), width))
+        cells = chain_cells(_unwrap_chain(cell), width)
         n = len(cells)
         request = cls(
             kind=KIND_CHAIN,

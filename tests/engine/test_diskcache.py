@@ -385,6 +385,30 @@ class TestExecutorIntegration:
         stats = engine.get_result_cache().stats()
         assert stats["disk"]["writes"] == 0
 
+    @pytest.mark.parametrize("kind", ["med", "wce"])
+    @pytest.mark.parametrize("cell", [f"LPAA {i}" for i in range(1, 8)])
+    def test_disk_replay_serialises_to_the_fresh_bytes(
+        self, tmp_path, cell, kind
+    ):
+        from repro.serve.service import result_to_doc
+
+        request = AnalysisRequest.distribution(cell, 8, kind=kind)
+        engine.configure_result_cache(tmp_path)
+        fresh = engine.run(request)
+        engine.configure_result_cache(tmp_path)  # drop the memory tier
+        replayed = engine.run(request)
+        assert engine.get_result_cache().stats()["disk"]["hits"] == 1
+        for encode in (payload_from_result, result_to_doc):
+            assert json.dumps(encode(replayed)) == json.dumps(encode(fresh))
+        assert type(replayed.wce) is type(fresh.wce)
+
+    def test_decode_keeps_json_integers_and_floats_apart(self):
+        payload = dict(_payload(), kind="wce", wce=255, med=3, mse=2.0)
+        replayed = result_from_payload(payload)
+        assert (replayed.wce, replayed.med, replayed.mse) == (255, 3, 2.0)
+        assert [type(v) for v in (replayed.wce, replayed.med,
+                                  replayed.mse)] == [int, int, float]
+
 
 # -- concurrent multi-process writers ----------------------------------------
 

@@ -334,8 +334,8 @@ class TestRunBatchContract:
     def test_per_group_work_scales_with_buckets_not_requests(
         self, monkeypatch
     ):
-        # A sweep: every request builds its own cell tuple, and a call
-        # picks 4,096 of them with repeats.
+        # A sweep: the requests of one uniform chain share one cell
+        # tuple, and a call picks 4,096 of them with repeats.
         pool = [AnalysisRequest.chain(cell, width, k / 16, k / 16, 0.5)
                 for cell in ("LPAA 1", "LPAA 4", "accurate")
                 for width in (8, 16) for k in range(17)]
@@ -360,9 +360,71 @@ class TestRunBatchContract:
         assert all(r is not None for r in results)
         buckets = len({id(r.cells) for r in requests})
         groups = len({r.cells for r in requests})
-        assert buckets <= len(pool) < 4096
+        assert buckets == groups == 6
         assert calls["names"] <= buckets
         assert calls["masking"] <= groups
+
+    @staticmethod
+    def _sweep(seed, size):
+        """*size* picks from a Fig. 5-style pool: two uniform chains
+        whose groups straddle a chunk at 4,096 picks, plus ten hybrid
+        chains; every question is asked often."""
+        pool = [AnalysisRequest.chain(cell, width, k / 16, k / 16, 0.5)
+                for cell, width in (("LPAA 1", 8), ("LPAA 7", 16))
+                for k in range(17)]
+        pool += _random_chains(seed, 10, max_width=6)
+        return _with_repeats(pool, seed, size)
+
+    @staticmethod
+    def _kernel_rows(requests):
+        """Rows each kernel call should get: per chunk of positions, the
+        request objects no earlier chunk answered."""
+        groups = {}
+        for i, request in enumerate(requests):
+            groups.setdefault(request.cells, []).append(i)
+        seen = set()
+        rows = []
+        for indices in groups.values():
+            for start in range(0, len(indices), BATCH_CHUNK):
+                fresh = {id(requests[i])
+                         for i in indices[start:start + BATCH_CHUNK]} - seen
+                seen |= fresh
+                if fresh:
+                    rows.append(len(fresh))
+        return rows
+
+    def test_one_kernel_row_per_distinct_request(self, monkeypatch):
+        requests = self._sweep(14, 4 * BATCH_CHUNK)
+        batches = []
+        kernel = vectorized.analyze_batch
+
+        def recording(*args, batch=None, **kwargs):
+            batches.append(batch)
+            return kernel(*args, batch=batch, **kwargs)
+
+        monkeypatch.setattr(vectorized, "analyze_batch", recording)
+        results = run_batch(requests)
+        assert batches == self._kernel_rows(requests)
+        assert sum(batches) == len({id(r) for r in requests}) < len(requests)
+        assert max(batches) < BATCH_CHUNK  # a chunk held repeats
+        monkeypatch.setattr(vectorized, "analyze_batch", kernel)
+        for request, result in zip(requests, results):
+            assert result == run(request=request, engine="vectorized")
+        first = {}
+        for request, result in zip(requests, results):
+            assert first.setdefault(id(request), result) is result
+
+    def test_each_distinct_request_is_written_once(self, tmp_path):
+        requests = self._sweep(15, 2 * BATCH_CHUNK)
+        configure_result_cache(tmp_path)
+        fresh = run_batch(requests)
+        distinct = len({id(r) for r in requests})
+        assert distinct == len({r.content_key for r in requests})
+        disk = get_result_cache().stats()["disk"]
+        assert disk["writes"] == distinct < len(requests)
+        configure_result_cache(tmp_path)  # drop the memory tier
+        assert run_batch(requests) == fresh
+        assert get_result_cache().stats()["disk"]["writes"] == 0
 
 
 class TestNonFiniteEngineOutput:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import engine
 from repro.core.adder_zoo import from_gear
 from repro.core.exceptions import (
     AnalysisError,
@@ -11,6 +12,8 @@ from repro.core.exceptions import (
     ProbabilityError,
 )
 from repro.core.hybrid import HybridChain
+from repro.core.recursive import resolve_cell
+from repro.core.truth_table import FullAdderTruthTable
 from repro.engine import (
     KIND_CHAIN,
     KIND_MULTIOP,
@@ -61,6 +64,68 @@ class TestChainNormalisation:
     def test_zero_width_rejected(self):
         with pytest.raises(ChainLengthError, match="width"):
             AnalysisRequest.chain("LPAA 1", 0)
+
+
+class TestSharedUniformCells:
+    """A uniform chain spec resolves to one shared ``cells`` tuple."""
+
+    def test_uniform_chains_share_one_tuple(self):
+        first = AnalysisRequest.chain("LPAA 1", 16, 0.2)
+        assert first.cells is AnalysisRequest.chain("LPAA 1", 16, 0.7).cells
+        assert first.cells is AnalysisRequest.chain(
+            resolve_cell("LPAA 1"), 16, 0.9).cells
+        assert first.cells is not AnalysisRequest.chain("LPAA 1", 8).cells
+        assert first.cell_names == ("LPAA 1",) * 16
+
+    def test_distribution_requests_share_it_too(self):
+        med = AnalysisRequest.distribution("LPAA 2", 8, 0.2, kind="med")
+        wce = AnalysisRequest.distribution("LPAA 2", 8, 0.7, kind="wce")
+        assert med.cells is wce.cells
+        assert med.cells is AnalysisRequest.chain("LPAA 2", 8).cells
+
+    def test_same_rows_under_another_name_keep_their_names(self):
+        original = AnalysisRequest.chain("LPAA 1", 6)
+        alias = AnalysisRequest.chain(
+            resolve_cell("LPAA 1").renamed("my-cell"), 6)
+        custom = AnalysisRequest.chain(FullAdderTruthTable(
+            resolve_cell("LPAA 1").rows, name="custom-lpaa1"), 6)
+        assert original.cells == alias.cells == custom.cells
+        assert alias.cells is not original.cells
+        assert custom.cells is not original.cells
+        assert original.cell_names == ("LPAA 1",) * 6
+        assert alias.cell_names == ("my-cell",) * 6
+        assert custom.cell_names == ("custom-lpaa1",) * 6
+        # Asked again, each keeps its own names.
+        assert AnalysisRequest.chain(
+            resolve_cell("LPAA 1").renamed("my-cell"), 6).cells is alias.cells
+        assert AnalysisRequest.chain("LPAA 1", 6).cell_names == (
+            "LPAA 1",) * 6
+
+    def test_hybrid_lists_get_fresh_tuples(self):
+        cells = ["LPAA 1", "LPAA 2", "accurate"]
+        first = AnalysisRequest.chain(cells, p_a=0.2)
+        second = AnalysisRequest.chain(cells, p_a=0.7)
+        assert first.cells == second.cells
+        assert first.cells is not second.cells
+        assert first.cell_names == ("LPAA 1", "LPAA 2", "AccuFA")
+        uniform_list = AnalysisRequest.chain(["LPAA 1"] * 4)
+        assert uniform_list.cells == AnalysisRequest.chain("LPAA 1", 4).cells
+        assert uniform_list.cells is not AnalysisRequest.chain(
+            ["LPAA 1"] * 4).cells
+
+    def test_clear_cache_empties_the_memo(self):
+        before = AnalysisRequest.chain("LPAA 3", 5).cells
+        assert AnalysisRequest.chain("LPAA 3", 5).cells is before
+        engine.clear_cache()
+        after = AnalysisRequest.chain("LPAA 3", 5).cells
+        assert after == before
+        assert after is not before
+
+    def test_width_still_validated(self):
+        with pytest.raises(ChainLengthError):
+            AnalysisRequest.chain("LPAA 1", 0)
+        with pytest.raises(ChainLengthError):
+            AnalysisRequest.chain("LPAA 1")
 
 
 class TestMetrics:
