@@ -9,8 +9,8 @@ analyze   error probability of one chain at one probability point
 sweep     error-vs-width curves for several cells (Fig. 5 style)
 compare   analytical vs exhaustive vs Monte-Carlo cross-validation
 simulate  budget-routed simulation (exhaustive -> Monte-Carlo fallback)
-distribution  error-magnitude metrics (ED / MED / MRED / WCE) with
-          their own exact-DP -> truncated-DP -> Monte-Carlo ladder
+distribution  error-magnitude metrics (ED / MED / MRED / WCE): exact
+          MED/WCE at any width, exact -> truncated DP -> MC for the PMF
 gear      GeAr(N, R, P) error analysis (DP + IE + MC)
 hybrid    optimal hybrid chain search
 power     calibrated power/area estimates (Table 2 style)
@@ -976,8 +976,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="error-magnitude analysis: ED / MED / MRED / WCE",
         description="Analyse how wrong the chain's sum is, not just how "
                     "often: the error-value law D = approx - exact and "
-                    "its summary metrics, routed through the exact DP, "
-                    "the truncated-support DP, or Monte-Carlo.",
+                    "its summary metrics: exact MED/WCE at any width, "
+                    "the PMF via the exact or truncated DP or Monte-Carlo.",
     )
     _add_chain_arguments(p)
     p.add_argument("--adder",

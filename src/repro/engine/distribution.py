@@ -27,20 +27,18 @@ one private :class:`_Shape` record per shape:
   table, the moments and extremes over the carry table.  The PMF of
   ``error_distribution`` is the dense or sparse law fold (to
   :data:`DIST_EXACT_MAX_WIDTH` bits), the sparse joint ``(D, exact)``
-  law answers MRED (to :data:`MRED_EXACT_MAX_WIDTH` bits), and ``wce``
-  (and a block's ``chain``) reads the moments, extremes and
-  nonzero-mass folds, exact at *any* width.  An error-free adder answers ``med``,
-  ``mred`` and ``error_distribution`` with exact zeros at any width, no
-  fold.
-* ``dp-truncated`` -- past the exact guard: the sparse fold with every
-  partial delta rounded to :data:`QUANT_BITS` significant bits
-  (mass-preserving, bounded support at any width).  ``P(error)`` stays
-  exact (a wrong lower bit keeps the partial delta nonzero; chains fold
-  the ``(approximate, exact)`` carry-pair table for that), and so is
-  ``bias`` (the moments fold, linear at any width); MED/MSE/WCE drift
-  by at most ``~width * 2^(1-QUANT_BITS)`` relative, so results are
-  flagged ``exact=False``.  MRED is not served (the joint law has no
-  mass-preserving truncation).
+  law answers MRED (to :data:`MRED_EXACT_MAX_WIDTH` bits), and ``med``
+  and ``wce`` (and a block's ``chain``) read only linear folds, exact
+  at *any* width.  An error-free adder answers ``med``, ``mred`` and
+  ``error_distribution`` with exact zeros at any width, no fold.
+* ``dp-truncated`` -- the same runner past the PMF guard, differing
+  only in the ``error_distribution`` PMF: the sparse fold of the
+  output-difference table with every partial delta rounded to
+  :data:`QUANT_BITS` significant bits (mass-preserving, bounded support
+  at any width).  Every scalar is the exact DP's; the PMF's deltas
+  drift by at most ``~width * 2^(1-QUANT_BITS)`` relative, so results
+  are flagged ``exact=False``.  MRED is not served (the joint law has
+  no mass-preserving truncation).
 * ``exhaustive`` -- the oracle: one weighted enumeration pass
   (:func:`~repro.simulation.exhaustive.exhaustive_quality` /
   :func:`~repro.simulation.exhaustive.windowed_exhaustive_quality`)
@@ -130,14 +128,15 @@ MRED_EXACT_MAX_WIDTH = 12
 DIST_TRUNCATED_MAX_WIDTH = 32
 
 #: Sampling rungs' width guard: sampled sums are int64 words, so the
-#: operands hold at most 62 bits.  A wider magnitude question has no
-#: rung left and the router refuses it with a ``SupportLimitError``.
+#: operands hold at most 62 bits.  A wider ``error_distribution`` or
+#: ``mred`` question has no rung left and the router refuses it with a
+#: ``SupportLimitError``.
 MC_MAX_WIDTH = 62
 
-#: Significant bits kept per partial delta by the truncated rungs.  Mass
-#: is never dropped -- nearby deltas merge -- so the PMF still sums to
-#: 1 and ER stays exact; magnitude metrics drift by at most
-#: ``~width * 2^(1-QUANT_BITS)`` relative.
+#: Significant bits kept per partial delta by the truncated rungs' PMF.
+#: Mass is never dropped -- nearby deltas merge -- so the PMF still sums
+#: to 1 and its zero mass stays exact; magnitude metrics read off it
+#: drift by at most ``~width * 2^(1-QUANT_BITS)`` relative.
 QUANT_BITS = 12
 
 #: Default sample count of the ``mc`` rungs (smaller than the
@@ -211,9 +210,9 @@ _ZERO_PMF = ErrorPMF([0], [1.0])
 
 
 def _error_free_result(
-    request: AnalysisRequest, engine: str
+    request: AnalysisRequest, engine: str, exact: bool
 ) -> AnalysisResult:
-    """The exact answer for an error-free adder: ``D = 0`` surely."""
+    """The answer for an error-free adder: ``D = 0`` surely."""
     fields: Dict[str, object] = {
         "med": 0.0, "nmed": 0.0, "mse": 0.0, "wce": 0, "bias": 0.0,
     }
@@ -221,7 +220,7 @@ def _error_free_result(
         fields["mred"] = 0.0
     if request.kind == KIND_ERROR_DISTRIBUTION:
         fields["distribution"] = _ZERO_PMF
-    return _result(request, engine, True, 0.0, **fields)
+    return _result(request, engine, exact, 0.0, **fields)
 
 
 def _linear_fields(
@@ -272,56 +271,52 @@ class _Shape:
         return f"{self.prefix}-mc"
 
 
-def run_distribution_dp(
-    request: AnalysisRequest, **options: object
-) -> AnalysisResult:
-    """Exact error-magnitude DP (linear-fold MED / full PMF / joint MRED
-    / interval WCE).
-
-    An error-free adder (every cell accurate, or an exact block) answers
-    ``med``, ``mred`` and ``error_distribution`` with exact zeros at any
-    width, no fold.  ``med`` runs linear folds only.  The PMF and joint
-    folds raise :class:`~repro.core.exceptions.SupportLimitError` when
-    the support outgrows its guard -- the ladder's
-    ``width_limits`` (:func:`repro.engine.executor.select_engine`) exist
-    so un-forced callers never see that.
-    """
+def _run_dp(request: AnalysisRequest, truncated: bool) -> AnalysisResult:
+    """Both ``dp`` rungs: every scalar from the exact folds; only the
+    ``error_distribution`` PMF's fold differs by rung."""
     shape = _shape(request)
-    engine = f"{shape.prefix}-dp"
+    engine = f"{shape.prefix}-dp" + ("-truncated" if truncated else "")
+    exact = not truncated
     if _zero_answer(request):
-        return _error_free_result(request, engine)
+        return _error_free_result(request, engine, exact)
     table = shape.table(request)
     if request.kind in (KIND_MED, KIND_ERROR_DISTRIBUTION):
-        fields, error_rate = _linear_fields(
-            table, shape.difference(table), request)
+        difference = shape.difference(table)
+        fields, error_rate = _linear_fields(table, difference, request)
         if request.kind == KIND_ERROR_DISTRIBUTION:
-            fields["distribution"] = shape.pmf(table)
-        return _result(request, engine, True, error_rate, **fields)
+            fields["distribution"] = (_sparse_pmf(difference, QUANT_BITS)
+                                      if truncated else shape.pmf(table))
+        return _result(request, engine, exact, error_rate, **fields)
     if request.kind == KIND_MRED:
         fields, error_rate = _joint_fields(
             fold_sparse(table, joint=True), request)
-        return _result(request, engine, True, error_rate, **fields)
+        return _result(request, engine, exact, error_rate, **fields)
     p_error, fields = shape.p_error(request, table)
     if request.kind == KIND_WCE:
         moments, worst = fold_moments(table), fold_extremes(table)
         fields.update(wce=worst.wce, mse=moments.second_moment,
                       bias=moments.mean)
-    return _result(request, engine, True, p_error, **fields)
+    return _result(request, engine, exact, p_error, **fields)
+
+
+def run_distribution_dp(
+    request: AnalysisRequest, **options: object
+) -> AnalysisResult:
+    """The exact DP rung: linear-fold MED/WCE, full PMF, joint MRED.
+
+    Forced past the ladder's ``width_limits``, the PMF and joint folds
+    raise :class:`~repro.core.exceptions.SupportLimitError`."""
+    return _run_dp(request, truncated=False)
 
 
 def run_distribution_dp_truncated(
     request: AnalysisRequest, **options: object
 ) -> AnalysisResult:
-    """Truncated-support DP: bounded support at any width.
+    """The exact DP rung with a bounded-support PMF, at any width.
 
-    The partial deltas are kept at :data:`QUANT_BITS` significant bits,
-    merging (never dropping) nearby values, so the PMF sums to 1 and
-    ``p_error`` is still exact.  ``bias`` is the exact E[D] from the
-    moments fold; MED/MSE/WCE carry a bounded relative drift and the
-    result is flagged ``exact=False``.  MRED is not served here (the
-    joint law has no mass-preserving truncation); the router sends wide
-    MRED questions to Monte-Carlo instead.
-    """
+    The PMF keeps :data:`QUANT_BITS` significant bits per delta, so the
+    answer is flagged ``exact=False``.  MRED is refused: the joint law
+    has no mass-preserving truncation."""
     shape = _shape(request)
     if request.kind == KIND_MRED:
         raise AnalysisError(
@@ -329,18 +324,7 @@ def run_distribution_dp_truncated(
             "(delta, exact) support has no mass-preserving truncation); "
             f"use {shape.prefix}-mc"
         )
-    if request.kind in (KIND_CHAIN, KIND_WCE):
-        # Linear-time exact DPs at any width; truncation only hurts.
-        return run_distribution_dp(request, **options)
-    table = shape.table(request)
-    fields, error_rate = _pmf_fields(
-        fold_sparse(shape.difference(table), quant_bits=QUANT_BITS).as_dict(),
-        request)
-    # A sum over quantised deltas up to 2^(N+1) cancels inexactly; the
-    # linear moments fold gives E[D] exactly.
-    fields["bias"] = fold_moments(table).mean
-    return _result(request, f"{shape.prefix}-dp-truncated", False,
-                   error_rate, **fields)
+    return _run_dp(request, truncated=True)
 
 
 def _exhaustive_result(
@@ -537,8 +521,8 @@ def _block_table(request: AnalysisRequest) -> CarryTable:
                           request.p_b)
 
 
-def _block_pmf(table: CarryTable) -> ErrorPMF:
-    law = fold_sparse(table)
+def _sparse_pmf(table: CarryTable, bits: Optional[int] = None) -> ErrorPMF:
+    law = fold_sparse(table, quant_bits=bits)
     return ErrorPMF(law.deltas, law.probs)
 
 
@@ -577,10 +561,10 @@ def _block_dp_cost(request: AnalysisRequest) -> float:
     ``med``, ``wce`` and ``chain`` are linear folds over the cut table:
     200 ops a bit covers the worst ``named_zoo(16)`` ``med`` answer
     (1.4 ms at width 16 on a 2-vCPU Xeon).  Blocks with many windows
-    cost more per bit (``aca1:62:31``: 15 ms), but the router sends no
-    block ``med`` wider than 16 bits here.  The PMF and joint folds'
-    support grows like ``2^width``.  An exact spec's zero answer is
-    linear.
+    cost more per bit (``aca1:62:31``: 15 ms), which no deadline acts
+    on: the rung is final for these kinds at every width.  The PMF and
+    joint folds' support grows like ``2^width``.  An exact spec's zero
+    answer is linear.
     """
     width = request.width
     if _zero_answer(request):
@@ -594,7 +578,7 @@ _BLOCKS = _Shape(
     prefix="zoo", block=True, kinds=(KIND_CHAIN,) + DISTRIBUTION_KINDS,
     table=_block_table,
     difference=lambda table: table,
-    pmf=_block_pmf,
+    pmf=_sparse_pmf,
     p_error=lambda request, table: (fold_nonzero(table), {}),
     sample=_block_samples,
     oracle=_block_oracle,
@@ -654,24 +638,22 @@ def register_distribution_engines() -> None:
             name=dp, family=FAMILY_ANALYTICAL, exact=True,
             deterministic=True, run=run_distribution_dp,
             cost_estimate=shape.dp_cost,
-            # ``wce`` (and a block's ``chain``) has no entry: its DPs
-            # are linear-time exact at any width.
+            # ``med``, ``wce`` (and a block's ``chain``) have no entry:
+            # their folds are linear-time exact at any width.
             width_limits={KIND_ERROR_DISTRIBUTION: DIST_EXACT_MAX_WIDTH,
-                          KIND_MED: DIST_EXACT_MAX_WIDTH,
                           KIND_MRED: MRED_EXACT_MAX_WIDTH},
             # ``mred`` skips the truncated rung: the joint DP has no
             # mass-preserving truncation.
             degrades_to={KIND_ERROR_DISTRIBUTION: truncated,
-                         KIND_MED: truncated, KIND_MRED: mc},
+                         KIND_MRED: mc},
             description=_DESCRIPTIONS[dp], **shared,  # type: ignore[arg-type]
         ))
         REGISTRY.register(EngineInfo(
             name=truncated, family=FAMILY_ANALYTICAL, exact=False,
             deterministic=True, run=run_distribution_dp_truncated,
             cost_estimate=lambda request: 3000.0 * request.width ** 2,
-            width_limits={KIND_ERROR_DISTRIBUTION: DIST_TRUNCATED_MAX_WIDTH,
-                          KIND_MED: DIST_TRUNCATED_MAX_WIDTH},
-            degrades_to={KIND_ERROR_DISTRIBUTION: mc, KIND_MED: mc},
+            width_limits={KIND_ERROR_DISTRIBUTION: DIST_TRUNCATED_MAX_WIDTH},
+            degrades_to={KIND_ERROR_DISTRIBUTION: mc},
             description=_DESCRIPTIONS[truncated],
             **shared,  # type: ignore[arg-type]
         ))

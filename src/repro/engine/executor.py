@@ -139,7 +139,7 @@ def select_engine(
     passes ``deadline_s * OPS_PER_SECOND``.
     A rung without a ``degrades_to`` entry for the kind is final; when
     the request is wider than the final rung's ``max_width`` (a
-    magnitude question past the samplers' 62 bits), the walk raises
+    PMF or MRED question past the samplers' 62 bits), the walk raises
     :class:`~repro.core.exceptions.SupportLimitError` with the width
     and that limit, before any work.
     ``degraded_from`` names the rung directly above the chosen one, and
@@ -343,7 +343,7 @@ def run_batch(
     Each grouped answer equals ``run(request, engine="vectorized")``
     field for field; a non-finite kernel output raises
     :class:`~repro.core.exceptions.AnalysisError`.
-    Everything else falls back to :func:`run` per request.
+    Everything else falls back to :func:`run`, once per request object.
 
     *engine*/*simulate*/*samples*/*seed* force the same :func:`run`
     options onto every request (e.g. a Monte-Carlo sweep at a fixed
@@ -466,7 +466,9 @@ def run_batch(
             if meter.stop_reason() is not None:
                 stopped = True
                 break
-            results[i] = run(request=requests[i], budget=budget)
+            j = first.setdefault(id(requests[i]), i)
+            results[i] = (run(request=requests[i], budget=budget) if j == i
+                          else results[j])
             meter.charge(configs=1)
 
     if _metrics.is_enabled():

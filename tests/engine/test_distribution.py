@@ -2,8 +2,8 @@
 
 Cross-validates every distribution engine against the exhaustive
 oracle over the full cell zoo, pins the engine ladder's magnitude
-rungs (exact DP -> truncated DP -> Monte-Carlo, with the WCE and MRED
-exceptions; the rung behaviours both adder shapes share are tested
+rungs (exact DP -> truncated DP -> Monte-Carlo, with the MED, WCE and
+MRED exceptions; the rung behaviours both adder shapes share are tested
 once per shape), and exercises the kinds through run()/run_batch(),
 the result cache and the serving layer.
 """
@@ -11,7 +11,9 @@ the result cache and the serving layer.
 import json
 import math
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,12 @@ from hypothesis import strategies as st
 from repro import engine
 from repro.core.adder_zoo import named_zoo, windowed_table
 from repro.core.exceptions import AnalysisError
-from repro.core.magnitude import chain_table, fold_moments
+from repro.core.magnitude import (
+    chain_table,
+    fold_law,
+    fold_moments,
+    fold_sparse,
+)
 from repro.engine.diskcache import (
     cacheable_result,
     payload_from_result,
@@ -163,6 +170,72 @@ class TestHypothesisCrossValidation:
         assert wce.wce == wce_ref
 
 
+def _med_requests(prefix, width):
+    """LPAA 1-7 chains, or a spread of the windowed width-*width* zoo,
+    under one skewed operand profile."""
+    if prefix == "zoo":
+        blocks = [adder for adder in named_zoo(width)
+                  if adder.representation == "windowed"]
+        return [AnalysisRequest.zoo(adder.config_string, 0.3, 0.6,
+                                    kind=KIND_MED)
+                for adder in blocks[::5]]
+    return [AnalysisRequest.distribution(f"LPAA {i}", width, 0.3, 0.6, 0.4,
+                                         kind=KIND_MED)
+            for i in range(1, 8)]
+
+
+class TestMedIsExactAtEveryWidth:
+    """``med`` has no width limit: every routed MED answer comes from the
+    exact ``dp`` rung's linear folds, whatever the width."""
+
+    @pytest.mark.parametrize("prefix", SHAPES)
+    @pytest.mark.parametrize("width", [17, 20, 32, 48, 62, 63, 64, 128,
+                                       256])
+    def test_routed_med_is_the_exact_dp(self, prefix, width):
+        for request in _med_requests(prefix, width):
+            routed = engine.run(request)
+            assert routed.engine == f"{prefix}-dp", request.cell_names
+            assert routed.exact and routed.degraded_from is None
+            forced = engine.run(request, engine=f"{prefix}-dp")
+            assert replace(routed, reason=None) \
+                == replace(forced, reason=None)
+
+    @pytest.mark.parametrize("prefix", SHAPES)
+    @pytest.mark.parametrize("width", [17, 18, 19, 20])
+    def test_med_matches_the_exact_pmf_past_its_guard(self, prefix, width):
+        # The PMF folds answer past the router's guard once max_entries
+        # is raised; the linear MED fold must match their E|D|.
+        for request in _med_requests(prefix, width):
+            if prefix == "zoo":
+                law = fold_sparse(windowed_table(
+                    request.block, request.p_a, request.p_b),
+                    max_entries=1 << 26)
+                deltas, probs = law.deltas, law.probs
+            else:
+                deltas, probs = fold_law(chain_table(
+                    list(request.cells), None, list(request.p_a),
+                    list(request.p_b), request.p_cin),
+                    max_entries=1 << 26).support()
+            med = float(np.abs(np.asarray(deltas, dtype=float))
+                        @ np.asarray(probs))
+            assert math.isclose(engine.run(request).med, med,
+                                rel_tol=1e-12), request.cell_names
+
+    @pytest.mark.parametrize("prefix", SHAPES)
+    @pytest.mark.parametrize("width", [17, 20])
+    def test_truncated_pmf_answer_has_the_exact_scalars(self, prefix,
+                                                        width):
+        for request in _med_requests(prefix, width):
+            exact = engine.run(request, engine=f"{prefix}-dp")
+            trunc = engine.run(
+                replace(request, kind=KIND_ERROR_DISTRIBUTION),
+                engine=f"{prefix}-dp-truncated")
+            assert trunc.exact is False and trunc.distribution is not None
+            for field in ("p_error", "med", "nmed", "mse", "wce", "bias"):
+                assert getattr(trunc, field) == getattr(exact, field), \
+                    (request.cell_names, field)
+
+
 class TestWideWidths:
     def test_wce_is_exact_at_64_bits(self):
         result = engine.run("LPAA 5", 64, kind=KIND_WCE)
@@ -173,13 +246,17 @@ class TestWideWidths:
     def test_truncated_med_near_exact_moments_at_32_bits(self):
         # error_moments is an independent exact O(N) computation of
         # E[|D|]-adjacent quantities; the truncated PMF's E[D^2] must
-        # land within the documented ~width * 2^-11 relative drift.
+        # land within the documented ~width * 2^-11 relative drift,
+        # and the answer's own scalars are the exact folds'.
         from repro.core.magnitude import error_moments
 
-        result = engine.run("LPAA 1", 32, kind=KIND_MED)
+        result = engine.run("LPAA 1", 32, kind=KIND_ERROR_DISTRIBUTION)
         assert result.engine == "distribution-dp-truncated"
         mom = error_moments("LPAA 1", 32, 0.5, 0.5, 0.5)
-        assert result.mse == pytest.approx(mom.second_moment, rel=1e-2)
+        pmf = result.distribution
+        pmf_mse = float(pmf.deltas.astype(float) ** 2 @ pmf.probs)
+        assert pmf_mse == pytest.approx(mom.second_moment, rel=1e-2)
+        assert result.mse == pytest.approx(mom.second_moment, rel=1e-12)
 
     def test_mc_interval_contains_truncated_dp_med_at_32_bits(self):
         # A 95% interval misses on about 1 seed in 20 by construction,
@@ -322,7 +399,7 @@ class TestExecutorSurface:
         assert results[2].wce == engine.run(requests[2]).wce
 
     def test_distribution_result_carries_provenance(self):
-        result = engine.run("LPAA 1", 20, kind=KIND_MED)
+        result = engine.run("LPAA 1", 20, kind=KIND_ERROR_DISTRIBUTION)
         assert result.engine == "distribution-dp-truncated"
         assert result.degraded_from == "distribution-dp"
         assert "support guard" in result.reason
@@ -350,7 +427,8 @@ class TestResultCachePayloads:
         assert restored.distribution == result.distribution
 
     def test_truncated_results_are_never_cached(self):
-        result = engine.run("LPAA 1", 20, kind=KIND_MED)
+        result = engine.run("LPAA 1", 20, kind=KIND_ERROR_DISTRIBUTION)
+        assert result.engine == "distribution-dp-truncated"
         assert result.exact is False
         assert not cacheable_result(result)
 
@@ -408,7 +486,7 @@ class TestCli:
         from repro.cli import main
 
         assert main(["distribution", "--cell", "LPAA 1", "--width", "40",
-                     "--kind", "med", "--samples", "20000",
+                     "--kind", "error_distribution", "--samples", "20000",
                      "--seed", "9"]) == 0
         out = capsys.readouterr().out
         assert "distribution-mc" in out

@@ -426,6 +426,36 @@ class TestRunBatchContract:
         assert run_batch(requests) == fresh
         assert get_result_cache().stats()["disk"]["writes"] == 0
 
+    def test_each_distinct_single_runs_once(self, monkeypatch):
+        # Requests no group stacks (magnitude kinds, blocks, traced
+        # chains) go through ``run``: once per object, not per position,
+        # while the budget still counts positions.
+        from repro.engine import executor
+
+        med = AnalysisRequest.distribution("LPAA 3", 12, 0.3, kind="med")
+        block = AnalysisRequest.zoo("aca1:8:4", kind="wce")
+        trace = AnalysisRequest.chain("LPAA 1", 6, keep_trace=True)
+        requests = [med] * 4 + [block, trace, block, med, trace]
+        calls = []
+        scalar = executor.run
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["request"])
+            return scalar(*args, **kwargs)
+
+        monkeypatch.setattr(executor, "run", counting)
+        results = run_batch(requests)
+        assert [id(r) for r in calls] == [id(med), id(block), id(trace)]
+        first = {}
+        for request, result in zip(requests, results):
+            assert first.setdefault(id(request), result) is result
+        monkeypatch.setattr(executor, "run", scalar)
+        for request, result in zip(requests, results):
+            assert result == run(request)
+        capped = run_batch(requests, budget=RunBudget(max_configs=5))
+        assert capped[:5] == results[:5]
+        assert capped[5:] == [None] * 4
+
 
 class TestNonFiniteEngineOutput:
     """A NaN from an engine is an error, never a clamped ``p_error``."""

@@ -97,12 +97,17 @@ ROWS = [
         chain(4, joints=[JointBitDistribution.identical(0.5)] * 4),
         ("montecarlo", "exhaustive", MC, None), simulate=True),
 
-    # Error-magnitude kinds: dp -> dp-truncated -> mc.
+    # Error-magnitude kinds: dp -> dp-truncated -> mc for the PMF, dp
+    # -> mc for MRED; MED and WCE are exact at every width.
     row("med-w16-exact", dist(16), ("distribution-dp", None, None, None)),
-    row("med-w17-truncated", dist(17),
+    row("med-w17-exact", dist(17), ("distribution-dp", None, None, None)),
+    row("med-w48-exact", dist(48), ("distribution-dp", None, None, None)),
+    row("med-w48-mc", dist(48), ("distribution-mc", None, DIST_MC, None),
+        simulate=True),
+    row("error-distribution-w17-truncated", dist(17, "error_distribution"),
         ("distribution-dp-truncated", "distribution-dp", None, None),
         reason="support guard"),
-    row("med-w48-mc", dist(48),
+    row("error-distribution-w48-mc", dist(48, "error_distribution"),
         ("distribution-mc", "distribution-dp-truncated", DIST_MC, None)),
     row("wce-w8", dist(8, "wce"), ("distribution-dp", None, None, None)),
     row("wce-w32", dist(32, "wce"), ("distribution-dp", None, None, None)),
@@ -120,9 +125,16 @@ ROWS = [
         ("distribution-dp", None, None, None),
         budget=RunBudget(deadline_s=0.5)),
     row("med-w30-tight-deadline", dist(30),
+        ("distribution-dp", None, None, None),
+        budget=RunBudget(deadline_s=1e-9)),
+    row("med-w48-max-samples", dist(48),
+        ("distribution-dp", None, None, None),
+        budget=RunBudget(max_samples=1_234)),
+    row("error-distribution-w30-tight-deadline",
+        dist(30, "error_distribution"),
         ("distribution-mc", "distribution-dp-truncated", DIST_MC, None),
         budget=RunBudget(deadline_s=1e-9), reason="deadline"),
-    row("med-w48-max-samples", dist(48),
+    row("error-distribution-w48-max-samples", dist(48, "error_distribution"),
         ("distribution-mc", "distribution-dp-truncated", 1_234, None),
         budget=RunBudget(max_samples=1_234)),
     row("med-sim", dist(8), ("distribution-mc", None, 5_000, None),
@@ -135,32 +147,53 @@ ROWS = [
     row("zoo-chain-w40", zoo(40, "chain"), ("zoo-dp", None, None, None)),
     row("zoo-wce-w40", zoo(40, "wce"), ("zoo-dp", None, None, None)),
     row("zoo-med-w8", zoo(8), ("zoo-dp", None, None, None)),
-    row("zoo-med-w20-truncated", zoo(20),
+    row("zoo-med-w20-exact", zoo(20), ("zoo-dp", None, None, None)),
+    row("zoo-med-w40-exact", zoo(40), ("zoo-dp", None, None, None)),
+    row("zoo-error-distribution-w20-truncated", zoo(20, "error_distribution"),
         ("zoo-dp-truncated", "zoo-dp", None, None), reason="support guard"),
     row("zoo-mred-w16-skips-truncated", zoo(16, "mred"),
         ("zoo-mc", "zoo-dp", DIST_MC, None)),
-    row("zoo-med-w40-mc", zoo(40),
+    row("zoo-med-w40-mc", zoo(40), ("zoo-mc", None, DIST_MC, None),
+        simulate=True),
+    row("zoo-error-distribution-w40-mc", zoo(40, "error_distribution"),
         ("zoo-mc", "zoo-dp-truncated", DIST_MC, None)),
-    row("zoo-med-w16-tight-deadline", zoo(16),
-        ("zoo-mc", "zoo-dp-truncated", DIST_MC, None),
+    row("zoo-med-w16-tight-deadline", zoo(16), ("zoo-dp", None, None, None),
         budget=RunBudget(deadline_s=1e-9)),
+    row("zoo-error-distribution-w16-tight-deadline",
+        zoo(16, "error_distribution"),
+        ("zoo-mc", "zoo-dp-truncated", DIST_MC, None),
+        budget=RunBudget(deadline_s=1e-9), reason="deadline"),
     row("zoo-sim-max-samples", zoo(8, "chain"),
         ("zoo-mc", None, 1_000, None),
         budget=RunBudget(max_samples=1_000), simulate=True),
 
-    # Past the samplers' 62 bits a magnitude question has no rung left:
-    # a typed refusal, not an engine failure.  WCE, a block's ``chain``
-    # and error-free adders keep their linear-time exact answers.
-    row("med-w62-mc", dist(62),
+    # Past the samplers' 62 bits a PMF or MRED question has no rung
+    # left: a typed refusal, not an engine failure.  MED, WCE, a block's
+    # ``chain`` and error-free adders keep their linear-time exact
+    # answers; a simulated question stops at the samplers' 62 bits.
+    row("med-w62-exact", dist(62), ("distribution-dp", None, None, None)),
+    row("med-w62-mc", dist(62), ("distribution-mc", None, DIST_MC, None),
+        simulate=True),
+    row("error-distribution-w62-mc", dist(62, "error_distribution"),
         ("distribution-mc", "distribution-dp-truncated", DIST_MC, None)),
-    row("med-w63-refused", dist(63), TOO_WIDE),
+    row("med-w63-exact", dist(63), ("distribution-dp", None, None, None)),
+    row("med-w64-exact", dist(64), ("distribution-dp", None, None, None)),
+    row("med-w256-never-degrades", dist(256),
+        ("distribution-dp", None, None, None),
+        budget=RunBudget(deadline_s=1e-9)),
+    row("error-distribution-w63-refused", dist(63, "error_distribution"),
+        TOO_WIDE),
     row("mred-w64-refused", dist(64, "mred"), TOO_WIDE),
     row("error-distribution-w64-refused", dist(64, "error_distribution"),
         TOO_WIDE),
     row("med-sim-w63-refused", dist(63), TOO_WIDE, simulate=True),
-    row("zoo-med-w62-mc", zoo(62),
-        ("zoo-mc", "zoo-dp-truncated", DIST_MC, None)),
-    row("zoo-med-w63-refused", zoo(63), TOO_WIDE),
+    row("zoo-med-w62-exact", zoo(62), ("zoo-dp", None, None, None)),
+    row("zoo-med-w62-mc", zoo(62), ("zoo-mc", None, DIST_MC, None),
+        simulate=True),
+    row("zoo-med-w63-exact", zoo(63), ("zoo-dp", None, None, None)),
+    row("zoo-med-w63-refused", zoo(63), TOO_WIDE, simulate=True),
+    row("zoo-error-distribution-w63-refused", zoo(63, "error_distribution"),
+        TOO_WIDE),
     row("zoo-mred-w64-refused", zoo(64, "mred"), TOO_WIDE),
     row("zoo-chain-sim-w64-refused", zoo(64, "chain"), TOO_WIDE,
         simulate=True),
@@ -240,8 +273,8 @@ class TestBudgetOnEveryRung:
         assert result.samples == 1_000
 
     def test_degraded_distribution_sample_cap(self):
-        result = engine.run("LPAA 1", 40, kind="med", samples=5_000,
-                            budget=self.CAP)
+        result = engine.run("LPAA 1", 40, kind="error_distribution",
+                            samples=5_000, budget=self.CAP)
         assert result.engine == "distribution-mc"
         assert result.samples == 1_000
 

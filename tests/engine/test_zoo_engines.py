@@ -84,8 +84,9 @@ class TestRouterLadder:
         dp = REGISTRY.get("zoo-dp")
         assert "chain" not in dp.width_limits
         assert "wce" not in dp.width_limits
+        assert "med" not in dp.width_limits
         assert dp.width_limits["mred"] == MRED_EXACT_MAX_WIDTH
-        assert dp.width_limits["med"] == DIST_EXACT_MAX_WIDTH
+        assert dp.width_limits["error_distribution"] == DIST_EXACT_MAX_WIDTH
 
 
 class TestCapabilityGate:

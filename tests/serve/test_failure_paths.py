@@ -276,8 +276,9 @@ class TestSupportLimitOverHttp:
         # No patching: the router itself refuses a magnitude question
         # wider than the samplers' 62 bits, before any work.
         wide = [{"cell": "LPAA 1", "width": 63, "kind": "mred"},
-                {"cell": "LPAA 1", "width": 64, "kind": "med"},
-                {"adder": "loa:63:8", "kind": "med"},
+                {"cell": "LPAA 1", "width": 64,
+                 "kind": "error_distribution"},
+                {"adder": "loa:63:8", "kind": "error_distribution"},
                 {"adder": "axppa-bk:64:3", "kind": "mred"}]
         server = _start(ServeConfig(port=0, batch_window_s=0.002))
         try:
@@ -289,6 +290,11 @@ class TestSupportLimitOverHttp:
                 error = body["error"]
                 assert (error["code"], error["limit"]) == (422, 62), doc
                 assert error["width"] in (63, 64), doc
+            # MED has no width limit: the exact DP answers at width 64.
+            response, body = _post(conn, "/v1/analyze", {
+                "cell": "LPAA 1", "width": 64, "kind": "med"})
+            assert response.status == 200
+            assert (body["engine"], body["exact"]) == ("distribution-dp", True)
             response, body = _post(conn, "/v1/analyze_batch", {"requests": [
                 {"cell": "LPAA 1", "width": 4}, wide[0],
                 {"adder": "rca:64", "kind": "mred"},
