@@ -10,7 +10,7 @@ sweep     error-vs-width curves for several cells (Fig. 5 style)
 compare   analytical vs exhaustive vs Monte-Carlo cross-validation
 simulate  budget-routed simulation (exhaustive -> Monte-Carlo fallback)
 distribution  error-magnitude metrics (ED / MED / MRED / WCE): exact
-          MED/WCE at any width, exact -> truncated DP -> MC for the PMF
+          MED/MRED/WCE at any width, exact -> truncated DP -> MC for the PMF
 gear      GeAr(N, R, P) error analysis (DP + IE + MC)
 hybrid    optimal hybrid chain search
 power     calibrated power/area estimates (Table 2 style)
@@ -976,7 +976,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="error-magnitude analysis: ED / MED / MRED / WCE",
         description="Analyse how wrong the chain's sum is, not just how "
                     "often: the error-value law D = approx - exact and "
-                    "its summary metrics: exact MED/WCE at any width, "
+                    "its summary metrics: exact MED/MRED/WCE at any width, "
                     "the PMF via the exact or truncated DP or Monte-Carlo.",
     )
     _add_chain_arguments(p)

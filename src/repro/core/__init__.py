@@ -32,7 +32,6 @@ from .adder_zoo import (
     windowed_error_moments,
     windowed_error_pmf,
     windowed_error_probability,
-    windowed_joint_error_pmf,
     windowed_worst_case_error,
     zoo_cost,
 )
@@ -84,8 +83,6 @@ from .magnitude import (
     error_law,
     error_moments,
     error_pmf,
-    joint_error_pmf,
-    relative_error_from_joint,
     worst_case_error,
 )
 from .masking import MaskingReport, chain_is_exact, masking_analysis
@@ -168,7 +165,6 @@ __all__ = [
     "windowed_error_moments",
     "windowed_error_pmf",
     "windowed_error_probability",
-    "windowed_joint_error_pmf",
     "windowed_worst_case_error",
     "zoo_cost",
     # masks
@@ -201,8 +197,6 @@ __all__ = [
     "ErrorMoments",
     "WorstCaseError",
     "worst_case_error",
-    "joint_error_pmf",
-    "relative_error_from_joint",
     "QualityMetrics",
     "metrics_from_pmf",
     "metrics_from_samples",

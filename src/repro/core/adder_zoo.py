@@ -24,8 +24,9 @@ code change:
   analysis is one of that module's folds over it:
   :func:`windowed_error_probability` (ER), :func:`windowed_error_pmf`
   (error law, guarded), :func:`windowed_error_moments`,
-  :func:`windowed_worst_case_error` (any width) and
-  :func:`windowed_joint_error_pmf` (``(D, exact)`` law for MRED).
+  :func:`windowed_worst_case_error` (any width); the MED and MRED
+  folds (:func:`~repro.core.magnitude.fold_med`,
+  :func:`~repro.core.magnitude.fold_mred`) read the table as it is.
 * Bit-true functional models: the scalar :func:`windowed_add`, the
   bit-sliced kernel :func:`windowed_add_planes` over packed bit planes
   (:mod:`repro.core.bitplanes`; ``zoo-mc`` feeds it straight from its
@@ -379,23 +380,6 @@ def windowed_worst_case_error(
     """Exact ``max |D|`` at any width: the reachable ``[min, max]``
     delta interval per cut, in exact integer arithmetic."""
     return fold_extremes(windowed_table(spec, p_a, p_b))
-
-
-def windowed_joint_error_pmf(
-    spec: WindowedAdderSpec,
-    p_a: Union[Probability, Sequence[Probability]] = 0.5,
-    p_b: Union[Probability, Sequence[Probability]] = 0.5,
-    max_entries: int = DEFAULT_MAX_ENTRIES,
-) -> Dict[Tuple[int, int], float]:
-    """Exact joint PMF of ``(D, exact sum)`` -- MRED falls out via
-    :func:`repro.core.magnitude.relative_error_from_joint`.
-
-    The support scales with the ``2^(N+1)`` exact values, so the
-    practical limit sits lower than the marginal PMF's (same guard
-    behaviour as :func:`repro.core.magnitude.joint_error_pmf`).
-    """
-    return fold_sparse(windowed_table(spec, p_a, p_b), joint=True,
-                       max_entries=max_entries).as_dict()
 
 
 # --------------------------------------------------------------------------

@@ -87,7 +87,6 @@ from .distribution import (
     DIST_EXACT_MAX_WIDTH,
     DIST_TRUNCATED_MAX_WIDTH,
     MC_MAX_WIDTH,
-    MRED_EXACT_MAX_WIDTH,
     QUANT_BITS,
     register_distribution_engines,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "DIST_EXACT_MAX_WIDTH",
     "DIST_TRUNCATED_MAX_WIDTH",
     "MC_MAX_WIDTH",
-    "MRED_EXACT_MAX_WIDTH",
     "QUANT_BITS",
     "KIND_CHAIN",
     "KIND_ERROR_DISTRIBUTION",

@@ -139,7 +139,7 @@ def select_engine(
     passes ``deadline_s * OPS_PER_SECOND``.
     A rung without a ``degrades_to`` entry for the kind is final; when
     the request is wider than the final rung's ``max_width`` (a
-    PMF or MRED question past the samplers' 62 bits), the walk raises
+    PMF question past the samplers' 62 bits), the walk raises
     :class:`~repro.core.exceptions.SupportLimitError` with the width
     and that limit, before any work.
     ``degraded_from`` names the rung directly above the chosen one, and

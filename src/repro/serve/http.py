@@ -429,23 +429,35 @@ class AnalysisServer:
         if _metrics.is_enabled():
             _metrics.inc(f"serve.http.{name}.requests")
         started = asyncio.get_running_loop().time()
+
+        def encode(status: int, doc: object,
+                   headers: Sequence[Tuple[str, str]]) -> bytes:
+            return _encode_response(
+                status, doc, request.keep_alive,
+                list(headers) + [("X-Request-Id", request.request_id)])
+
         try:
             with use_request_id(request.request_id), \
                     _metrics.timed(f"serve.http.{name}.seconds"):
                 status, doc, headers = await handler(request)
+            # Inside the guard: an answer json.dumps cannot serialise
+            # is a 500, not a connection closed without a status line.
+            response = encode(status, doc, headers)
         except _HttpError as exc:
-            status, headers = exc.status, exc.headers
-            doc = _error_doc(exc.status, str(exc), **exc.details)
+            status = exc.status
+            response = encode(
+                status, _error_doc(status, str(exc), **exc.details),
+                exc.headers)
         except Exception as exc:  # never kill the connection loop
             log_event(_logger, "serve.http.error", endpoint=name,
                       error=repr(exc))
-            status, doc, headers = 500, _error_doc(500, "internal error"), ()
+            status = 500
+            response = encode(500, _error_doc(500, "internal error"), ())
         if _metrics.is_enabled():
             _metrics.inc(f"serve.http.status.{status}")
         elapsed = asyncio.get_running_loop().time() - started
         self._log_access(request, status, elapsed)
-        headers = list(headers) + [("X-Request-Id", request.request_id)]
-        return _encode_response(status, doc, request.keep_alive, headers)
+        return response
 
     def _log_access(self, request: _HttpRequest, status: int,
                     elapsed_s: float) -> None:

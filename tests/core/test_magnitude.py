@@ -1,4 +1,5 @@
-"""Unit tests for repro.core.magnitude (error PMF and exact moments)."""
+"""Unit tests for repro.core.magnitude (error PMF, exact moments, the
+MRED bracket)."""
 
 import itertools
 
@@ -13,12 +14,14 @@ from repro.core.magnitude import (
     error_law,
     error_moments,
     error_pmf,
-    joint_error_pmf,
-    relative_error_from_joint,
+    fold_mred,
+    pair_table,
     worst_case_error,
 )
 from repro.core.recursive import analyze_chain
 from repro.core.truth_table import ACCURATE, FullAdderTruthTable
+
+from .joint_law import joint_dict
 
 
 def _enumerate_pmf(cell, width, p_a, p_b, p_cin):
@@ -268,24 +271,29 @@ class TestWorstCaseError:
 
 
 class TestJointErrorPmf:
+    """The pair table's joint ``(D, exact sum)`` law, walked by the
+    test-local :func:`~tests.core.joint_law.joint_dict`, and its MRED
+    bracket from :func:`fold_mred`, against enumeration."""
+
     WIDTH = 4
     P_A = [0.2, 0.7, 0.5, 0.9]
     P_B = [0.4, 0.1, 0.8, 0.3]
     P_CIN = 0.6
 
+    def _pair(self, cell):
+        return pair_table(cell, self.WIDTH, self.P_A, self.P_B, self.P_CIN)
+
     def test_matches_enumeration(self, lpaa_cell):
         ref = _enumerate_joint(lpaa_cell, self.WIDTH, self.P_A, self.P_B,
                                self.P_CIN)
-        got = joint_error_pmf(lpaa_cell, self.WIDTH, self.P_A, self.P_B,
-                              self.P_CIN)
+        got = joint_dict(self._pair(lpaa_cell))
         assert set(got) == {k for k, p in ref.items() if p > 0}
         for key, prob in ref.items():
             if prob > 0:
                 assert got[key] == pytest.approx(prob, abs=1e-12)
 
     def test_marginal_recovers_error_pmf(self, lpaa_cell):
-        joint = joint_error_pmf(lpaa_cell, self.WIDTH, self.P_A, self.P_B,
-                                self.P_CIN)
+        joint = joint_dict(self._pair(lpaa_cell))
         marginal = {}
         for (delta, _), prob in joint.items():
             marginal[delta] = marginal.get(delta, 0.0) + prob
@@ -297,14 +305,12 @@ class TestJointErrorPmf:
         ref = _enumerate_joint(lpaa_cell, self.WIDTH, self.P_A, self.P_B,
                                self.P_CIN)
         mred_ref = sum(abs(d) / max(v, 1) * p for (d, v), p in ref.items())
-        joint = joint_error_pmf(lpaa_cell, self.WIDTH, self.P_A, self.P_B,
-                                self.P_CIN)
-        assert relative_error_from_joint(joint) == pytest.approx(
-            mred_ref, abs=1e-12)
+        lo, hi = fold_mred(self._pair(lpaa_cell))
+        assert lo - 1e-12 <= mred_ref <= hi + 1e-12
 
     def test_accurate_adder_mred_is_zero(self):
-        joint = joint_error_pmf(ACCURATE, 6, 0.3, 0.7, 0.5)
-        assert relative_error_from_joint(joint) == 0.0
+        assert fold_mred(pair_table(ACCURATE, 6, 0.3, 0.7, 0.5)) \
+            == (0.0, 0.0)
 
 
 class TestSupportLimitError:
@@ -316,14 +322,6 @@ class TestSupportLimitError:
         assert err.limit == 10
         assert err.entries > err.limit
         assert isinstance(err.stage, int)
-
-    def test_joint_pmf_carries_structured_context(self):
-        with pytest.raises(SupportLimitError) as info:
-            joint_error_pmf("LPAA 5", 10, max_entries=50)
-        err = info.value
-        assert err.width == 10
-        assert err.limit == 50
-        assert err.entries > 50
 
     def test_is_an_analysis_error_for_old_handlers(self):
         with pytest.raises(AnalysisError, match="max_entries"):

@@ -33,10 +33,7 @@ from repro.engine.diskcache import (
     request_key,
     result_from_payload,
 )
-from repro.engine.distribution import (
-    DIST_EXACT_MAX_WIDTH,
-    MRED_EXACT_MAX_WIDTH,
-)
+from repro.engine.distribution import DIST_EXACT_MAX_WIDTH
 from repro.engine.registry import REGISTRY
 from repro.engine.request import (
     DISTRIBUTION_KINDS,
@@ -103,6 +100,8 @@ class TestAnalyticalMatchesExhaustive:
         assert trunc.med == pytest.approx(exact.med, abs=1e-12)
         assert trunc.exact is False and exact.exact is True
 
+
+LPAA = [f"LPAA {i}" for i in range(1, 8)]
 
 #: The two adder shapes, by their engine-name prefix.
 SHAPES = [pytest.param("distribution", id="chain"),
@@ -236,6 +235,51 @@ class TestMedIsExactAtEveryWidth:
                     (request.cell_names, field)
 
 
+class TestMredIsExactAtEveryWidth:
+    """``mred`` has no width limit either: every routed MRED answer is
+    the exact ``dp`` rung's bracket midpoint, exact at every width."""
+
+    @pytest.mark.parametrize("prefix", SHAPES)
+    @pytest.mark.parametrize("width", [1, 12, 13, 16, 24, 33, 48, 62, 63,
+                                       64, 128])
+    def test_routed_mred_is_the_exact_dp(self, prefix, width):
+        requests = [replace(request, kind=KIND_MRED)
+                    for request in _med_requests(prefix, width)]
+        if prefix == "distribution" and width > 1:
+            rng = random.Random(width)
+            for _ in range(3):
+                low, high = rng.sample(LPAA, 2)
+                cut = rng.randint(1, width - 1)
+                requests.append(AnalysisRequest.distribution(
+                    [low] * cut + [high] * (width - cut),
+                    p_a=[rng.uniform(0.02, 0.98) for _ in range(width)],
+                    p_b=[rng.uniform(0.02, 0.98) for _ in range(width)],
+                    kind=KIND_MRED))
+        for request in requests:
+            for budget in (None, RunBudget(deadline_s=1e-9)):
+                decision = select_engine(request, budget)
+                assert (decision.engine, decision.degraded_from) \
+                    == (f"{prefix}-dp", None), request.cell_names
+            routed = engine.run(request)
+            assert routed.engine == f"{prefix}-dp", request.cell_names
+            assert routed.exact is True and type(routed.mred) is float
+            assert 0.0 <= routed.mred < float("inf")
+
+    @pytest.mark.parametrize("prefix", SHAPES)
+    def test_mred_matches_the_oracle_at_width_8(self, prefix):
+        for request in _med_requests(prefix, 8):
+            request = replace(request, kind=KIND_MRED)
+            oracle = engine.run(request, engine=f"{prefix}-exhaustive")
+            assert math.isclose(engine.run(request).mred, oracle.mred,
+                                rel_tol=1e-12), request.cell_names
+
+    @pytest.mark.parametrize("prefix", SHAPES)
+    def test_simulate_still_samples_mred(self, prefix):
+        request = replace(_med_requests(prefix, 32)[0], kind=KIND_MRED)
+        result = engine.run(request, simulate=True, samples=2_000)
+        assert (result.engine, result.exact) == (f"{prefix}-mc", False)
+
+
 class TestWideWidths:
     def test_wce_is_exact_at_64_bits(self):
         result = engine.run("LPAA 5", 64, kind=KIND_WCE)
@@ -283,12 +327,14 @@ class TestRouterLadder:
         return AnalysisRequest.distribution("LPAA 1", width, kind=kind)
 
     def test_mred_skips_the_truncated_rung(self):
+        # No width limit and no fallback: the exact rung is final.
         dp = REGISTRY.get("distribution-dp")
-        assert dp.width_limits[KIND_MRED] == MRED_EXACT_MAX_WIDTH
-        decision = select_engine(
-            self._req(MRED_EXACT_MAX_WIDTH + 1, kind=KIND_MRED))
-        assert decision.engine == "distribution-mc"
-        assert decision.degraded_from == "distribution-dp"
+        assert KIND_MRED not in dp.width_limits
+        assert KIND_MRED not in dp.degrades_to
+        for width in (13, 17, 33, 64):
+            decision = select_engine(self._req(width, kind=KIND_MRED))
+            assert decision.engine == "distribution-dp"
+            assert decision.degraded_from is None
 
     @pytest.mark.parametrize("kind", [KIND_MED, KIND_ERROR_DISTRIBUTION])
     def test_half_second_deadline_keeps_the_exact_dp(self, kind):
@@ -311,9 +357,14 @@ class TestRouterLadder:
         pytest.param(AnalysisRequest.zoo("aca1:8:4", kind=KIND_MRED),
                      "zoo", id="block"),
     ])
-    def test_truncated_engine_refuses_mred(self, request_, prefix):
-        with pytest.raises(AnalysisError, match="mass-preserving"):
-            engine.run(request_, engine=f"{prefix}-dp-truncated")
+    def test_truncated_engine_answers_mred(self, request_, prefix):
+        # Forced, the truncated rung gives the exact rung's MRED, flagged
+        # as an estimate like every answer of that rung.
+        trunc = engine.run(request_, engine=f"{prefix}-dp-truncated")
+        exact = engine.run(request_, engine=f"{prefix}-dp")
+        assert (trunc.engine, trunc.exact) == (f"{prefix}-dp-truncated",
+                                               False)
+        assert exact.exact is True and trunc.mred == exact.mred > 0
 
     @pytest.mark.parametrize("request_, samples, seed, expected, p_error", [
         pytest.param(AnalysisRequest.distribution("LPAA 1", 8,

@@ -1,28 +1,23 @@
-"""Exact zeros for error-free adders, and the array-native joint law.
+"""Exact zeros for error-free adders, and MRED from the linear folds.
 
 An accurate-cell chain or an exact windowed spec never errs, so its
 ``med``, ``mred`` and ``error_distribution`` answers are exact zeros at
 any width: the router keeps them on the DP rung (no support guard, a
 linear cost, so no deadline pushes them to sampling) and the runner
-answers without a fold.  The exact MRED path reduces the fold's arrays
-instead of looping over a joint dict; a frozen copy of the dict loops
-pins it bit for bit.
+answers without a fold.  Any other exact MRED answer is read off
+``fold_mred``'s bracket, with the ``med`` answer's scalars.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from repro.core.adder_zoo import (
-    WindowedAdderSpec,
-    named_zoo,
-    windowed_joint_error_pmf,
-)
-from repro.core.magnitude import joint_error_pmf, relative_error_from_joint
+from repro.core.adder_zoo import WindowedAdderSpec, named_zoo, windowed_table
+from repro.core.magnitude import fold_mred, pair_table
 from repro.engine import AnalysisRequest, run, select_engine
-from repro.engine.distribution import _pmf_fields, _result
 from repro.runtime.budget import RunBudget
 
 ZERO_KINDS = ("med", "mred", "error_distribution")
@@ -112,23 +107,7 @@ class TestErrorFreeRouting:
             ("zoo-mc", False, 0.0)
 
 
-# -- frozen copies of the dict loops the joint law replaced -----------------
-
-
-def _frozen_relative_error(joint):
-    return float(sum(
-        abs(delta) / float(max(value, 1)) * prob
-        for (delta, value), prob in joint.items()
-    ))
-
-
-def _frozen_joint_result(request, engine, joint):
-    pmf = {}
-    for (delta, _value), prob in joint.items():
-        pmf[delta] = pmf.get(delta, 0.0) + prob
-    fields, error_rate = _pmf_fields(pmf, request)
-    fields["mred"] = _frozen_relative_error(joint)
-    return _result(request, engine, True, error_rate, **fields)
+# -- MRED from the linear folds -----------------------------------------------
 
 
 def _chain_mred_requests(rng):
@@ -143,19 +122,32 @@ def _chain_mred_requests(rng):
     return requests
 
 
-class TestJointMredIsFrozen:
-    def test_chain_mred_bit_for_bit(self):
+def _med_twin(request):
+    return replace(request, kind="med")
+
+
+class TestMredFromTheFolds:
+    """An exact ``mred`` answer is the midpoint of ``fold_mred``'s
+    bracket over the output-difference table, and every other field is
+    the ``med`` answer's, bit for bit."""
+
+    def _check(self, request, engine, table):
+        result = run(request=request, engine=engine)
+        lo, hi = fold_mred(table)
+        assert (result.engine, result.exact) == (engine, True)
+        assert result.mred == (lo + hi) / 2
+        twin = run(request=_med_twin(request), engine=engine)
+        for field in ("p_error", "med", "nmed", "mse", "wce", "bias"):
+            assert getattr(result, field) == getattr(twin, field), field
+
+    def test_chain_mred(self):
         rng = random.Random(11)
         for request in _chain_mred_requests(rng):
-            joint = joint_error_pmf(list(request.cells), None,
-                                    list(request.p_a), list(request.p_b),
-                                    request.p_cin)
-            expected = _frozen_joint_result(request, "distribution-dp",
-                                            joint)
-            assert run(request=request, engine="distribution-dp") == expected
-            assert relative_error_from_joint(joint) == expected.mred
+            self._check(request, "distribution-dp", pair_table(
+                list(request.cells), None, list(request.p_a),
+                list(request.p_b), request.p_cin))
 
-    def test_zoo_mred_bit_for_bit(self):
+    def test_zoo_mred(self):
         rng = random.Random(12)
         for width in range(4, 11, 2):
             for adder in named_zoo(width):
@@ -164,10 +156,5 @@ class TestJointMredIsFrozen:
                     p_b=_profile(rng, width), kind="mred")
                 if request.block is None or request.is_error_free:
                     continue
-                joint = windowed_joint_error_pmf(request.block, request.p_a,
-                                                 request.p_b)
-                expected = _frozen_joint_result(request, "zoo-dp", joint)
-                assert run(request=request, engine="zoo-dp") == expected
-
-    def test_empty_joint_law(self):
-        assert relative_error_from_joint({}) == 0.0
+                self._check(request, "zoo-dp", windowed_table(
+                    request.block, request.p_a, request.p_b))

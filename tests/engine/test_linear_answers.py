@@ -251,6 +251,9 @@ class TestNoPmfFoldForMed:
         ("distribution-dp", AnalysisRequest.distribution("LPAA 1", 16,
                                                          kind="med")),
         ("zoo-dp", AnalysisRequest.zoo("aca1:16:4", kind="med")),
+        ("distribution-dp", AnalysisRequest.distribution("LPAA 1", 16,
+                                                         kind="mred")),
+        ("zoo-dp", AnalysisRequest.zoo("aca1:16:4", kind="mred")),
     ])
     def test_the_cost_model_charges_med_linearly(self, engine_name,
                                                  request_):

@@ -97,8 +97,8 @@ ROWS = [
         chain(4, joints=[JointBitDistribution.identical(0.5)] * 4),
         ("montecarlo", "exhaustive", MC, None), simulate=True),
 
-    # Error-magnitude kinds: dp -> dp-truncated -> mc for the PMF, dp
-    # -> mc for MRED; MED and WCE are exact at every width.
+    # Error-magnitude kinds: dp -> dp-truncated -> mc for the PMF; MED,
+    # MRED and WCE are exact at every width.
     row("med-w16-exact", dist(16), ("distribution-dp", None, None, None)),
     row("med-w17-exact", dist(17), ("distribution-dp", None, None, None)),
     row("med-w48-exact", dist(48), ("distribution-dp", None, None, None)),
@@ -116,7 +116,16 @@ ROWS = [
         ("distribution-dp", None, None, None),
         budget=RunBudget(deadline_s=1e-9)),
     row("mred-w13-skips-truncated", dist(13, "mred"),
-        ("distribution-mc", "distribution-dp", DIST_MC, None)),
+        ("distribution-dp", None, None, None)),
+    row("mred-w12-exact", dist(12, "mred"),
+        ("distribution-dp", None, None, None)),
+    row("mred-w48-exact", dist(48, "mred"),
+        ("distribution-dp", None, None, None)),
+    row("mred-w30-tight-deadline", dist(30, "mred"),
+        ("distribution-dp", None, None, None),
+        budget=RunBudget(deadline_s=1e-9)),
+    row("mred-w48-mc", dist(48, "mred"),
+        ("distribution-mc", None, DIST_MC, None), simulate=True),
     row("med-w16-half-second", dist(16),
         ("distribution-dp", None, None, None),
         budget=RunBudget(deadline_s=0.5)),
@@ -152,7 +161,10 @@ ROWS = [
     row("zoo-error-distribution-w20-truncated", zoo(20, "error_distribution"),
         ("zoo-dp-truncated", "zoo-dp", None, None), reason="support guard"),
     row("zoo-mred-w16-skips-truncated", zoo(16, "mred"),
-        ("zoo-mc", "zoo-dp", DIST_MC, None)),
+        ("zoo-dp", None, None, None)),
+    row("zoo-mred-w16-50ms-deadline", zoo(16, "mred"),
+        ("zoo-dp", None, None, None), budget=RunBudget(deadline_s=0.05)),
+    row("zoo-mred-w40-exact", zoo(40, "mred"), ("zoo-dp", None, None, None)),
     row("zoo-med-w40-mc", zoo(40), ("zoo-mc", None, DIST_MC, None),
         simulate=True),
     row("zoo-error-distribution-w40-mc", zoo(40, "error_distribution"),
@@ -167,8 +179,8 @@ ROWS = [
         ("zoo-mc", None, 1_000, None),
         budget=RunBudget(max_samples=1_000), simulate=True),
 
-    # Past the samplers' 62 bits a PMF or MRED question has no rung
-    # left: a typed refusal, not an engine failure.  MED, WCE, a block's
+    # Past the samplers' 62 bits a PMF question has no rung left: a
+    # typed refusal, not an engine failure.  MED, MRED, WCE, a block's
     # ``chain`` and error-free adders keep their linear-time exact
     # answers; a simulated question stops at the samplers' 62 bits.
     row("med-w62-exact", dist(62), ("distribution-dp", None, None, None)),
@@ -183,7 +195,12 @@ ROWS = [
         budget=RunBudget(deadline_s=1e-9)),
     row("error-distribution-w63-refused", dist(63, "error_distribution"),
         TOO_WIDE),
-    row("mred-w64-refused", dist(64, "mred"), TOO_WIDE),
+    row("mred-w64-refused", dist(64, "mred"), TOO_WIDE, simulate=True),
+    row("mred-w64-exact", dist(64, "mred"),
+        ("distribution-dp", None, None, None)),
+    row("mred-w256-never-degrades", dist(256, "mred"),
+        ("distribution-dp", None, None, None),
+        budget=RunBudget(deadline_s=1e-9)),
     row("error-distribution-w64-refused", dist(64, "error_distribution"),
         TOO_WIDE),
     row("med-sim-w63-refused", dist(63), TOO_WIDE, simulate=True),
@@ -194,7 +211,8 @@ ROWS = [
     row("zoo-med-w63-refused", zoo(63), TOO_WIDE, simulate=True),
     row("zoo-error-distribution-w63-refused", zoo(63, "error_distribution"),
         TOO_WIDE),
-    row("zoo-mred-w64-refused", zoo(64, "mred"), TOO_WIDE),
+    row("zoo-mred-w64-refused", zoo(64, "mred"), TOO_WIDE, simulate=True),
+    row("zoo-mred-w64-exact", zoo(64, "mred"), ("zoo-dp", None, None, None)),
     row("zoo-chain-sim-w64-refused", zoo(64, "chain"), TOO_WIDE,
         simulate=True),
     row("zoo-chain-w64", zoo(64, "chain"), ("zoo-dp", None, None, None)),

@@ -25,10 +25,7 @@ from repro.engine.diskcache import (
     result_from_payload,
 )
 from repro.engine.request import AnalysisRequest, DISTRIBUTION_KINDS
-from repro.engine.distribution import (
-    DIST_EXACT_MAX_WIDTH,
-    MRED_EXACT_MAX_WIDTH,
-)
+from repro.engine.distribution import DIST_EXACT_MAX_WIDTH
 from repro.engine.registry import REGISTRY
 
 WIDTH = 8
@@ -85,7 +82,7 @@ class TestRouterLadder:
         assert "chain" not in dp.width_limits
         assert "wce" not in dp.width_limits
         assert "med" not in dp.width_limits
-        assert dp.width_limits["mred"] == MRED_EXACT_MAX_WIDTH
+        assert "mred" not in dp.width_limits
         assert dp.width_limits["error_distribution"] == DIST_EXACT_MAX_WIDTH
 
 

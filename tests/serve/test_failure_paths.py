@@ -2,9 +2,9 @@
 
 * one poisoned request in a micro-batch fails alone -- its batch-mates
   are re-run individually and still succeed;
-* a malformed or oversized request on a keep-alive connection gets its
-  error response *and the connection keeps working* for the next,
-  well-formed request;
+* a malformed or oversized request, or an answer that cannot be
+  encoded, on a keep-alive connection gets its error response *and the
+  connection keeps working* for the next, well-formed request;
 * every ``Retry-After`` the server emits is positive and finite;
 * an open circuit breaker answers 503 with Retry-After instead of
   queueing doomed work, and closes again after the engine recovers.
@@ -18,6 +18,7 @@ import math
 import socket
 import time
 
+import numpy as np
 import pytest
 
 from repro import engine
@@ -108,6 +109,35 @@ class TestKeepAliveRecovery:
                                   {"cell": "LPAA 1", "width": 4})
             assert response.status == 200
             assert "p_error" in doc
+            conn.close()
+        finally:
+            server.stop()
+
+    def test_unserialisable_answer_is_a_500(self, monkeypatch):
+        # json.dumps cannot encode a numpy bool_: the answer becomes the
+        # typed 500 document, counted as such, instead of a connection
+        # closed without a status line.
+        async def handler(self, request):
+            return 200, {"exact": np.bool_(True)}, ()
+
+        monkeypatch.setattr(AnalysisServer, "_handle_analyze", handler)
+        server = _start(ServeConfig(port=0, batch_window_s=0.002))
+        try:
+            conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                              timeout=30)
+            response, doc = _post(conn, "/v1/analyze",
+                                  {"cell": "LPAA 1", "width": 4})
+            assert response.status == 500
+            assert doc["error"]["code"] == 500
+            assert response.getheader("X-Request-Id")
+            counters = _metrics.GLOBAL_REGISTRY.snapshot()["counters"]
+            assert counters.get("serve.http.status.500") == 1
+            assert counters.get("serve.http.status.200", 0) == 0
+            # same TCP connection, next request succeeds
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 200
             conn.close()
         finally:
             server.stop()
@@ -217,7 +247,7 @@ class TestSupportLimitOverHttp:
     not the engine's: 422 with the guard's context, per item in a
     batch, and no breaker failure."""
 
-    BAD = {"cell": "LPAA 5", "width": 12, "kind": "mred"}
+    BAD = {"cell": "LPAA 5", "width": 12, "kind": "error_distribution"}
 
     @pytest.fixture
     def guarded_engine(self, monkeypatch):
@@ -227,9 +257,10 @@ class TestSupportLimitOverHttp:
 
         def run_batch(requests, *args, **kwargs):
             for request in requests:
-                if request.kind == "mred" and request.width == 12:
+                if request.kind == "error_distribution" \
+                        and request.width == 12:
                     raise SupportLimitError(
-                        "joint_error_pmf support exceeded max_entries",
+                        "error support exceeded max_entries",
                         width=12, entries=2_000_123, limit=2_000_000,
                         stage=10)
             return real(requests, *args, **kwargs)
@@ -275,11 +306,12 @@ class TestSupportLimitOverHttp:
     def test_too_wide_for_every_rung_is_422(self):
         # No patching: the router itself refuses a magnitude question
         # wider than the samplers' 62 bits, before any work.
-        wide = [{"cell": "LPAA 1", "width": 63, "kind": "mred"},
+        wide = [{"cell": "LPAA 1", "width": 63,
+                 "kind": "error_distribution"},
                 {"cell": "LPAA 1", "width": 64,
                  "kind": "error_distribution"},
                 {"adder": "loa:63:8", "kind": "error_distribution"},
-                {"adder": "axppa-bk:64:3", "kind": "mred"}]
+                {"adder": "axppa-bk:64:3", "kind": "error_distribution"}]
         server = _start(ServeConfig(port=0, batch_window_s=0.002))
         try:
             conn = http.client.HTTPConnection("127.0.0.1", server.port,
@@ -290,11 +322,17 @@ class TestSupportLimitOverHttp:
                 error = body["error"]
                 assert (error["code"], error["limit"]) == (422, 62), doc
                 assert error["width"] in (63, 64), doc
-            # MED has no width limit: the exact DP answers at width 64.
-            response, body = _post(conn, "/v1/analyze", {
-                "cell": "LPAA 1", "width": 64, "kind": "med"})
-            assert response.status == 200
-            assert (body["engine"], body["exact"]) == ("distribution-dp", True)
+            # MED and MRED have no width limit: the exact DP answers at
+            # width 64.
+            for doc, dp in (
+                    ({"cell": "LPAA 1", "width": 64, "kind": "med"},
+                     "distribution-dp"),
+                    ({"cell": "LPAA 1", "width": 64, "kind": "mred"},
+                     "distribution-dp"),
+                    ({"adder": "axppa-bk:64:3", "kind": "mred"}, "zoo-dp")):
+                response, body = _post(conn, "/v1/analyze", doc)
+                assert response.status == 200, doc
+                assert (body["engine"], body["exact"]) == (dp, True), doc
             response, body = _post(conn, "/v1/analyze_batch", {"requests": [
                 {"cell": "LPAA 1", "width": 4}, wide[0],
                 {"adder": "rca:64", "kind": "mred"},
